@@ -10,12 +10,10 @@ the two routes confirm each other.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
-from .errors import NotInvariant, NotLogarithmic, TruncationNotStabilized
-from .localalgebra import exact_divide
+from .errors import NotInvariant, NotLogarithmic, RouteConflict, TruncationNotStabilized
 from .polyring import DiffForm, Poly, VectorField, contract, exterior_derivative, wedge
 
 __all__ = [
@@ -30,58 +28,82 @@ def _monomials_below(n, N):
     return tuple(e for e in itertools.product(range(N), repeat=n) if sum(e) < N)
 
 
-def _intify(row):
-    den = 1
-    for c in row:
-        if c:
-            den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in row]
-    g = 0
-    for a in ints:
-        g = gcd(g, abs(a))
+def _primitive(row):
+    """Divide a sparse integer row by the gcd of its entries."""
+    g = gcd(*row.values())
     if g > 1:
-        ints = [a // g for a in ints]
-    return ints
+        return {k: a // g for k, a in row.items()}
+    return row
+
+
+def _intify(row):
+    """Primitive integer multiple of a sparse rational row {column: c}."""
+    den = lcm(*(c.denominator for c in row.values()))
+    return _primitive({k: c.numerator * (den // c.denominator)
+                       for k, c in row.items()})
+
+
+def _divide(p, f):
+    """Quotient p / f when f divides p exactly, else None.
+
+    Long division on the lexicographically largest term, kept here so the
+    oracle shares no code with the standard-basis engine.  Lex order on
+    exponent tuples is a monomial order, so an exact quotient exists iff
+    this division leaves no remainder.
+    """
+    ef = max(f.terms)
+    cf = f.terms[ef]
+    rest = dict(p.terms)
+    quotient = {}
+    while rest:
+        eh = max(rest)
+        e = tuple(a - b for a, b in zip(eh, ef))
+        if any(x < 0 for x in e):
+            return None
+        c = rest[eh] / cf
+        quotient[e] = c
+        for eg, cg in f.terms.items():
+            t = tuple(a + b for a, b in zip(e, eg))
+            s = rest.get(t, 0) - c * cg
+            if s:
+                rest[t] = s
+            else:
+                del rest[t]
+    return Poly(p.nvars, quotient)
 
 
 def integer_rank(rows):
-    """Rank of a list of integer rows, by fraction-free elimination.
+    """Rank of a list of integer rows, by sparse fraction-free elimination.
 
-    Pivots are chosen with minimal absolute value to slow down coefficient
-    growth; every division in the update is exact.
+    A row is a dense sequence or a sparse {column: int} dict.  Each row is
+    reduced on its lowest column against the pivot row owning that column,
+    by an integer combination that cancels the column exactly, and divided
+    by its content after every step to hold coefficient growth down.  A row
+    that does not reduce to zero becomes the pivot of its lowest column.
+    The pivots have distinct lowest columns, so their count is the rank.
     """
-    m = [list(r) for r in rows if any(r)]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    assert all(len(r) == ncols for r in m)
-    rank = 0
-    row = 0
-    prev = 1
-    for col in range(ncols):
-        piv = None
-        best = None
-        for i in range(row, len(m)):
-            a = m[i][col]
-            if a and (best is None or abs(a) < best):
-                piv, best = i, abs(a)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        pivot_row = m[row]
-        pa = pivot_row[col]
-        for i in range(row + 1, len(m)):
-            ri = m[i]
-            a = ri[col]
-            for j in range(col + 1, ncols):
-                ri[j] = (pa * ri[j] - a * pivot_row[j]) // prev
-            ri[col] = 0
-        prev = pa
-        rank += 1
-        row += 1
-        if row == len(m):
-            break
-    return rank
+    pivots = {}
+    for r in rows:
+        items = r.items() if isinstance(r, dict) else enumerate(r)
+        row = {k: a for k, a in items if a}
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = row
+                break
+            a, p = row[col], pivot[col]
+            g = gcd(a, p)
+            a, p = a // g, p // g
+            out = {k: p * c for k, c in row.items()}
+            for k, c in pivot.items():
+                s = out.get(k, 0) - a * c
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+            row = _primitive(out)
+    return len(pivots)
 
 
 def truncated_quotient_dim(gens, N):
@@ -108,10 +130,7 @@ def truncated_quotient_dim(gens, N):
             # and one junk row can fake membership for honest monomials
             for a in _monomials_below(n, level - g.degree()):
                 prod = g * Poly.monomial(a)
-                row = [Fraction(0)] * len(mons)
-                for e, c in prod.terms.items():
-                    row[pos[e]] = c
-                rows.append(_intify(row))
+                rows.append(_intify({pos[e]: c for e, c in prod.terms.items()}))
         return len(mons) - integer_rank(rows)
 
     v = value(N)
@@ -132,31 +151,28 @@ def _basis(n, N, j):
     return order, idx
 
 
-def _form_to_row(form, idx, N, size):
-    row = [Fraction(0)] * size
-    for I, p in form.coeffs.items():
-        for e, c in p.terms.items():
-            if sum(e) < N:
-                row[idx[(I, e)]] = c
-    return row
+def _form_to_row(form, idx):
+    """Sparse integer row of a form whose degree is below the level."""
+    return _intify({idx[(I, e)]: c
+                    for I, p in form.coeffs.items() for e, c in p.terms.items()})
 
 
 def _zero_low_columns(rows, low_cols):
-    out = []
-    for r in rows:
-        r2 = list(r)
-        for k in low_cols:
-            r2[k] = 0
-        out.append(r2)
-    return out
+    return [{k: a for k, a in r.items() if k not in low_cols} for r in rows]
 
 
 def _form_degree(form):
     return max((p.degree() for p in form.coeffs.values()), default=-1)
 
 
-def _chi_at(cs, f, n, N, top, window, check):
+def _chi_at(v, f, N, top, window, check, images):
     """Euler characteristic of the truncated contraction complex.
+
+    Every dimension below is an exact integer rank, found by sparse
+    fraction-free elimination (integer_rank) on rows built straight from
+    polynomial terms.  images caches the contraction of each basis form
+    x^e dx_I, keyed by (I, e); it does not depend on N, so the caller
+    shares one cache between truncation levels.
 
     Two precautions make the count honest.
 
@@ -189,8 +205,13 @@ def _chi_at(cs, f, n, N, top, window, check):
                                    - rank(S_{j-1}))
         dim(B_j n U_j) = rank(B_j rows) - rank(B_j rows with the U columns
                                                 zeroed out)
+
+    Three self-checks run on the way, and a failure raises RouteConflict
+    (so they hold under python -O too): the differential keeps the window
+    below the truncation boundary, and, when check is set, contraction maps
+    the relation span into itself and contracting twice gives zero.
     """
-    v = VectorField(tuple(cs))
+    n = v.nvars
 
     bases = {}
     idxs = {}
@@ -198,30 +219,30 @@ def _chi_at(cs, f, n, N, top, window, check):
         bases[j], idxs[j] = _basis(n, N, j)
 
     def phi_image(j, k):
-        I, e = bases[j][k]
-        return contract(DiffForm(n, j, {I: Poly.monomial(e)}), v)
+        key = bases[j][k]
+        image = images.get(key)
+        if image is None:
+            I, e = key
+            image = images[key] = contract(
+                DiffForm(n, j, {I: Poly.monomial(e)}), v)
+        return image
 
     phi_keep = {}
     for j in range(1, top + 1):
-        size = len(bases[j - 1])
         kept = {}
         for k in range(len(bases[j])):
             image = phi_image(j, k)
             if _form_degree(image) < N:
-                kept[k] = _intify(_form_to_row(image, idxs[j - 1], N, size))
+                kept[k] = _form_to_row(image, idxs[j - 1])
         phi_keep[j] = kept
 
-    def s_data(j):
-        rows = []
+    def s_forms(j):
         forms = []
         if f is None:
-            return rows, forms
-        size = len(bases[j])
+            return forms
         for I in itertools.combinations(range(n), j):
             for a in _monomials_below(n, N - f.degree()):
-                form = DiffForm(n, j, {I: f * Poly.monomial(a)})
-                rows.append(_form_to_row(form, idxs[j], N, size))
-                forms.append(form)
+                forms.append(DiffForm(n, j, {I: f * Poly.monomial(a)}))
         if j >= 1:
             df = exterior_derivative(f)
             for J in itertools.combinations(range(n), j - 1):
@@ -229,23 +250,21 @@ def _chi_at(cs, f, n, N, top, window, check):
                     form = wedge(df, DiffForm(n, j - 1, {J: Poly.monomial(a)}))
                     if form.is_zero() or _form_degree(form) >= N:
                         continue
-                    rows.append(_form_to_row(form, idxs[j], N, size))
                     forms.append(form)
-        return rows, forms
+        return forms
 
-    s_int = {}
-    s_forms = {}
-    for j in range(top + 1):
-        rows, forms = s_data(j)
-        s_int[j] = [_intify(r) for r in rows]
-        s_forms[j] = forms
+    forms = {j: s_forms(j) for j in range(top + 1)}
+    s_int = {j: [_form_to_row(form, idxs[j]) for form in forms[j]]
+             for j in range(top + 1)}
+    rank_s = {j: integer_rank(s_int[j]) for j in range(top + 1)}
     u_positions = {
         j: [k for k, (I, e) in enumerate(bases[j]) if sum(e) < window]
         for j in range(top + 1)
     }
     for j in range(1, top + 1):
-        assert all(k in phi_keep[j] for k in u_positions[j]), \
-            "window element pushed past the truncation boundary"
+        if not all(k in phi_keep[j] for k in u_positions[j]):
+            raise RouteConflict(
+                "window element pushed past the truncation boundary")
 
     if check:
         for j in range(1, top + 1):
@@ -253,21 +272,22 @@ def _chi_at(cs, f, n, N, top, window, check):
             # step down; verified exactly on every honest generator whose
             # image stays below the level
             pushed = []
-            size = len(bases[j - 1])
-            for form in s_forms[j]:
+            for form in forms[j]:
                 image = contract(form, v)
                 if image.is_zero() or _form_degree(image) >= N:
                     continue
-                pushed.append(_intify(_form_to_row(image, idxs[j - 1], N, size)))
-            base_rank = integer_rank(s_int[j - 1])
-            assert integer_rank(s_int[j - 1] + pushed) == base_rank
+                pushed.append(_form_to_row(image, idxs[j - 1]))
+            if integer_rank(s_int[j - 1] + pushed) != rank_s[j - 1]:
+                raise RouteConflict(
+                    "contraction leaves the relation span at degree %d" % j)
         for j in range(2, top + 1):
             # contracting twice kills every basis form identically
             for k in range(len(bases[j])):
-                assert contract(phi_image(j, k), v).is_zero()
+                if not contract(phi_image(j, k), v).is_zero():
+                    raise RouteConflict(
+                        "contracting %r twice is not zero" % (bases[j][k],))
 
     chi = 0
-    rank_s = {j: integer_rank(s_int[j]) for j in range(top + 1)}
     for j in range(top + 1):
         nu = len(u_positions[j])
         if j == 0:
@@ -279,7 +299,7 @@ def _chi_at(cs, f, n, N, top, window, check):
         if j < top:
             b_rows = list(phi_keep[j + 1].values()) + b_rows
         rb = integer_rank(b_rows)
-        rb_high = integer_rank(_zero_low_columns(b_rows, u_positions[j]))
+        rb_high = integer_rank(_zero_low_columns(b_rows, set(u_positions[j])))
         dim_bu = rb - rb_high
         h = dim_ku - dim_bu
         chi += h if j % 2 == 0 else -h
@@ -303,8 +323,7 @@ def contraction_complex_euler(v, germ, N=None, max_trunc=32):
     if isinstance(germ, Poly):
         f = germ
         assert f.nvars == n and not f.is_zero()
-        cofactor = exact_divide(v.apply(f), f)
-        if cofactor is None:
+        if _divide(v.apply(f), f) is None:
             raise NotInvariant(
                 "vector field is not tangent to the hypersurface")
         cs = list(v.components)
@@ -316,7 +335,7 @@ def contraction_complex_euler(v, germ, N=None, max_trunc=32):
         cs = []
         for i in range(n):
             if i in divisor:
-                h = exact_divide(v.components[i], Poly.var(n, i))
+                h = _divide(v.components[i], Poly.var(n, i))
                 if h is None:
                     raise NotLogarithmic(
                         "component %d does not vanish on its hyperplane" % i)
@@ -329,8 +348,11 @@ def contraction_complex_euler(v, germ, N=None, max_trunc=32):
     buffer = 1 + max([d for d in degs if d >= 0] + [1])
     check = n <= 2
 
+    v_mod = VectorField(tuple(cs))
+    images = {}
+
     def chi(level):
-        return _chi_at(cs, f, n, level, top, level - buffer, check)
+        return _chi_at(v_mod, f, level, top, level - buffer, check, images)
 
     if N is not None:
         assert N > buffer, "truncation level too small for the input degrees"

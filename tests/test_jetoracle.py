@@ -1,16 +1,27 @@
 """Truncation oracle: integer ranks, naive dimensions, Euler characteristics."""
 
+import ast
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from folindex.errors import NotInvariant, NotLogarithmic, TruncationNotStabilized
+from folindex import jetoracle
+from folindex.errors import (
+    NotInvariant,
+    NotLogarithmic,
+    RouteConflict,
+    TruncationNotStabilized,
+)
 from folindex.jetoracle import (
     contraction_complex_euler,
     integer_rank,
     truncated_quotient_dim,
 )
-from folindex.polyring import Poly, VectorField
+from folindex.polyring import DiffForm, Poly, VectorField
 
 
 def test_integer_rank():
@@ -36,6 +47,67 @@ def test_integer_rank():
             if i != j:
                 rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
         assert integer_rank(rows) == integer_rank(base) == rank
+
+
+def _fraction_rank(rows, ncols):
+    m = [[Fraction(a) for a in r] for r in rows]
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(rank + 1, len(m)):
+            t = m[i][col] / m[rank][col]
+            m[i] = [a - t * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def _matrices(draw):
+    ncols = draw(st.integers(1, 7))
+    entry = st.one_of(st.just(0), st.integers(-9, 9))
+    base = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         max_size=7))
+    rows = list(base)
+    extras = draw(st.lists(st.tuples(st.sampled_from(("zero", "dup", "mult")),
+                                     st.integers(0, 50), st.integers(-4, 4)),
+                           max_size=5))
+    for kind, i, k in extras:
+        if kind == "zero" or not base:
+            rows.append([0] * ncols)
+        elif kind == "dup":
+            rows.append(list(base[i % len(base)]))
+        else:
+            rows.append([k * a for a in base[i % len(base)]])
+    order = draw(st.permutations(range(len(rows))))
+    return ncols, [rows[i] for i in order]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices())
+def test_integer_rank_dense_sparse_and_fraction_agree(matrix):
+    ncols, rows = matrix
+    sparse = [{k: a for k, a in enumerate(r) if a} for r in rows]
+    rank = _fraction_rank(rows, ncols)
+    assert integer_rank(rows) == rank
+    assert integer_rank(sparse) == rank
+
+
+def test_oracle_imports_nothing_from_the_local_algebra():
+    # the oracle is only an independent check while it shares no code with
+    # the standard-basis engine
+    tree = ast.parse(Path(jetoracle.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        for name in names:
+            assert "localalgebra" not in name.split("."), ast.dump(node)
 
 
 def test_truncated_quotient_dim_examples():
@@ -87,6 +159,50 @@ def test_tangency_and_divisor_guards():
         contraction_complex_euler(VectorField((x, x)), y)
     with pytest.raises(NotLogarithmic):
         contraction_complex_euler(VectorField((Poly.const(2, 1), y)), (0,))
+
+
+def test_self_checks_raise_route_conflict(monkeypatch):
+    x, y = Poly.variables(2)
+    real_contract = jetoracle.contract
+
+    def patch_contract(extra):
+        def contract(form, v):
+            out = real_contract(form, v)
+            if out.degree == 0:
+                out = out + DiffForm.from_poly(extra)
+            return out
+        monkeypatch.setattr(jetoracle, "contract", contract)
+
+    # a term far above the level pushes the window past the boundary
+    patch_contract(x ** 40)
+    with pytest.raises(RouteConflict, match="window"):
+        contraction_complex_euler(VectorField((2 * x, 3 * y)), y ** 2 - x ** 3, N=10)
+    # a constant term makes contracting twice nonzero
+    patch_contract(Poly.const(2, 1))
+    with pytest.raises(RouteConflict, match="twice"):
+        contraction_complex_euler(VectorField((2 * x, 3 * y)), (0, 1), N=8)
+    monkeypatch.setattr(jetoracle, "contract", real_contract)
+
+    # relations built from the wrong differential are not closed under
+    # contraction
+    real_d = jetoracle.exterior_derivative
+    monkeypatch.setattr(jetoracle, "exterior_derivative", lambda f: real_d(f + x))
+    with pytest.raises(RouteConflict, match="relation span"):
+        contraction_complex_euler(VectorField((2 * x, 3 * y)), y ** 2 - x ** 3, N=10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                          st.integers(-5, 5)), max_size=5),
+       st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                          st.integers(-5, 5)), min_size=1, max_size=4))
+def test_exact_division(p_terms, f_terms):
+    p = Poly(2, {(a, b): c for a, b, c in p_terms})
+    f = Poly(2, {(a, b): c for a, b, c in f_terms})
+    assume(not f.is_zero())
+    assert jetoracle._divide(p * f, f) == p
+    if f.degree() > 0:
+        assert jetoracle._divide(p * f + Poly.const(2, 1), f) is None
 
 
 def test_non_reduced_curve_never_stabilizes():
