@@ -71,29 +71,23 @@ from .residues import (
     ResidueResult,
     baum_bott_residue,
     grothendieck_residue,
-    log_residue_det,
 )
 from .indices import (
-    GermInput,
     IndexReport,
     cs_index,
     gsv_curve,
     gsv_pfaff_curve,
     homological_index,
-    homology_dims,
     log_index,
     milnor_number,
-    normal_bundle_extension_check,
     ph_index,
     radial_index,
     saito_decomposition,
     tangency_cofactor,
     tjurina_number,
-    tjurina_vf,
     var_index,
 )
 from .chern import (
-    ChernSeries,
     IdentitySpec,
     identity_rhs,
     pn_chern_integral,
@@ -104,7 +98,6 @@ from .projective import (
     ProjPoint,
     ProjectiveFoliation,
     affine_singular_audit,
-    curve_in_chart,
     curve_to_homogeneous,
     run_global_check,
 )
@@ -141,19 +134,16 @@ __all__ = [
     "truncated_quotient_dim", "contraction_complex_euler",
     # residues
     "ResidueResult", "PhiSpec", "grothendieck_residue", "baum_bott_residue",
-    "log_residue_det",
     # indices
-    "IndexReport", "GermInput", "milnor_number", "tjurina_number",
-    "ph_index", "tangency_cofactor", "tjurina_vf", "homology_dims",
-    "homological_index", "saito_decomposition", "gsv_curve",
-    "gsv_pfaff_curve", "cs_index", "var_index", "radial_index", "log_index",
-    "normal_bundle_extension_check",
+    "IndexReport", "milnor_number", "tjurina_number", "ph_index",
+    "tangency_cofactor", "homological_index", "saito_decomposition",
+    "gsv_curve", "gsv_pfaff_curve", "cs_index", "var_index", "radial_index",
+    "log_index",
     # degree arithmetic on projective space
-    "ChernSeries", "pn_chern_integral", "IdentitySpec", "identity_rhs",
+    "pn_chern_integral", "IdentitySpec", "identity_rhs",
     # projective foliations and global checks
     "ProjPoint", "ProjectiveFoliation", "curve_to_homogeneous",
-    "curve_in_chart", "affine_singular_audit", "run_global_check",
-    "CheckRow", "CheckReport",
+    "affine_singular_audit", "run_global_check", "CheckRow", "CheckReport",
     # session language
     "parse_session", "print_session", "run_session",
 ]

@@ -1,14 +1,13 @@
 """Truncated characteristic-class arithmetic on projective space.
 
 Everything lives in Q[h]/(h^{n+1}) with h the hyperplane class, so a class
-is a tuple of n+1 exact rationals and the integral over the ambient space
+is a TruncSeries of order n+1 in h and the integral over the ambient space
 is reading off the top coefficient.  The module also knows the closed-form
 right-hand sides of the global index identities, keyed by name.
 """
 
-from fractions import Fraction
-
 from .errors import UnsupportedIdentity
+from .series import TruncSeries
 
 IDENTITY_KINDS = (
     "brunella",
@@ -23,89 +22,18 @@ IDENTITY_KINDS = (
 )
 
 
-class ChernSeries:
-    """A class in Q[h]/(h^{n+1}), kept as exact coefficients c_0..c_n."""
-
-    __slots__ = ("n", "coeffs")
-
-    def __init__(self, n, coeffs):
-        assert n >= 0
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        assert len(coeffs) <= n + 1
-        coeffs = coeffs + (Fraction(0),) * (n + 1 - len(coeffs))
-        self.n = n
-        self.coeffs = coeffs
-
-    @classmethod
-    def one(cls, n):
-        return cls(n, (1,))
-
-    @classmethod
-    def from_roots(cls, n, roots):
-        """Product of (1 + r*h) over the given Chern roots."""
-        out = cls.one(n)
-        for r in roots:
-            out = out * cls(n, (1, r))
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, ChernSeries):
-            return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.n, self.coeffs))
-
-    def __mul__(self, other):
-        assert isinstance(other, ChernSeries) and other.n == self.n
-        out = [Fraction(0)] * (self.n + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j > self.n:
-                    break
-                out[i + j] += a * b
-        return ChernSeries(self.n, out)
-
-    def inverse(self):
-        a = self.coeffs
-        assert a[0] != 0, "inverse of a series with zero constant term"
-        inv = [1 / a[0]]
-        for k in range(1, self.n + 1):
-            acc = Fraction(0)
-            for i in range(1, k + 1):
-                acc += a[i] * inv[k - i]
-            inv.append(-acc / a[0])
-        return ChernSeries(self.n, inv)
-
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    def integral(self):
-        """Coefficient of h^n, the degree of the class on P^n."""
-        top = self.coeffs[self.n]
-        return int(top) if top.denominator == 1 else top
-
-    def __repr__(self):
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c and parts:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append("%s*h" % c)
-            else:
-                parts.append("%s*h^%d" % (c, i))
-        return " + ".join(parts)
-
-
 def pn_chern_integral(n, numerator_degrees, denominator_degrees=()):
     """Degree of the h^n part of prod(1+a_i h) / prod(1+b_j h) on P^n."""
-    num = ChernSeries.from_roots(n, numerator_degrees)
-    den = ChernSeries.from_roots(n, denominator_degrees)
-    return (num / den).integral()
+
+    def roots_product(roots):
+        out = TruncSeries.const(1, n + 1)
+        for r in roots:
+            out = out * TruncSeries(n + 1, (1, r))
+        return out
+
+    top = (roots_product(numerator_degrees)
+           * roots_product(denominator_degrees).inverse()).coeffs[n]
+    return int(top) if top.denominator == 1 else top
 
 
 def _require(cond, kind, detail):

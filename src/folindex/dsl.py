@@ -16,7 +16,7 @@ Grammar (informal):
         ("milnor"|"tjurina") name at
       | "ph" name at
       | ("homological"|"radial") name "along" name at
-      | "gsv" name "along" (name | "(" name ("," name)* ")") at
+      | "gsv" name "along" curveref at
       | ("cs"|"var") name "along" name "branch" name at
       | "logindex" name "divisor" "(" ident ("," ident)* ")" at
       | "bb" name "phi" "(" polyexpr ")" at         # over symbols c1..cn
@@ -25,6 +25,7 @@ Grammar (informal):
             ["divisor" "(" divitem ("," divitem)* ")"]
             ["points" "(" pointitem ("," pointitem)* ")"]
     at        := "at" (name | "(" rational ("," rational)* ")")
+    curveref  := name | "(" name ("," name)* ")"
     pointitem := name ("branch" name)*
     divitem   := ident | "infinity"
 
@@ -40,7 +41,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .chern import IDENTITY_KINDS
-from .errors import ParseError, RingMismatch, SessionError, UndeclaredName
+from .errors import (
+    DegreeMismatch,
+    ParseError,
+    RingMismatch,
+    SessionError,
+    UndeclaredName,
+)
 from .indices import (
     cs_index,
     gsv_curve,
@@ -176,6 +183,16 @@ class _Parser:
         tok = self.peek()
         return tok.kind == "ident" and tok.text == word
 
+    def paren_list(self, item):
+        """'(' item (',' item)* ')', returned as a tuple."""
+        self.expect("op", "(")
+        items = [item()]
+        while self.peek().text == ",":
+            self.next()
+            items.append(item())
+        self.expect("op", ")")
+        return tuple(items)
+
     # session
 
     def parse(self):
@@ -237,23 +254,15 @@ class _Parser:
 
     def field_ctor(self):
         self.next()
-        self.expect("op", "(")
-        comps = [self.expr(self.ring)]
-        while self.peek().text == ",":
-            self.next()
-            comps.append(self.expr(self.ring))
-        self.expect("op", ")")
+        comps = self.paren_list(lambda: self.expr(self.ring))
         if len(comps) != len(self.ring):
             self.fail("vf needs %d components" % len(self.ring))
-        return "field", tuple(comps)
+        return "field", comps
 
     def _dvar(self):
-        tok = self.peek()
-        if tok.kind == "ident" and len(tok.text) > 1 and \
-                tok.text[0] == "d" and tok.text[1:] in self.ring:
-            self.next()
-            return self.ring.index(tok.text[1:])
-        return None
+        if not self._peek_dvar():
+            return None
+        return self.ring.index(self.next().text[1:])
 
     def form_ctor(self):
         n = len(self.ring)
@@ -296,12 +305,7 @@ class _Parser:
 
     def branch_ctor(self):
         self.next()
-        self.expect("op", "(")
-        comps = [self.expr(("t",))]
-        while self.peek().text == ",":
-            self.next()
-            comps.append(self.expr(("t",)))
-        self.expect("op", ")")
+        comps = self.paren_list(lambda: self.expr(("t",)))
         self.expect_word("order")
         order_tok = self.expect("number")
         order = int(order_tok.text)
@@ -309,24 +313,15 @@ class _Parser:
             self.fail("branch order must be at least 2", order_tok)
         if len(comps) != len(self.ring):
             self.fail("branch needs %d components" % len(self.ring))
-        return "branch", (tuple(comps), order)
+        return "branch", (comps, order)
 
     def point_ctor(self):
         self.next()
-        coords = self.coord_tuple()
+        coords = self.paren_list(self.rational)
         n = len(self.ring)
         if len(coords) not in (n, n + 1):
             self.fail("point needs %d or %d coordinates" % (n, n + 1))
         return "point", coords
-
-    def coord_tuple(self):
-        self.expect("op", "(")
-        coords = [self.rational()]
-        while self.peek().text == ",":
-            self.next()
-            coords.append(self.rational())
-        self.expect("op", ")")
-        return tuple(coords)
 
     def rational(self):
         sign = 1
@@ -423,8 +418,16 @@ class _Parser:
     def at_clause(self):
         self.expect_word("at")
         if self.peek().text == "(":
-            return self.coord_tuple()
+            return self.paren_list(self.rational)
         return self.name_of_kind(("point",), "at")
+
+    def curve_ref(self):
+        """'along' followed by one curve name or a list of them."""
+        self.expect_word("along")
+        if self.peek().text == "(":
+            return self.paren_list(
+                lambda: self.name_of_kind(("poly",), "along"))
+        return self.name_of_kind(("poly",), "along")
 
     def command(self):
         tok = self.next()
@@ -446,17 +449,7 @@ class _Parser:
                            at=self.at_clause(), line=line)
         if op == "gsv":
             subject = self.name_of_kind(("field", "form"), op)
-            self.expect_word("along")
-            if self.peek().text == "(":
-                self.next()
-                names = [self.name_of_kind(("poly",), "along")]
-                while self.peek().text == ",":
-                    self.next()
-                    names.append(self.name_of_kind(("poly",), "along"))
-                self.expect("op", ")")
-                along = tuple(names)
-            else:
-                along = self.name_of_kind(("poly",), "along")
+            along = self.curve_ref()
             return Command(op=op, subject=subject, along=along,
                            at=self.at_clause(), line=line)
         if op in ("cs", "var"):
@@ -470,13 +463,8 @@ class _Parser:
         if op == "logindex":
             subject = self.name_of_kind(("field",), op)
             self.expect_word("divisor")
-            self.expect("op", "(")
-            divisor = [self.ring_var()]
-            while self.peek().text == ",":
-                self.next()
-                divisor.append(self.ring_var())
-            self.expect("op", ")")
-            return Command(op=op, subject=subject, divisor=tuple(divisor),
+            divisor = self.paren_list(self.ring_var)
+            return Command(op=op, subject=subject, divisor=divisor,
                            at=self.at_clause(), line=line)
         if op == "bb":
             subject = self.name_of_kind(("field",), op)
@@ -489,7 +477,7 @@ class _Parser:
                 (c, e) for e, c in sorted(phi_poly.terms.items()))
             try:
                 PhiSpec(len(self.ring), phi)
-            except AssertionError as exc:
+            except DegreeMismatch as exc:
                 self.fail("invalid phi: %s" % exc, tok)
             return Command(op=op, subject=subject, phi=phi,
                            at=self.at_clause(), line=line)
@@ -512,54 +500,37 @@ class _Parser:
 
     def check_command(self, line):
         kind_tok = self.expect("ident")
-        if kind_tok.text not in IDENTITY_KINDS:
-            self.fail("unknown identity %r" % kind_tok.text, kind_tok)
+        kind = kind_tok.text
+        if kind not in IDENTITY_KINDS:
+            self.fail("unknown identity %r" % kind, kind_tok)
+        if kind in ("soares", "adjunction"):
+            self.fail("%s is a closed-form statement with no per-point "
+                      "table to check" % kind, kind_tok)
         self.expect_word("of")
         subject = self.name_of_kind(("field",), "of")
-        along = None
-        divisor = None
-        points = None
-        if self.at_word("along"):
-            self.next()
-            if self.peek().text == "(":
-                self.next()
-                names = [self.name_of_kind(("poly",), "along")]
-                while self.peek().text == ",":
-                    self.next()
-                    names.append(self.name_of_kind(("poly",), "along"))
-                self.expect("op", ")")
-                along = tuple(names)
-            else:
-                along = self.name_of_kind(("poly",), "along")
+        along = self.curve_ref() if self.at_word("along") else None
+        divisor = points = None
         if self.at_word("divisor"):
             self.next()
-            self.expect("op", "(")
-            items = [self.div_item()]
-            while self.peek().text == ",":
-                self.next()
-                items.append(self.div_item())
-            self.expect("op", ")")
-            divisor = tuple(items)
+            divisor = self.paren_list(
+                lambda: self.next().text if self.at_word("infinity")
+                else self.ring_var())
         if self.at_word("points"):
             self.next()
-            self.expect("op", "(")
-            items = [self.point_item()]
-            while self.peek().text == ",":
-                self.next()
-                items.append(self.point_item())
-            self.expect("op", ")")
-            points = tuple(items)
-        return Command(op="check", check_kind=kind_tok.text, subject=subject,
+            points = self.paren_list(self.point_item)
+        n = len(self.ring)
+        if kind in ("brunella", "cs_total", "var_total") and (
+                n != 2 or not isinstance(along, str)):
+            self.fail("%s needs a plane ring and 'along <curve>'" % kind,
+                      kind_tok)
+        if kind == "pfaff_degree" and not (
+                isinstance(along, tuple) and len(along) == n - 1):
+            self.fail("pfaff_degree needs 'along' with a list of %d curves"
+                      % (n - 1), kind_tok)
+        if kind == "log_bb" and divisor is None:
+            self.fail("log_bb needs 'divisor'", kind_tok)
+        return Command(op="check", check_kind=kind, subject=subject,
                        along=along, divisor=divisor, points=points, line=line)
-
-    def div_item(self):
-        tok = self.expect("ident")
-        if tok.text == "infinity":
-            return "infinity"
-        if tok.text not in self.ring:
-            raise RingMismatch("%r is not a ring variable" % tok.text,
-                               line=tok.line, col=tok.col)
-        return tok.text
 
     def point_item(self):
         name = self.name_of_kind(("point",), "points")
@@ -578,12 +549,12 @@ def parse_session(text):
 
 # printing
 
-def _fmt_rat(q):
-    return str(q)
-
-
 def _fmt_point(coords):
-    return "(" + ", ".join(_fmt_rat(c) for c in coords) + ")"
+    return "(" + ", ".join(str(c) for c in coords) + ")"
+
+
+def _fmt_along(along):
+    return along if isinstance(along, str) else "(" + ", ".join(along) + ")"
 
 
 def _fmt_form(form, names):
@@ -612,9 +583,8 @@ def _fmt_command(cmd):
         return "%s %s along %s at %s" % (op, cmd.subject, cmd.along,
                                          _fmt_at(cmd.at))
     if op == "gsv":
-        along = (cmd.along if isinstance(cmd.along, str)
-                 else "(" + ", ".join(cmd.along) + ")")
-        return "gsv %s along %s at %s" % (cmd.subject, along, _fmt_at(cmd.at))
+        return "gsv %s along %s at %s" % (cmd.subject, _fmt_along(cmd.along),
+                                          _fmt_at(cmd.at))
     if op in ("cs", "var"):
         return "%s %s along %s branch %s at %s" % (
             op, cmd.subject, cmd.along, cmd.branch_name, _fmt_at(cmd.at))
@@ -635,9 +605,7 @@ def _fmt_command(cmd):
     if op == "check":
         parts = ["check", cmd.check_kind, "of", cmd.subject]
         if cmd.along is not None:
-            along = (cmd.along if isinstance(cmd.along, str)
-                     else "(" + ", ".join(cmd.along) + ")")
-            parts += ["along", along]
+            parts += ["along", _fmt_along(cmd.along)]
         if cmd.divisor is not None:
             parts += ["divisor", "(" + ", ".join(cmd.divisor) + ")"]
         if cmd.points is not None:

@@ -41,7 +41,6 @@ from .polyring import (
     PolyMatrix,
     VectorField,
     dual_form,
-    exterior_derivative,
     field_from_dual,
     translate_to_origin,
 )
@@ -56,13 +55,10 @@ from .series import (
 __all__ = [
     "IndexReport",
     "DecompositionTriple",
-    "GermInput",
     "milnor_number",
     "tjurina_number",
     "ph_index",
     "tangency_cofactor",
-    "tjurina_vf",
-    "homology_dims",
     "homological_index",
     "saito_decomposition",
     "gsv_curve",
@@ -71,7 +67,6 @@ __all__ = [
     "var_index",
     "radial_index",
     "log_index",
-    "normal_bundle_extension_check",
 ]
 
 
@@ -161,38 +156,6 @@ def tangency_cofactor(v, f):
     return h
 
 
-def tjurina_vf(v, f, point=None, max_steps=None):
-    """Dimension of the local ring modulo f and the components of v."""
-    f0 = _at_point(f, point)
-    v0 = _field_at_point(v, point)
-    value = _local_dim((f0,) + v0.components, f.nvars, max_steps,
-                       "zero of the field on the hypersurface")
-    return _finish(value, "local-algebra")
-
-
-def homology_dims(v, f, point=None, max_steps=None):
-    """The end dimensions (h_0, h_top, lam) of the contraction complex on the
-    hypersurface f == 0, from closed module formulas.
-
-    h_0 uses the components ideal, h_top the Jacobian ideal of f; lam is the
-    middle correction term and is None when the hypersurface is a curve.
-    """
-    f0 = _at_point(f, point)
-    v0 = _field_at_point(v, point)
-    n = f.nvars
-    h = tangency_cofactor(v0, f0)
-    a = v0.components
-    jac = [f0.diff(i) for i in range(n)]
-    h0 = _local_dim((f0,) + a, n, max_steps, "zero of the field on the hypersurface")
-    htop = _local_dim([f0] + jac, n, max_steps, "singular point of the hypersurface")
-    lam = None
-    if n - 1 >= 2:
-        lam = (h0
-               + _local_dim((h,) + a, n, max_steps, "cofactor locus")
-               - _local_dim(a, n, max_steps, "ambient zero of the field"))
-    return h0, htop, lam
-
-
 def homological_index(v, f, point=None, oracle=False, max_steps=None):
     """Euler characteristic of the contraction complex on the hypersurface,
     out of closed module-dimension formulas split by the parity of the
@@ -255,6 +218,8 @@ def _saito_triple(v, f, variant):
 
 
 def _saito_valid_variants(v, f, max_steps):
+    """The variants whose g and xi have finite order along the curve, in
+    the order fy, fx; DegenerateDecomposition when there is none."""
     curve = IdealGens((f,), MonomialOrder.local(2))
     out = []
     for variant in ("fy", "fx"):
@@ -263,6 +228,9 @@ def _saito_valid_variants(v, f, max_steps):
                 and order_along_curve(triple.xi, curve, max_steps)
                 is not INFINITE):
             out.append(triple)
+    if not out:
+        raise DegenerateDecomposition(
+            "both decomposition variants vanish along the curve")
     return out
 
 
@@ -279,11 +247,7 @@ def saito_decomposition(v, f, variant="auto", max_steps=None):
     if variant in ("fy", "fx"):
         return _saito_triple(v, f, variant)
     assert variant == "auto"
-    valid = _saito_valid_variants(v, f, max_steps)
-    if not valid:
-        raise DegenerateDecomposition(
-            "both decomposition variants vanish along the curve")
-    return valid[0]
+    return _saito_valid_variants(v, f, max_steps)[0]
 
 
 def gsv_curve(v, f, point=None, max_steps=None):
@@ -295,9 +259,6 @@ def gsv_curve(v, f, point=None, max_steps=None):
     v0 = _field_at_point(v, point)
     tangency_cofactor(v0, f0)
     valid = _saito_valid_variants(v0, f0, max_steps)
-    if not valid:
-        raise DegenerateDecomposition(
-            "both decomposition variants vanish along the curve")
     curve = IdealGens((f0,), MonomialOrder.local(2))
     values = []
     for triple in valid:
@@ -325,9 +286,6 @@ def cs_index(v, f, branch, point=None, max_steps=None, max_order=160):
     v0 = _field_at_point(v, point)
     tangency_cofactor(v0, f0)
     valid = _saito_valid_variants(v0, f0, max_steps)
-    if not valid:
-        raise DegenerateDecomposition(
-            "both decomposition variants vanish along the curve")
 
     shift = (Fraction(0), Fraction(0)) if point is None else tuple(point)
     order = 20
@@ -475,47 +433,3 @@ def log_index(v, divisor, point=None, oracle=False, max_steps=None):
         checks.append(("truncation-oracle", chi == value,
                        "oracle characteristic %s" % chi))
     return _finish(value, "local-algebra", checks)
-
-
-def normal_bundle_extension_check(index_value, n):
-    """Divisibility obstruction: the curve index must be a multiple of
-    (n - 1)! for the normal-bundle extension to exist."""
-    assert n >= 1
-    factorial = 1
-    for k in range(2, n):
-        factorial *= k
-    return index_value % factorial == 0
-
-
-# ---------------------------------------------------------------------------
-# bundled germ input
-
-
-@dataclass(frozen=True)
-class GermInput:
-    """One singular-point problem: ambient dimension, the point, the invariant
-    data (hypersurface or curve ideal), and the field or its dual form.
-
-    When both the field and the form are supplied they must be duals of each
-    other; either one may be omitted and is reconstructed."""
-
-    n: int
-    point: tuple = None
-    f: Poly = None
-    curve: tuple = None
-    v: VectorField = None
-    omega: DiffForm = None
-
-    def __post_init__(self):
-        assert self.v is not None or self.omega is not None
-        if self.v is not None and self.omega is not None:
-            assert dual_form(self.v) == self.omega, \
-                "field and form are not dual to each other"
-        if self.point is not None:
-            assert len(self.point) == self.n
-
-    def the_field(self):
-        return self.v if self.v is not None else field_from_dual(self.omega)
-
-    def the_form(self):
-        return self.omega if self.omega is not None else dual_form(self.v)

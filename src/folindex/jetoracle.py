@@ -355,7 +355,10 @@ def contraction_complex_euler(v, germ, N=None, max_trunc=32):
         return _chi_at(v_mod, f, level, top, level - buffer, check, images)
 
     if N is not None:
-        assert N > buffer, "truncation level too small for the input degrees"
+        if N <= buffer:
+            raise TruncationNotStabilized(
+                "truncation level %d too small for the input degrees; it "
+                "must exceed %d" % (N, buffer))
         value = chi(N)
         return value, value == chi(N + 2)
 

@@ -14,7 +14,6 @@ __all__ = [
     "VectorField",
     "DiffForm",
     "PolyMatrix",
-    "partial_derivative",
     "translate_to_origin",
     "contract",
     "wedge",
@@ -500,11 +499,6 @@ class DiffForm:
 
 # ---------------------------------------------------------------------------
 # free functions used by the index and residue layers
-
-
-def partial_derivative(p, i):
-    """Formal partial derivative of p with respect to variable i."""
-    return p.diff(i)
 
 
 def translate_to_origin(p, q):

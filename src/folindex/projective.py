@@ -228,10 +228,6 @@ def curve_to_homogeneous(f):
     return homogenize(f, m, 0), m
 
 
-def curve_in_chart(curve_hom, chart):
-    return set_coordinate_one(curve_hom, chart)
-
-
 def affine_singular_audit(v, max_steps=None):
     """Number of affine singular points counted with multiplicity: the
     global quotient dimension of the component (or coefficient) ideal."""
@@ -363,11 +359,9 @@ def run_global_check(fol, kind, curve=None, points=(), branches=(),
         assert isinstance(curve, Poly), "these identities need a plane curve"
         assert n == 2, "plane identities"
         curve_hom, m = curve_to_homogeneous(curve)
-        spec_kind = {"brunella": "brunella", "cs_total": "cs_total",
-                     "var_total": "var_total"}[kind]
         spec = (IdentitySpec("cs_total", m=m) if kind == "cs_total"
-                else IdentitySpec(spec_kind, d=d, m=m))
-        curves = [curve_in_chart(curve_hom, j) for j in charts]
+                else IdentitySpec(kind, d=d, m=m))
+        curves = [set_coordinate_one(curve_hom, j) for j in charts]
         gens_by_chart = [list(fields[j].components) + [curves[j]]
                          for j in charts]
         _certify(kind, gens_by_chart, points, max_steps)
@@ -405,7 +399,8 @@ def run_global_check(fol, kind, curve=None, points=(), branches=(),
         pairs = [curve_to_homogeneous(f) for f in curve]
         degrees = tuple(m for _, m in pairs)
         spec = IdentitySpec("pfaff_degree", n=n, d=d, degrees=degrees)
-        curves = [[curve_in_chart(ch, j) for ch, _ in pairs] for j in charts]
+        curves = [[set_coordinate_one(ch, j) for ch, _ in pairs]
+                  for j in charts]
         gens_by_chart = [list(fields[j].components) + curves[j]
                          for j in charts]
         _certify(kind, gens_by_chart, points, max_steps)

@@ -19,6 +19,7 @@ import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import DegreeMismatch
 from .localalgebra import (
     IdealGens,
     MonomialOrder,
@@ -38,7 +39,6 @@ __all__ = [
     "PhiSpec",
     "grothendieck_residue",
     "baum_bott_residue",
-    "log_residue_det",
 ]
 
 
@@ -149,10 +149,14 @@ class PhiSpec:
                 coeff = Fraction(coeff)
             assert isinstance(coeff, Fraction)
             exps = tuple(exps)
-            assert len(exps) == n and all(e >= 0 for e in exps)
+            if len(exps) != n or any(e < 0 for e in exps):
+                raise DegreeMismatch(
+                    "term needs %d nonnegative exponents, got %r" % (n, exps))
             weight = sum((i + 1) * e for i, e in enumerate(exps))
-            assert weight == n, (
-                "term weight %d differs from the dimension %d" % (weight, n))
+            if weight != n:
+                raise DegreeMismatch(
+                    "term weight %d differs from the dimension %d"
+                    % (weight, n))
             if coeff:
                 clean.append((coeff, exps))
         self.n = n
@@ -189,13 +193,3 @@ def baum_bott_residue(v, phi, point=None, max_steps=None):
                               for c in v.components))
     cs = char_poly_coeffs(v.jacobian())
     return grothendieck_residue(phi.apply(cs), v, max_steps=max_steps)
-
-
-def log_residue_det(v, divisor, point=None, max_steps=None):
-    """Signed determinant-type residue along a union of coordinate
-    hyperplanes: (-1)^n times the logarithmic index."""
-    from .indices import log_index
-
-    report = log_index(v, divisor, point=point, max_steps=max_steps)
-    sign = -1 if v.nvars % 2 else 1
-    return sign * report.value

@@ -13,19 +13,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import TruncationNotStabilized
-from .polyring import Poly
+from .polyring import Poly, _rat
 
 
 class InsufficientOrder(Exception):
     """Internal: the working truncation order cannot answer the question."""
-
-
-def _rat(c):
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError("rational coefficient expected, got %r" % (c,))
 
 
 class TruncSeries:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from folindex.cli import main
 
 
@@ -108,3 +110,26 @@ def test_step_budget_exit_two(tmp_path, capsys):
         "--steps", "2")
     assert code == 2
     assert "error:" in err and "budget" in err
+
+
+PLANE = "ring x,y; v := vf(2*x, 3*y); f := y^2 - x^3; P := point (1, 0, 0); "
+SPACE = ("ring x,y,z; v := vf(x, 2*y, 3*z); f := y; g := z; "
+         "P := point (1, 0, 0, 0); ")
+
+
+@pytest.mark.parametrize("text", [
+    PLANE + "check brunella of v points (P);",
+    PLANE + "check cs_total of v along (f) points (P);",
+    PLANE + "check log_bb of v points (P);",
+    PLANE + "check soares of v;",
+    PLANE + "check adjunction of v along (f);",
+    SPACE + "check pfaff_degree of v along f points (P);",
+    SPACE + "check pfaff_degree of v along (f) points (P);",
+    SPACE + "check var_total of v along f points (P);",
+], ids=["brunella-no-along", "cs-along-list", "log-bb-no-divisor", "soares",
+        "adjunction", "pfaff-one-name", "pfaff-short-list", "var-in-space"])
+def test_check_missing_what_its_kind_needs_exit_two(tmp_path, capsys, text):
+    code, out, err = run_cli(tmp_path, capsys, text)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "line 1" in err

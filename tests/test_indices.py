@@ -12,25 +12,20 @@ from folindex.errors import (
     NotZeroDimensional,
 )
 from folindex.indices import (
-    GermInput,
     cs_index,
     gsv_curve,
     gsv_pfaff_curve,
     homological_index,
-    homology_dims,
     log_index,
     milnor_number,
-    normal_bundle_extension_check,
     ph_index,
     radial_index,
     saito_decomposition,
     tangency_cofactor,
     tjurina_number,
-    tjurina_vf,
     var_index,
 )
 from folindex.polyring import DiffForm, Poly, VectorField, dual_form
-from folindex.residues import log_residue_det
 from folindex.series import BranchParam
 
 
@@ -74,24 +69,6 @@ def test_tangency_cofactor():
     assert h == Poly.const(2, 6)
     with pytest.raises(NotInvariant):
         tangency_cofactor(VectorField((x, x)), y)
-
-
-def test_tjurina_vf():
-    x, y = xy()
-    cusp = y ** 2 - x ** 3
-    assert tjurina_vf(VectorField((2 * x, 3 * y)), cusp).value == 1
-    assert tjurina_vf(VectorField((2 * y, 3 * x ** 2)), cusp).value == 2
-    assert tjurina_vf(VectorField((3 * x, 5 * y)), y).value == 1
-
-
-def test_homology_dims():
-    x, y = xy()
-    cusp = y ** 2 - x ** 3
-    assert homology_dims(VectorField((2 * x, 3 * y)), cusp) == (1, 2, None)
-    assert homology_dims(VectorField((2 * y, 3 * x ** 2)), cusp) == (2, 2, None)
-    X, Y, Z = Poly.variables(3)
-    sphere = X ** 2 + Y ** 2 + Z ** 2
-    assert homology_dims(VectorField((X, Y, Z)), sphere) == (1, 1, 0)
 
 
 def test_homological_index_plane():
@@ -231,33 +208,3 @@ def test_log_index():
     assert all(ok for _, ok, _ in rep.crosschecks)
     with pytest.raises(NotLogarithmic):
         log_index(VectorField((Poly.const(2, 1), y)), (0,))
-
-
-def test_log_residue_det():
-    x, y = xy()
-    assert log_residue_det(VectorField((2 * x, 3 * y)), (0,)) == 0
-    assert log_residue_det(VectorField((x ** 2, y)), (0,)) == 1
-    with pytest.raises(NotLogarithmic):
-        log_residue_det(VectorField((Poly.const(2, 1), y)), (0,))
-
-
-def test_normal_bundle_extension_check():
-    assert normal_bundle_extension_check(-1, 2)
-    assert normal_bundle_extension_check(4, 3)
-    assert not normal_bundle_extension_check(3, 3)
-    assert normal_bundle_extension_check(6, 4)
-    assert not normal_bundle_extension_check(-2, 4)
-
-
-def test_germ_input():
-    x, y = xy()
-    v = VectorField((2 * x, 3 * y))
-    germ = GermInput(n=2, f=y ** 2 - x ** 3, v=v)
-    assert germ.the_field() == v
-    assert germ.the_form() == dual_form(v)
-    both = GermInput(n=2, v=v, omega=dual_form(v))
-    assert both.the_field() == v
-    with pytest.raises(AssertionError):
-        GermInput(n=2, v=v, omega=dual_form(VectorField((x, y))))
-    with pytest.raises(AssertionError):
-        GermInput(n=2, f=y)

@@ -161,6 +161,15 @@ def test_tangency_and_divisor_guards():
         contraction_complex_euler(VectorField((Poly.const(2, 1), y)), (0,))
 
 
+def test_level_at_or_below_the_degree_buffer_raises():
+    # at N = 2 the window is empty and the value would read 0, not -1
+    x, y = Poly.variables(2)
+    v = VectorField((2 * x, 3 * y))
+    with pytest.raises(TruncationNotStabilized, match="too small"):
+        contraction_complex_euler(v, y ** 2 - x ** 3, N=2)
+    assert contraction_complex_euler(v, y ** 2 - x ** 3)[0] == -1
+
+
 def test_self_checks_raise_route_conflict(monkeypatch):
     x, y = Poly.variables(2)
     real_contract = jetoracle.contract

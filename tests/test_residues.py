@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from folindex.errors import DegreeMismatch
 from folindex.polyring import Poly, VectorField, jacobian
 from folindex.residues import PhiSpec, baum_bott_residue, grothendieck_residue
 
@@ -55,9 +56,9 @@ def test_phi_spec_validation():
     PhiSpec(2, [(Fraction(3, 2), (0, 1))])
     spec = PhiSpec(2, [(1, (2, 0)), (-2, (0, 1))])
     assert len(spec.terms) == 2
-    with pytest.raises(AssertionError):
+    with pytest.raises(DegreeMismatch):
         PhiSpec(2, [(1, (1, 0))])
-    with pytest.raises(AssertionError):
+    with pytest.raises(DegreeMismatch):
         PhiSpec(2, [(1, (2, 0, 0))])
 
 
