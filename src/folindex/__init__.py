@@ -13,6 +13,7 @@ from .errors import (
     EulerConditionViolated,
     FolindexError,
     IncompleteSingularities,
+    InvalidInput,
     NotInvariant,
     NotLogarithmic,
     NotMember,
@@ -117,7 +118,7 @@ __all__ = [
     "DegenerateMinors", "DegreeMismatch", "EulerConditionViolated",
     "IncompleteSingularities", "RouteConflict", "TruncationNotStabilized",
     "UnsupportedIdentity", "SessionError", "ParseError", "UndeclaredName",
-    "RingMismatch", "InsufficientOrder",
+    "RingMismatch", "InsufficientOrder", "InvalidInput",
     # polynomials, fields, forms
     "Poly", "VectorField", "DiffForm", "PolyMatrix", "contract", "wedge",
     "exterior_derivative", "dual_form", "field_from_dual",

@@ -5,6 +5,10 @@ class FolindexError(Exception):
     """Base class for every error the engine raises on purpose."""
 
 
+class InvalidInput(FolindexError):
+    """An argument passed through the Python API is malformed or out of range."""
+
+
 class ResourceCap(FolindexError):
     """A configured step budget ran out before the computation finished."""
 

@@ -15,17 +15,33 @@ normal-form run returns an exact identity
 The global order is plain degree reverse lexicographic and the same driver
 degenerates to the ordinary division algorithm with u == 1.
 
+The pair loop computes each element's leading exponent once, when the
+element enters the basis, and each normal form computes a reducer's leading
+exponent, coefficient and ecart once, when the reducer enters its list.  A
+pair is skipped without reduction by the Gebauer-Moller chain criterion in
+both orders (some other leading monomial divides the pair's lcm and both of
+its pairs with the two are done), and by the product criterion (coprime
+leading monomials) in the global order only, where it holds.
+
 Every loop spends from an explicit step budget and raises ResourceCap when it
 runs out; nothing here terminates silently with a wrong answer.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
-from .errors import NotMember, NotZeroDimensional, ResourceCap
+from .errors import (
+    InvalidInput,
+    NotMember,
+    NotZeroDimensional,
+    ResourceCap,
+    RouteConflict,
+)
 from .polyring import Poly
 
 __all__ = [
@@ -69,7 +85,9 @@ class StepBudget:
     __slots__ = ("remaining",)
 
     def __init__(self, limit):
-        assert limit > 0
+        if not limit > 0:
+            raise InvalidInput("step budget must be positive, got %r"
+                               % (limit,))
         self.remaining = limit
 
     def spend(self, n=1):
@@ -89,12 +107,16 @@ class MonomialOrder:
     __slots__ = ("kind", "nvars", "perm")
 
     def __init__(self, kind, nvars, perm=None):
-        assert kind in (LOCAL, GLOBAL), "unknown order kind %r" % (kind,)
-        assert nvars >= 1
+        if kind not in (LOCAL, GLOBAL):
+            raise InvalidInput("unknown order kind %r" % (kind,))
+        if nvars < 1:
+            raise InvalidInput("an order needs at least one variable")
         if perm is None:
             perm = tuple(range(nvars))
         perm = tuple(perm)
-        assert sorted(perm) == list(range(nvars))
+        if sorted(perm) != list(range(nvars)):
+            raise InvalidInput("%r is not a permutation of the %d variables"
+                               % (perm, nvars))
         self.kind = kind
         self.nvars = nvars
         self.perm = perm
@@ -119,7 +141,8 @@ class MonomialOrder:
 
     def leading(self, p):
         """(exponent, coefficient) of the leading term.  p must be nonzero."""
-        assert p.terms, "zero polynomial has no leading term"
+        if not p.terms:
+            raise InvalidInput("zero polynomial has no leading term")
         e = max(p.terms, key=self.key)
         return e, p.terms[e]
 
@@ -139,72 +162,68 @@ def _divides(e1, e2):
     return all(a <= b for a, b in zip(e1, e2))
 
 
-def _ecart(p, order):
-    e, _ = order.leading(p)
-    return p.degree() - sum(e)
-
-
-def _nf(p, basis_elems, order, budget):
-    """Weak normal form of p against basis_elems.
+def _nf(p, elements, lead_exps, order, budget):
+    """Weak normal form of p against elements, whose leading exponents are
+    lead_exps.
 
     Returns (r, u, c) with the exact identity
-        u * p == sum_k c[k] * basis_elems[k] + r
+        u * p == sum_k c[k] * elements[k] + r
     where u has constant term 1 (u == 1 under a global order) and no leading
     monomial of the basis divides the leading monomial of r.
     """
     n = p.nvars
-    u = Poly.const(n, 1)
+    zero = Poly.zero(n)
+    one = Poly.const(n, 1)
+    u = one
     c = {}
     h = p
-    leads = [order.leading(b) for b in basis_elems]
 
     if not order.is_local():
-        while not h.is_zero():
+        while h.terms:
             budget.spend()
             eh, ch = order.leading(h)
-            hit = None
-            for k, (eb, cb) in enumerate(leads):
+            for k, eb in enumerate(lead_exps):
                 if _divides(eb, eh):
-                    hit = (k, eb, cb)
                     break
-            if hit is None:
+            else:
                 break
-            k, eb, cb = hit
-            m = Poly.monomial(tuple(a - b for a, b in zip(eh, eb)), ch / cb)
-            h = h - m * basis_elems[k]
-            c[k] = c.get(k, Poly.zero(n)) + m
+            b = elements[k]
+            q = ch / b.terms[eb]
+            shift = tuple(map(sub, eh, eb))
+            h = h.sub_mul(shift, q, b)
+            c[k] = c.get(k, zero).sub_mul(shift, -q, one)
         return h, u, c
 
-    # Mora: reducers grow with stacked intermediates.  Each stacked entry
-    # carries the representation it had when stacked, so reductions against it
+    # Mora: reducers grow with stacked intermediates.  A reducer is
+    # (leading exponent, leading coefficient, ecart, polynomial, payload):
+    # the payload is the basis index k, or for a stacked intermediate the
+    # representation (u, c) it had when stacked, so reductions against it
     # fold into (u, c) exactly.
-    reducers = [(b, ("basis", k)) for k, b in enumerate(basis_elems)]
-    while not h.is_zero():
+    reducers = [(eb, b.terms[eb], b.degree() - sum(eb), b, k)
+                for k, (b, eb) in enumerate(zip(elements, lead_exps))]
+    while h.terms:
         budget.spend()
         eh, ch = order.leading(h)
         best = None
-        for g, payload in reducers:
-            eg, cg = order.leading(g)
-            if not _divides(eg, eh):
-                continue
-            ec = _ecart(g, order)
-            if best is None or ec < best[0]:
-                best = (ec, g, eg, cg, payload)
+        for red in reducers:
+            if (best is None or red[2] < best[2]) and _divides(red[0], eh):
+                best = red
         if best is None:
             break
-        ec, g, eg, cg, payload = best
-        if ec > _ecart(h, order):
-            reducers.append((h, ("snap", u, dict(c))))
-        m = Poly.monomial(tuple(a - b for a, b in zip(eh, eg)), ch / cg)
-        h = h - m * g
-        if payload[0] == "basis":
-            k = payload[1]
-            c[k] = c.get(k, Poly.zero(n)) + m
+        eg, cg, ec, g, payload = best
+        ech = h.degree() - sum(eh)
+        if ec > ech:
+            reducers.append((eh, ch, ech, h, (u, dict(c))))
+        q = ch / cg
+        shift = tuple(map(sub, eh, eg))
+        h = h.sub_mul(shift, q, g)
+        if type(payload) is int:
+            c[payload] = c.get(payload, zero).sub_mul(shift, -q, one)
         else:
-            _, u0, c0 = payload
-            u = u - m * u0
+            u0, c0 = payload
+            u = u.sub_mul(shift, q, u0)
             for k, c0k in c0.items():
-                c[k] = c.get(k, Poly.zero(n)) - m * c0k
+                c[k] = c.get(k, zero).sub_mul(shift, q, c0k)
     return h, u, c
 
 
@@ -225,90 +244,107 @@ class StandardBasis:
     leading_exps: tuple
 
 
+def _check_gens(gens, order):
+    if not gens:
+        raise InvalidInput("empty generator list")
+    n = gens[0].nvars
+    if any(g.nvars != n for g in gens) or order.nvars != n:
+        raise InvalidInput("generators and order live in different rings")
+
+
 def standard_basis(gens, order, max_steps=None):
     gens = tuple(gens)
-    assert gens, "empty generator list"
-    n = gens[0].nvars
-    assert all(g.nvars == n for g in gens) and order.nvars == n
+    _check_gens(gens, order)
+    n = order.nvars
     budget = StepBudget(max_steps or DEFAULT_MAX_STEPS)
+    local = order.is_local()
     zero = Poly.zero(n)
     m = len(gens)
 
     elements = []
+    lead_exps = []
     expans = []
     sugars = []
+    pending = set()
+    queue = []
+
+    def add_element(b, e, row, sugar):
+        t = len(elements)
+        elements.append(b)
+        lead_exps.append(e)
+        expans.append(row)
+        sugars.append(sugar)
+        for s in range(t):
+            es = lead_exps[s]
+            lcm = tuple(map(max, es, e))
+            if local:
+                head = sum(lcm)
+            else:
+                head = max(sugars[s] + sum(lcm) - sum(es),
+                           sugar + sum(lcm) - sum(e))
+            pending.add((s, t))
+            heapq.heappush(queue, (head, order.key(lcm), s, t))
+
     for j, g in enumerate(gens):
         if g.is_zero():
             continue
-        _, lc = order.leading(g)
-        elements.append(g / lc)
+        e, lc = order.leading(g)
         row = [zero] * m
         row[j] = Poly.const(n, Fraction(1) / lc)
-        expans.append(row)
-        sugars.append(g.degree())
+        add_element(g / lc, e, row, g.degree())
 
-    pairs = set()
+    def chain_skips(i, j, lcm):
+        # Gebauer-Moller: S(i, j) is a combination of S(i, k) and S(j, k)
+        # below lcm, and both of those are already done.
+        for k, ek in enumerate(lead_exps):
+            if (k != i and k != j and _divides(ek, lcm)
+                    and (min(i, k), max(i, k)) not in pending
+                    and (min(j, k), max(j, k)) not in pending):
+                return True
+        return False
 
-    def add_pairs(t):
-        for s in range(t):
-            pairs.add((s, t))
-
-    for t in range(len(elements)):
-        add_pairs(t)
-
-    def pair_key(ij):
-        i, j = ij
-        ei, _ = order.leading(elements[i])
-        ej, _ = order.leading(elements[j])
-        lcm = tuple(max(a, b) for a, b in zip(ei, ej))
-        if order.is_local():
-            return (sum(lcm), order.key(lcm), i, j)
-        sugar = max(sugars[i] + sum(lcm) - sum(ei),
-                    sugars[j] + sum(lcm) - sum(ej))
-        return (sugar, order.key(lcm), i, j)
-
-    while pairs:
+    while queue:
         budget.spend()
-        ij = min(pairs, key=pair_key)
-        pairs.discard(ij)
-        i, j = ij
-        ei, _ = order.leading(elements[i])
-        ej, _ = order.leading(elements[j])
-        if not order.is_local() and all(a == 0 or b == 0 for a, b in zip(ei, ej)):
+        head, _, i, j = heapq.heappop(queue)
+        pending.discard((i, j))
+        ei, ej = lead_exps[i], lead_exps[j]
+        if not local and all(a == 0 or b == 0 for a, b in zip(ei, ej)):
             # product criterion: disjoint supports reduce to zero (global only)
             continue
-        lcm = tuple(max(a, b) for a, b in zip(ei, ej))
-        mi = Poly.monomial(tuple(a - b for a, b in zip(lcm, ei)))
-        mj = Poly.monomial(tuple(a - b for a, b in zip(lcm, ej)))
-        spoly = mi * elements[i] - mj * elements[j]
+        lcm = tuple(map(max, ei, ej))
+        if chain_skips(i, j, lcm):
+            continue
+        mi = Poly.monomial(tuple(map(sub, lcm, ei)))
+        sj = tuple(map(sub, lcm, ej))
+        spoly = (mi * elements[i]).sub_mul(sj, 1, elements[j])
         if spoly.is_zero():
             continue
-        r, u, c = _nf(spoly, elements, order, budget)
+        r, u, c = _nf(spoly, elements, lead_exps, order, budget)
         if r.is_zero():
             continue
-        row = [u * (mi * expans[i][k] - mj * expans[j][k]) for k in range(m)]
+        row = [u * (mi * xi).sub_mul(sj, 1, xj)
+               for xi, xj in zip(expans[i], expans[j])]
         for t, ct in c.items():
             for k in range(m):
                 row[k] = row[k] - ct * expans[t][k]
-        _, lc = order.leading(r)
-        elements.append(r / lc)
-        expans.append([q / lc for q in row])
-        sugars.append(max(sugars[i] + sum(lcm) - sum(ei),
-                          sugars[j] + sum(lcm) - sum(ej)))
-        add_pairs(len(elements) - 1)
+        e, lc = order.leading(r)
+        # head is the pair's sugar in the global order; the local order
+        # never reads sugars
+        add_element(r / lc, e, [q / lc for q in row], head)
 
     for b, row in zip(elements, expans):
         acc = zero
         for q, g in zip(row, gens):
             acc = acc + q * g
-        assert acc == b, "expansion bookkeeping broke"
+        if acc != b:
+            raise RouteConflict("expansion bookkeeping broke")
 
     return StandardBasis(
         order=order,
         gens=gens,
         elements=tuple(elements),
         expansions=tuple(tuple(row) for row in expans),
-        leading_exps=tuple(order.leading(b)[0] for b in elements),
+        leading_exps=tuple(lead_exps),
     )
 
 
@@ -322,10 +358,7 @@ class IdealGens:
 
     def __init__(self, gens, order):
         gens = tuple(gens)
-        assert gens, "empty generator list"
-        n = gens[0].nvars
-        assert all(g.nvars == n for g in gens)
-        assert order.nvars == n
+        _check_gens(gens, order)
         self.gens = gens
         self.order = order
         self._basis = None
@@ -351,7 +384,7 @@ def normal_form(p, ideal, max_steps=None):
     """Weak normal form of p modulo the ideal (remainder only)."""
     sb = ideal.basis(max_steps)
     budget = StepBudget(max_steps or DEFAULT_MAX_STEPS)
-    r, _, _ = _nf(p, sb.elements, ideal.order, budget)
+    r, _, _ = _nf(p, sb.elements, sb.leading_exps, ideal.order, budget)
     return r
 
 
@@ -372,7 +405,7 @@ def membership_with_cofactors(p, ideal, max_steps=None):
     """
     sb = ideal.basis(max_steps)
     budget = StepBudget(max_steps or DEFAULT_MAX_STEPS)
-    r, u, c = _nf(p, sb.elements, ideal.order, budget)
+    r, u, c = _nf(p, sb.elements, sb.leading_exps, ideal.order, budget)
     if not r.is_zero():
         raise NotMember("polynomial is not in the ideal (normal form %s)"
                         % r.format())
@@ -385,7 +418,8 @@ def membership_with_cofactors(p, ideal, max_steps=None):
     acc = Poly.zero(n)
     for qj, gj in zip(q, ideal.gens):
         acc = acc + qj * gj
-    assert acc == u * p, "cofactor identity broke"
+    if acc != u * p:
+        raise RouteConflict("cofactor identity broke")
     return Cofactors(cofactors=tuple(q), unit=u)
 
 
@@ -429,7 +463,8 @@ def monomial_power_bound(ideal, max_steps=None):
     ideal to the power d lies inside the ideal, so the search up to d always
     succeeds.
     """
-    assert ideal.order.is_local()
+    if not ideal.order.is_local():
+        raise InvalidInput("monomial_power_bound needs a local order")
     d = quotient_dim(ideal, max_steps)
     if d is INFINITE:
         raise NotZeroDimensional(
@@ -441,28 +476,28 @@ def monomial_power_bound(ideal, max_steps=None):
         if all(normal_form(Poly.var(n, i) ** bound, ideal, max_steps).is_zero()
                for i in range(n)):
             return bound
-    raise AssertionError("power bound exceeded the quotient dimension")
+    raise RouteConflict("power bound exceeded the quotient dimension")
 
 
 def exact_divide(p, f):
     """Quotient p / f when f divides p exactly in the polynomial ring,
     else None."""
-    assert not f.is_zero()
-    assert p.nvars == f.nvars
-    if p.is_zero():
-        return Poly.zero(p.nvars)
+    if f.is_zero():
+        raise InvalidInput("division by the zero polynomial")
+    if p.nvars != f.nvars:
+        raise InvalidInput("dividend and divisor live in different rings")
     order = MonomialOrder.degrevlex(p.nvars)
     ef, cf = order.leading(f)
     h = p
-    q = Poly.zero(p.nvars)
-    while not h.is_zero():
+    q = {}
+    while h.terms:
         eh, ch = order.leading(h)
         if not _divides(ef, eh):
             return None
-        m = Poly.monomial(tuple(a - b for a, b in zip(eh, ef)), ch / cf)
-        q = q + m
-        h = h - m * f
-    return q
+        shift = tuple(map(sub, eh, ef))
+        q[shift] = ch / cf
+        h = h.sub_mul(shift, q[shift], f)
+    return Poly(p.nvars, q)
 
 
 def order_along_curve(g, curve, max_steps=None):
@@ -471,7 +506,8 @@ def order_along_curve(g, curve, max_steps=None):
 
     Returns INFINITE when g vanishes on a whole component (and for g == 0).
     """
-    assert curve.order.is_local()
+    if not curve.order.is_local():
+        raise InvalidInput("order_along_curve needs a local order")
     if g.is_zero():
         return INFINITE
     return quotient_dim(curve.with_extra((g,)), max_steps)

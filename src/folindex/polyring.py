@@ -8,6 +8,7 @@ All values are immutable after construction and safe to share.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add as _add
 
 __all__ = [
     "Poly",
@@ -159,6 +160,21 @@ class Poly:
         return self._raw(self.nvars, terms)
 
     __rmul__ = __mul__
+
+    def sub_mul(self, e, c, other):
+        """self - c * x^e * other, in one pass over other's terms."""
+        if not c:
+            return self
+        assert other.nvars == self.nvars == len(e), "polynomial rings differ"
+        terms = dict(self.terms)
+        for f, d in other.terms.items():
+            g = tuple(map(_add, e, f))
+            s = terms.get(g, 0) - c * d
+            if s:
+                terms[g] = s
+            else:
+                del terms[g]
+        return self._raw(self.nvars, terms)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

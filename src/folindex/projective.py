@@ -21,6 +21,7 @@ from .errors import (
     DegreeMismatch,
     EulerConditionViolated,
     IncompleteSingularities,
+    InvalidInput,
     NotZeroDimensional,
     UnsupportedIdentity,
 )
@@ -59,8 +60,10 @@ class ProjPoint:
 
     def __init__(self, coords):
         coords = tuple(Fraction(c) for c in coords)
-        assert len(coords) >= 2
-        assert any(coords), "the zero tuple is not a projective point"
+        if len(coords) < 2:
+            raise InvalidInput("a point of P^n needs at least 2 coordinates")
+        if not any(coords):
+            raise InvalidInput("the zero tuple is not a projective point")
         for c in coords:
             if c:
                 coords = tuple(q / c for q in coords)
@@ -81,7 +84,8 @@ class ProjPoint:
 
     def affine_in(self, chart):
         c = self.coords[chart]
-        assert c != 0, "point not visible in chart %d" % chart
+        if c == 0:
+            raise InvalidInput("point not visible in chart %d" % chart)
         return tuple(q / c for i, q in enumerate(self.coords) if i != chart)
 
     def first_chart(self):
@@ -324,7 +328,8 @@ def run_global_check(fol, kind, curve=None, points=(), branches=(),
     n, d = fol.n, fol.d
     points = tuple(points)
     for p in points:
-        assert p.n == n, "point lives in the wrong projective space"
+        if not isinstance(p, ProjPoint) or p.n != n:
+            raise InvalidInput("%r is not a point of P^%d" % (p, n))
     charts = range(n + 1)
     fields = [fol.chart_restrict(j) for j in charts]
     rows = []
@@ -356,8 +361,9 @@ def run_global_check(fol, kind, curve=None, points=(), branches=(),
                 rows.append(CheckRow(p, j, "bb_c1sq", value))
             total += value
     elif kind in ("brunella", "cs_total", "var_total"):
-        assert isinstance(curve, Poly), "these identities need a plane curve"
-        assert n == 2, "plane identities"
+        if not isinstance(curve, Poly) or n != 2:
+            raise InvalidInput("%s needs a plane foliation and an affine "
+                               "plane curve" % kind)
         curve_hom, m = curve_to_homogeneous(curve)
         spec = (IdentitySpec("cs_total", m=m) if kind == "cs_total"
                 else IdentitySpec(kind, d=d, m=m))
@@ -394,8 +400,9 @@ def run_global_check(fol, kind, curve=None, points=(), branches=(),
                 rows.append(CheckRow(p, j, tag, value))
             total += value
     elif kind == "pfaff_degree":
-        assert isinstance(curve, (tuple, list)) and len(curve) == n - 1, \
-            "needs n-1 affine curve equations"
+        if (not isinstance(curve, (tuple, list)) or len(curve) != n - 1
+                or not all(isinstance(f, Poly) for f in curve)):
+            raise InvalidInput("pfaff_degree needs n-1 affine curve equations")
         pairs = [curve_to_homogeneous(f) for f in curve]
         degrees = tuple(m for _, m in pairs)
         spec = IdentitySpec("pfaff_degree", n=n, d=d, degrees=degrees)
@@ -417,8 +424,9 @@ def run_global_check(fol, kind, curve=None, points=(), branches=(),
             total += rep.value
     elif kind == "log_bb":
         divisor = tuple(sorted(set(divisor)))
-        assert divisor and all(0 <= i <= n for i in divisor), \
-            "divisor: indices of homogeneous coordinate hyperplanes"
+        if not divisor or not all(0 <= i <= n for i in divisor):
+            raise InvalidInput("divisor: indices of homogeneous coordinate "
+                               "hyperplanes")
         spec = IdentitySpec("log_bb", n=n, d=d,
                             divisor_degrees=(1,) * len(divisor))
         _certify(kind, [f.components for f in fields], points, max_steps)

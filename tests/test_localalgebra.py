@@ -1,17 +1,28 @@
 """Standard bases, normal forms with unit tracking, and quotient dimensions."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from folindex.errors import NotMember, NotZeroDimensional, ResourceCap
+from folindex import localalgebra
+from folindex.errors import (
+    InvalidInput,
+    NotMember,
+    NotZeroDimensional,
+    ResourceCap,
+    RouteConflict,
+)
 from folindex.localalgebra import (
     GLOBAL,
     INFINITE,
     LOCAL,
     IdealGens,
     MonomialOrder,
+    StepBudget,
     exact_divide,
     membership_with_cofactors,
     monomial_power_bound,
@@ -42,9 +53,9 @@ def test_order_permutation():
     x, y = Poly.variables(2)
     ds = MonomialOrder.local(2, perm=(1, 0))
     assert ds.leading(x + y)[0] == (0, 1)
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvalidInput):
         MonomialOrder.local(2, perm=(0, 0))
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvalidInput):
         MonomialOrder("weighted", 2)
 
 
@@ -201,3 +212,83 @@ def test_with_extra():
     bigger = curve.with_extra((y,))
     assert bigger.gens == (y ** 2 - x ** 3, y)
     assert quotient_dim(bigger) == 3
+
+
+def test_bad_inputs_raise_invalid_input():
+    x, y = Poly.variables(2)
+    with pytest.raises(InvalidInput):
+        StepBudget(0)
+    with pytest.raises(InvalidInput):
+        MonomialOrder.local(0)
+    with pytest.raises(InvalidInput):
+        standard_basis((), local2())
+    with pytest.raises(InvalidInput):
+        standard_basis((x, Poly.var(3, 0)), local2())
+    with pytest.raises(InvalidInput):
+        IdealGens((x,), MonomialOrder.local(3))
+    with pytest.raises(InvalidInput):
+        local2().leading(Poly.zero(2))
+    global_line = IdealGens((x, y), MonomialOrder.degrevlex(2))
+    with pytest.raises(InvalidInput):
+        monomial_power_bound(global_line)
+    with pytest.raises(InvalidInput):
+        order_along_curve(x, global_line)
+    with pytest.raises(InvalidInput):
+        exact_divide(x, Poly.zero(2))
+
+
+def _doubled_unit(nf):
+    def broken(*args):
+        r, u, c = nf(*args)
+        return r, u + u, c
+    return broken
+
+
+def test_broken_bookkeeping_raises_route_conflict(monkeypatch):
+    x, y = Poly.variables(2)
+    gens = (y ** 2 - x ** 3, x * y ** 2 - y)
+    monkeypatch.setattr(localalgebra, "_nf", _doubled_unit(localalgebra._nf))
+    with pytest.raises(RouteConflict, match="expansion bookkeeping"):
+        standard_basis(gens, local2())
+
+
+def test_broken_cofactors_raise_route_conflict(monkeypatch):
+    x, y = Poly.variables(2)
+    ideal = IdealGens((y ** 2 - x ** 3, y), local2())
+    ideal.basis()
+    monkeypatch.setattr(localalgebra, "_nf", _doubled_unit(localalgebra._nf))
+    with pytest.raises(RouteConflict, match="cofactor identity"):
+        membership_with_cofactors(x ** 3, ideal)
+
+
+def _ideals():
+    def gens(n):
+        term = st.tuples(st.tuples(*[st.integers(0, 3)] * n),
+                         st.integers(-3, 3).filter(bool))
+        poly = st.lists(term, min_size=1, max_size=4).map(
+            lambda ts: Poly(n, dict(ts)))
+        return st.lists(poly, min_size=1, max_size=4)
+    return st.integers(2, 3).flatmap(gens)
+
+
+@seed(20261018)
+@settings(max_examples=100, deadline=None)
+@given(_ideals(), st.sampled_from((LOCAL, GLOBAL)))
+def test_every_s_polynomial_reduces_to_zero(gens, kind):
+    # Buchberger's (Mora's) criterion checked by brute force, independent of
+    # the product and chain criteria the engine uses to skip pairs.
+    order = MonomialOrder(kind, gens[0].nvars)
+    try:
+        sb = standard_basis(gens, order, max_steps=300)
+        for i, j in itertools.combinations(range(len(sb.elements)), 2):
+            ei, ej = sb.leading_exps[i], sb.leading_exps[j]
+            lcm = tuple(map(max, ei, ej))
+            spoly = (Poly.monomial(tuple(a - b for a, b in zip(lcm, ei)))
+                     * sb.elements[i]
+                     - Poly.monomial(tuple(a - b for a, b in zip(lcm, ej)))
+                     * sb.elements[j])
+            r, _, _ = localalgebra._nf(spoly, sb.elements, sb.leading_exps,
+                                       order, StepBudget(300))
+            assert r.is_zero(), (i, j)
+    except ResourceCap:
+        pass

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from folindex.polyring import (
     DiffForm,
@@ -250,6 +252,24 @@ def test_bad_inputs_are_rejected():
         VectorField((x,))
     with pytest.raises(AssertionError):
         DiffForm(2, 1, {(1, 0): x})
+
+
+def _polys(n):
+    term = st.tuples(st.tuples(*[st.integers(0, 3)] * n),
+                     st.fractions(min_value=-5, max_value=5, max_denominator=4))
+    return st.lists(term, max_size=5).map(lambda ts: Poly(n, dict(ts)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    _polys(n), _polys(n), st.tuples(*[st.integers(0, 2)] * n),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4))))
+def test_sub_mul_is_minus_monomial_times(case):
+    p, q, e, c = case
+    assert p.sub_mul(e, c, q) == p - Poly.monomial(e, c) * q
+    # (1 - c x^e) p vanishes only for p == 0 or c x^e == 1
+    assert p.sub_mul(e, c, p).is_zero() == (
+        p.is_zero() or (c == 1 and not any(e)))
 
 
 def test_format_is_stable():

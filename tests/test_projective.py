@@ -7,6 +7,7 @@ import pytest
 from folindex.errors import (
     DegreeMismatch,
     EulerConditionViolated,
+    FolindexError,
     IncompleteSingularities,
     UnsupportedIdentity,
 )
@@ -245,3 +246,29 @@ def test_unsupported_check_kinds():
     with pytest.raises(UnsupportedIdentity):
         run_global_check(fol3, "bb_total",
                          points=(ProjPoint((1, 0, 0, 0)),))
+
+
+def test_bad_check_input_raises_folindex_error():
+    fol, curve, points, _ = cubic_data()
+    x, y, z = Poly.variables(3)
+    fol3 = ProjectiveFoliation.from_affine_field(
+        VectorField((x, 2 * y, 3 * z)))
+    points3 = (ProjPoint((1, 0, 0, 0)), ProjPoint((0, 1, 0, 0)))
+    with pytest.raises(FolindexError):
+        run_global_check(fol, "brunella", curve=None, points=points)
+    with pytest.raises(FolindexError):
+        run_global_check(fol3, "brunella", curve=x, points=points3)
+    with pytest.raises(FolindexError):
+        run_global_check(fol3, "pfaff_degree", curve=y, points=points3)
+    with pytest.raises(FolindexError):
+        run_global_check(fol3, "pfaff_degree", curve=(y,), points=points3)
+    with pytest.raises(FolindexError):
+        run_global_check(fol, "log_bb", points=diag_points(), divisor=(3,))
+    with pytest.raises(FolindexError):
+        run_global_check(fol, "milnor_total", points=points3)
+    with pytest.raises(FolindexError):
+        ProjPoint((0, 0, 0))
+    with pytest.raises(FolindexError):
+        ProjPoint((1,))
+    with pytest.raises(FolindexError):
+        ProjPoint((0, 0, 1)).affine_in(0)
