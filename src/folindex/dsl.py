@@ -34,11 +34,14 @@ literals, so rationals are written 1/2.  Keywords are contextual: any of
 them may also be a declared name.  Branch components are polynomials in
 the parameter t.  Points carry n affine or n+1 homogeneous coordinates;
 local commands need the affine form, check commands the homogeneous one.
+Shape rules (_NEEDS) are checked at parse time too: gsv needs a plane ring
+or n-1 curves, cs and var a plane ring, a form subject degree n-1.
 """
 
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .chern import IDENTITY_KINDS
 from .errors import (
@@ -62,13 +65,13 @@ from .indices import (
 )
 from .polyring import DiffForm, Poly, VectorField, field_from_dual, wedge
 from .projective import ProjPoint, ProjectiveFoliation, run_global_check
-from .residues import PhiSpec, baum_bott_residue, grothendieck_residue
-from .series import BranchParam
-
-COMMAND_WORDS = (
-    "milnor", "tjurina", "ph", "homological", "gsv", "cs", "var",
-    "radial", "logindex", "bb", "residue", "check",
+from .residues import (
+    PhiSpec,
+    ResidueResult,
+    baum_bott_residue,
+    grothendieck_residue,
 )
+from .series import BranchParam
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>[ \t\r]+)
@@ -126,7 +129,7 @@ class Command:
     op: str
     subject: str = None
     along: object = None    # name or tuple of names
-    branch_name: str = None
+    branch: str = None
     at: object = None       # tuple of Fractions or a point name
     divisor: tuple = None
     phi: tuple = None       # ((coeff, exps), ...)
@@ -142,6 +145,168 @@ class Session:
     statements: tuple
 
 
+# The command table.  Every command but check reads
+#     op subject clause* at
+# and check reads
+#     check kind of subject [clause]*
+# The parser, the printer and the runner all work from the entries below,
+# so a local command is one entry plus the engine function it calls.
+
+
+class _Syntax(NamedTuple):
+    """How a clause value is read after its keyword, printed back, handed
+    to the engine and shown in the record's inputs."""
+    read: object        # (parser, keyword) -> value stored in the Command
+    fmt: object         # value -> text after the keyword
+    resolve: object     # (value, env) -> engine argument
+    show: object        # (value, engine argument) -> inputs text
+
+
+class _Clause(NamedTuple):
+    word: str           # keyword, also the Command field holding the value
+    syntax: _Syntax
+    key: str            # inputs key of the record, None if not shown
+
+
+class _Op(NamedTuple):
+    subject: tuple      # kinds the subject may name
+    key: str            # inputs key of the subject
+    clauses: tuple      # _Clause, in the order they are written
+    run: object = None  # engine function: (subject, *clauses, point, max_steps)
+    takes: tuple = ()   # which of "oracle", "max_order" run also takes
+
+
+def _fmt_point(coords):
+    return "(" + ", ".join(str(c) for c in coords) + ")"
+
+
+def _fmt_list(names):
+    return "(" + ", ".join(names) + ")"
+
+
+def _fmt_along(along):
+    return along if isinstance(along, str) else _fmt_list(along)
+
+
+def _fmt_at(at):
+    return _fmt_point(at) if isinstance(at, tuple) else at
+
+
+def _fmt_phi(phi):
+    if not phi:
+        return "(0)"
+    n = len(phi[0][1])
+    names = tuple("c%d" % (i + 1) for i in range(n))
+    return "(%s)" % Poly(n, {e: c for c, e in phi}).format(names)
+
+
+def _name(*kinds):
+    """One declared name of one of the given kinds."""
+    return _Syntax(lambda parser, word: parser.name_of_kind(kinds, word),
+                   str, lambda name, env: env.objects[name],
+                   lambda name, arg: name)
+
+
+def _resolve_curves(along, env):
+    if isinstance(along, tuple):
+        return tuple(env.objects[name] for name in along)
+    return env.objects[along]
+
+
+def _divisor(homogeneous):
+    """A list of ring variables naming coordinate hyperplanes.  A check's
+    divisor may also name the line at infinity and resolves to homogeneous
+    coordinate indices, a local one to affine indices."""
+    shift = 1 if homogeneous else 0
+
+    def item(parser):
+        if homogeneous and parser.at_word("infinity"):
+            return parser.next().text
+        return parser.ring_var()
+
+    def resolve(names, env):
+        return tuple(0 if name == "infinity"
+                     else env.session.ring.index(name) + shift
+                     for name in names)
+
+    return _Syntax(lambda parser, word: parser.paren_list(lambda: item(parser)),
+                   _fmt_list, resolve, lambda names, arg: ", ".join(names))
+
+
+def _fmt_points(points):
+    return _fmt_list([" branch ".join((name,) + brs) for name, brs in points])
+
+
+_CURVES = _Syntax(lambda parser, word: parser.curves(word), _fmt_along,
+                  _resolve_curves, lambda along, arg: str(along))
+_PHI = _Syntax(lambda parser, word: parser.phi(), _fmt_phi,
+               lambda phi, env: PhiSpec(env.n, phi),
+               lambda phi, arg: repr(arg))
+_POINTS = _Syntax(lambda parser, word: parser.paren_list(parser.point_item),
+                  _fmt_points, None, None)
+_ALONG = _Clause("along", _name("poly"), "f")
+_BRANCH = _Clause("branch", _name("branch"), "branch")
+
+
+def _gsv(data, curve, point, max_steps):
+    """GSV index of a field, or of its dual form, along a plane curve or
+    along the n-1 curves that cut out a space curve."""
+    if isinstance(curve, tuple):
+        return gsv_pfaff_curve(data, curve, point=point, max_steps=max_steps)
+    if isinstance(data, DiffForm):
+        data = field_from_dual(data)
+    return gsv_curve(data, curve, point=point, max_steps=max_steps)
+
+
+COMMANDS = {
+    "milnor": _Op(("poly",), "f", (), milnor_number),
+    "tjurina": _Op(("poly",), "f", (), tjurina_number),
+    "ph": _Op(("field",), "v", (), ph_index),
+    "homological": _Op(("field",), "v", (_ALONG,), homological_index,
+                       ("oracle",)),
+    "radial": _Op(("field",), "v", (_ALONG,), radial_index),
+    "gsv": _Op(("field", "form"), "v", (_Clause("along", _CURVES, "curve"),),
+               _gsv),
+    "cs": _Op(("field",), "v", (_ALONG, _BRANCH), cs_index, ("max_order",)),
+    "var": _Op(("field",), "v", (_ALONG, _BRANCH), var_index, ("max_order",)),
+    "logindex": _Op(("field",), "v",
+                    (_Clause("divisor", _divisor(False), "divisor"),),
+                    log_index, ("oracle",)),
+    "bb": _Op(("field",), "v", (_Clause("phi", _PHI, "phi"),),
+              baum_bott_residue),
+    "residue": _Op(("poly",), "h", (_Clause("over", _name("field"), "v"),),
+                   grothendieck_residue),
+    # every clause of a check is optional; _run_check builds its record
+    "check": _Op(("field",), "foliation",
+                 (_Clause("along", _CURVES, "curve"),
+                  _Clause("divisor", _divisor(True), "divisor"),
+                  _Clause("points", _POINTS, None))),
+}
+
+# Shape rules, checked when a command is parsed: what a local command or an
+# identity kind needs of the ring and of its clauses beyond the kinds of the
+# names it uses.  One of the listed shapes must hold.  A form subject must
+# moreover have degree n-1, the degree of a dual form.
+_SHAPES = {
+    "plane": ("a plane ring and 'along <curve>'",
+              lambda cmd, n: n == 2 and isinstance(cmd.along, str)),
+    "curves": ("'along' with a list of %(n1)d curves",
+               lambda cmd, n: (isinstance(cmd.along, tuple)
+                               and len(cmd.along) == n - 1)),
+    "divisor": ("'divisor'", lambda cmd, n: cmd.divisor is not None),
+}
+_NEEDS = {
+    "gsv": ("plane", "curves"),
+    "cs": ("plane",),
+    "var": ("plane",),
+    "brunella": ("plane",),
+    "cs_total": ("plane",),
+    "var_total": ("plane",),
+    "pfaff_degree": ("curves",),
+    "log_bb": ("divisor",),
+}
+
+
 class _Parser:
 
     def __init__(self, text):
@@ -149,7 +314,7 @@ class _Parser:
         self.pos = 0
         self.ring = None
         self.kinds = {}     # declared name -> kind
-        self.polys = {}     # declared poly name -> Poly, for elaboration
+        self.objects = {}   # declared name -> payload, for elaboration
 
     # token helpers
 
@@ -214,7 +379,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "ident":
             self.fail("expected a statement")
-        if tok.text in COMMAND_WORDS and self.peek(1).kind != "assign":
+        if tok.text in COMMANDS and self.peek(1).kind != "assign":
             stmt = self.command()
         else:
             stmt = self.assignment()
@@ -231,72 +396,47 @@ class _Parser:
         if name in self.kinds:
             self.fail("name %r already declared" % name, name_tok)
         self.expect("assign")
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text == "vf" and \
-                self.peek(1).text == "(":
-            kind, payload = self.field_ctor()
-        elif tok.kind == "ident" and tok.text == "form" and \
-                self.peek(1).text == "(":
-            kind, payload = self.form_ctor()
-        elif tok.kind == "ident" and tok.text == "branch" and \
-                self.peek(1).text == "(":
-            kind, payload = self.branch_ctor()
-        elif tok.kind == "ident" and tok.text == "point" and \
-                self.peek(1).text == "(":
-            kind, payload = self.point_ctor()
+        ctor = {"vf": self.field_ctor, "form": self.form_ctor,
+                "branch": self.branch_ctor,
+                "point": self.point_ctor}.get(self.peek().text)
+        if ctor and self.peek(1).text == "(":
+            self.next()
+            kind, payload = ctor()
         else:
             kind, payload = "poly", self.expr(self.ring)
         self.kinds[name] = kind
-        if kind == "poly":
-            self.polys[name] = payload
+        self.objects[name] = payload
         return Assign(name=name, kind=kind, payload=payload,
                       line=name_tok.line)
 
     def field_ctor(self):
-        self.next()
         comps = self.paren_list(lambda: self.expr(self.ring))
         if len(comps) != len(self.ring):
             self.fail("vf needs %d components" % len(self.ring))
         return "field", comps
 
-    def _dvar(self):
-        if not self._peek_dvar():
-            return None
-        return self.ring.index(self.next().text[1:])
-
     def form_ctor(self):
-        n = len(self.ring)
-        self.next()
-        self.expect("op", "(")
-        total = None
-        while True:
-            if self._peek_dvar():
-                coeff = Poly.const(n, 1)
-            else:
-                coeff = self.expr(self.ring)
-            idx = self._dvar()
-            if idx is None:
-                self.fail("expected d<var> in form term")
-            item = wedge(DiffForm.from_poly(coeff), DiffForm.dx(n, idx))
-            while self.peek().text == "^":
-                self.next()
-                idx = self._dvar()
-                if idx is None:
-                    self.fail("expected d<var> after '^'")
-                item = wedge(item, DiffForm.dx(n, idx))
-            if total is None:
-                total = item
-            elif total.degree != item.degree:
+        items = self.paren_list(self.form_item)
+        for item in items[1:]:
+            if item.degree != items[0].degree:
                 self.fail("form mixes degrees %d and %d"
-                          % (total.degree, item.degree))
-            else:
-                total = total + item
-            if self.peek().text == ",":
-                self.next()
-                continue
-            break
-        self.expect("op", ")")
-        return "form", total
+                          % (items[0].degree, item.degree))
+        return "form", sum(items[1:], items[0])
+
+    def form_item(self):
+        n = len(self.ring)
+        coeff = Poly.const(n, 1) if self._peek_dvar() else self.expr(self.ring)
+        item = DiffForm.from_poly(coeff)
+        while True:
+            if not self._peek_dvar():
+                self.fail("expected d<var>")
+            if item.degree == n:
+                self.fail("a form has degree at most %d" % n)
+            idx = self.ring.index(self.next().text[1:])
+            item = wedge(item, DiffForm.dx(n, idx))
+            if self.peek().text != "^":
+                return item
+            self.next()
 
     def _peek_dvar(self):
         tok = self.peek()
@@ -304,7 +444,6 @@ class _Parser:
                 tok.text[0] == "d" and tok.text[1:] in self.ring)
 
     def branch_ctor(self):
-        self.next()
         comps = self.paren_list(lambda: self.expr(("t",)))
         self.expect_word("order")
         order_tok = self.expect("number")
@@ -316,7 +455,6 @@ class _Parser:
         return "branch", (comps, order)
 
     def point_ctor(self):
-        self.next()
         coords = self.paren_list(self.rational)
         n = len(self.ring)
         if len(coords) not in (n, n + 1):
@@ -394,8 +532,8 @@ class _Parser:
             self.next()
             if tok.text in varnames:
                 return Poly.var(n, varnames.index(tok.text))
-            if varnames == self.ring and tok.text in self.polys:
-                return self.polys[tok.text]
+            if varnames == self.ring and self.kinds.get(tok.text) == "poly":
+                return self.objects[tok.text]
             raise UndeclaredName("unknown name %r" % tok.text,
                                  line=tok.line, col=tok.col)
         self.fail("expected a polynomial atom")
@@ -415,81 +553,11 @@ class _Parser:
                 line=tok.line, col=tok.col)
         return tok.text
 
-    def at_clause(self):
-        self.expect_word("at")
+    def curves(self, role):
+        """One curve name or a parenthesized list of them."""
         if self.peek().text == "(":
-            return self.paren_list(self.rational)
-        return self.name_of_kind(("point",), "at")
-
-    def curve_ref(self):
-        """'along' followed by one curve name or a list of them."""
-        self.expect_word("along")
-        if self.peek().text == "(":
-            return self.paren_list(
-                lambda: self.name_of_kind(("poly",), "along"))
-        return self.name_of_kind(("poly",), "along")
-
-    def command(self):
-        tok = self.next()
-        op = tok.text
-        line = tok.line
-        if op in ("milnor", "tjurina"):
-            subject = self.name_of_kind(("poly",), op)
-            return Command(op=op, subject=subject, at=self.at_clause(),
-                           line=line)
-        if op == "ph":
-            subject = self.name_of_kind(("field",), op)
-            return Command(op=op, subject=subject, at=self.at_clause(),
-                           line=line)
-        if op in ("homological", "radial"):
-            subject = self.name_of_kind(("field",), op)
-            self.expect_word("along")
-            along = self.name_of_kind(("poly",), "along")
-            return Command(op=op, subject=subject, along=along,
-                           at=self.at_clause(), line=line)
-        if op == "gsv":
-            subject = self.name_of_kind(("field", "form"), op)
-            along = self.curve_ref()
-            return Command(op=op, subject=subject, along=along,
-                           at=self.at_clause(), line=line)
-        if op in ("cs", "var"):
-            subject = self.name_of_kind(("field",), op)
-            self.expect_word("along")
-            along = self.name_of_kind(("poly",), "along")
-            self.expect_word("branch")
-            branch = self.name_of_kind(("branch",), "branch")
-            return Command(op=op, subject=subject, along=along,
-                           branch_name=branch, at=self.at_clause(), line=line)
-        if op == "logindex":
-            subject = self.name_of_kind(("field",), op)
-            self.expect_word("divisor")
-            divisor = self.paren_list(self.ring_var)
-            return Command(op=op, subject=subject, divisor=divisor,
-                           at=self.at_clause(), line=line)
-        if op == "bb":
-            subject = self.name_of_kind(("field",), op)
-            self.expect_word("phi")
-            self.expect("op", "(")
-            symbols = tuple("c%d" % (i + 1) for i in range(len(self.ring)))
-            phi_poly = self.expr(symbols)
-            self.expect("op", ")")
-            phi = tuple(
-                (c, e) for e, c in sorted(phi_poly.terms.items()))
-            try:
-                PhiSpec(len(self.ring), phi)
-            except DegreeMismatch as exc:
-                self.fail("invalid phi: %s" % exc, tok)
-            return Command(op=op, subject=subject, phi=phi,
-                           at=self.at_clause(), line=line)
-        if op == "residue":
-            subject = self.name_of_kind(("poly",), op)
-            self.expect_word("over")
-            over = self.name_of_kind(("field",), "over")
-            return Command(op=op, subject=subject, over=over,
-                           at=self.at_clause(), line=line)
-        if op == "check":
-            return self.check_command(line)
-        self.fail("unknown command %r" % op, tok)
+            return self.paren_list(lambda: self.name_of_kind(("poly",), role))
+        return self.name_of_kind(("poly",), role)
 
     def ring_var(self):
         tok = self.expect("ident")
@@ -498,39 +566,17 @@ class _Parser:
                                line=tok.line, col=tok.col)
         return tok.text
 
-    def check_command(self, line):
-        kind_tok = self.expect("ident")
-        kind = kind_tok.text
-        if kind not in IDENTITY_KINDS:
-            self.fail("unknown identity %r" % kind, kind_tok)
-        if kind in ("soares", "adjunction"):
-            self.fail("%s is a closed-form statement with no per-point "
-                      "table to check" % kind, kind_tok)
-        self.expect_word("of")
-        subject = self.name_of_kind(("field",), "of")
-        along = self.curve_ref() if self.at_word("along") else None
-        divisor = points = None
-        if self.at_word("divisor"):
-            self.next()
-            divisor = self.paren_list(
-                lambda: self.next().text if self.at_word("infinity")
-                else self.ring_var())
-        if self.at_word("points"):
-            self.next()
-            points = self.paren_list(self.point_item)
-        n = len(self.ring)
-        if kind in ("brunella", "cs_total", "var_total") and (
-                n != 2 or not isinstance(along, str)):
-            self.fail("%s needs a plane ring and 'along <curve>'" % kind,
-                      kind_tok)
-        if kind == "pfaff_degree" and not (
-                isinstance(along, tuple) and len(along) == n - 1):
-            self.fail("pfaff_degree needs 'along' with a list of %d curves"
-                      % (n - 1), kind_tok)
-        if kind == "log_bb" and divisor is None:
-            self.fail("log_bb needs 'divisor'", kind_tok)
-        return Command(op="check", check_kind=kind, subject=subject,
-                       along=along, divisor=divisor, points=points, line=line)
+    def phi(self):
+        tok = self.expect("op", "(")
+        symbols = tuple("c%d" % (i + 1) for i in range(len(self.ring)))
+        phi_poly = self.expr(symbols)
+        self.expect("op", ")")
+        phi = tuple((c, e) for e, c in sorted(phi_poly.terms.items()))
+        try:
+            PhiSpec(len(self.ring), phi)
+        except DegreeMismatch as exc:
+            self.fail("invalid phi: %s" % exc, tok)
+        return phi
 
     def point_item(self):
         name = self.name_of_kind(("point",), "points")
@@ -540,6 +586,50 @@ class _Parser:
             branches.append(self.name_of_kind(("branch",), "branch"))
         return (name, tuple(branches))
 
+    def identity_kind(self):
+        tok = self.expect("ident")
+        if tok.text not in IDENTITY_KINDS:
+            self.fail("unknown identity %r" % tok.text, tok)
+        if tok.text in ("soares", "adjunction"):
+            self.fail("%s is a closed-form statement with no per-point "
+                      "table to check" % tok.text, tok)
+        return tok
+
+    def command(self):
+        tok = self.next()
+        op = tok.text
+        line = tok.line
+        spec = COMMANDS[op]
+        kind = None
+        if op == "check":
+            tok = self.identity_kind()
+            kind = tok.text
+            self.expect_word("of")
+        fields = {"subject": self.name_of_kind(spec.subject,
+                                               "of" if kind else op)}
+        for clause in spec.clauses:
+            if kind is None or self.at_word(clause.word):
+                self.expect_word(clause.word)
+                fields[clause.word] = clause.syntax.read(self, clause.word)
+        if kind is None:
+            self.expect_word("at")
+            fields["at"] = (self.paren_list(self.rational)
+                            if self.peek().text == "("
+                            else self.name_of_kind(("point",), "at"))
+        cmd = Command(op=op, check_kind=kind, line=line, **fields)
+        self.check_shape(cmd, kind or op, tok)
+        return cmd
+
+    def check_shape(self, cmd, name, tok):
+        n = len(self.ring)
+        needs = _NEEDS.get(name, ())
+        if needs and not any(_SHAPES[s][1](cmd, n) for s in needs):
+            self.fail("%s needs %s" % (name, " or ".join(
+                _SHAPES[s][0] for s in needs) % {"n1": n - 1}), tok)
+        if (self.kinds[cmd.subject] == "form"
+                and self.objects[cmd.subject].degree != n - 1):
+            self.fail("%s needs a form of degree %d" % (name, n - 1), tok)
+
 
 def parse_session(text):
     """Parse and elaborate; raises ParseError / UndeclaredName /
@@ -548,14 +638,6 @@ def parse_session(text):
 
 
 # printing
-
-def _fmt_point(coords):
-    return "(" + ", ".join(str(c) for c in coords) + ")"
-
-
-def _fmt_along(along):
-    return along if isinstance(along, str) else "(" + ", ".join(along) + ")"
-
 
 def _fmt_form(form, names):
     if not form.coeffs:
@@ -569,55 +651,18 @@ def _fmt_form(form, names):
     return "form(%s)" % ", ".join(items)
 
 
-def _fmt_at(at):
-    if isinstance(at, tuple):
-        return _fmt_point(at)
-    return at
-
-
 def _fmt_command(cmd):
-    op = cmd.op
-    if op in ("milnor", "tjurina", "ph"):
-        return "%s %s at %s" % (op, cmd.subject, _fmt_at(cmd.at))
-    if op in ("homological", "radial"):
-        return "%s %s along %s at %s" % (op, cmd.subject, cmd.along,
-                                         _fmt_at(cmd.at))
-    if op == "gsv":
-        return "gsv %s along %s at %s" % (cmd.subject, _fmt_along(cmd.along),
-                                          _fmt_at(cmd.at))
-    if op in ("cs", "var"):
-        return "%s %s along %s branch %s at %s" % (
-            op, cmd.subject, cmd.along, cmd.branch_name, _fmt_at(cmd.at))
-    if op == "logindex":
-        return "logindex %s divisor (%s) at %s" % (
-            cmd.subject, ", ".join(cmd.divisor), _fmt_at(cmd.at))
-    if op == "bb":
-        if not cmd.phi:
-            body = "0"
-        else:
-            n = len(cmd.phi[0][1])
-            names = tuple("c%d" % (i + 1) for i in range(n))
-            body = Poly(n, {e: c for c, e in cmd.phi}).format(names)
-        return "bb %s phi (%s) at %s" % (cmd.subject, body, _fmt_at(cmd.at))
-    if op == "residue":
-        return "residue %s over %s at %s" % (cmd.subject, cmd.over,
-                                             _fmt_at(cmd.at))
-    if op == "check":
-        parts = ["check", cmd.check_kind, "of", cmd.subject]
-        if cmd.along is not None:
-            parts += ["along", _fmt_along(cmd.along)]
-        if cmd.divisor is not None:
-            parts += ["divisor", "(" + ", ".join(cmd.divisor) + ")"]
-        if cmd.points is not None:
-            items = []
-            for name, brs in cmd.points:
-                item = name
-                for b in brs:
-                    item += " branch " + b
-                items.append(item)
-            parts += ["points", "(" + ", ".join(items) + ")"]
-        return " ".join(parts)
-    raise AssertionError("unprintable command %r" % op)
+    parts = [cmd.op]
+    if cmd.op == "check":
+        parts += [cmd.check_kind, "of"]
+    parts.append(cmd.subject)
+    for clause in COMMANDS[cmd.op].clauses:
+        value = getattr(cmd, clause.word)
+        if value is not None:
+            parts += [clause.word, clause.syntax.fmt(value)]
+    if cmd.at is not None:
+        parts += ["at", _fmt_at(cmd.at)]
+    return " ".join(parts)
 
 
 def print_session(session):
@@ -647,31 +692,17 @@ def print_session(session):
 
 # execution
 
-def _crosscheck_list(report):
-    out = [(label, bool(ok), str(detail))
-           for label, ok, detail in report.crosschecks]
-    for flag in report.flags:
-        out.append(("note", True, flag))
-    return out
-
-
 class _Env:
 
     def __init__(self, session):
         self.session = session
         self.n = len(session.ring)
         self.objects = {}
-        self.kinds = {}
         for stmt in session.statements:
             if not isinstance(stmt, Assign):
                 continue
-            self.kinds[stmt.name] = stmt.kind
-            if stmt.kind == "poly":
-                self.objects[stmt.name] = stmt.payload
-            elif stmt.kind == "field":
+            if stmt.kind == "field":
                 self.objects[stmt.name] = VectorField(stmt.payload)
-            elif stmt.kind == "form":
-                self.objects[stmt.name] = stmt.payload
             elif stmt.kind == "branch":
                 comps, order = stmt.payload
                 self.objects[stmt.name] = BranchParam.from_polys(comps, order)
@@ -718,104 +749,39 @@ def _record(cmd, inputs, value, method, crosschecks, verdict):
     }
 
 
-def _from_report(cmd, inputs, report):
-    return _record(cmd, inputs, report.value, report.method,
-                   _crosscheck_list(report), "OK")
-
-
 def _run_command(cmd, env, oracle, max_steps, truncation):
-    op = cmd.op
-    obj = env.objects
-    if op == "check":
+    if cmd.op == "check":
         return _run_check(cmd, env, oracle, max_steps, truncation)
+    spec = COMMANDS[cmd.op]
     at = env.affine_point(cmd.at, cmd.line)
-    inputs = {"at": _fmt_at(cmd.at)}
-    if op in ("milnor", "tjurina"):
-        inputs["f"] = cmd.subject
-        fn = milnor_number if op == "milnor" else tjurina_number
-        return _from_report(cmd, inputs,
-                            fn(obj[cmd.subject], point=at,
-                               max_steps=max_steps))
-    if op == "ph":
-        inputs["v"] = cmd.subject
-        return _from_report(cmd, inputs,
-                            ph_index(obj[cmd.subject], point=at,
-                                     max_steps=max_steps))
-    if op == "homological":
-        inputs.update(v=cmd.subject, f=cmd.along)
-        return _from_report(cmd, inputs,
-                            homological_index(obj[cmd.subject],
-                                              obj[cmd.along], point=at,
-                                              oracle=oracle,
-                                              max_steps=max_steps))
-    if op == "radial":
-        inputs.update(v=cmd.subject, f=cmd.along)
-        return _from_report(cmd, inputs,
-                            radial_index(obj[cmd.subject], obj[cmd.along],
-                                         point=at, max_steps=max_steps))
-    if op == "gsv":
-        inputs.update(v=cmd.subject, curve=str(cmd.along))
-        subject = obj[cmd.subject]
-        if isinstance(cmd.along, tuple):
-            curve = tuple(obj[name] for name in cmd.along)
-            report = gsv_pfaff_curve(subject, curve, point=at,
-                                     max_steps=max_steps)
-        else:
-            if isinstance(subject, DiffForm):
-                subject = field_from_dual(subject)
-            report = gsv_curve(subject, obj[cmd.along], point=at,
-                               max_steps=max_steps)
-        return _from_report(cmd, inputs, report)
-    if op in ("cs", "var"):
-        inputs.update(v=cmd.subject, f=cmd.along, branch=cmd.branch_name)
-        if op == "cs":
-            report = cs_index(obj[cmd.subject], obj[cmd.along],
-                              obj[cmd.branch_name], point=at,
-                              max_steps=max_steps,
-                              max_order=truncation or 160)
-        else:
-            report = var_index(obj[cmd.subject], obj[cmd.along],
-                               obj[cmd.branch_name], point=at,
-                               max_steps=max_steps)
-        return _from_report(cmd, inputs, report)
-    if op == "logindex":
-        inputs.update(v=cmd.subject, divisor=", ".join(cmd.divisor))
-        idxs = tuple(env.session.ring.index(name) for name in cmd.divisor)
-        report = log_index(obj[cmd.subject], idxs, point=at, oracle=oracle,
-                           max_steps=max_steps)
-        return _from_report(cmd, inputs, report)
-    if op == "bb":
-        inputs["v"] = cmd.subject
-        phi = PhiSpec(env.n, cmd.phi)
-        inputs["phi"] = repr(phi)
-        result = baum_bott_residue(obj[cmd.subject], phi, point=at,
-                                   max_steps=max_steps)
-        checks = [("certificate", True, result.certificate[:12])]
+    inputs = {"at": _fmt_at(cmd.at), spec.key: cmd.subject}
+    args = [env.objects[cmd.subject]]
+    for clause in spec.clauses:
+        value = getattr(cmd, clause.word)
+        args.append(clause.syntax.resolve(value, env))
+        inputs[clause.key] = clause.syntax.show(value, args[-1])
+    options = {"oracle": oracle, "max_order": truncation}
+    result = spec.run(*args, point=at, max_steps=max_steps,
+                      **{name: options[name] for name in spec.takes})
+    if isinstance(result, ResidueResult):
         return _record(cmd, inputs, result.value, "transformation_law",
-                       checks, "OK")
-    if op == "residue":
-        inputs.update(h=cmd.subject, v=cmd.over)
-        result = grothendieck_residue(obj[cmd.subject], obj[cmd.over],
-                                      point=at, max_steps=max_steps)
-        checks = [("certificate", True, result.certificate[:12])]
-        return _record(cmd, inputs, result.value, "transformation_law",
-                       checks, "OK")
-    raise AssertionError("unrunnable command %r" % op)
+                       [("certificate", True, result.certificate[:12])], "OK")
+    checks = [(label, bool(ok), str(detail))
+              for label, ok, detail in result.crosschecks]
+    return _record(cmd, inputs, result.value, result.method, checks, "OK")
 
 
 def _run_check(cmd, env, oracle, max_steps, truncation):
+    spec = COMMANDS["check"]
     obj = env.objects
     fol = ProjectiveFoliation.from_affine_field(obj[cmd.subject])
-    curve = None
-    if isinstance(cmd.along, tuple):
-        curve = tuple(obj[name] for name in cmd.along)
-    elif cmd.along is not None:
-        curve = obj[cmd.along]
-    divisor = ()
-    if cmd.divisor:
-        divisor = tuple(0 if item == "infinity"
-                        else env.session.ring.index(item) + 1
-                        for item in cmd.divisor)
+    inputs = {spec.key: cmd.subject, "degree": str(fol.d)}
+    resolved = {}
+    for clause in spec.clauses:
+        value = getattr(cmd, clause.word)
+        if value is not None and clause.key:
+            resolved[clause.word] = clause.syntax.resolve(value, env)
+            inputs[clause.key] = clause.syntax.show(value, None)
     points = []
     branches = []
     for name, branch_names in (cmd.points or ()):
@@ -823,10 +789,12 @@ def _run_check(cmd, env, oracle, max_steps, truncation):
         points.append(p)
         for bname in branch_names:
             branches.append((p, obj[bname]))
-    report = run_global_check(fol, cmd.check_kind, curve=curve,
+    report = run_global_check(fol, cmd.check_kind,
+                              curve=resolved.get("along"),
                               points=tuple(points), branches=branches,
-                              divisor=divisor, oracle=oracle,
-                              max_steps=max_steps, truncation=truncation)
+                              divisor=resolved.get("divisor", ()),
+                              oracle=oracle, max_steps=max_steps,
+                              truncation=truncation)
     checks = []
     for row in report.rows:
         checks.append(("%s at %r chart %d" % (row.quantity, row.point,
@@ -836,10 +804,5 @@ def _run_check(cmd, env, oracle, max_steps, truncation):
                    "%s vs %s" % (report.local_sum, report.rhs)))
     for note in report.diagnostics:
         checks.append(("note", True, note))
-    inputs = {"foliation": cmd.subject, "degree": str(fol.d)}
-    if cmd.along is not None:
-        inputs["curve"] = str(cmd.along)
-    if cmd.divisor:
-        inputs["divisor"] = ", ".join(cmd.divisor)
     return _record(cmd, inputs, report.local_sum,
                    "global_check/%s" % cmd.check_kind, checks, report.verdict)

@@ -274,14 +274,15 @@ def gsv_curve(v, f, point=None, max_steps=None):
     return _finish(value, "vanishing-orders", checks)
 
 
-def cs_index(v, f, branch, point=None, max_steps=None, max_order=160):
+def cs_index(v, f, branch, point=None, max_steps=None, max_order=None):
     """Residue-type index of v along one parametrized branch of the invariant
     curve f == 0: minus the t-residue of the pulled-back eta over xi.
 
     The branch must lie on the curve and pass through the point.  The residue
     is exact once the working order suffices; extendable branches are re-lifted
-    up to max_order before TruncationNotStabilized is raised."""
+    up to max_order (default 160) before TruncationNotStabilized is raised."""
     assert v.nvars == 2 and f.nvars == 2
+    max_order = max_order or 160
     f0 = _at_point(f, point)
     v0 = _field_at_point(v, point)
     tangency_cofactor(v0, f0)
@@ -322,11 +323,13 @@ def cs_index(v, f, branch, point=None, max_steps=None, max_order=160):
     return _finish(value, "branch-residue", checks)
 
 
-def var_index(v, f, branch, point=None, max_steps=None):
+def var_index(v, f, branch, point=None, max_steps=None, max_order=None):
     """Variation-type index along one branch: the curve index plus the
-    branch residue index."""
+    branch residue index, whose series are capped at max_order as in
+    cs_index."""
     gsv = gsv_curve(v, f, point=point, max_steps=max_steps)
-    cs = cs_index(v, f, branch, point=point, max_steps=max_steps)
+    cs = cs_index(v, f, branch, point=point, max_steps=max_steps,
+                  max_order=max_order)
     value = gsv.value + cs.value
     checks = [("gsv-part", True, "curve index %s" % gsv.value),
               ("cs-part", True, "branch residue %s" % cs.value)]

@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add as _add
 
+from .errors import InvalidInput
+
 __all__ = [
     "Poly",
     "VectorField",
@@ -50,7 +52,9 @@ class Poly:
         clean = {}
         if terms:
             for exp, c in terms.items():
-                assert len(exp) == nvars and min(exp, default=0) >= 0
+                if len(exp) != nvars or min(exp, default=0) < 0:
+                    raise InvalidInput("exponent %r is not a monomial in %d "
+                                       "variables" % (exp, nvars))
                 c = _rat(c)
                 if c:
                     clean[tuple(exp)] = c
@@ -92,10 +96,6 @@ class Poly:
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
-
-    def low_degree(self):
-        """Minimal total degree of a term; None for the zero polynomial."""
-        return min((sum(e) for e in self.terms), default=None)
 
     def is_homogeneous(self):
         degs = {sum(e) for e in self.terms}
@@ -147,7 +147,8 @@ class Poly:
             return self._raw(self.nvars, {e: k * c for e, k in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
-        assert other.nvars == self.nvars, "polynomial rings differ"
+        if other.nvars != self.nvars:
+            raise InvalidInput("polynomial rings differ")
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -196,7 +197,8 @@ class Poly:
 
     def _coerce(self, other):
         if isinstance(other, Poly):
-            assert other.nvars == self.nvars, "polynomial rings differ"
+            if other.nvars != self.nvars:
+                raise InvalidInput("polynomial rings differ")
             return other
         if isinstance(other, (int, Fraction)):
             return Poly.const(self.nvars, other)
@@ -325,10 +327,10 @@ class VectorField:
 
     def __init__(self, components):
         components = tuple(components)
-        assert components, "empty vector field"
-        n = components[0].nvars
-        assert all(p.nvars == n for p in components)
-        assert len(components) == n, "a vector field needs one component per variable"
+        if not components or any(p.nvars != len(components)
+                                 for p in components):
+            raise InvalidInput(
+                "a vector field needs one component per variable")
         self.components = components
 
     @property
@@ -379,9 +381,6 @@ class PolyMatrix:
     def nvars(self):
         return self.rows[0][0].nvars
 
-    def entry(self, i, j):
-        return self.rows[i][j]
-
     def submatrix(self, row_ids, col_ids):
         return PolyMatrix([[self.rows[i][j] for j in col_ids] for i in row_ids])
 
@@ -423,11 +422,13 @@ class DiffForm:
         if coeffs:
             for idx, p in coeffs.items():
                 idx = tuple(idx)
-                assert len(idx) == degree
-                assert all(0 <= i < nvars for i in idx)
-                assert all(a < b for a, b in zip(idx, idx[1:])), \
-                    "index tuples must be strictly increasing"
-                assert p.nvars == nvars
+                if (len(idx) != degree or not all(0 <= i < nvars for i in idx)
+                        or any(a >= b for a, b in zip(idx, idx[1:]))):
+                    raise InvalidInput(
+                        "%r is not a strictly increasing tuple of %d "
+                        "variable indices" % (idx, degree))
+                if p.nvars != nvars:
+                    raise InvalidInput("polynomial rings differ")
                 if not p.is_zero():
                     clean[idx] = p
         self.nvars = nvars

@@ -37,6 +37,7 @@ from .localalgebra import (
     INFINITE,
     IdealGens,
     MonomialOrder,
+    exact_divide,
     quotient_dim,
 )
 from .polyring import (
@@ -70,11 +71,6 @@ class ProjPoint:
                 break
         self.coords = coords
 
-    @classmethod
-    def from_affine(cls, chart, coords):
-        coords = tuple(coords)
-        return cls(coords[:chart] + (Fraction(1),) + coords[chart:])
-
     @property
     def n(self):
         return len(self.coords) - 1
@@ -104,17 +100,6 @@ class ProjPoint:
 
     def __repr__(self):
         return "[" + ":".join(str(c) for c in self.coords) + "]"
-
-
-def _var_quotient(p, i):
-    """p / x_i when every term of p is divisible by x_i, else None."""
-    terms = {}
-    for e, c in p.terms.items():
-        if e[i] == 0:
-            return None
-        e2 = e[:i] + (e[i] - 1,) + e[i + 1:]
-        terms[e2] = c
-    return Poly._raw(p.nvars, terms)
 
 
 class ProjectiveFoliation:
@@ -163,7 +148,7 @@ class ProjectiveFoliation:
             if t.is_zero():
                 quotients = None
                 break
-            q = _var_quotient(t, i)
+            q = exact_divide(t, Poly.var(n, i))
             if q is None:
                 quotients = None
                 break
@@ -228,7 +213,8 @@ def curve_to_homogeneous(f):
     """Homogenize an affine chart-0 curve polynomial; returns the
     homogeneous polynomial and its degree."""
     m = f.degree()
-    assert m >= 1, "constant does not define a curve"
+    if m < 1:
+        raise InvalidInput("a constant does not define a curve")
     return homogenize(f, m, 0), m
 
 
@@ -323,7 +309,8 @@ def run_global_check(fol, kind, curve=None, points=(), branches=(),
     of homogeneous coordinates whose hyperplanes form the invariant
     normal crossing divisor.  branches: (ProjPoint, BranchParam) pairs,
     each branch written in the affine coordinates of the point's first
-    visible chart.
+    visible chart.  truncation caps the series order of the cs and var
+    branch residues (default 160).
     """
     n, d = fol.n, fol.d
     points = tuple(points)
@@ -385,17 +372,11 @@ def run_global_check(fol, kind, curve=None, points=(), branches=(),
                         "force a nonnegative value" % (value, p))
                 rows.append(CheckRow(p, j, "gsv", value))
             else:
-                brs = grouped.get(p, ())
+                index = cs_index if kind == "cs_total" else var_index
                 value = Fraction(0)
-                for br in brs:
-                    if kind == "cs_total":
-                        rep = cs_index(w, fj, br, point=at,
-                                       max_steps=max_steps,
-                                       max_order=truncation or 160)
-                    else:
-                        rep = var_index(w, fj, br, point=at,
-                                        max_steps=max_steps)
-                    value += rep.value
+                for br in grouped.get(p, ()):
+                    value += index(w, fj, br, point=at, max_steps=max_steps,
+                                   max_order=truncation).value
                 tag = "cs" if kind == "cs_total" else "var"
                 rows.append(CheckRow(p, j, tag, value))
             total += value

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import TruncationNotStabilized
+from .errors import InvalidInput, TruncationNotStabilized
 from .polyring import Poly, _rat
 
 
@@ -117,8 +117,8 @@ class TruncSeries:
 
     def shift_down(self, k):
         """Divide by t^k; the first k coefficients must vanish."""
-        assert 0 <= k < self.order
-        assert not any(self.coeffs[:k])
+        if not 0 <= k < self.order or any(self.coeffs[:k]):
+            raise InvalidInput("t^%d does not divide the series" % k)
         return TruncSeries(self.order - k, self.coeffs[k:])
 
     def __eq__(self, other):
@@ -256,11 +256,12 @@ def newton_lift(f, order):
     Solves the implicit equation by Newton iteration in the series ring; the
     returned branch re-lifts itself on demand at higher orders.
     """
-    assert f.nvars == 2
-    assert f.constant_term() == 0
+    if f.nvars != 2 or f.constant_term() != 0:
+        raise InvalidInput("newton_lift needs a plane curve through the origin")
     fx0 = f.diff(0)(0, 0)
     fy0 = f.diff(1)(0, 0)
-    assert fx0 != 0 or fy0 != 0, "origin is a singular point of the curve"
+    if fx0 == 0 and fy0 == 0:
+        raise InvalidInput("origin is a singular point of the curve")
     swap = fy0 == 0
     if swap:
         # solve for x in terms of y

@@ -126,10 +126,38 @@ SPACE = ("ring x,y,z; v := vf(x, 2*y, 3*z); f := y; g := z; "
     SPACE + "check pfaff_degree of v along f points (P);",
     SPACE + "check pfaff_degree of v along (f) points (P);",
     SPACE + "check var_total of v along f points (P);",
+    SPACE + "gsv v along f at (0,0,0);",
+    SPACE + "b := branch(t, t, t) order 8; cs v along f branch b at (0,0,0);",
+    SPACE + "b := branch(t, t, t) order 8; var v along f branch b at (0,0,0);",
+    PLANE + "gsv v along (f, f) at (0,0);",
+    SPACE + "gsv v along (f, g, f) at (0,0,0);",
+    SPACE + "w := form(x dx); gsv w along (f, g) at (0,0,0);",
 ], ids=["brunella-no-along", "cs-along-list", "log-bb-no-divisor", "soares",
-        "adjunction", "pfaff-one-name", "pfaff-short-list", "var-in-space"])
+        "adjunction", "pfaff-one-name", "pfaff-short-list", "var-in-space",
+        "gsv-one-name-in-space", "cs-in-space", "var-in-space-local",
+        "gsv-list-too-long", "gsv-list-too-long-in-space", "gsv-form-degree"])
 def test_check_missing_what_its_kind_needs_exit_two(tmp_path, capsys, text):
     code, out, err = run_cli(tmp_path, capsys, text)
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "line 1" in err
+
+
+# the residue along y^2 = x^25 needs branch order past 20
+CUSP_25 = ("ring x,y; f := y^2 - x^25; v := vf(2*x, 25*y); "
+           "b := branch(t^2, t^25) order 20; ")
+
+
+@pytest.mark.parametrize("text, extra, message", [
+    (CUSP_25 + "cs v along f branch b at (0,0);", ["--truncation", "20"],
+     "cannot resolve the residue"),
+    (CUSP_25 + "var v along f branch b at (0,0);", ["--truncation", "20"],
+     "cannot resolve the residue"),
+    (PLANE + "c := 1; check brunella of v along c points (P);", [],
+     "does not define a curve"),
+], ids=["cs-truncation", "var-truncation", "constant-curve"])
+def test_run_time_bad_input_exit_two(tmp_path, capsys, text, extra, message):
+    code, out, err = run_cli(tmp_path, capsys, text, *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err

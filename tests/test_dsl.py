@@ -82,6 +82,8 @@ def test_form_constructor():
     assert o2.coefficient((0, 1)) == -x
     with pytest.raises(ParseError):
         parse_session("ring x,y; w := form(y dx, x dx ^ dy);")
+    with pytest.raises(ParseError):
+        parse_session("ring x,y; w := form(dx ^ dy ^ dx);")
 
 
 def test_branch_and_point_constructors():

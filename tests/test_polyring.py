@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from folindex.errors import InvalidInput
 from folindex.polyring import (
     DiffForm,
     Poly,
@@ -59,9 +60,7 @@ def test_degree_views():
     x, y = Poly.variables(2)
     p = x ** 3 + y
     assert p.degree() == 3
-    assert p.low_degree() == 1
     assert Poly.zero(2).degree() == -1
-    assert Poly.zero(2).low_degree() is None
     assert not p.is_homogeneous()
     assert (x * y).is_homogeneous()
     assert p.homogeneous_part(3) == x ** 3
@@ -114,8 +113,8 @@ def test_vector_field_apply():
 def test_jacobian_and_char_poly():
     x, y = Poly.variables(2)
     m = jacobian(VectorField((x ** 2, y)))
-    assert m.entry(0, 0) == 2 * x
-    assert m.entry(0, 1).is_zero()
+    assert m.rows[0][0] == 2 * x
+    assert m.rows[0][1].is_zero()
     assert char_poly_coeffs(m) == [2 * x + 1, 2 * x]
 
     a = Poly.const(1, 0)
@@ -241,16 +240,16 @@ def test_homogenize_and_dehomogenize():
 
 
 def test_bad_inputs_are_rejected():
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvalidInput):
         Poly(2, {(1,): Fraction(1)})
     with pytest.raises(TypeError):
         Poly.const(1, 0.5)
     x, y = Poly.variables(2)
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvalidInput):
         x + Poly.var(3, 0)
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvalidInput):
         VectorField((x,))
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvalidInput):
         DiffForm(2, 1, {(1, 0): x})
 
 

@@ -48,7 +48,6 @@ def test_proj_point():
     assert q.coords == (0, 0, 1)
     assert q.first_chart() == 2
     assert not q.visible_in(0) and q.visible_in(2)
-    assert ProjPoint.from_affine(0, (2, 3)).coords == (1, 2, 3)
     assert ProjPoint((1, 2, 3)).affine_in(0) == (2, 3)
     assert ProjPoint((1, 2, 4)).affine_in(1) == (Fraction(1, 2), 2)
 
@@ -262,6 +261,12 @@ def test_bad_check_input_raises_folindex_error():
         run_global_check(fol3, "pfaff_degree", curve=y, points=points3)
     with pytest.raises(FolindexError):
         run_global_check(fol3, "pfaff_degree", curve=(y,), points=points3)
+    with pytest.raises(FolindexError):
+        run_global_check(fol, "brunella", curve=Poly.const(2, 1),
+                         points=points)
+    with pytest.raises(FolindexError):
+        run_global_check(fol3, "pfaff_degree", curve=(y, Poly.const(3, 1)),
+                         points=points3)
     with pytest.raises(FolindexError):
         run_global_check(fol, "log_bb", points=diag_points(), divisor=(3,))
     with pytest.raises(FolindexError):
