@@ -53,6 +53,7 @@ from .localalgebra import (
     normal_form,
     order_along_curve,
     quotient_dim,
+    step_budget,
 )
 from .series import (
     BranchParam,
@@ -127,7 +128,7 @@ __all__ = [
     # local algebra
     "MonomialOrder", "IdealGens", "INFINITE", "DEFAULT_MAX_STEPS",
     "normal_form", "quotient_dim", "monomial_power_bound", "exact_divide",
-    "order_along_curve",
+    "order_along_curve", "step_budget",
     # series and branches
     "TruncSeries", "BranchParam", "laurent_residue", "newton_lift",
     "poly_on_branch", "pullback_one_form",

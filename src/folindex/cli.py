@@ -12,6 +12,8 @@ from fractions import Fraction
 
 from .dsl import parse_session, run_session
 from .errors import FolindexError
+from .indices import DEFAULT_MAX_ORDER
+from .localalgebra import DEFAULT_MAX_STEPS
 
 
 def _build_parser():
@@ -25,10 +27,14 @@ def _build_parser():
     run.add_argument("--oracle", choices=("on", "off"), default="off",
                      help="recompute supported indices by the truncated "
                           "contraction-complex oracle")
-    run.add_argument("--steps", type=int, default=None, metavar="N",
-                     help="reduction step cap for the algebra engine")
-    run.add_argument("--truncation", type=int, default=None, metavar="N",
-                     help="series truncation cap for branch residues")
+    run.add_argument("--steps", type=int, default=DEFAULT_MAX_STEPS,
+                     metavar="N",
+                     help="standard-basis step cap of each whole command "
+                          "(default %(default)s)")
+    run.add_argument("--truncation", type=int, default=DEFAULT_MAX_ORDER,
+                     metavar="N",
+                     help="series truncation cap for branch residues "
+                          "(default %(default)s)")
     return parser
 
 

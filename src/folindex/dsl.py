@@ -35,7 +35,8 @@ them may also be a declared name.  Branch components are polynomials in
 the parameter t.  Points carry n affine or n+1 homogeneous coordinates;
 local commands need the affine form, check commands the homogeneous one.
 Shape rules (_NEEDS) are checked at parse time too: gsv needs a plane ring
-or n-1 curves, cs and var a plane ring, a form subject degree n-1.
+or n-1 curves, cs, var and check bb_total a plane ring, a form subject
+degree n-1.
 """
 
 import re
@@ -52,6 +53,7 @@ from .errors import (
     UndeclaredName,
 )
 from .indices import (
+    DEFAULT_MAX_ORDER,
     cs_index,
     gsv_curve,
     gsv_pfaff_curve,
@@ -63,6 +65,7 @@ from .indices import (
     tjurina_number,
     var_index,
 )
+from .localalgebra import DEFAULT_MAX_STEPS, step_budget
 from .polyring import DiffForm, Poly, VectorField, field_from_dual, wedge
 from .projective import ProjPoint, ProjectiveFoliation, run_global_check
 from .residues import (
@@ -172,7 +175,7 @@ class _Op(NamedTuple):
     subject: tuple      # kinds the subject may name
     key: str            # inputs key of the subject
     clauses: tuple      # _Clause, in the order they are written
-    run: object = None  # engine function: (subject, *clauses, point, max_steps)
+    run: object = None  # engine function: (subject, *clauses, point)
     takes: tuple = ()   # which of "oracle", "max_order" run also takes
 
 
@@ -248,14 +251,14 @@ _ALONG = _Clause("along", _name("poly"), "f")
 _BRANCH = _Clause("branch", _name("branch"), "branch")
 
 
-def _gsv(data, curve, point, max_steps):
+def _gsv(data, curve, point):
     """GSV index of a field, or of its dual form, along a plane curve or
     along the n-1 curves that cut out a space curve."""
     if isinstance(curve, tuple):
-        return gsv_pfaff_curve(data, curve, point=point, max_steps=max_steps)
+        return gsv_pfaff_curve(data, curve, point=point)
     if isinstance(data, DiffForm):
         data = field_from_dual(data)
-    return gsv_curve(data, curve, point=point, max_steps=max_steps)
+    return gsv_curve(data, curve, point=point)
 
 
 COMMANDS = {
@@ -294,9 +297,11 @@ _SHAPES = {
                lambda cmd, n: (isinstance(cmd.along, tuple)
                                and len(cmd.along) == n - 1)),
     "divisor": ("'divisor'", lambda cmd, n: cmd.divisor is not None),
+    "plane-ring": ("a plane ring", lambda cmd, n: n == 2),
 }
 _NEEDS = {
     "gsv": ("plane", "curves"),
+    "bb_total": ("plane-ring",),
     "cs": ("plane",),
     "var": ("plane",),
     "brunella": ("plane",),
@@ -726,15 +731,18 @@ class _Env:
         return ProjPoint(coords)
 
 
-def run_session(session, oracle=False, max_steps=None, truncation=None):
+def run_session(session, oracle=False, max_steps=DEFAULT_MAX_STEPS,
+                truncation=DEFAULT_MAX_ORDER):
     """Execute every command; returns one record per command with fields
-    command, inputs, value, method, crosschecks, verdict."""
+    command, inputs, value, method, crosschecks, verdict.  Each command
+    spends from one step budget of max_steps."""
     env = _Env(session)
     records = []
     for stmt in session.statements:
         if isinstance(stmt, Assign):
             continue
-        records.append(_run_command(stmt, env, oracle, max_steps, truncation))
+        with step_budget(max_steps):
+            records.append(_run_command(stmt, env, oracle, truncation))
     return records
 
 
@@ -749,9 +757,9 @@ def _record(cmd, inputs, value, method, crosschecks, verdict):
     }
 
 
-def _run_command(cmd, env, oracle, max_steps, truncation):
+def _run_command(cmd, env, oracle, truncation):
     if cmd.op == "check":
-        return _run_check(cmd, env, oracle, max_steps, truncation)
+        return _run_check(cmd, env, oracle, truncation)
     spec = COMMANDS[cmd.op]
     at = env.affine_point(cmd.at, cmd.line)
     inputs = {"at": _fmt_at(cmd.at), spec.key: cmd.subject}
@@ -761,7 +769,7 @@ def _run_command(cmd, env, oracle, max_steps, truncation):
         args.append(clause.syntax.resolve(value, env))
         inputs[clause.key] = clause.syntax.show(value, args[-1])
     options = {"oracle": oracle, "max_order": truncation}
-    result = spec.run(*args, point=at, max_steps=max_steps,
+    result = spec.run(*args, point=at,
                       **{name: options[name] for name in spec.takes})
     if isinstance(result, ResidueResult):
         return _record(cmd, inputs, result.value, "transformation_law",
@@ -771,7 +779,7 @@ def _run_command(cmd, env, oracle, max_steps, truncation):
     return _record(cmd, inputs, result.value, result.method, checks, "OK")
 
 
-def _run_check(cmd, env, oracle, max_steps, truncation):
+def _run_check(cmd, env, oracle, truncation):
     spec = COMMANDS["check"]
     obj = env.objects
     fol = ProjectiveFoliation.from_affine_field(obj[cmd.subject])
@@ -793,8 +801,7 @@ def _run_check(cmd, env, oracle, max_steps, truncation):
                               curve=resolved.get("along"),
                               points=tuple(points), branches=branches,
                               divisor=resolved.get("divisor", ()),
-                              oracle=oracle, max_steps=max_steps,
-                              truncation=truncation)
+                              oracle=oracle, truncation=truncation)
     checks = []
     for row in report.rows:
         checks.append(("%s at %r chart %d" % (row.quantity, row.point,

@@ -19,6 +19,7 @@ from fractions import Fraction
 from .errors import (
     DegenerateDecomposition,
     DegenerateMinors,
+    InvalidInput,
     NotInvariant,
     NotLogarithmic,
     NotZeroDimensional,
@@ -53,6 +54,7 @@ from .series import (
 )
 
 __all__ = [
+    "DEFAULT_MAX_ORDER",
     "IndexReport",
     "DecompositionTriple",
     "milnor_number",
@@ -68,6 +70,9 @@ __all__ = [
     "radial_index",
     "log_index",
 ]
+
+# series order up to which cs_index re-lifts an extendable branch
+DEFAULT_MAX_ORDER = 160
 
 
 @dataclass
@@ -100,8 +105,8 @@ def _field_at_point(v, point):
                              for c in v.components))
 
 
-def _local_dim(gens, n, max_steps, what):
-    d = quotient_dim(IdealGens(tuple(gens), MonomialOrder.local(n)), max_steps)
+def _local_dim(gens, n, what):
+    d = quotient_dim(IdealGens(tuple(gens), MonomialOrder.local(n)))
     if d is INFINITE:
         raise NotZeroDimensional("%s is not isolated" % what)
     return d
@@ -111,32 +116,32 @@ def _local_dim(gens, n, max_steps, what):
 # classical numbers
 
 
-def milnor_number(f, point=None, max_steps=None):
+def milnor_number(f, point=None):
     """Dimension of the local ring modulo the partials of f."""
     f0 = _at_point(f, point)
     n = f.nvars
-    value = _local_dim([f0.diff(i) for i in range(n)], n, max_steps,
+    value = _local_dim([f0.diff(i) for i in range(n)], n,
                        "critical point of the function")
     return _finish(value, "local-algebra")
 
 
-def tjurina_number(f, point=None, max_steps=None):
+def tjurina_number(f, point=None):
     """Dimension of the local ring modulo f and its partials."""
     f0 = _at_point(f, point)
     n = f.nvars
-    value = _local_dim([f0] + [f0.diff(i) for i in range(n)], n, max_steps,
+    value = _local_dim([f0] + [f0.diff(i) for i in range(n)], n,
                        "singular point of the hypersurface")
     return _finish(value, "local-algebra")
 
 
-def ph_index(v, point=None, max_steps=None):
+def ph_index(v, point=None):
     """Index of an isolated zero of v in the ambient space: the dimension of
     the local ring modulo the components.  Cross-checked against the residue
     of the Jacobian determinant, which must agree exactly."""
     v0 = _field_at_point(v, point)
     n = v.nvars
-    value = _local_dim(v0.components, n, max_steps, "zero of the vector field")
-    res = grothendieck_residue(v0.jacobian().det(), v0, max_steps=max_steps)
+    value = _local_dim(v0.components, n, "zero of the vector field")
+    res = grothendieck_residue(v0.jacobian().det(), v0)
     checks = [("jacobian-residue", res.value == value,
                "residue %s at power bound %d" % (res.value, res.bound))]
     return _finish(value, "local-algebra", checks)
@@ -148,15 +153,17 @@ def ph_index(v, point=None, max_steps=None):
 
 def tangency_cofactor(v, f):
     """The polynomial h with v(f) == h * f; NotInvariant when there is none."""
-    assert v.nvars == f.nvars
-    assert not f.is_zero()
+    if v.nvars != f.nvars:
+        raise InvalidInput("vector field and curve live in different rings")
+    if f.is_zero():
+        raise InvalidInput("the zero polynomial does not define a curve")
     h = exact_divide(v.apply(f), f)
     if h is None:
         raise NotInvariant("vector field is not tangent to the hypersurface")
     return h
 
 
-def homological_index(v, f, point=None, oracle=False, max_steps=None):
+def homological_index(v, f, point=None, oracle=False):
     """Euler characteristic of the contraction complex on the hypersurface,
     out of closed module-dimension formulas split by the parity of the
     hypersurface dimension.  With oracle=True the truncation oracle recomputes
@@ -167,15 +174,13 @@ def homological_index(v, f, point=None, oracle=False, max_steps=None):
     h = tangency_cofactor(v0, f0)
     a = v0.components
     jac = [f0.diff(i) for i in range(n)]
-    htop = _local_dim([f0] + jac, n, max_steps,
-                      "singular point of the hypersurface")
+    htop = _local_dim([f0] + jac, n, "singular point of the hypersurface")
     if (n - 1) % 2 == 1:
-        h0 = _local_dim((f0,) + a, n, max_steps,
-                        "zero of the field on the hypersurface")
+        h0 = _local_dim((f0,) + a, n, "zero of the field on the hypersurface")
         value = h0 - htop
     else:
-        value = (_local_dim(a, n, max_steps, "ambient zero of the field")
-                 - _local_dim((h,) + a, n, max_steps, "cofactor locus")
+        value = (_local_dim(a, n, "ambient zero of the field")
+                 - _local_dim((h,) + a, n, "cofactor locus")
                  + htop)
     checks = []
     if oracle:
@@ -217,16 +222,15 @@ def _saito_triple(v, f, variant):
     return DecompositionTriple(g=g, xi=xi, eta=eta, variant=variant)
 
 
-def _saito_valid_variants(v, f, max_steps):
+def _saito_valid_variants(v, f):
     """The variants whose g and xi have finite order along the curve, in
     the order fy, fx; DegenerateDecomposition when there is none."""
     curve = IdealGens((f,), MonomialOrder.local(2))
     out = []
     for variant in ("fy", "fx"):
         triple = _saito_triple(v, f, variant)
-        if (order_along_curve(triple.g, curve, max_steps) is not INFINITE
-                and order_along_curve(triple.xi, curve, max_steps)
-                is not INFINITE):
+        if (order_along_curve(triple.g, curve) is not INFINITE
+                and order_along_curve(triple.xi, curve) is not INFINITE):
             out.append(triple)
     if not out:
         raise DegenerateDecomposition(
@@ -234,7 +238,7 @@ def _saito_valid_variants(v, f, max_steps):
     return out
 
 
-def saito_decomposition(v, f, variant="auto", max_steps=None):
+def saito_decomposition(v, f, variant="auto"):
     """Decompose the dual form of v along the invariant curve f == 0:
     g * omega_v == xi * df + f * eta.
 
@@ -247,10 +251,10 @@ def saito_decomposition(v, f, variant="auto", max_steps=None):
     if variant in ("fy", "fx"):
         return _saito_triple(v, f, variant)
     assert variant == "auto"
-    return _saito_valid_variants(v, f, max_steps)[0]
+    return _saito_valid_variants(v, f)[0]
 
 
-def gsv_curve(v, f, point=None, max_steps=None):
+def gsv_curve(v, f, point=None):
     """Index of v along the invariant plane curve f == 0, via vanishing
     orders of the decomposition data.  Every valid variant is computed and
     must agree, as must the homological route."""
@@ -258,35 +262,37 @@ def gsv_curve(v, f, point=None, max_steps=None):
     f0 = _at_point(f, point)
     v0 = _field_at_point(v, point)
     tangency_cofactor(v0, f0)
-    valid = _saito_valid_variants(v0, f0, max_steps)
+    valid = _saito_valid_variants(v0, f0)
     curve = IdealGens((f0,), MonomialOrder.local(2))
     values = []
     for triple in valid:
-        val = (order_along_curve(triple.xi, curve, max_steps)
-               - order_along_curve(triple.g, curve, max_steps))
+        val = (order_along_curve(triple.xi, curve)
+               - order_along_curve(triple.g, curve))
         values.append((triple.variant, val))
     value = values[0][1]
     checks = [("variant-" + variant, val == value, "order difference %s" % val)
               for variant, val in values[1:]]
-    hom = homological_index(v0, f0, max_steps=max_steps)
+    hom = homological_index(v0, f0)
     checks.append(("homological", hom.value == value,
                    "homological index %s" % hom.value))
     return _finish(value, "vanishing-orders", checks)
 
 
-def cs_index(v, f, branch, point=None, max_steps=None, max_order=None):
+def cs_index(v, f, branch, point=None, max_order=DEFAULT_MAX_ORDER):
     """Residue-type index of v along one parametrized branch of the invariant
     curve f == 0: minus the t-residue of the pulled-back eta over xi.
 
     The branch must lie on the curve and pass through the point.  The residue
     is exact once the working order suffices; extendable branches are re-lifted
-    up to max_order (default 160) before TruncationNotStabilized is raised."""
+    up to max_order before TruncationNotStabilized is raised."""
     assert v.nvars == 2 and f.nvars == 2
-    max_order = max_order or 160
+    if not (isinstance(max_order, int) and max_order >= 1):
+        raise InvalidInput("truncation order must be a positive integer, "
+                           "got %r" % (max_order,))
     f0 = _at_point(f, point)
     v0 = _field_at_point(v, point)
     tangency_cofactor(v0, f0)
-    valid = _saito_valid_variants(v0, f0, max_steps)
+    valid = _saito_valid_variants(v0, f0)
 
     shift = (Fraction(0), Fraction(0)) if point is None else tuple(point)
     order = 20
@@ -323,30 +329,23 @@ def cs_index(v, f, branch, point=None, max_steps=None, max_order=None):
     return _finish(value, "branch-residue", checks)
 
 
-def var_index(v, f, branch, point=None, max_steps=None, max_order=None):
+def var_index(v, f, branch, point=None, max_order=DEFAULT_MAX_ORDER):
     """Variation-type index along one branch: the curve index plus the
     branch residue index, whose series are capped at max_order as in
     cs_index."""
-    gsv = gsv_curve(v, f, point=point, max_steps=max_steps)
-    cs = cs_index(v, f, branch, point=point, max_steps=max_steps,
-                  max_order=max_order)
-    value = gsv.value + cs.value
-    checks = [("gsv-part", True, "curve index %s" % gsv.value),
-              ("cs-part", True, "branch residue %s" % cs.value)]
-    return _finish(value, "sum-of-parts", checks)
+    gsv = gsv_curve(v, f, point=point)
+    cs = cs_index(v, f, branch, point=point, max_order=max_order)
+    return _finish(gsv.value + cs.value, "sum-of-parts")
 
 
-def radial_index(v, f, point=None, max_steps=None):
+def radial_index(v, f, point=None):
     """Index with the Milnor-number defect removed: the homological index
     minus (-1)^dim(V) times the Milnor number of f."""
     dim_v = f.nvars - 1
-    hom = homological_index(v, f, point=point, max_steps=max_steps)
-    mu = milnor_number(f, point=point, max_steps=max_steps)
+    hom = homological_index(v, f, point=point)
+    mu = milnor_number(f, point=point)
     sign = -1 if dim_v % 2 else 1
-    value = hom.value - sign * mu.value
-    checks = [("homological-part", True, "index %s" % hom.value),
-              ("milnor-part", True, "milnor number %s" % mu.value)]
-    return _finish(value, "defect-corrected", checks)
+    return _finish(hom.value - sign * mu.value, "defect-corrected")
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +356,7 @@ def _curve_ideal(curve_polys, n):
     return IdealGens(tuple(curve_polys), MonomialOrder.local(n))
 
 
-def gsv_pfaff_curve(data, curve_polys, point=None, max_steps=None):
+def gsv_pfaff_curve(data, curve_polys, point=None):
     """Index along a complete-intersection curve in n-space cut out by n - 1
     polynomials, from the coefficient form and the Jacobian minors.
 
@@ -380,7 +379,7 @@ def gsv_pfaff_curve(data, curve_polys, point=None, max_steps=None):
     omega0 = dual_form(v0)
     curve = _curve_ideal(f0s, n)
     for g in f0s:
-        if not normal_form(v0.apply(g), curve, max_steps).is_zero():
+        if not normal_form(v0.apply(g), curve).is_zero():
             raise NotInvariant(
                 "vector field is not tangent to the curve")
 
@@ -388,12 +387,12 @@ def gsv_pfaff_curve(data, curve_polys, point=None, max_steps=None):
     for idx_set in itertools.combinations(range(n), n - 1):
         rows = [[f0s[i].diff(j) for j in idx_set] for i in range(n - 1)]
         minor = PolyMatrix(rows).det()
-        ord_minor = order_along_curve(minor, curve, max_steps)
+        ord_minor = order_along_curve(minor, curve)
         if ord_minor is INFINITE:
             continue
         # coefficient of omega on dx_I
         a = omega0.coefficient(idx_set)
-        ord_a = order_along_curve(a, curve, max_steps)
+        ord_a = order_along_curve(a, curve)
         if ord_a is INFINITE:
             continue
         candidates.append((idx_set, ord_a - ord_minor))
@@ -410,7 +409,7 @@ def gsv_pfaff_curve(data, curve_polys, point=None, max_steps=None):
 # logarithmic index
 
 
-def log_index(v, divisor, point=None, oracle=False, max_steps=None):
+def log_index(v, divisor, point=None, oracle=False):
     """Index of v relative to the union of coordinate hyperplanes x_i == 0
     for i in divisor.  Components over the divisor must divide by their
     coordinate (NotLogarithmic otherwise); the value is the dimension of the
@@ -429,7 +428,7 @@ def log_index(v, divisor, point=None, oracle=False, max_steps=None):
             gens.append(h)
         else:
             gens.append(v0.components[i])
-    value = _local_dim(gens, n, max_steps, "zero of the field relative to the divisor")
+    value = _local_dim(gens, n, "zero of the field relative to the divisor")
     checks = []
     if oracle:
         chi, _ = contraction_complex_euler(v0, divisor)

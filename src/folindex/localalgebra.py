@@ -23,12 +23,18 @@ both orders (some other leading monomial divides the pair's lcm and both of
 its pairs with the two are done), and by the product criterion (coprime
 leading monomials) in the global order only, where it holds.
 
-Every loop spends from an explicit step budget and raises ResourceCap when it
-runs out; nothing here terminates silently with a wrong answer.
+Every loop spends from a step budget and raises ResourceCap when it runs
+out; nothing here terminates silently with a wrong answer.  Inside a
+``with step_budget(limit):`` block, every standard basis, normal form and
+membership test spends from the block's one budget, so the limit caps the
+whole block.  Outside any block each of those calls gets its own budget of
+DEFAULT_MAX_STEPS.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -54,6 +60,7 @@ __all__ = [
     "StandardBasis",
     "Cofactors",
     "StepBudget",
+    "step_budget",
     "standard_basis",
     "normal_form",
     "membership_with_cofactors",
@@ -85,15 +92,38 @@ class StepBudget:
     __slots__ = ("remaining",)
 
     def __init__(self, limit):
-        if not limit > 0:
-            raise InvalidInput("step budget must be positive, got %r"
+        if not (isinstance(limit, int) and limit > 0):
+            raise InvalidInput("step budget must be a positive integer, got %r"
                                % (limit,))
         self.remaining = limit
 
     def spend(self, n=1):
         self.remaining -= n
         if self.remaining < 0:
-            raise ResourceCap("step budget exhausted; raise max_steps to continue")
+            raise ResourceCap("step budget exhausted; raise the step limit "
+                              "to continue")
+
+
+_BUDGET = contextvars.ContextVar("step_budget", default=None)
+
+
+@contextlib.contextmanager
+def step_budget(limit=DEFAULT_MAX_STEPS):
+    """Scope one StepBudget of limit steps over the block; every standard
+    basis, normal form and membership test inside spends from it.  An inner
+    block replaces the outer budget until it exits."""
+    budget = StepBudget(limit)
+    token = _BUDGET.set(budget)
+    try:
+        yield budget
+    finally:
+        _BUDGET.reset(token)
+
+
+def _budget():
+    """The enclosing block's budget, or a fresh default one outside any."""
+    budget = _BUDGET.get()
+    return StepBudget(DEFAULT_MAX_STEPS) if budget is None else budget
 
 
 class MonomialOrder:
@@ -252,11 +282,11 @@ def _check_gens(gens, order):
         raise InvalidInput("generators and order live in different rings")
 
 
-def standard_basis(gens, order, max_steps=None):
+def standard_basis(gens, order):
     gens = tuple(gens)
     _check_gens(gens, order)
     n = order.nvars
-    budget = StepBudget(max_steps or DEFAULT_MAX_STEPS)
+    budget = _budget()
     local = order.is_local()
     zero = Poly.zero(n)
     m = len(gens)
@@ -367,9 +397,9 @@ class IdealGens:
     def nvars(self):
         return self.gens[0].nvars
 
-    def basis(self, max_steps=None):
+    def basis(self):
         if self._basis is None:
-            self._basis = standard_basis(self.gens, self.order, max_steps)
+            self._basis = standard_basis(self.gens, self.order)
         return self._basis
 
     def with_extra(self, extra):
@@ -380,11 +410,10 @@ class IdealGens:
             ", ".join(g.format() for g in self.gens), self.order.kind)
 
 
-def normal_form(p, ideal, max_steps=None):
+def normal_form(p, ideal):
     """Weak normal form of p modulo the ideal (remainder only)."""
-    sb = ideal.basis(max_steps)
-    budget = StepBudget(max_steps or DEFAULT_MAX_STEPS)
-    r, _, _ = _nf(p, sb.elements, sb.leading_exps, ideal.order, budget)
+    sb = ideal.basis()
+    r, _, _ = _nf(p, sb.elements, sb.leading_exps, ideal.order, _budget())
     return r
 
 
@@ -397,15 +426,14 @@ class Cofactors:
     unit: Poly
 
 
-def membership_with_cofactors(p, ideal, max_steps=None):
+def membership_with_cofactors(p, ideal):
     """Express p in terms of the original generators, up to a unit.
 
     Raises NotMember when the normal form is nonzero.  The returned identity
     is checked exactly before returning.
     """
-    sb = ideal.basis(max_steps)
-    budget = StepBudget(max_steps or DEFAULT_MAX_STEPS)
-    r, u, c = _nf(p, sb.elements, sb.leading_exps, ideal.order, budget)
+    sb = ideal.basis()
+    r, u, c = _nf(p, sb.elements, sb.leading_exps, ideal.order, _budget())
     if not r.is_zero():
         raise NotMember("polynomial is not in the ideal (normal form %s)"
                         % r.format())
@@ -431,14 +459,14 @@ def _minimal_exps(exps):
     return out
 
 
-def quotient_dim(ideal, max_steps=None):
+def quotient_dim(ideal):
     """Dimension of the quotient by the ideal of leading terms, hence of the
     quotient ring itself.  Returns INFINITE when the staircase is unbounded.
 
     Local order: dimension of O_0 / I as a vector space.
     Global order: number of standard monomials (degree of a 0-dim ideal).
     """
-    sb = ideal.basis(max_steps)
+    sb = ideal.basis()
     lms = _minimal_exps(sb.leading_exps)
     n = ideal.nvars
     if any(sum(e) == 0 for e in lms):
@@ -456,7 +484,7 @@ def quotient_dim(ideal, max_steps=None):
     return count
 
 
-def monomial_power_bound(ideal, max_steps=None):
+def monomial_power_bound(ideal):
     """Smallest N with every pure power x_i^N in the ideal.
 
     Requires a local order and a finite quotient dimension d; the maximal
@@ -465,7 +493,7 @@ def monomial_power_bound(ideal, max_steps=None):
     """
     if not ideal.order.is_local():
         raise InvalidInput("monomial_power_bound needs a local order")
-    d = quotient_dim(ideal, max_steps)
+    d = quotient_dim(ideal)
     if d is INFINITE:
         raise NotZeroDimensional(
             "ideal does not cut out an isolated point; no power bound exists")
@@ -473,7 +501,7 @@ def monomial_power_bound(ideal, max_steps=None):
     if d == 0:
         return 1
     for bound in range(1, d + 1):
-        if all(normal_form(Poly.var(n, i) ** bound, ideal, max_steps).is_zero()
+        if all(normal_form(Poly.var(n, i) ** bound, ideal).is_zero()
                for i in range(n)):
             return bound
     raise RouteConflict("power bound exceeded the quotient dimension")
@@ -500,7 +528,7 @@ def exact_divide(p, f):
     return Poly(p.nvars, q)
 
 
-def order_along_curve(g, curve, max_steps=None):
+def order_along_curve(g, curve):
     """Vanishing order of g along the curve germ cut out by ``curve``:
     the local intersection number dim O_0 / (curve + g).
 
@@ -510,4 +538,4 @@ def order_along_curve(g, curve, max_steps=None):
         raise InvalidInput("order_along_curve needs a local order")
     if g.is_zero():
         return INFINITE
-    return quotient_dim(curve.with_extra((g,)), max_steps)
+    return quotient_dim(curve.with_extra((g,)))

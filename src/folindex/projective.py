@@ -26,6 +26,7 @@ from .errors import (
     UnsupportedIdentity,
 )
 from .indices import (
+    DEFAULT_MAX_ORDER,
     cs_index,
     gsv_curve,
     gsv_pfaff_curve,
@@ -164,16 +165,6 @@ class ProjectiveFoliation:
         return cls(n, d, VectorField(comps))
 
     @classmethod
-    def from_homogeneous_field(cls, field, degree=None):
-        n = field.nvars - 1
-        trial = cls(n, 0, field)
-        affine = trial.chart_restrict(0)
-        if all(c.is_zero() for c in affine.components):
-            raise DegreeMismatch("field is radial: no foliation")
-        rebuilt = cls.from_affine_field(affine, degree)
-        return cls(n, rebuilt.d, field)
-
-    @classmethod
     def from_homogeneous_form(cls, omega):
         """P^2 foliation from a homogeneous 1-form A dx0 + A1 dx1 + A2 dx2
         with the Euler contraction x0 A0 + x1 A1 + x2 A2 = 0."""
@@ -218,7 +209,7 @@ def curve_to_homogeneous(f):
     return homogenize(f, m, 0), m
 
 
-def affine_singular_audit(v, max_steps=None):
+def affine_singular_audit(v):
     """Number of affine singular points counted with multiplicity: the
     global quotient dimension of the component (or coefficient) ideal."""
     if isinstance(v, DiffForm):
@@ -226,7 +217,7 @@ def affine_singular_audit(v, max_steps=None):
     n = v.nvars
     gens = [c for c in v.components if not c.is_zero()]
     assert gens, "zero field"
-    dim = quotient_dim(IdealGens(gens, MonomialOrder.degrevlex(n)), max_steps)
+    dim = quotient_dim(IdealGens(gens, MonomialOrder.degrevlex(n)))
     if dim is INFINITE:
         raise NotZeroDimensional("singular set is positive dimensional")
     return dim
@@ -257,14 +248,14 @@ def _translated(polys, point_affine):
     return [translate_to_origin(p, point_affine) for p in polys]
 
 
-def _local_mult(gens, point_affine, max_steps):
+def _local_mult(gens, point_affine):
     n = gens[0].nvars
     moved = _translated(gens, point_affine)
     ideal = IdealGens(moved, MonomialOrder.local(n))
-    return quotient_dim(ideal, max_steps)
+    return quotient_dim(ideal)
 
 
-def _certify(kind, gens_by_chart, points, max_steps):
+def _certify(kind, gens_by_chart, points):
     """Per-chart completeness: the global quotient dimension of the chart
     ideal must equal the sum of local multiplicities at the declared
     points visible there."""
@@ -274,15 +265,14 @@ def _certify(kind, gens_by_chart, points, max_steps):
             raise IncompleteSingularities(
                 "%s: chart %d has identically singular data" % (kind, j))
         n = gens[0].nvars
-        total = quotient_dim(
-            IdealGens(gens, MonomialOrder.degrevlex(n)), max_steps)
+        total = quotient_dim(IdealGens(gens, MonomialOrder.degrevlex(n)))
         if total is INFINITE:
             raise IncompleteSingularities(
                 "%s: chart %d meets the data in positive dimension" % (kind, j))
         declared = 0
         for p in points:
             if p.visible_in(j):
-                local = _local_mult(gens, p.affine_in(j), max_steps)
+                local = _local_mult(gens, p.affine_in(j))
                 assert local is not INFINITE
                 declared += local
         if declared != total:
@@ -299,8 +289,7 @@ def _group_branches(branches):
 
 
 def run_global_check(fol, kind, curve=None, points=(), branches=(),
-                     divisor=(), oracle=False, max_steps=None,
-                     truncation=None):
+                     divisor=(), oracle=False, truncation=DEFAULT_MAX_ORDER):
     """Evaluate one global identity: local indices at the declared
     singular points against the closed-form total.
 
@@ -310,7 +299,7 @@ def run_global_check(fol, kind, curve=None, points=(), branches=(),
     normal crossing divisor.  branches: (ProjPoint, BranchParam) pairs,
     each branch written in the affine coordinates of the point's first
     visible chart.  truncation caps the series order of the cs and var
-    branch residues (default 160).
+    branch residues.
     """
     n, d = fol.n, fol.d
     points = tuple(points)
@@ -332,19 +321,17 @@ def run_global_check(fol, kind, curve=None, points=(), branches=(),
                 else IdentitySpec("bb_total", d=d))
         if kind == "bb_total" and n != 2:
             raise UnsupportedIdentity("bb_total is the plane identity")
-        _certify(kind, [f.components for f in fields], points, max_steps)
+        _certify(kind, [f.components for f in fields], points)
         total = 0
         for p in points:
             j = p.first_chart()
             w = fields[j]
             if kind == "milnor_total":
-                value = ph_index(w, point=p.affine_in(j),
-                                 max_steps=max_steps).value
+                value = ph_index(w, point=p.affine_in(j)).value
                 rows.append(CheckRow(p, j, "milnor", value))
             else:
                 phi = PhiSpec(2, [(1, (2, 0))])
-                value = baum_bott_residue(w, phi, point=p.affine_in(j),
-                                          max_steps=max_steps).value
+                value = baum_bott_residue(w, phi, point=p.affine_in(j)).value
                 rows.append(CheckRow(p, j, "bb_c1sq", value))
             total += value
     elif kind in ("brunella", "cs_total", "var_total"):
@@ -357,14 +344,14 @@ def run_global_check(fol, kind, curve=None, points=(), branches=(),
         curves = [set_coordinate_one(curve_hom, j) for j in charts]
         gens_by_chart = [list(fields[j].components) + [curves[j]]
                          for j in charts]
-        _certify(kind, gens_by_chart, points, max_steps)
+        _certify(kind, gens_by_chart, points)
         total = 0
         for p in points:
             j = p.first_chart()
             w, fj = fields[j], curves[j]
             at = p.affine_in(j)
             if kind == "brunella":
-                rep = gsv_curve(w, fj, point=at, max_steps=max_steps)
+                rep = gsv_curve(w, fj, point=at)
                 value = rep.value
                 if value < 0:
                     diagnostics.append(
@@ -375,7 +362,7 @@ def run_global_check(fol, kind, curve=None, points=(), branches=(),
                 index = cs_index if kind == "cs_total" else var_index
                 value = Fraction(0)
                 for br in grouped.get(p, ()):
-                    value += index(w, fj, br, point=at, max_steps=max_steps,
+                    value += index(w, fj, br, point=at,
                                    max_order=truncation).value
                 tag = "cs" if kind == "cs_total" else "var"
                 rows.append(CheckRow(p, j, tag, value))
@@ -391,12 +378,11 @@ def run_global_check(fol, kind, curve=None, points=(), branches=(),
                   for j in charts]
         gens_by_chart = [list(fields[j].components) + curves[j]
                          for j in charts]
-        _certify(kind, gens_by_chart, points, max_steps)
+        _certify(kind, gens_by_chart, points)
         total = 0
         for p in points:
             j = p.first_chart()
-            rep = gsv_pfaff_curve(fields[j], curves[j], point=p.affine_in(j),
-                                  max_steps=max_steps)
+            rep = gsv_pfaff_curve(fields[j], curves[j], point=p.affine_in(j))
             if rep.value < 0:
                 diagnostics.append(
                     "gsv %s at %r: a nondicritical separatrix would force "
@@ -410,7 +396,7 @@ def run_global_check(fol, kind, curve=None, points=(), branches=(),
                                "hyperplanes")
         spec = IdentitySpec("log_bb", n=n, d=d,
                             divisor_degrees=(1,) * len(divisor))
-        _certify(kind, [f.components for f in fields], points, max_steps)
+        _certify(kind, [f.components for f in fields], points)
         total = 0
         for p in points:
             j = p.first_chart()
@@ -426,11 +412,11 @@ def run_global_check(fol, kind, curve=None, points=(), branches=(),
                     local.append(pos)
                 pos += 1
             if local:
-                value = log_index(w, tuple(local), point=at, oracle=oracle,
-                                  max_steps=max_steps).value
+                value = log_index(w, tuple(local), point=at,
+                                  oracle=oracle).value
                 rows.append(CheckRow(p, j, "log", value))
             else:
-                value = ph_index(w, point=at, max_steps=max_steps).value
+                value = ph_index(w, point=at).value
                 rows.append(CheckRow(p, j, "milnor", value))
             total += value
     else:

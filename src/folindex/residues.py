@@ -95,7 +95,7 @@ def _certificate(bound, units, rows):
     return hashlib.sha256(";".join(pieces).encode()).hexdigest()
 
 
-def grothendieck_residue(h, v, point=None, bound=None, max_steps=None):
+def grothendieck_residue(h, v, point=None, bound=None):
     """Residue of h over the components of v at an isolated zero.
 
     point defaults to the origin.  bound overrides the computed pure-power
@@ -110,14 +110,14 @@ def grothendieck_residue(h, v, point=None, bound=None, max_steps=None):
                               for c in v.components))
     ideal = IdealGens(v.components, MonomialOrder.local(n))
     if bound is None:
-        N = monomial_power_bound(ideal, max_steps)
+        N = monomial_power_bound(ideal)
     else:
         assert bound >= 1
         N = bound
     rows = []
     units = []
     for i in range(n):
-        wit = membership_with_cofactors(Poly.var(n, i) ** N, ideal, max_steps)
+        wit = membership_with_cofactors(Poly.var(n, i) ** N, ideal)
         rows.append(wit.cofactors)
         units.append(wit.unit)
     det = PolyMatrix(rows).det()
@@ -183,7 +183,7 @@ class PhiSpec:
         return "PhiSpec(%s)" % body
 
 
-def baum_bott_residue(v, phi, point=None, max_steps=None):
+def baum_bott_residue(v, phi, point=None):
     """Residue of phi(c_1, ..., c_n) of the Jacobian over the components
     of v, the local contribution of an isolated singular point."""
     n = v.nvars
@@ -192,4 +192,4 @@ def baum_bott_residue(v, phi, point=None, max_steps=None):
         v = VectorField(tuple(translate_to_origin(c, point)
                               for c in v.components))
     cs = char_poly_coeffs(v.jacobian())
-    return grothendieck_residue(phi.apply(cs), v, max_steps=max_steps)
+    return grothendieck_residue(phi.apply(cs), v)

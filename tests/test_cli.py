@@ -132,10 +132,12 @@ SPACE = ("ring x,y,z; v := vf(x, 2*y, 3*z); f := y; g := z; "
     PLANE + "gsv v along (f, f) at (0,0);",
     SPACE + "gsv v along (f, g, f) at (0,0,0);",
     SPACE + "w := form(x dx); gsv w along (f, g) at (0,0,0);",
+    SPACE + "check bb_total of v points (P);",
 ], ids=["brunella-no-along", "cs-along-list", "log-bb-no-divisor", "soares",
         "adjunction", "pfaff-one-name", "pfaff-short-list", "var-in-space",
         "gsv-one-name-in-space", "cs-in-space", "var-in-space-local",
-        "gsv-list-too-long", "gsv-list-too-long-in-space", "gsv-form-degree"])
+        "gsv-list-too-long", "gsv-list-too-long-in-space", "gsv-form-degree",
+        "bb-total-in-space"])
 def test_check_missing_what_its_kind_needs_exit_two(tmp_path, capsys, text):
     code, out, err = run_cli(tmp_path, capsys, text)
     assert code == 2
@@ -155,9 +157,36 @@ CUSP_25 = ("ring x,y; f := y^2 - x^25; v := vf(2*x, 25*y); "
      "cannot resolve the residue"),
     (PLANE + "c := 1; check brunella of v along c points (P);", [],
      "does not define a curve"),
-], ids=["cs-truncation", "var-truncation", "constant-curve"])
+    (PLANE + "z := 0; homological v along z at (0,0);", [],
+     "does not define a curve"),
+    (PLANE + "z := 0; gsv v along z at (0,0);", [],
+     "does not define a curve"),
+    (PLANE + "milnor f at (0,0);", ["--steps", "0"],
+     "step budget must be a positive integer"),
+    (CUSP_25 + "cs v along f branch b at (0,0);", ["--truncation", "0"],
+     "truncation order must be a positive integer"),
+    (CUSP_25 + "var v along f branch b at (0,0);", ["--truncation", "-5"],
+     "truncation order must be a positive integer"),
+], ids=["cs-truncation", "var-truncation", "constant-curve",
+        "homological-zero-curve", "gsv-zero-curve", "steps-zero",
+        "cs-truncation-zero", "var-truncation-negative"])
 def test_run_time_bad_input_exit_two(tmp_path, capsys, text, extra, message):
     code, out, err = run_cli(tmp_path, capsys, text, *extra)
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("steps, code", [("10", 2), ("200", 0)])
+def test_steps_cap_the_whole_command(tmp_path, capsys, steps, code):
+    # gsv on the cusp spends 32 steps over ten standard-basis and
+    # normal-form calls of at most four steps each
+    got, out, err = run_cli(
+        tmp_path, capsys,
+        "ring x,y; f := y^2 - x^3; v := vf(2*x, 3*y); gsv v along f at (0,0);",
+        "--steps", steps)
+    assert got == code
+    if code:
+        assert err.startswith("error:") and "budget" in err
+    else:
+        assert "value: -1" in out

@@ -7,9 +7,11 @@ import pytest
 from folindex.errors import (
     DegenerateDecomposition,
     DegenerateMinors,
+    InvalidInput,
     NotInvariant,
     NotLogarithmic,
     NotZeroDimensional,
+    ResourceCap,
 )
 from folindex.indices import (
     cs_index,
@@ -25,6 +27,7 @@ from folindex.indices import (
     tjurina_number,
     var_index,
 )
+from folindex.localalgebra import step_budget
 from folindex.polyring import DiffForm, Poly, VectorField, dual_form
 from folindex.series import BranchParam
 
@@ -69,6 +72,10 @@ def test_tangency_cofactor():
     assert h == Poly.const(2, 6)
     with pytest.raises(NotInvariant):
         tangency_cofactor(VectorField((x, x)), y)
+    with pytest.raises(InvalidInput):
+        tangency_cofactor(VectorField((x, y)), Poly.zero(2))
+    with pytest.raises(InvalidInput):
+        tangency_cofactor(VectorField((x, y)), Poly.var(3, 0))
 
 
 def test_homological_index_plane():
@@ -168,12 +175,16 @@ def test_var_index():
     t = Poly.var(1, 0)
     rep = var_index(VectorField((2 * x, 3 * y)), cusp, branch_poly(t ** 2, t ** 3))
     assert rep.value == 5
+    # the parts are summed, not compared: nothing to report as a crosscheck
+    assert rep.crosschecks == []
 
 
 def test_radial_index():
     x, y = xy()
     cusp = y ** 2 - x ** 3
-    assert radial_index(VectorField((2 * x, 3 * y)), cusp).value == 1
+    rep = radial_index(VectorField((2 * x, 3 * y)), cusp)
+    assert rep.value == 1
+    assert rep.crosschecks == []
     X, Y, Z = Poly.variables(3)
     cone = X * Y - Z ** 2
     assert radial_index(VectorField((X, Y, Z)), cone).value == 1
@@ -208,3 +219,15 @@ def test_log_index():
     assert all(ok for _, ok, _ in rep.crosschecks)
     with pytest.raises(NotLogarithmic):
         log_index(VectorField((Poly.const(2, 1), y)), (0,))
+
+
+def test_step_budget_caps_all_calls_of_an_index():
+    # gsv on the cusp makes ten standard-basis and normal-form calls of at
+    # most four steps each: every call fits in 10 steps, all of them do not
+    x, y = xy()
+    v, f = VectorField((2 * x, 3 * y)), y ** 2 - x ** 3
+    with pytest.raises(ResourceCap), step_budget(10):
+        gsv_curve(v, f)
+    with step_budget(200):
+        assert gsv_curve(v, f).value == -1
+    assert gsv_curve(v, f).value == -1

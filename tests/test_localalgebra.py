@@ -30,6 +30,7 @@ from folindex.localalgebra import (
     order_along_curve,
     quotient_dim,
     standard_basis,
+    step_budget,
 )
 from folindex.polyring import Poly
 
@@ -197,13 +198,34 @@ def test_order_along_curve():
 def test_resource_cap():
     x, y = Poly.variables(2)
     gens = (y ** 2 - x ** 3, x * y ** 2 - y)
-    with pytest.raises(ResourceCap):
-        standard_basis(gens, local2(), max_steps=2)
+    with pytest.raises(ResourceCap), step_budget(2):
+        standard_basis(gens, local2())
     # a failed attempt must not poison the cache
     ideal = IdealGens(gens, local2())
-    with pytest.raises(ResourceCap):
-        ideal.basis(max_steps=2)
+    with pytest.raises(ResourceCap), step_budget(2):
+        ideal.basis()
     assert ideal.basis() is not None
+
+
+def test_step_budget_spans_the_block():
+    x, y = Poly.variables(2)
+    gens = (y ** 2 - x ** 3, x * y ** 2 - y)
+    with step_budget(1000) as budget:
+        standard_basis(gens, local2())
+    spent = 1000 - budget.remaining
+    assert spent > 0
+    # room for one basis but not for two: the second spends from the same
+    # budget and runs out
+    with step_budget(spent) as budget:
+        standard_basis(gens, local2())
+        assert budget.remaining == 0
+        with pytest.raises(ResourceCap):
+            standard_basis(gens, local2())
+    # an inner block has its own budget; the outer one is back after it
+    with step_budget(spent + 1) as outer:
+        with step_budget(spent):
+            standard_basis(gens, local2())
+        assert outer.remaining == spent + 1
 
 
 def test_with_extra():
@@ -218,6 +240,9 @@ def test_bad_inputs_raise_invalid_input():
     x, y = Poly.variables(2)
     with pytest.raises(InvalidInput):
         StepBudget(0)
+    for limit in (0, -5, None):
+        with pytest.raises(InvalidInput), step_budget(limit):
+            pass
     with pytest.raises(InvalidInput):
         MonomialOrder.local(0)
     with pytest.raises(InvalidInput):
@@ -279,7 +304,8 @@ def test_every_s_polynomial_reduces_to_zero(gens, kind):
     # the product and chain criteria the engine uses to skip pairs.
     order = MonomialOrder(kind, gens[0].nvars)
     try:
-        sb = standard_basis(gens, order, max_steps=300)
+        with step_budget(300):
+            sb = standard_basis(gens, order)
         for i, j in itertools.combinations(range(len(sb.elements)), 2):
             ei, ej = sb.leading_exps[i], sb.leading_exps[j]
             lcm = tuple(map(max, ei, ej))

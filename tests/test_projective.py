@@ -86,17 +86,6 @@ def test_chart_restrict():
     assert cusp1.components == (-2 * u, w)
 
 
-def test_homogeneous_field_round_trip():
-    x0, x1, x2 = Poly.variables(3)
-    fol = ProjectiveFoliation.from_homogeneous_field(
-        VectorField((Poly.zero(3), x1, x2)))
-    assert fol.d == 0
-    with pytest.raises(DegreeMismatch):
-        ProjectiveFoliation.from_homogeneous_field(VectorField((x0, x1, x2)))
-    with pytest.raises(DegreeMismatch):
-        ProjectiveFoliation.from_homogeneous_field(VectorField((x0, x1 ** 2, x2)))
-
-
 def test_from_homogeneous_form():
     x0, x1, x2 = Poly.variables(3)
     omega = DiffForm(3, 1, {
