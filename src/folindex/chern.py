@@ -6,21 +6,10 @@ is reading off the top coefficient.  The module also knows the closed-form
 right-hand sides of the global index identities, keyed by name.
 """
 
+from math import prod
+
 from .errors import UnsupportedIdentity
 from .series import TruncSeries
-
-IDENTITY_KINDS = (
-    "brunella",
-    "cs_total",
-    "var_total",
-    "bb_total",
-    "milnor_total",
-    "pfaff_degree",
-    "log_bb",
-    "soares",
-    "adjunction",
-)
-
 
 def pn_chern_integral(n, numerator_degrees, denominator_degrees=()):
     """Degree of the h^n part of prod(1+a_i h) / prod(1+b_j h) on P^n."""
@@ -54,7 +43,7 @@ class IdentitySpec:
 
     def __init__(self, kind, n=None, d=None, m=None, degrees=None,
                  divisor_degrees=None):
-        _require(kind in IDENTITY_KINDS, kind, "unknown identity")
+        _require(kind in _RHS, kind, "unknown identity")
         self.kind = kind
         self.n = n
         self.d = d
@@ -67,16 +56,13 @@ class IdentitySpec:
             _require(d is not None and d >= 0, kind, "needs degree d >= 0")
         if kind in ("brunella", "cs_total", "var_total"):
             _require(m is not None and m >= 1, kind, "needs curve degree m >= 1")
-        if kind in ("milnor_total", "pfaff_degree", "log_bb", "adjunction"):
+        if kind in ("milnor_total", "pfaff_degree", "log_bb"):
             _require(n is not None and n >= 2, kind, "needs ambient dimension n >= 2")
-        if kind in ("pfaff_degree", "adjunction"):
+        if kind == "pfaff_degree":
             _require(self.degrees and all(di >= 1 for di in self.degrees),
                      kind, "needs positive multidegrees")
             _require(len(self.degrees) <= self.n - 1, kind,
                      "codimension exceeds n-1")
-            if kind == "adjunction":
-                _require(len(self.degrees) == self.n - 1, kind,
-                         "stated for complete intersection curves")
         if kind == "log_bb":
             _require(self.divisor_degrees is not None
                      and all(mi >= 1 for mi in self.divisor_degrees),
@@ -91,38 +77,22 @@ class IdentitySpec:
         return "IdentitySpec(%r, %s)" % (self.kind, ", ".join(fields))
 
 
+# The closed-form right-hand side of each identity kind.
+_RHS = {
+    "brunella": lambda s: (s.d + 2) * s.m - s.m * s.m,
+    "cs_total": lambda s: s.m * s.m,
+    "var_total": lambda s: (s.d + 2) * s.m,
+    "bb_total": lambda s: (s.d + 2) ** 2,
+    # c_n of the virtual bundle TP^n - TF, a geometric sum in d
+    "milnor_total": lambda s: pn_chern_integral(
+        s.n, (1,) * (s.n + 1), (1 - s.d,)),
+    "pfaff_degree": lambda s: ((s.d + len(s.degrees) + 1 - sum(s.degrees))
+                               * prod(s.degrees)),
+    "log_bb": lambda s: pn_chern_integral(
+        s.n, (1,) * (s.n + 1), s.divisor_degrees + (1 - s.d,)),
+}
+
+
 def identity_rhs(spec):
     """Closed-form right-hand side of the named identity."""
-    kind = spec.kind
-    d, m, n = spec.d, spec.m, spec.n
-    if kind == "brunella":
-        return (d + 2) * m - m * m
-    if kind == "cs_total":
-        return m * m
-    if kind == "var_total":
-        return (d + 2) * m
-    if kind == "bb_total":
-        return (d + 2) ** 2
-    if kind == "milnor_total":
-        # c_n of the virtual bundle TP^n - TF, a geometric sum in d
-        return pn_chern_integral(n, (1,) * (n + 1), (1 - d,))
-    if kind == "pfaff_degree":
-        total = sum(spec.degrees)
-        prod = 1
-        for di in spec.degrees:
-            prod *= di
-        return (d + len(spec.degrees) + 1 - total) * prod
-    if kind == "log_bb":
-        return pn_chern_integral(
-            n, (1,) * (n + 1), spec.divisor_degrees + (1 - d,))
-    if kind == "soares":
-        # degree forced on a smooth invariant hypersurface when the
-        # Poincare-type bound is attained
-        return d + 1
-    if kind == "adjunction":
-        total = sum(spec.degrees)
-        prod = 1
-        for di in spec.degrees:
-            prod *= di
-        return (d + n - total) * prod
-    raise UnsupportedIdentity(kind)
+    return _RHS[spec.kind](spec)

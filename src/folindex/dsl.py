@@ -34,7 +34,8 @@ literals, so rationals are written 1/2.  Keywords are contextual: any of
 them may also be a declared name.  Branch components are polynomials in
 the parameter t.  Points carry n affine or n+1 homogeneous coordinates;
 local commands need the affine form, check commands the homogeneous one.
-Shape rules (_NEEDS) are checked at parse time too: gsv needs a plane ring
+Shape rules (_NEEDS, with those of the check kinds read from
+projective.CHECKS) are checked at parse time too: gsv needs a plane ring
 or n-1 curves, cs, var and check bb_total a plane ring, a form subject
 degree n-1.
 """
@@ -44,7 +45,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .chern import IDENTITY_KINDS
 from .errors import (
     DegreeMismatch,
     ParseError,
@@ -67,7 +67,7 @@ from .indices import (
 )
 from .localalgebra import DEFAULT_MAX_STEPS, step_budget
 from .polyring import DiffForm, Poly, VectorField, field_from_dual, wedge
-from .projective import ProjPoint, ProjectiveFoliation, run_global_check
+from .projective import CHECKS, ProjPoint, ProjectiveFoliation, run_global_check
 from .residues import (
     PhiSpec,
     ResidueResult,
@@ -301,14 +301,9 @@ _SHAPES = {
 }
 _NEEDS = {
     "gsv": ("plane", "curves"),
-    "bb_total": ("plane-ring",),
     "cs": ("plane",),
     "var": ("plane",),
-    "brunella": ("plane",),
-    "cs_total": ("plane",),
-    "var_total": ("plane",),
-    "pfaff_degree": ("curves",),
-    "log_bb": ("divisor",),
+    **{kind: (check.shape,) for kind, check in CHECKS.items() if check.shape},
 }
 
 
@@ -593,11 +588,8 @@ class _Parser:
 
     def identity_kind(self):
         tok = self.expect("ident")
-        if tok.text not in IDENTITY_KINDS:
+        if tok.text not in CHECKS:
             self.fail("unknown identity %r" % tok.text, tok)
-        if tok.text in ("soares", "adjunction"):
-            self.fail("%s is a closed-form statement with no per-point "
-                      "table to check" % tok.text, tok)
         return tok
 
     def command(self):

@@ -223,15 +223,19 @@ def _saito_triple(v, f, variant):
 
 
 def _saito_valid_variants(v, f):
-    """The variants whose g and xi have finite order along the curve, in
-    the order fy, fx; DegenerateDecomposition when there is none."""
+    """(triple, order difference) for the variants whose g and xi have
+    finite order along the curve, in the order fy, fx; the difference is
+    ord(xi) - ord(g).  DegenerateDecomposition when there is none."""
     curve = IdealGens((f,), MonomialOrder.local(2))
     out = []
     for variant in ("fy", "fx"):
         triple = _saito_triple(v, f, variant)
-        if (order_along_curve(triple.g, curve) is not INFINITE
-                and order_along_curve(triple.xi, curve) is not INFINITE):
-            out.append(triple)
+        ord_g = order_along_curve(triple.g, curve)
+        if ord_g is INFINITE:
+            continue
+        ord_xi = order_along_curve(triple.xi, curve)
+        if ord_xi is not INFINITE:
+            out.append((triple, ord_xi - ord_g))
     if not out:
         raise DegenerateDecomposition(
             "both decomposition variants vanish along the curve")
@@ -251,7 +255,7 @@ def saito_decomposition(v, f, variant="auto"):
     if variant in ("fy", "fx"):
         return _saito_triple(v, f, variant)
     assert variant == "auto"
-    return _saito_valid_variants(v, f)[0]
+    return _saito_valid_variants(v, f)[0][0]
 
 
 def gsv_curve(v, f, point=None):
@@ -262,13 +266,8 @@ def gsv_curve(v, f, point=None):
     f0 = _at_point(f, point)
     v0 = _field_at_point(v, point)
     tangency_cofactor(v0, f0)
-    valid = _saito_valid_variants(v0, f0)
-    curve = IdealGens((f0,), MonomialOrder.local(2))
-    values = []
-    for triple in valid:
-        val = (order_along_curve(triple.xi, curve)
-               - order_along_curve(triple.g, curve))
-        values.append((triple.variant, val))
+    values = [(triple.variant, diff)
+              for triple, diff in _saito_valid_variants(v0, f0)]
     value = values[0][1]
     checks = [("variant-" + variant, val == value, "order difference %s" % val)
               for variant, val in values[1:]]
@@ -311,7 +310,7 @@ def cs_index(v, f, branch, point=None, max_order=DEFAULT_MAX_ORDER):
             raise NotInvariant("branch does not lie on the curve")
         try:
             values = []
-            for triple in valid:
+            for triple, _ in valid:
                 num = pullback_one_form(triple.eta, comps)
                 den = poly_on_branch(triple.xi, comps).truncate(num.order)
                 values.append((triple.variant, -laurent_residue(num, den)))

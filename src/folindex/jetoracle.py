@@ -107,12 +107,15 @@ def integer_rank(rows):
 
 
 def truncated_quotient_dim(gens, N):
-    """Naive local dimension estimate at truncation level N.
+    """dim C[x] / (I + m^N) for the ideal I of the generators, by the rank
+    of their monomial multiples x^a g with |a| < N - ord(g), each clipped
+    at degree N: every other multiple lies in m^N.
 
-    Counts monomials of degree below N not caught by the span of all
-    truncated monomial multiples of the generators.  Returns
-    (value, stabilized) where stabilized means the same count recurs at
-    N + 1; an unstable value is a lower-dimension artifact, not an answer.
+    Returns (value, stabilized) where stabilized means the same count
+    recurs at N + 1.  A stabilized value is the local dimension of I at
+    the origin: value(N) == value(N + 1) gives I + m^N == I + m^(N+1), so
+    m^N lies in I + m * m^N, and by Nakayama m^N lies in I in the local
+    ring, where the quotient by I is then the quotient by I + m^N.
     """
     gens = tuple(gens)
     assert gens
@@ -125,12 +128,10 @@ def truncated_quotient_dim(gens, N):
         for g in gens:
             if g.is_zero():
                 continue
-            # multiples reaching past the level are dropped whole: the
-            # surviving head of a clipped product is not an ideal element
-            # and one junk row can fake membership for honest monomials
-            for a in _monomials_below(n, level - g.degree()):
+            for a in _monomials_below(n, level - min(map(sum, g.terms))):
                 prod = g * Poly.monomial(a)
-                rows.append(_intify({pos[e]: c for e, c in prod.terms.items()}))
+                rows.append(_intify({pos[e]: c for e, c in prod.terms.items()
+                                     if sum(e) < level}))
         return len(mons) - integer_rank(rows)
 
     v = value(N)

@@ -2,18 +2,19 @@
 unit-and-cofactor tracking.
 
 The local order is antigraded reverse lexicographic: lower total degree wins,
-ties broken by reverse lex on a significance permutation.  Leading monomials
-then generate the tangent-cone ideal of leading terms, and weak normal forms
-follow Mora's algorithm: when every eligible reducer has larger ecart than the
-partial remainder, the partial remainder itself is pushed onto the reducer
-stack.  Reductions against such stacked intermediates multiply the input by a
-polynomial with constant term 1, which is a unit of the local ring, so every
-normal-form run returns an exact identity
+ties broken by reverse lex.  Leading monomials then generate the tangent-cone
+ideal of leading terms, and weak normal forms follow Mora's algorithm: when
+every eligible reducer has larger ecart than the partial remainder, the
+partial remainder itself is pushed onto the reducer stack.  Reductions
+against such stacked intermediates multiply the input by a polynomial with
+constant term 1, which is a unit of the local ring, so every normal-form run
+returns an exact identity
 
     u * p  ==  sum_k c_k * b_k  +  r,      u(0) == 1.
 
 The global order is plain degree reverse lexicographic and the same driver
-degenerates to the ordinary division algorithm with u == 1.
+degenerates to the ordinary division algorithm with u == 1: a leading
+monomial has top degree there, so every ecart is 0 and nothing is stacked.
 
 The pair loop computes each element's leading exponent once, when the
 element enters the basis, and each normal form computes a reducer's leading
@@ -127,37 +128,26 @@ def _budget():
 
 
 class MonomialOrder:
-    """A monomial order on a fixed number of variables.
+    """A monomial order on a fixed number of variables; in the reverse lex
+    tie-break earlier variables are larger."""
 
-    ``perm`` lists variable indices from most to least significant for the
-    revlex tie-break; the identity permutation gives the usual order where
-    earlier variables are larger.
-    """
+    __slots__ = ("kind", "nvars")
 
-    __slots__ = ("kind", "nvars", "perm")
-
-    def __init__(self, kind, nvars, perm=None):
+    def __init__(self, kind, nvars):
         if kind not in (LOCAL, GLOBAL):
             raise InvalidInput("unknown order kind %r" % (kind,))
         if nvars < 1:
             raise InvalidInput("an order needs at least one variable")
-        if perm is None:
-            perm = tuple(range(nvars))
-        perm = tuple(perm)
-        if sorted(perm) != list(range(nvars)):
-            raise InvalidInput("%r is not a permutation of the %d variables"
-                               % (perm, nvars))
         self.kind = kind
         self.nvars = nvars
-        self.perm = perm
 
     @classmethod
-    def local(cls, nvars, perm=None):
-        return cls(LOCAL, nvars, perm)
+    def local(cls, nvars):
+        return cls(LOCAL, nvars)
 
     @classmethod
-    def degrevlex(cls, nvars, perm=None):
-        return cls(GLOBAL, nvars, perm)
+    def degrevlex(cls, nvars):
+        return cls(GLOBAL, nvars)
 
     def is_local(self):
         return self.kind == LOCAL
@@ -166,8 +156,7 @@ class MonomialOrder:
         """Sort key; the maximum over a polynomial's terms is its leading
         monomial."""
         head = -sum(exp) if self.kind == LOCAL else sum(exp)
-        pe = tuple(exp[i] for i in self.perm)
-        return (head,) + tuple(-e for e in reversed(pe))
+        return (head,) + tuple(-e for e in reversed(exp))
 
     def leading(self, p):
         """(exponent, coefficient) of the leading term.  p must be nonzero."""
@@ -178,11 +167,10 @@ class MonomialOrder:
 
     def __eq__(self, other):
         return (isinstance(other, MonomialOrder)
-                and (self.kind, self.nvars, self.perm)
-                == (other.kind, other.nvars, other.perm))
+                and (self.kind, self.nvars) == (other.kind, other.nvars))
 
     def __hash__(self):
-        return hash((self.kind, self.nvars, self.perm))
+        return hash((self.kind, self.nvars))
 
     def __repr__(self):
         return "MonomialOrder(%r, %d)" % (self.kind, self.nvars)
@@ -208,22 +196,6 @@ def _nf(p, elements, lead_exps, order, budget):
     c = {}
     h = p
 
-    if not order.is_local():
-        while h.terms:
-            budget.spend()
-            eh, ch = order.leading(h)
-            for k, eb in enumerate(lead_exps):
-                if _divides(eb, eh):
-                    break
-            else:
-                break
-            b = elements[k]
-            q = ch / b.terms[eb]
-            shift = tuple(map(sub, eh, eb))
-            h = h.sub_mul(shift, q, b)
-            c[k] = c.get(k, zero).sub_mul(shift, -q, one)
-        return h, u, c
-
     # Mora: reducers grow with stacked intermediates.  A reducer is
     # (leading exponent, leading coefficient, ecart, polynomial, payload):
     # the payload is the basis index k, or for a stacked intermediate the
@@ -241,8 +213,9 @@ def _nf(p, elements, lead_exps, order, budget):
         if best is None:
             break
         eg, cg, ec, g, payload = best
-        ech = h.degree() - sum(eh)
-        if ec > ech:
+        # an ecart is never negative, so h is stacked only against a
+        # reducer of positive ecart, never under the global order
+        if ec and ec > (ech := h.degree() - sum(eh)):
             reducers.append((eh, ch, ech, h, (u, dict(c))))
         q = ch / cg
         shift = tuple(map(sub, eh, eg))

@@ -7,14 +7,19 @@ remaining variables in order; the affine representative there is
 w_i = (T_i - u_i T_j)|_{x_j=1}, which is well defined modulo radial.
 
 Global identity checks sum local indices over user-declared singular
-points and compare against the closed-form right-hand side.  Because a
-declared list can silently omit a point, every check first certifies
-completeness chart by chart: the global affine quotient dimension of the
-relevant ideal must equal the sum of the declared local multiplicities.
+points and compare against the closed-form right-hand side.  Each kind is
+one entry of CHECKS: the shape of data it needs (a plane curve, n-1 curves,
+a divisor, a plane) and the local quantity it sums at a declared point in
+that point's first visible chart.  run_global_check runs every kind down
+one path.  Because a declared list can silently omit a point, it first
+certifies completeness chart by chart: the global affine quotient
+dimension of the ideal of the field and the curve equations must equal the
+sum of the declared local multiplicities.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .chern import IdentitySpec, identity_rhs
 from .errors import (
@@ -244,17 +249,6 @@ class CheckReport:
         return self.verdict == "PASS"
 
 
-def _translated(polys, point_affine):
-    return [translate_to_origin(p, point_affine) for p in polys]
-
-
-def _local_mult(gens, point_affine):
-    n = gens[0].nvars
-    moved = _translated(gens, point_affine)
-    ideal = IdealGens(moved, MonomialOrder.local(n))
-    return quotient_dim(ideal)
-
-
 def _certify(kind, gens_by_chart, points):
     """Per-chart completeness: the global quotient dimension of the chart
     ideal must equal the sum of local multiplicities at the declared
@@ -272,7 +266,10 @@ def _certify(kind, gens_by_chart, points):
         declared = 0
         for p in points:
             if p.visible_in(j):
-                local = _local_mult(gens, p.affine_in(j))
+                at = p.affine_in(j)
+                local = quotient_dim(IdealGens(
+                    [translate_to_origin(g, at) for g in gens],
+                    MonomialOrder.local(n)))
                 assert local is not INFINITE
                 declared += local
         if declared != total:
@@ -281,11 +278,81 @@ def _certify(kind, gens_by_chart, points):
                 "cover %d" % (kind, j, total, declared))
 
 
-def _group_branches(branches):
-    grouped = {}
-    for point, br in branches:
-        grouped.setdefault(point, []).append(br)
-    return grouped
+class _Site(NamedTuple):
+    """One declared point as a check sees it in its first visible chart."""
+    point: ProjPoint
+    chart: int
+    field: VectorField      # the chart's affine field
+    curves: list            # the check's curve equations in the chart
+    at: tuple               # the point's affine coordinates in the chart
+    branches: list          # branches declared at the point
+    divisor: tuple          # homogeneous coordinate indices
+    oracle: bool
+    truncation: int
+
+
+def _branch_sum(index, s):
+    return sum((index(s.field, s.curves[0], br, point=s.at,
+                      max_order=s.truncation).value for br in s.branches),
+               Fraction(0))
+
+
+def _log(s):
+    # divisor components through the point, as local coordinates
+    local = tuple(i - (i > s.chart) for i in s.divisor
+                  if s.point.coords[i] == 0)
+    if not local:
+        return "milnor", ph_index(s.field, point=s.at).value
+    return "log", log_index(s.field, local, point=s.at,
+                            oracle=s.oracle).value
+
+
+class _Check(NamedTuple):
+    shape: str      # what the kind needs of its data: a shape name of the
+                    # session language, or None
+    local: object   # _Site -> (quantity, value), summed over the points
+
+
+# Every checkable identity, keyed by the kind identity_rhs evaluates.  The
+# entries call the engine through this module's names at call time, so a
+# wrapper bound to one of those names sees every call.
+CHECKS = {
+    "milnor_total": _Check(None, lambda s: (
+        "milnor", ph_index(s.field, point=s.at).value)),
+    "bb_total": _Check("plane-ring", lambda s: ("bb_c1sq", baum_bott_residue(
+        s.field, PhiSpec(2, [(1, (2, 0))]), point=s.at).value)),
+    "brunella": _Check("plane", lambda s: (
+        "gsv", gsv_curve(s.field, s.curves[0], point=s.at).value)),
+    "cs_total": _Check("plane", lambda s: ("cs", _branch_sum(cs_index, s))),
+    "var_total": _Check("plane", lambda s: ("var", _branch_sum(var_index, s))),
+    "pfaff_degree": _Check("curves", lambda s: (
+        "gsv", gsv_pfaff_curve(s.field, s.curves, point=s.at).value)),
+    "log_bb": _Check("divisor", _log),
+}
+
+
+def _shaped(kind, shape, n, curve, divisor):
+    """The check's affine curve equations, 0, 1 or n-1 of them, and its
+    divisor, once the data have the shape the kind needs."""
+    if shape == "plane-ring" and n != 2:
+        raise UnsupportedIdentity("%s is the plane identity" % kind)
+    if shape == "plane":
+        if not isinstance(curve, Poly) or n != 2:
+            raise InvalidInput("%s needs a plane foliation and an affine "
+                               "plane curve" % kind)
+        return [curve], ()
+    if shape == "curves":
+        if (not isinstance(curve, (tuple, list)) or len(curve) != n - 1
+                or not all(isinstance(f, Poly) for f in curve)):
+            raise InvalidInput("%s needs n-1 affine curve equations" % kind)
+        return list(curve), ()
+    if shape == "divisor":
+        if not divisor or not all(isinstance(i, int) and 0 <= i <= n
+                                  for i in divisor):
+            raise InvalidInput("divisor: indices of homogeneous coordinate "
+                               "hyperplanes")
+        return [], tuple(sorted(set(divisor)))
+    return [], ()
 
 
 def run_global_check(fol, kind, curve=None, points=(), branches=(),
@@ -301,128 +368,41 @@ def run_global_check(fol, kind, curve=None, points=(), branches=(),
     visible chart.  truncation caps the series order of the cs and var
     branch residues.
     """
-    n, d = fol.n, fol.d
+    n = fol.n
     points = tuple(points)
     for p in points:
         if not isinstance(p, ProjPoint) or p.n != n:
             raise InvalidInput("%r is not a point of P^%d" % (p, n))
+    if kind not in CHECKS:
+        raise UnsupportedIdentity(kind)
+    check = CHECKS[kind]
+    curves, divisor = _shaped(kind, check.shape, n, curve, divisor)
+    homs = [curve_to_homogeneous(f) for f in curves]
+    degrees = tuple(m for _, m in homs)
+    spec = IdentitySpec(kind, n=n, d=fol.d,
+                        m=degrees[0] if len(degrees) == 1 else None,
+                        degrees=degrees, divisor_degrees=(1,) * len(divisor))
     charts = range(n + 1)
     fields = [fol.chart_restrict(j) for j in charts]
+    chart_curves = [[set_coordinate_one(h, j) for h, _ in homs]
+                    for j in charts]
+    _certify(kind, [list(fields[j].components) + chart_curves[j]
+                    for j in charts], points)
+    grouped = {}
+    for p, br in branches:
+        grouped.setdefault(p, []).append(br)
     rows = []
-    diagnostics = []
-    grouped = _group_branches(branches)
-
-    if kind in ("soares", "adjunction"):
-        raise UnsupportedIdentity(
-            "%s is a closed-form statement with no per-point table" % kind)
-
-    if kind in ("milnor_total", "bb_total"):
-        spec = (IdentitySpec("milnor_total", n=n, d=d) if kind == "milnor_total"
-                else IdentitySpec("bb_total", d=d))
-        if kind == "bb_total" and n != 2:
-            raise UnsupportedIdentity("bb_total is the plane identity")
-        _certify(kind, [f.components for f in fields], points)
-        total = 0
-        for p in points:
-            j = p.first_chart()
-            w = fields[j]
-            if kind == "milnor_total":
-                value = ph_index(w, point=p.affine_in(j)).value
-                rows.append(CheckRow(p, j, "milnor", value))
-            else:
-                phi = PhiSpec(2, [(1, (2, 0))])
-                value = baum_bott_residue(w, phi, point=p.affine_in(j)).value
-                rows.append(CheckRow(p, j, "bb_c1sq", value))
-            total += value
-    elif kind in ("brunella", "cs_total", "var_total"):
-        if not isinstance(curve, Poly) or n != 2:
-            raise InvalidInput("%s needs a plane foliation and an affine "
-                               "plane curve" % kind)
-        curve_hom, m = curve_to_homogeneous(curve)
-        spec = (IdentitySpec("cs_total", m=m) if kind == "cs_total"
-                else IdentitySpec(kind, d=d, m=m))
-        curves = [set_coordinate_one(curve_hom, j) for j in charts]
-        gens_by_chart = [list(fields[j].components) + [curves[j]]
-                         for j in charts]
-        _certify(kind, gens_by_chart, points)
-        total = 0
-        for p in points:
-            j = p.first_chart()
-            w, fj = fields[j], curves[j]
-            at = p.affine_in(j)
-            if kind == "brunella":
-                rep = gsv_curve(w, fj, point=at)
-                value = rep.value
-                if value < 0:
-                    diagnostics.append(
-                        "gsv %s at %r: a nondicritical separatrix would "
-                        "force a nonnegative value" % (value, p))
-                rows.append(CheckRow(p, j, "gsv", value))
-            else:
-                index = cs_index if kind == "cs_total" else var_index
-                value = Fraction(0)
-                for br in grouped.get(p, ()):
-                    value += index(w, fj, br, point=at,
-                                   max_order=truncation).value
-                tag = "cs" if kind == "cs_total" else "var"
-                rows.append(CheckRow(p, j, tag, value))
-            total += value
-    elif kind == "pfaff_degree":
-        if (not isinstance(curve, (tuple, list)) or len(curve) != n - 1
-                or not all(isinstance(f, Poly) for f in curve)):
-            raise InvalidInput("pfaff_degree needs n-1 affine curve equations")
-        pairs = [curve_to_homogeneous(f) for f in curve]
-        degrees = tuple(m for _, m in pairs)
-        spec = IdentitySpec("pfaff_degree", n=n, d=d, degrees=degrees)
-        curves = [[set_coordinate_one(ch, j) for ch, _ in pairs]
-                  for j in charts]
-        gens_by_chart = [list(fields[j].components) + curves[j]
-                         for j in charts]
-        _certify(kind, gens_by_chart, points)
-        total = 0
-        for p in points:
-            j = p.first_chart()
-            rep = gsv_pfaff_curve(fields[j], curves[j], point=p.affine_in(j))
-            if rep.value < 0:
-                diagnostics.append(
-                    "gsv %s at %r: a nondicritical separatrix would force "
-                    "a nonnegative value" % (rep.value, p))
-            rows.append(CheckRow(p, j, "gsv", rep.value))
-            total += rep.value
-    elif kind == "log_bb":
-        divisor = tuple(sorted(set(divisor)))
-        if not divisor or not all(0 <= i <= n for i in divisor):
-            raise InvalidInput("divisor: indices of homogeneous coordinate "
-                               "hyperplanes")
-        spec = IdentitySpec("log_bb", n=n, d=d,
-                            divisor_degrees=(1,) * len(divisor))
-        _certify(kind, [f.components for f in fields], points)
-        total = 0
-        for p in points:
-            j = p.first_chart()
-            w = fields[j]
-            at = p.affine_in(j)
-            # divisor components through the point, as local coordinates
-            local = []
-            pos = 0
-            for i in range(n + 1):
-                if i == j:
-                    continue
-                if i in divisor and p.coords[i] == 0:
-                    local.append(pos)
-                pos += 1
-            if local:
-                value = log_index(w, tuple(local), point=at,
-                                  oracle=oracle).value
-                rows.append(CheckRow(p, j, "log", value))
-            else:
-                value = ph_index(w, point=at).value
-                rows.append(CheckRow(p, j, "milnor", value))
-            total += value
-    else:
-        raise UnsupportedIdentity(kind)
-
+    for p in points:
+        j = p.first_chart()
+        site = _Site(p, j, fields[j], chart_curves[j], p.affine_in(j),
+                     grouped.get(p, ()), divisor, oracle, truncation)
+        rows.append(CheckRow(p, j, *check.local(site)))
+    total = sum(row.value for row in rows)
+    diagnostics = tuple(
+        "gsv %s at %r: a nondicritical separatrix would force a "
+        "nonnegative value" % (row.value, row.point)
+        for row in rows if row.quantity == "gsv" and row.value < 0)
     rhs = identity_rhs(spec)
     verdict = "PASS" if total == rhs else "FAIL"
     return CheckReport(kind=kind, rows=tuple(rows), local_sum=total, rhs=rhs,
-                       verdict=verdict, diagnostics=tuple(diagnostics))
+                       verdict=verdict, diagnostics=diagnostics)

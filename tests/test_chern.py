@@ -51,8 +51,6 @@ def test_identity_values():
     assert identity_rhs(IdentitySpec("var_total", d=1, m=3)) == 9
     assert identity_rhs(IdentitySpec("bb_total", d=1)) == 9
     assert identity_rhs(IdentitySpec("pfaff_degree", n=3, d=1, degrees=(1, 1))) == 2
-    assert identity_rhs(IdentitySpec("adjunction", n=3, d=1, degrees=(1, 1))) == 2
-    assert identity_rhs(IdentitySpec("soares", d=4)) == 5
     assert identity_rhs(
         IdentitySpec("log_bb", n=2, d=1, divisor_degrees=(1,))) == 1
 
@@ -90,8 +88,6 @@ def test_identity_spec_validation():
         IdentitySpec("pfaff_degree", n=3, d=1, degrees=(1, 1, 1))
     with pytest.raises(UnsupportedIdentity):
         IdentitySpec("pfaff_degree", n=3, d=1, degrees=(1, 0))
-    with pytest.raises(UnsupportedIdentity):
-        IdentitySpec("adjunction", n=3, d=1, degrees=(2,))
     with pytest.raises(UnsupportedIdentity):
         IdentitySpec("log_bb", n=2, d=1)
     spec = IdentitySpec("pfaff_degree", n=4, d=2, degrees=(2, 3))

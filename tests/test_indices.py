@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from folindex import indices
 from folindex.errors import (
     DegenerateDecomposition,
     DegenerateMinors,
@@ -129,6 +130,21 @@ def test_gsv_curve():
     assert gsv_curve(VectorField((-y, x)), x ** 2 + y ** 2).value == 0
     assert gsv_curve(VectorField((x + y, y - x)), x ** 2 + y ** 2).value == 0
     assert gsv_curve(VectorField((Poly.const(2, 1), 2 * x)), y - x ** 2).value == 0
+
+
+def test_gsv_curve_computes_each_vanishing_order_once(monkeypatch):
+    # two variants on the cusp, each with the orders of g and xi
+    x, y = xy()
+    calls = []
+    real = indices.order_along_curve
+
+    def counted(g, curve):
+        calls.append(g)
+        return real(g, curve)
+
+    monkeypatch.setattr(indices, "order_along_curve", counted)
+    assert gsv_curve(VectorField((2 * x, 3 * y)), y ** 2 - x ** 3).value == -1
+    assert len(calls) == 4
 
 
 def test_gsv_quasihomogeneous_family():

@@ -21,6 +21,12 @@ from folindex.jetoracle import (
     integer_rank,
     truncated_quotient_dim,
 )
+from folindex.localalgebra import (
+    INFINITE,
+    IdealGens,
+    MonomialOrder,
+    quotient_dim,
+)
 from folindex.polyring import DiffForm, Poly, VectorField
 
 
@@ -116,6 +122,50 @@ def test_truncated_quotient_dim_examples():
     assert truncated_quotient_dim((3 * x ** 2, 2 * y), 4) == (2, True)
     assert truncated_quotient_dim((x,), 5) == (5, False)
     assert truncated_quotient_dim((y ** 2 - x ** 3, y), 6) == (3, True)
+
+
+def test_truncated_quotient_dim_counts_only_the_origin():
+    # zeros away from the origin are not part of the local algebra
+    x, y = Poly.variables(2)
+    assert truncated_quotient_dim((x * (1 + x), y), 10) == (1, True)
+    assert truncated_quotient_dim((1 + x, y), 10) == (0, True)
+
+
+def _random_plane_germ(rng):
+    mons = [(a, b) for a in range(4) for b in range(4) if 0 < a + b <= 3]
+    return tuple(Poly(2, {e: rng.randint(-3, 3)
+                          for e in rng.sample(mons, rng.randint(1, 4))})
+                 for _ in range(2))
+
+
+def test_truncated_quotient_dim_agrees_with_standard_bases():
+    rng = random.Random(5)
+    checked = 0
+    while checked < 21:
+        gens = _random_plane_germ(rng)
+        if any(g.is_zero() for g in gens):
+            continue
+        dim = quotient_dim(IdealGens(gens, MonomialOrder.local(2)))
+        if dim is INFINITE or dim > 12:
+            continue
+        assert truncated_quotient_dim(gens, dim + 5) == (dim, True), gens
+        checked += 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                          st.integers(-4, 4)), max_size=4),
+       st.integers(1, 4), st.integers(0, 1))
+def test_truncated_quotient_dim_ignores_unit_factors(terms, const, which):
+    # a unit is invertible modulo m^N, so it changes no generated ideal
+    x, y = Poly.variables(2)
+    unit = Poly(2, {(a, b): c for a, b, c in terms if a + b}) + const
+    gens = [y ** 2 - x ** 3, x * y]
+    scaled = list(gens)
+    scaled[which] = unit * gens[which]
+    for level in (4, 6):
+        assert (truncated_quotient_dim(scaled, level)
+                == truncated_quotient_dim(gens, level))
 
 
 def test_euler_smooth_line():

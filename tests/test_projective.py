@@ -4,16 +4,18 @@ from fractions import Fraction
 
 import pytest
 
+from folindex import chern
 from folindex.errors import (
     DegreeMismatch,
     EulerConditionViolated,
-    FolindexError,
     IncompleteSingularities,
+    InvalidInput,
     UnsupportedIdentity,
 )
 from folindex.indices import ph_index
 from folindex.polyring import DiffForm, Poly, VectorField, dual_form
 from folindex.projective import (
+    CHECKS,
     ProjPoint,
     ProjectiveFoliation,
     affine_singular_audit,
@@ -66,6 +68,11 @@ def test_degree_detection():
     with pytest.raises(DegreeMismatch):
         ProjectiveFoliation.from_affine_field(
             VectorField((Poly.zero(2), Poly.zero(2))))
+    # top parts that are not a multiple of the radial field keep the degree
+    assert ProjectiveFoliation.from_affine_field(
+        VectorField((x ** 2, y))).d == 2
+    assert ProjectiveFoliation.from_affine_field(
+        VectorField((y ** 2, x ** 2))).d == 2
 
 
 def test_chart_restrict():
@@ -161,6 +168,20 @@ def test_incomplete_points_rejected():
         run_global_check(fol, "brunella", curve=curve, points=points[:1])
 
 
+def test_data_without_isolated_zeros_rejected():
+    x, y = xy()
+    radial = ProjectiveFoliation(2, 0, VectorField(Poly.variables(3)))
+    with pytest.raises(IncompleteSingularities, match="identically singular"):
+        run_global_check(radial, "milnor_total", points=diag_points())
+    line = ProjectiveFoliation.from_affine_field(VectorField((x * y, y ** 2)))
+    with pytest.raises(IncompleteSingularities, match="positive dimension"):
+        run_global_check(line, "milnor_total", points=diag_points())
+
+
+def test_every_check_kind_has_a_closed_form():
+    assert set(CHECKS) == set(chern._RHS)
+
+
 def test_missing_branches_fail_honestly():
     fol, curve, points, _ = cubic_data()
     report = run_global_check(fol, "cs_total", curve=curve, points=points)
@@ -228,6 +249,8 @@ def test_unsupported_check_kinds():
     fol, curve, points, _ = cubic_data()
     with pytest.raises(UnsupportedIdentity):
         run_global_check(fol, "soares", points=points)
+    with pytest.raises(UnsupportedIdentity):
+        run_global_check(fol, "poincare", points=points)
     x, y, z = Poly.variables(3)
     fol3 = ProjectiveFoliation.from_affine_field(
         VectorField((x, 2 * y, 3 * z)))
@@ -242,27 +265,29 @@ def test_bad_check_input_raises_folindex_error():
     fol3 = ProjectiveFoliation.from_affine_field(
         VectorField((x, 2 * y, 3 * z)))
     points3 = (ProjPoint((1, 0, 0, 0)), ProjPoint((0, 1, 0, 0)))
-    with pytest.raises(FolindexError):
+    with pytest.raises(InvalidInput):
         run_global_check(fol, "brunella", curve=None, points=points)
-    with pytest.raises(FolindexError):
+    with pytest.raises(InvalidInput):
         run_global_check(fol3, "brunella", curve=x, points=points3)
-    with pytest.raises(FolindexError):
+    with pytest.raises(InvalidInput):
         run_global_check(fol3, "pfaff_degree", curve=y, points=points3)
-    with pytest.raises(FolindexError):
+    with pytest.raises(InvalidInput):
         run_global_check(fol3, "pfaff_degree", curve=(y,), points=points3)
-    with pytest.raises(FolindexError):
+    with pytest.raises(InvalidInput):
         run_global_check(fol, "brunella", curve=Poly.const(2, 1),
                          points=points)
-    with pytest.raises(FolindexError):
+    with pytest.raises(InvalidInput):
         run_global_check(fol3, "pfaff_degree", curve=(y, Poly.const(3, 1)),
                          points=points3)
-    with pytest.raises(FolindexError):
-        run_global_check(fol, "log_bb", points=diag_points(), divisor=(3,))
-    with pytest.raises(FolindexError):
+    for divisor in ((3,), ("x",), (0.5,)):
+        with pytest.raises(InvalidInput):
+            run_global_check(fol, "log_bb", points=diag_points(),
+                             divisor=divisor)
+    with pytest.raises(InvalidInput):
         run_global_check(fol, "milnor_total", points=points3)
-    with pytest.raises(FolindexError):
+    with pytest.raises(InvalidInput):
         ProjPoint((0, 0, 0))
-    with pytest.raises(FolindexError):
+    with pytest.raises(InvalidInput):
         ProjPoint((1,))
-    with pytest.raises(FolindexError):
+    with pytest.raises(InvalidInput):
         ProjPoint((0, 0, 1)).affine_in(0)
