@@ -414,8 +414,16 @@ def log_index(v, divisor, point=None, oracle=False):
     coordinate (NotLogarithmic otherwise); the value is the dimension of the
     local ring modulo the divided components and the untouched ones."""
     n = v.nvars
-    divisor = tuple(sorted(set(divisor)))
-    assert all(isinstance(i, int) and 0 <= i < n for i in divisor)
+    try:
+        divisor = set(divisor)
+    except TypeError:
+        raise InvalidInput("divisor %r is not a set of variable indices"
+                           % (divisor,)) from None
+    bad = [i for i in divisor if not (isinstance(i, int) and 0 <= i < n)]
+    if bad:
+        raise InvalidInput("divisor entries %r are not variable indices "
+                           "below %d" % (bad, n))
+    divisor = tuple(sorted(divisor))
     v0 = _field_at_point(v, point)
     gens = []
     for i in range(n):

@@ -3,18 +3,25 @@ Euler characteristics.
 
 Everything here works in the finite window of monomials of total degree
 below a truncation level N and reduces questions to exact integer ranks.
-It shares no code with the standard-basis machinery, which is the point:
-the two routes confirm each other.
+Rows are sparse integer vectors built by shifting the integer terms of the
+input polynomials; it shares no code with the standard-basis machinery or
+with the exterior algebra of polyring, which is the point: the routes
+confirm each other.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
-from .errors import NotInvariant, NotLogarithmic, RouteConflict, TruncationNotStabilized
-from .polyring import DiffForm, Poly, VectorField, contract, exterior_derivative, wedge
+from .errors import (
+    InvalidInput,
+    NotInvariant,
+    NotLogarithmic,
+    RouteConflict,
+    TruncationNotStabilized,
+)
+from .polyring import Poly
 
 __all__ = [
     "integer_rank",
@@ -23,9 +30,40 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
-def _monomials_below(n, N):
-    return tuple(e for e in itertools.product(range(N), repeat=n) if sum(e) < N)
+def _monomials(n, d):
+    """Exponent tuples of total degree d in n variables."""
+    if n == 0:
+        if d == 0:
+            yield ()
+        return
+    for a in range(d, -1, -1):
+        for rest in _monomials(n - 1, d - a):
+            yield (a,) + rest
+
+
+def _count_below(n, N):
+    """Number of monomials of total degree below N in n variables."""
+    return comb(n + N - 1, n) if N > 0 else 0
+
+
+def _code(e, base):
+    """Integer key of the monomial x^e: the base-`base` digits e_1, ...,
+    e_n, |e|, most significant first.  While every exponent and degree
+    stays below base, adding keys multiplies monomials, key % base is the
+    degree, and integer order is lexicographic order on e."""
+    k = 0
+    for a in e:
+        k = k * base + a
+    return k * base + sum(e)
+
+
+def _integer_terms(polys):
+    """Term dicts {e: int} of the polynomials, all scaled by one positive
+    common denominator.  A nonzero constant factor changes no kernel, image
+    or generated span, so the ranks below see the same answer."""
+    den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    return [{e: c.numerator * (den // c.denominator)
+             for e, c in p.terms.items()} for p in polys]
 
 
 def _primitive(row):
@@ -34,13 +72,6 @@ def _primitive(row):
     if g > 1:
         return {k: a // g for k, a in row.items()}
     return row
-
-
-def _intify(row):
-    """Primitive integer multiple of a sparse rational row {column: c}."""
-    den = lcm(*(c.denominator for c in row.values()))
-    return _primitive({k: c.numerator * (den // c.denominator)
-                       for k, c in row.items()})
 
 
 def _divide(p, f):
@@ -109,7 +140,8 @@ def integer_rank(rows):
 def truncated_quotient_dim(gens, N):
     """dim C[x] / (I + m^N) for the ideal I of the generators, by the rank
     of their monomial multiples x^a g with |a| < N - ord(g), each clipped
-    at degree N: every other multiple lies in m^N.
+    at degree N: every other multiple lies in m^N.  The multiples are the
+    integer terms of g shifted by x^a, built once for both levels.
 
     Returns (value, stabilized) where stabilized means the same count
     recurs at N + 1.  A stabilized value is the local dimension of I at
@@ -118,21 +150,28 @@ def truncated_quotient_dim(gens, N):
     ring, where the quotient by I is then the quotient by I + m^N.
     """
     gens = tuple(gens)
-    assert gens
+    if not gens:
+        raise InvalidInput("truncated_quotient_dim needs a generator")
     n = gens[0].nvars
+    if any(g.nvars != n for g in gens):
+        raise InvalidInput("polynomial rings differ")
+    terms = [g for g in _integer_terms(gens) if g]
+    base = N + 2 + max((sum(e) for g in terms for e in g), default=0)
+    multiples = []
+    for t, g in enumerate(terms):
+        low = min(map(sum, g))
+        codes = [(_code(e, base), c) for e, c in g.items()]
+        for d in range(N + 1 - low):
+            for a in _monomials(n, d):
+                m = _code(a, base)
+                row = {k + m: c for k, c in codes}
+                multiples.append(((t, m), d + low, row))
+    multiples.sort(key=lambda multiple: multiple[0])
 
     def value(level):
-        mons = _monomials_below(n, level)
-        pos = {e: k for k, e in enumerate(mons)}
-        rows = []
-        for g in gens:
-            if g.is_zero():
-                continue
-            for a in _monomials_below(n, level - min(map(sum, g.terms))):
-                prod = g * Poly.monomial(a)
-                rows.append(_intify({pos[e]: c for e, c in prod.terms.items()
-                                     if sum(e) < level}))
-        return len(mons) - integer_rank(rows)
+        rows = [_primitive({k: c for k, c in row.items() if k % base < level})
+                for _, low, row in multiples if low < level]
+        return _count_below(n, level) - integer_rank(rows)
 
     v = value(N)
     return v, v == value(N + 1)
@@ -142,38 +181,150 @@ def truncated_quotient_dim(gens, N):
 # contraction complex
 
 
-def _basis(n, N, j):
-    order = []
-    idx = {}
-    for I in itertools.combinations(range(n), j):
-        for e in _monomials_below(n, N):
-            idx[(I, e)] = len(order)
-            order.append((I, e))
-    return order, idx
+def _contraction_terms(comps, I):
+    """i_v(dx_I) as {(J, e): c} for the integer field comps, in
+    polyring.contract's sign convention: dx_{i_1} ^ ... ^ dx_{i_q} goes to
+    the sum over p of (-1)^(p-1) v_{i_p} times the form without dx_{i_p}."""
+    out = {}
+    for pos, i in enumerate(I):
+        J = I[:pos] + I[pos + 1:]
+        for e, c in comps[i].items():
+            out[(J, e)] = -c if pos % 2 else c
+    return out
 
 
-def _form_to_row(form, idx):
-    """Sparse integer row of a form whose degree is below the level."""
-    return _intify({idx[(I, e)]: c
-                    for I, p in form.coeffs.items() for e, c in p.terms.items()})
+def _wedge_df_terms(grad, J):
+    """df ^ dx_J as {(K, e): c} for the integer gradient grad of f, in
+    polyring.wedge's sign convention: d_k f dx_k ^ dx_J is sorted into dx_K
+    with one sign change per index of J below k."""
+    out = {}
+    for k, dk in enumerate(grad):
+        if k in J:
+            continue
+        K = tuple(sorted(J + (k,)))
+        sign = -1 if sum(1 for i in J if i < k) % 2 else 1
+        for e, c in dk.items():
+            out[(K, e)] = sign * c
+    return out
 
 
-def _zero_low_columns(rows, low_cols):
-    return [{k: a for k, a in r.items() if k not in low_cols} for r in rows]
+def _gradient(f, n):
+    return [{e[:k] + (e[k] - 1,) + e[k + 1:]: c * e[k]
+             for e, c in f.items() if e[k]} for k in range(n)]
 
 
-def _form_degree(form):
-    return max((p.degree() for p in form.coeffs.values()), default=-1)
+def _terms_degree(terms):
+    return max((sum(e) for _, e in terms), default=-1)
 
 
-def _chi_at(v, f, N, top, window, check, images):
-    """Euler characteristic of the truncated contraction complex.
+class _Complex:
+    """Sparse integer rows of one contraction complex, built once per call.
+
+    comps is the integer field (the divided field in the logarithmic
+    case) and f the integer terms of the hypersurface, or None.  A column
+    is the form x^e dx_K, keyed slot(K) * base^(n+1) + _code(e), where
+    slot(K) is the position of K among the index tuples of its size; the
+    key does not depend on the truncation level, so the rows of one level
+    are the rows of degree below it.  base exceeds every degree a row, a
+    contracted relation row or a twice contracted basis form reaches below
+    max_level.
+
+    grow(L) adds the rows of every basis form x^e dx_I and every relation
+    source x^a with |e|, |a| < L; each is stored with its degree:
+      phi[j][key of x^e dx_I] = (degree, primitive row of i_v(x^e dx_I)),
+          the degree is max(|e|, degree of the image);
+      rel[j][template * base^(n+1) + _code(a)] = (degree, row, pushed),
+          the rows f x^a dx_I, then df ^ x^a dx_J, and with check set
+          pushed = (degree, primitive row) of their contraction.
+    With check set it also verifies once per basis form that contracting
+    twice gives zero.
+    """
+
+    def __init__(self, comps, f, top, max_level, check):
+        n = len(comps)
+        self.n, self.top, self.check = n, top, check
+        self.forms = [list(itertools.combinations(range(n), j))
+                      for j in range(top + 1)]
+        contractions = [[]] + [[_contraction_terms(comps, I)
+                                for I in self.forms[j]]
+                               for j in range(1, top + 1)]
+        relations = [[] for _ in range(top + 1)]
+        if f is not None:
+            grad = _gradient(f, n)
+            for j in range(top + 1):
+                relations[j] = [{(I, e): c for e, c in f.items()}
+                                for I in self.forms[j]]
+                if j:
+                    relations[j] += [_wedge_df_terms(grad, J)
+                                     for J in self.forms[j - 1]]
+        dv = max([_terms_degree(t) for ts in contractions for t in ts] + [0])
+        df = max([_terms_degree(t) for ts in relations for t in ts] + [0])
+        self.base = max_level + df + 2 * dv + 1
+        self.span = self.base ** (n + 1)
+        self.slots = [{K: s for s, K in enumerate(forms)}
+                      for forms in self.forms]
+        self.contractions = [[[(self.key(J, e), c) for (J, e), c in t.items()]
+                              for t in ts] for ts in contractions]
+        self.relations = [[(_primitive({self.key(K, e): c
+                                        for (K, e), c in t.items()}),
+                            _terms_degree(t))
+                           for t in ts if t] for ts in relations]
+        self.phi = [{} for _ in range(top + 1)]
+        self.rel = [{} for _ in range(top + 1)]
+        self.built = 0
+
+    def key(self, K, e):
+        return self.slots[len(K)][K] * self.span + _code(e, self.base)
+
+    def degree(self, row):
+        return max((k % self.base for k in row), default=-1)
+
+    def contract(self, j, row):
+        """Contraction of a row of j-forms, as a row of (j-1)-forms."""
+        out = {}
+        for k, c in row.items():
+            s, m = divmod(k, self.span)
+            for t, b in self.contractions[j][s]:
+                t += m
+                x = out.get(t, 0) + c * b
+                if x:
+                    out[t] = x
+                else:
+                    del out[t]
+        return out
+
+    def grow(self, level):
+        span = self.span
+        for d in range(self.built, level):
+            for e in _monomials(self.n, d):
+                m = _code(e, self.base)
+                for j in range(1, self.top + 1):
+                    for s, I in enumerate(self.forms[j]):
+                        image = self.contract(j, {s * span + m: 1})
+                        if (self.check and j >= 2
+                                and self.contract(j - 1, image)):
+                            raise RouteConflict(
+                                "contracting %r twice is not zero" % ((I, e),))
+                        self.phi[j][s * span + m] = (
+                            max(d, self.degree(image)), _primitive(image))
+                for j in range(self.top + 1):
+                    for t, (template, deg) in enumerate(self.relations[j]):
+                        row = {k + m: c for k, c in template.items()}
+                        pushed = None
+                        if self.check and j:
+                            image = self.contract(j, row)
+                            pushed = (self.degree(image), _primitive(image))
+                        self.rel[j][t * span + m] = (d + deg, row, pushed)
+        self.built = max(self.built, level)
+
+
+def _chi_at(cx, N, window):
+    """Euler characteristic of the contraction complex truncated at N.
 
     Every dimension below is an exact integer rank, found by sparse
-    fraction-free elimination (integer_rank) on rows built straight from
-    polynomial terms.  images caches the contraction of each basis form
-    x^e dx_I, keyed by (I, e); it does not depend on N, so the caller
-    shares one cache between truncation levels.
+    fraction-free elimination (integer_rank) on the integer rows of cx.
+    Their columns are keyed independently of N, so one level only selects
+    the rows of degree below N; the levels of one call share cx.
 
     Two precautions make the count honest.
 
@@ -182,9 +333,9 @@ def _chi_at(v, f, N, top, window, check, images):
     element; a clipped tail of one relation can cancel the high part of an
     honest relation and the combination fakes a low-degree ideal member,
     which then poisons every rank below.  So a row whose image or product
-    reaches degree N is dropped outright.  Dropping is safe for realization:
+    reaches degree N is left out.  Leaving it out is safe for realization:
     deg(f*h) = deg f + deg h exactly, so any relation of degree below N only
-    needs multiplier rows that survive the filter.
+    needs multiplier rows of degree below N.
 
     Second, the low-order window.  A raw kernel-minus-image count in the
     truncated spaces is stably wrong: monomials near the truncation boundary
@@ -193,7 +344,7 @@ def _chi_at(v, f, N, top, window, check, images):
     the window U of coefficient degree below window = N - (1 + max input
     degree): the differential and the relation generators cannot push the
     window past the truncation boundary, hence within U nothing is lost.
-    With
+    A column lies in U when its key's degree digit is below window.  With
 
         K_j = preimage of S_{j-1} under phi_j        (cycles upstairs)
         B_j = phi_{j+1}(W_{j+1}) + S_j               (boundaries upstairs)
@@ -207,102 +358,49 @@ def _chi_at(v, f, N, top, window, check, images):
         dim(B_j n U_j) = rank(B_j rows) - rank(B_j rows with the U columns
                                                 zeroed out)
 
-    Three self-checks run on the way, and a failure raises RouteConflict
-    (so they hold under python -O too): the differential keeps the window
-    below the truncation boundary, and, when check is set, contraction maps
-    the relation span into itself and contracting twice gives zero.
+    Three self-checks guard the count, and a failure raises RouteConflict
+    (so they hold under python -O too): here, the differential keeps the
+    window below the truncation boundary and, when cx.check is set,
+    contraction maps the relation span into itself at this level; cx.grow
+    checks that contracting twice gives zero.
     """
-    n = v.nvars
-
-    bases = {}
-    idxs = {}
-    for j in range(top + 1):
-        bases[j], idxs[j] = _basis(n, N, j)
-
-    def phi_image(j, k):
-        key = bases[j][k]
-        image = images.get(key)
-        if image is None:
-            I, e = key
-            image = images[key] = contract(
-                DiffForm(n, j, {I: Poly.monomial(e)}), v)
-        return image
-
-    phi_keep = {}
+    cx.grow(N)
+    base, top = cx.base, cx.top
+    phi = [[]] + [sorted(cx.phi[j].items()) for j in range(1, top + 1)]
     for j in range(1, top + 1):
-        kept = {}
-        for k in range(len(bases[j])):
-            image = phi_image(j, k)
-            if _form_degree(image) < N:
-                kept[k] = _form_to_row(image, idxs[j - 1])
-        phi_keep[j] = kept
+        for k, (deg, _) in phi[j]:
+            if k % base < window and deg >= N:
+                raise RouteConflict(
+                    "window element pushed past the truncation boundary")
+    rel = [[entry for _, entry in sorted(cx.rel[j].items()) if entry[0] < N]
+           for j in range(top + 1)]
+    s_rows = [[row for _, row, _ in entries] for entries in rel]
+    rank_s = [integer_rank(rows) for rows in s_rows]
 
-    def s_forms(j):
-        forms = []
-        if f is None:
-            return forms
-        for I in itertools.combinations(range(n), j):
-            for a in _monomials_below(n, N - f.degree()):
-                forms.append(DiffForm(n, j, {I: f * Poly.monomial(a)}))
-        if j >= 1:
-            df = exterior_derivative(f)
-            for J in itertools.combinations(range(n), j - 1):
-                for a in _monomials_below(n, N):
-                    form = wedge(df, DiffForm(n, j - 1, {J: Poly.monomial(a)}))
-                    if form.is_zero() or _form_degree(form) >= N:
-                        continue
-                    forms.append(form)
-        return forms
-
-    forms = {j: s_forms(j) for j in range(top + 1)}
-    s_int = {j: [_form_to_row(form, idxs[j]) for form in forms[j]]
-             for j in range(top + 1)}
-    rank_s = {j: integer_rank(s_int[j]) for j in range(top + 1)}
-    u_positions = {
-        j: [k for k, (I, e) in enumerate(bases[j]) if sum(e) < window]
-        for j in range(top + 1)
-    }
-    for j in range(1, top + 1):
-        if not all(k in phi_keep[j] for k in u_positions[j]):
-            raise RouteConflict(
-                "window element pushed past the truncation boundary")
-
-    if check:
+    if cx.check:
         for j in range(1, top + 1):
-            # contraction maps the relation span into the relation span one
-            # step down; verified exactly on every honest generator whose
-            # image stays below the level
-            pushed = []
-            for form in forms[j]:
-                image = contract(form, v)
-                if image.is_zero() or _form_degree(image) >= N:
-                    continue
-                pushed.append(_form_to_row(image, idxs[j - 1]))
-            if integer_rank(s_int[j - 1] + pushed) != rank_s[j - 1]:
+            pushed = [p for _, _, (deg, p) in rel[j] if p and deg < N]
+            if integer_rank(s_rows[j - 1] + pushed) != rank_s[j - 1]:
                 raise RouteConflict(
                     "contraction leaves the relation span at degree %d" % j)
-        for j in range(2, top + 1):
-            # contracting twice kills every basis form identically
-            for k in range(len(bases[j])):
-                if not contract(phi_image(j, k), v).is_zero():
-                    raise RouteConflict(
-                        "contracting %r twice is not zero" % (bases[j][k],))
 
+    in_window = _count_below(cx.n, window)
     chi = 0
     for j in range(top + 1):
-        nu = len(u_positions[j])
+        nu = len(cx.forms[j]) * in_window
         if j == 0:
             dim_ku = nu
         else:
-            stacked = [phi_keep[j][k] for k in u_positions[j]] + s_int[j - 1]
+            stacked = [row for k, (_, row) in phi[j] if k % base < window]
+            stacked += s_rows[j - 1]
             dim_ku = nu - (integer_rank(stacked) - rank_s[j - 1])
-        b_rows = list(s_int[j])
+        b_rows = list(s_rows[j])
         if j < top:
-            b_rows = list(phi_keep[j + 1].values()) + b_rows
+            b_rows = [row for _, (deg, row) in phi[j + 1] if deg < N] + b_rows
         rb = integer_rank(b_rows)
-        rb_high = integer_rank(_zero_low_columns(b_rows, set(u_positions[j])))
-        dim_bu = rb - rb_high
-        h = dim_ku - dim_bu
+        rb_high = integer_rank([{k: a for k, a in r.items()
+                                 if k % base >= window} for r in b_rows])
+        h = dim_ku - (rb - rb_high)
         chi += h if j % 2 == 0 else -h
     return chi
 
@@ -323,7 +421,10 @@ def contraction_complex_euler(v, germ, N=None, max_trunc=32):
     n = v.nvars
     if isinstance(germ, Poly):
         f = germ
-        assert f.nvars == n and not f.is_zero()
+        if f.nvars != n:
+            raise InvalidInput("polynomial rings differ")
+        if f.is_zero():
+            raise InvalidInput("the zero polynomial defines no hypersurface")
         if _divide(v.apply(f), f) is None:
             raise NotInvariant(
                 "vector field is not tangent to the hypersurface")
@@ -331,8 +432,15 @@ def contraction_complex_euler(v, germ, N=None, max_trunc=32):
         top = n - 1
         degs = [f.degree()] + [c.degree() for c in cs]
     else:
-        divisor = sorted(set(germ))
-        assert all(isinstance(i, int) and 0 <= i < n for i in divisor)
+        try:
+            divisor = set(germ)
+        except TypeError:
+            raise InvalidInput("germ %r is neither a polynomial nor a set of "
+                               "variable indices" % (germ,)) from None
+        bad = [i for i in divisor if not (isinstance(i, int) and 0 <= i < n)]
+        if bad:
+            raise InvalidInput("divisor entries %r are not variable indices "
+                               "below %d" % (bad, n))
         cs = []
         for i in range(n):
             if i in divisor:
@@ -347,23 +455,27 @@ def contraction_complex_euler(v, germ, N=None, max_trunc=32):
         top = n
         degs = [c.degree() for c in v.components]
     buffer = 1 + max([d for d in degs if d >= 0] + [1])
-    check = n <= 2
-
-    v_mod = VectorField(tuple(cs))
-    images = {}
-
-    def chi(level):
-        return _chi_at(v_mod, f, level, top, level - buffer, check, images)
 
     if N is not None:
         if N <= buffer:
             raise TruncationNotStabilized(
                 "truncation level %d too small for the input degrees; it "
                 "must exceed %d" % (N, buffer))
+        max_level = N + 2
+    else:
+        level = max(8 if n <= 2 else 5, buffer + 2)
+        max_level = max(level, max_trunc) + 2
+    cx = _Complex(_integer_terms(cs),
+                  None if f is None else _integer_terms([f])[0],
+                  top, max_level, check=n <= 2)
+
+    def chi(level):
+        return _chi_at(cx, level, level - buffer)
+
+    if N is not None:
         value = chi(N)
         return value, value == chi(N + 2)
 
-    level = max(8 if n <= 2 else 5, buffer + 2)
     while level <= max_trunc:
         value = chi(level)
         if value == chi(level + 2):

@@ -363,16 +363,22 @@ def run_global_check(fol, kind, curve=None, points=(), branches=(),
     curve: affine chart-0 polynomial (plane identities) or a tuple of
     n-1 of them (complete intersection curve in P^n).  divisor: indices
     of homogeneous coordinates whose hyperplanes form the invariant
-    normal crossing divisor.  branches: (ProjPoint, BranchParam) pairs,
-    each branch written in the affine coordinates of the point's first
-    visible chart.  truncation caps the series order of the cs and var
-    branch residues.
+    normal crossing divisor.  branches: (ProjPoint, BranchParam) pairs at
+    declared points (InvalidInput otherwise), each branch written in the
+    affine coordinates of the point's first visible chart.  truncation
+    caps the series order of the cs and var branch residues.
     """
     n = fol.n
     points = tuple(points)
     for p in points:
         if not isinstance(p, ProjPoint) or p.n != n:
             raise InvalidInput("%r is not a point of P^%d" % (p, n))
+    grouped = {}
+    for p, br in branches:
+        if p not in points:
+            raise InvalidInput("branch at %r, which is not a declared point"
+                               % (p,))
+        grouped.setdefault(p, []).append(br)
     if kind not in CHECKS:
         raise UnsupportedIdentity(kind)
     check = CHECKS[kind]
@@ -388,9 +394,6 @@ def run_global_check(fol, kind, curve=None, points=(), branches=(),
                     for j in charts]
     _certify(kind, [list(fields[j].components) + chart_curves[j]
                     for j in charts], points)
-    grouped = {}
-    for p, br in branches:
-        grouped.setdefault(p, []).append(br)
     rows = []
     for p in points:
         j = p.first_chart()

@@ -235,6 +235,10 @@ def test_log_index():
     assert all(ok for _, ok, _ in rep.crosschecks)
     with pytest.raises(NotLogarithmic):
         log_index(VectorField((Poly.const(2, 1), y)), (0,))
+    # a divisor index outside the ring is bad input, also under python -O
+    for divisor in ((5,), (-1,), (0, "x"), (0.5,), 5, ([0],)):
+        with pytest.raises(InvalidInput):
+            log_index(VectorField((2 * x, 3 * y)), divisor, oracle=True)
 
 
 def test_step_budget_caps_all_calls_of_an_index():

@@ -1,8 +1,10 @@
 """Truncation oracle: integer ranks, naive dimensions, Euler characteristics."""
 
 import ast
+import itertools
 import random
 from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from folindex import jetoracle
 from folindex.errors import (
+    InvalidInput,
     NotInvariant,
     NotLogarithmic,
     RouteConflict,
@@ -27,7 +30,14 @@ from folindex.localalgebra import (
     MonomialOrder,
     quotient_dim,
 )
-from folindex.polyring import DiffForm, Poly, VectorField
+from folindex.polyring import (
+    DiffForm,
+    Poly,
+    VectorField,
+    contract,
+    exterior_derivative,
+    wedge,
+)
 
 
 def test_integer_rank():
@@ -211,6 +221,122 @@ def test_tangency_and_divisor_guards():
         contraction_complex_euler(VectorField((Poly.const(2, 1), y)), (0,))
 
 
+def test_bad_oracle_input_raises_invalid_input():
+    # checked by raising, not by assert, so python -O keeps the checks
+    x, y = Poly.variables(2)
+    v = VectorField((2 * x, 3 * y))
+    with pytest.raises(InvalidInput):
+        truncated_quotient_dim((), 4)
+    with pytest.raises(InvalidInput):
+        truncated_quotient_dim((x, Poly.var(3, 1)), 4)
+    for divisor in ((5,), (-1,), (0, "x"), (0.5,), 5, ([0],)):
+        with pytest.raises(InvalidInput):
+            contraction_complex_euler(v, divisor)
+    with pytest.raises(InvalidInput):
+        contraction_complex_euler(v, Poly.zero(2))
+    with pytest.raises(InvalidInput):
+        contraction_complex_euler(v, Poly.var(3, 0))
+
+
+def _form_row(cx, form):
+    """Primitive integer row of a polyring form, in the columns of cx."""
+    row = {cx.key(K, e): c
+           for K, p in form.coeffs.items() for e, c in p.terms.items()}
+    den = lcm(*(c.denominator for c in row.values()))
+    ints = {k: int(c * den) for k, c in row.items()}
+    g = gcd(*ints.values())
+    return {k: a // g for k, a in ints.items()}
+
+
+def _form_degree(form):
+    return max((p.degree() for p in form.coeffs.values()), default=-1)
+
+
+def _random_poly(rng, n, low=0, high=2, terms=3):
+    mons = [e for e in itertools.product(range(high + 1), repeat=n)
+            if low <= sum(e) <= high]
+    return Poly(n, {e: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                    for e in rng.sample(mons, rng.randint(1, terms))})
+
+
+@pytest.mark.parametrize("n, level", [(2, 5), (3, 3)])
+def test_rows_match_the_exterior_algebra(n, level):
+    # the oracle builds its rows from integer terms; polyring's contract,
+    # wedge and exterior_derivative fix the signs they must agree with
+    rng = random.Random(7 + n)
+    mons = [e for e in itertools.product(range(level), repeat=n)
+            if sum(e) < level]
+    xs = Poly.variables(n)
+    for case in range(4):
+        v = VectorField(tuple(_random_poly(rng, n) for _ in range(n)))
+        if case % 2:
+            # divisor case: the divided field, no relations
+            divisor = rng.sample(range(n), rng.randint(1, n))
+            logarithmic = [c * xs[i] if i in divisor else c
+                           for i, c in enumerate(v.components)]
+            comps = [jetoracle._divide(c, xs[i]) if i in divisor else c
+                     for i, c in enumerate(logarithmic)]
+            f = None
+        else:
+            comps, f = list(v.components), _random_poly(rng, n, 1, 3, 4)
+        w = VectorField(tuple(comps))
+        cx = jetoracle._Complex(
+            jetoracle._integer_terms(comps),
+            None if f is None else jetoracle._integer_terms([f])[0],
+            n, level, check=True)
+        cx.grow(level)
+        for j in range(1, n + 1):
+            for I in itertools.combinations(range(n), j):
+                for e in mons:
+                    image = contract(DiffForm(n, j, {I: Poly.monomial(e)}), w)
+                    deg, row = cx.phi[j][cx.key(I, e)]
+                    assert row == _form_row(cx, image), (I, e)
+                    assert deg == max(sum(e), _form_degree(image))
+        if f is None:
+            assert not any(cx.rel)
+            continue
+        df = exterior_derivative(f)
+        for j in range(n + 1):
+            forms = [DiffForm(n, j, {I: f * Poly.monomial(a)})
+                     for I in itertools.combinations(range(n), j)
+                     for a in mons]
+            if j:
+                wedged = (wedge(df, DiffForm(n, j - 1, {J: Poly.monomial(a)}))
+                          for J in itertools.combinations(range(n), j - 1)
+                          for a in mons)
+                forms += [form for form in wedged if not form.is_zero()]
+            rows = [entry for _, entry in sorted(cx.rel[j].items())]
+            assert len(rows) == len(forms)
+            for (deg, row, pushed), form in zip(rows, forms):
+                assert row == _form_row(cx, form)
+                assert deg == _form_degree(form)
+                if j:
+                    image = contract(form, w)
+                    assert pushed == (_form_degree(image),
+                                      _form_row(cx, image))
+
+
+_nonzero_rationals = st.fractions(min_value=-6, max_value=6,
+                                  max_denominator=7).filter(bool)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 4), _nonzero_rationals, _nonzero_rationals,
+       st.sampled_from((None, 7)))
+def test_euler_ignores_constant_factors(case, a, b, N):
+    # the oracle scales v and f to integer terms, which needs exactly this
+    x, y = Poly.variables(2)
+    field, germ = [((2 * x, 3 * y), y ** 2 - x ** 3),
+                   ((-y, x), x ** 2 + y ** 2),
+                   ((x ** 2, y), (0,)),
+                   ((2 * x, 3 * y + x * y), (0, 1)),
+                   ((y ** 2, -x ** 2), ())][case]
+    scaled_germ = b * germ if isinstance(germ, Poly) else germ
+    assert (contraction_complex_euler(VectorField(tuple(a * c for c in field)),
+                                      scaled_germ, N=N)
+            == contraction_complex_euler(VectorField(field), germ, N=N))
+
+
 def test_level_at_or_below_the_degree_buffer_raises():
     # at N = 2 the window is empty and the value would read 0, not -1
     x, y = Poly.variables(2)
@@ -221,31 +347,38 @@ def test_level_at_or_below_the_degree_buffer_raises():
 
 
 def test_self_checks_raise_route_conflict(monkeypatch):
+    # faults injected into the row builders must trip the self-checks
     x, y = Poly.variables(2)
-    real_contract = jetoracle.contract
+    real_contraction = jetoracle._contraction_terms
 
-    def patch_contract(extra):
-        def contract(form, v):
-            out = real_contract(form, v)
-            if out.degree == 0:
-                out = out + DiffForm.from_poly(extra)
+    def patch_contraction(extra):
+        def contraction(comps, I):
+            out = real_contraction(comps, I)
+            if len(I) == 1:
+                out[((), extra)] = out.get(((), extra), 0) + 1
             return out
-        monkeypatch.setattr(jetoracle, "contract", contract)
+        monkeypatch.setattr(jetoracle, "_contraction_terms", contraction)
 
     # a term far above the level pushes the window past the boundary
-    patch_contract(x ** 40)
+    patch_contraction((40, 0))
     with pytest.raises(RouteConflict, match="window"):
         contraction_complex_euler(VectorField((2 * x, 3 * y)), y ** 2 - x ** 3, N=10)
     # a constant term makes contracting twice nonzero
-    patch_contract(Poly.const(2, 1))
+    patch_contraction((0, 0))
     with pytest.raises(RouteConflict, match="twice"):
         contraction_complex_euler(VectorField((2 * x, 3 * y)), (0, 1), N=8)
-    monkeypatch.setattr(jetoracle, "contract", real_contract)
+    monkeypatch.setattr(jetoracle, "_contraction_terms", real_contraction)
 
-    # relations built from the wrong differential are not closed under
-    # contraction
-    real_d = jetoracle.exterior_derivative
-    monkeypatch.setattr(jetoracle, "exterior_derivative", lambda f: real_d(f + x))
+    # relations built from the wrong differential, d(f + x), are not closed
+    # under contraction
+    real_wedge = jetoracle._wedge_df_terms
+
+    def wedge_df(grad, J):
+        dx = dict(grad[0])
+        dx[(0, 0)] = dx.get((0, 0), 0) + 1
+        return real_wedge([dx] + grad[1:], J)
+
+    monkeypatch.setattr(jetoracle, "_wedge_df_terms", wedge_df)
     with pytest.raises(RouteConflict, match="relation span"):
         contraction_complex_euler(VectorField((2 * x, 3 * y)), y ** 2 - x ** 3, N=10)
 

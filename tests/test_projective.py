@@ -182,6 +182,17 @@ def test_every_check_kind_has_a_closed_form():
     assert set(CHECKS) == set(chern._RHS)
 
 
+def test_branches_at_undeclared_points_rejected():
+    # a branch keyed by a point outside `points` would never be read
+    fol, curve, points, branches = cubic_data()
+    with pytest.raises(InvalidInput, match="not a declared point"):
+        run_global_check(fol, "milnor_total", points=points, branches=[(1, 2)])
+    moved = [(ProjPoint((1, 1, 1)), branches[0][1]), branches[1]]
+    with pytest.raises(InvalidInput, match="not a declared point"):
+        run_global_check(fol, "cs_total", curve=curve, points=points,
+                         branches=moved)
+
+
 def test_missing_branches_fail_honestly():
     fol, curve, points, _ = cubic_data()
     report = run_global_check(fol, "cs_total", curve=curve, points=points)
