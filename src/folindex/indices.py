@@ -211,14 +211,16 @@ def _saito_triple(v, f, variant):
     fx = f.diff(0)
     fy = f.diff(1)
     c = exact_divide(p_coeff * fy - q_coeff * fx, f)
-    assert c is not None, "tangency guarantees this division"
+    if c is None:
+        raise RouteConflict("tangency guarantees this division")
     if variant == "fy":
         g, xi, eta = fy, q_coeff, DiffForm(2, 1, {(0,): c})
     else:
         g, xi, eta = fx, p_coeff, DiffForm(2, 1, {(1,): -c})
     lhs = g * omega
     rhs = DiffForm(2, 1, {(0,): xi * fx, (1,): xi * fy}) + f * eta
-    assert lhs == rhs, "decomposition identity broke"
+    if lhs != rhs:
+        raise RouteConflict("decomposition identity broke")
     return DecompositionTriple(g=g, xi=xi, eta=eta, variant=variant)
 
 

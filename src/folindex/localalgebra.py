@@ -24,6 +24,32 @@ both orders (some other leading monomial divides the pair's lcm and both of
 its pairs with the two are done), and by the product criterion (coprime
 leading monomials) in the global order only, where it holds.
 
+Highest corner.  In the local order a basis may be computed modulo a power
+of the maximal ideal m, once a power of m is known to lie in the ideal (the
+``noether`` of Singular; Greuel-Pfister, *A Singular Introduction to
+Commutative Algebra*, section 1.7).  Let G be a set of elements of I whose
+leading monomials leave finitely many standard monomials, and let c be one
+more than the top degree of a standard monomial (the corner degree; c == 0
+when the staircase is empty).  Then m^c lies in I in the local ring:
+
+    every monomial x^a of degree c is divisible by the leading monomial of
+    some g in G, and x^a == x^b * g / lc(g) - (x^b * tail(g)) / lc(g) with
+    every tail term of x^b * g either of degree above c or of degree c and
+    smaller than x^a in the order.  So modulo I + m^(c+1) each degree-c
+    monomial is a combination of smaller degree-c monomials, and by
+    induction over the finitely many of them each one lies in I + m^(c+1).
+    Hence m^c is contained in I + m * m^c, and Nakayama's lemma gives
+    m^c contained in I.
+
+From then on every computation may drop the terms of degree T >= c: such
+terms lie in I, an element computed modulo m^T is still an element of I,
+and the set G together with the monomials of degree T is a standard basis
+of I + m^T == I whose leading ideal is that of G (it already contains m^c).
+A later element can only shrink the staircase, so c, and with it T, only
+decreases, and an element computed modulo an earlier certified m^T lies in
+I by the same argument.  Every identity of the basis then holds modulo the
+final m^T, and the checks below are made modulo it.
+
 Every loop spends from a step budget and raises ResourceCap when it runs
 out; nothing here terminates silently with a wrong answer.  Inside a
 ``with step_budget(limit):`` block, every standard basis, normal form and
@@ -37,7 +63,6 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import heapq
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
@@ -63,6 +88,7 @@ __all__ = [
     "StepBudget",
     "step_budget",
     "standard_basis",
+    "at_corner",
     "normal_form",
     "membership_with_cofactors",
     "quotient_dim",
@@ -180,21 +206,23 @@ def _divides(e1, e2):
     return all(a <= b for a, b in zip(e1, e2))
 
 
-def _nf(p, elements, lead_exps, order, budget):
+def _nf(p, elements, lead_exps, order, budget, below=None):
     """Weak normal form of p against elements, whose leading exponents are
     lead_exps.
 
-    Returns (r, u, c) with the exact identity
+    Returns (r, u, c) with the identity
         u * p == sum_k c[k] * elements[k] + r
     where u has constant term 1 (u == 1 under a global order) and no leading
-    monomial of the basis divides the leading monomial of r.
+    monomial of the basis divides the leading monomial of r.  The identity
+    is exact, or with ``below`` holds modulo m^below: r, u and the c[k] then
+    have no term of degree ``below`` or more.
     """
     n = p.nvars
     zero = Poly.zero(n)
     one = Poly.const(n, 1)
     u = one
     c = {}
-    h = p
+    h = p.truncate(below)
 
     # Mora: reducers grow with stacked intermediates.  A reducer is
     # (leading exponent, leading coefficient, ecart, polynomial, payload):
@@ -219,25 +247,29 @@ def _nf(p, elements, lead_exps, order, budget):
             reducers.append((eh, ch, ech, h, (u, dict(c))))
         q = ch / cg
         shift = tuple(map(sub, eh, eg))
-        h = h.sub_mul(shift, q, g)
+        h = h.sub_mul(shift, q, g, below)
         if type(payload) is int:
-            c[payload] = c.get(payload, zero).sub_mul(shift, -q, one)
+            c[payload] = c.get(payload, zero).sub_mul(shift, -q, one, below)
         else:
             u0, c0 = payload
-            u = u.sub_mul(shift, q, u0)
+            u = u.sub_mul(shift, q, u0, below)
             for k, c0k in c0.items():
-                c[k] = c.get(k, zero).sub_mul(shift, q, c0k)
+                c[k] = c.get(k, zero).sub_mul(shift, q, c0k, below)
     return h, u, c
 
 
 @dataclass(frozen=True)
 class StandardBasis:
-    """A standard (local) or Groebner (global) basis with exact expansions.
+    """A standard (local) or Groebner (global) basis with expansions.
 
     expansions[k] is a cofactor vector over the original generators:
         elements[k] == sum_j expansions[k][j] * gens[j]
-    holds as a polynomial identity.  Elements are monic with respect to the
-    order; leading_exps[k] is the leading exponent of elements[k].
+    holds as a polynomial identity when modulo is None, and modulo
+    m^modulo otherwise; then m^modulo lies in the ideal and no element or
+    expansion has a term of degree modulo or more, except an element whose
+    leading monomial has that degree, which is that monomial.  Elements are
+    monic with respect to the order; leading_exps[k] is the leading exponent
+    of elements[k].
     """
 
     order: MonomialOrder
@@ -245,6 +277,7 @@ class StandardBasis:
     elements: tuple
     expansions: tuple
     leading_exps: tuple
+    modulo: int | None = None
 
 
 def _check_gens(gens, order):
@@ -255,7 +288,36 @@ def _check_gens(gens, order):
         raise InvalidInput("generators and order live in different rings")
 
 
-def standard_basis(gens, order):
+def at_corner(c):
+    """The truncation degree that works modulo m^c at the corner degree c,
+    the policy quotient_dim, normal_form and monomial_power_bound read."""
+    return c
+
+
+def _cut(b, e, row, below):
+    """Element b with leading exponent e and its expansion row modulo
+    m^below; an element whose leading monomial lies in m^below becomes that
+    monomial, which is in the ideal and keeps the leading exponent."""
+    b = Poly.monomial(e) if sum(e) >= below else b.truncate(below)
+    return b, [q.truncate(below) for q in row]
+
+
+def _shifted_difference(si, a, sj, b, below):
+    """x^si * a - x^sj * b, without the terms of degree ``below`` or more."""
+    return Poly.zero(a.nvars).sub_mul(si, -1, a, below).sub_mul(sj, 1, b,
+                                                                below)
+
+
+def standard_basis(gens, order, modulo=None):
+    """Standard basis of the ideal of gens with expansions over gens.
+
+    With ``modulo`` None the basis and its expansions are exact.  Otherwise,
+    in a local order, ``modulo`` maps the corner degree c to a degree
+    T >= c, and once the leading monomials leave a finite staircase the
+    computation drops every term of degree T or more (see the module
+    docstring), lowering T as the staircase shrinks; the basis records the
+    final T.  A global order never truncates.
+    """
     gens = tuple(gens)
     _check_gens(gens, order)
     n = order.nvars
@@ -270,9 +332,12 @@ def standard_basis(gens, order):
     sugars = []
     pending = set()
     queue = []
+    below = None
 
     def add_element(b, e, row, sugar):
         t = len(elements)
+        if below is not None:
+            b, row = _cut(b, e, row, below)
         elements.append(b)
         lead_exps.append(e)
         expans.append(row)
@@ -287,6 +352,22 @@ def standard_basis(gens, order):
                            sugar + sum(lcm) - sum(e))
             pending.add((s, t))
             heapq.heappush(queue, (head, order.key(lcm), s, t))
+        if local and modulo is not None:
+            lower_corner()
+
+    def lower_corner():
+        # the staircase of the leading monomials sets c; once it is finite,
+        # cut every element and expansion at the new, lower T
+        nonlocal below
+        std = _staircase(lead_exps, n)
+        if std is None:
+            return
+        t = max(1, modulo(1 + max(map(sum, std), default=-1)))
+        if below is not None and t >= below:
+            return
+        below = t
+        for k, e in enumerate(lead_exps):
+            elements[k], expans[k] = _cut(elements[k], e, expans[k], t)
 
     for j, g in enumerate(gens):
         if g.is_zero():
@@ -307,6 +388,12 @@ def standard_basis(gens, order):
         return False
 
     while queue:
+        if below is not None and queue[0][0] >= below:
+            # the heads left are lcm degrees of at least T: every S-polynomial
+            # left vanishes modulo m^T.  Each pair still costs its step, as a
+            # pair skipped by a criterion does.
+            budget.spend(len(queue))
+            break
         budget.spend()
         head, _, i, j = heapq.heappop(queue)
         pending.discard((i, j))
@@ -317,19 +404,19 @@ def standard_basis(gens, order):
         lcm = tuple(map(max, ei, ej))
         if chain_skips(i, j, lcm):
             continue
-        mi = Poly.monomial(tuple(map(sub, lcm, ei)))
+        si = tuple(map(sub, lcm, ei))
         sj = tuple(map(sub, lcm, ej))
-        spoly = (mi * elements[i]).sub_mul(sj, 1, elements[j])
+        spoly = _shifted_difference(si, elements[i], sj, elements[j], below)
         if spoly.is_zero():
             continue
-        r, u, c = _nf(spoly, elements, lead_exps, order, budget)
+        r, u, c = _nf(spoly, elements, lead_exps, order, budget, below)
         if r.is_zero():
             continue
-        row = [u * (mi * xi).sub_mul(sj, 1, xj)
+        row = [u.mul_below(_shifted_difference(si, xi, sj, xj, below), below)
                for xi, xj in zip(expans[i], expans[j])]
         for t, ct in c.items():
             for k in range(m):
-                row[k] = row[k] - ct * expans[t][k]
+                row[k] = row[k] - ct.mul_below(expans[t][k], below)
         e, lc = order.leading(r)
         # head is the pair's sugar in the global order; the local order
         # never reads sugars
@@ -338,8 +425,8 @@ def standard_basis(gens, order):
     for b, row in zip(elements, expans):
         acc = zero
         for q, g in zip(row, gens):
-            acc = acc + q * g
-        if acc != b:
+            acc = acc + q.mul_below(g, below)
+        if acc != b.truncate(below):
             raise RouteConflict("expansion bookkeeping broke")
 
     return StandardBasis(
@@ -348,32 +435,39 @@ def standard_basis(gens, order):
         elements=tuple(elements),
         expansions=tuple(tuple(row) for row in expans),
         leading_exps=tuple(lead_exps),
+        modulo=below,
     )
 
 
 class IdealGens:
     """An ideal presented by generators together with a monomial order.
 
-    The standard basis is computed on first use and cached.
+    Each standard basis is computed on first use and cached.
     """
 
-    __slots__ = ("gens", "order", "_basis")
+    __slots__ = ("gens", "order", "_bases")
 
     def __init__(self, gens, order):
         gens = tuple(gens)
         _check_gens(gens, order)
         self.gens = gens
         self.order = order
-        self._basis = None
+        self._bases = {}
 
     @property
     def nvars(self):
         return self.gens[0].nvars
 
-    def basis(self):
-        if self._basis is None:
-            self._basis = standard_basis(self.gens, self.order)
-        return self._basis
+    def basis(self, modulo=None):
+        """The standard basis for the truncation policy ``modulo`` (see
+        standard_basis); a global order has only the exact one."""
+        if not self.order.is_local():
+            modulo = None
+        sb = self._bases.get(modulo)
+        if sb is None:
+            sb = standard_basis(self.gens, self.order, modulo)
+            self._bases[modulo] = sb
+        return sb
 
     def with_extra(self, extra):
         return IdealGens(self.gens + tuple(extra), self.order)
@@ -384,9 +478,13 @@ class IdealGens:
 
 
 def normal_form(p, ideal):
-    """Weak normal form of p modulo the ideal (remainder only)."""
-    sb = ideal.basis()
-    r, _, _ = _nf(p, sb.elements, sb.leading_exps, ideal.order, _budget())
+    """Weak normal form of p modulo the ideal (remainder only), read from
+    the basis at the highest corner: when m^T lies in the ideal the
+    remainder has no term of degree T or more.  It is zero exactly when p
+    lies in the ideal."""
+    sb = ideal.basis(at_corner)
+    r, _, _ = _nf(p, sb.elements, sb.leading_exps, ideal.order, _budget(),
+                  sb.modulo)
     return r
 
 
@@ -399,14 +497,20 @@ class Cofactors:
     unit: Poly
 
 
-def membership_with_cofactors(p, ideal):
+def membership_with_cofactors(p, ideal, modulo=None):
     """Express p in terms of the original generators, up to a unit.
 
-    Raises NotMember when the normal form is nonzero.  The returned identity
-    is checked exactly before returning.
+    Raises NotMember when p is not in the ideal.  The basis is the one of
+    the truncation policy ``modulo`` (see standard_basis).  The identity
+    unit * p == sum cofactors[j] * gens[j] is checked before returning:
+    exactly when modulo is None or the basis never truncated, else modulo
+    m^T for the basis's T, and then no cofactor and no unit term has degree
+    T or more.
     """
-    sb = ideal.basis()
-    r, u, c = _nf(p, sb.elements, sb.leading_exps, ideal.order, _budget())
+    sb = ideal.basis(modulo)
+    below = sb.modulo
+    r, u, c = _nf(p, sb.elements, sb.leading_exps, ideal.order, _budget(),
+                  below)
     if not r.is_zero():
         raise NotMember("polynomial is not in the ideal (normal form %s)"
                         % r.format())
@@ -415,50 +519,58 @@ def membership_with_cofactors(p, ideal):
     for k, ck in c.items():
         row = sb.expansions[k]
         for j in range(len(q)):
-            q[j] = q[j] + ck * row[j]
+            q[j] = q[j] + ck.mul_below(row[j], below)
     acc = Poly.zero(n)
     for qj, gj in zip(q, ideal.gens):
-        acc = acc + qj * gj
-    if acc != u * p:
+        acc = acc + qj.mul_below(gj, below)
+    if acc != u.mul_below(p, below):
         raise RouteConflict("cofactor identity broke")
     return Cofactors(cofactors=tuple(q), unit=u)
 
 
-def _minimal_exps(exps):
-    out = []
+def _staircase(exps, n):
+    """The standard monomials of the monomial ideal generated by exps, by
+    degree, or None when there are infinitely many (some variable has no
+    pure power among exps)."""
+    if (0,) * n in exps:
+        return []
+    if not all(any(e[i] and sum(e) == e[i] for e in exps) for i in range(n)):
+        return None
+    lms = []
     for e in sorted(exps, key=sum):
-        if not any(_divides(f, e) for f in out):
-            out.append(e)
+        if not any(_divides(f, e) for f in lms):
+            lms.append(e)
+    out = []
+    layer = [(0,) * n]
+    while layer:
+        layer = [e for e in layer if not any(_divides(f, e) for f in lms)]
+        out.extend(layer)
+        # a divisor of a standard monomial is standard, so the next degree
+        # grows from this one
+        layer = {e[:i] + (e[i] + 1,) + e[i + 1:]
+                 for e in layer for i in range(n)}
     return out
+
+
+def _dim(sb):
+    std = _staircase(sb.leading_exps, sb.order.nvars)
+    return INFINITE if std is None else len(std)
 
 
 def quotient_dim(ideal):
     """Dimension of the quotient by the ideal of leading terms, hence of the
     quotient ring itself.  Returns INFINITE when the staircase is unbounded.
 
-    Local order: dimension of O_0 / I as a vector space.
+    Local order: dimension of O_0 / I as a vector space, read from the
+    basis at the highest corner.
     Global order: number of standard monomials (degree of a 0-dim ideal).
     """
-    sb = ideal.basis()
-    lms = _minimal_exps(sb.leading_exps)
-    n = ideal.nvars
-    if any(sum(e) == 0 for e in lms):
-        return 0
-    ks = []
-    for i in range(n):
-        pure = [e[i] for e in lms if all(e[j] == 0 for j in range(n) if j != i)]
-        if not pure:
-            return INFINITE
-        ks.append(min(pure))
-    count = 0
-    for e in itertools.product(*(range(k) for k in ks)):
-        if not any(_divides(f, e) for f in lms):
-            count += 1
-    return count
+    return _dim(ideal.basis(at_corner))
 
 
-def monomial_power_bound(ideal):
-    """Smallest N with every pure power x_i^N in the ideal.
+def monomial_power_bound(ideal, modulo=at_corner):
+    """Smallest N with every pure power x_i^N in the ideal, read from the
+    basis of the truncation policy ``modulo`` (see standard_basis).
 
     Requires a local order and a finite quotient dimension d; the maximal
     ideal to the power d lies inside the ideal, so the search up to d always
@@ -466,15 +578,18 @@ def monomial_power_bound(ideal):
     """
     if not ideal.order.is_local():
         raise InvalidInput("monomial_power_bound needs a local order")
-    d = quotient_dim(ideal)
+    sb = ideal.basis(modulo)
+    d = _dim(sb)
     if d is INFINITE:
         raise NotZeroDimensional(
             "ideal does not cut out an isolated point; no power bound exists")
     n = ideal.nvars
     if d == 0:
         return 1
+    budget = _budget()
     for bound in range(1, d + 1):
-        if all(normal_form(Poly.var(n, i) ** bound, ideal).is_zero()
+        if all(_nf(Poly.var(n, i) ** bound, sb.elements, sb.leading_exps,
+                   ideal.order, budget, sb.modulo)[0].is_zero()
                for i in range(n)):
             return bound
     raise RouteConflict("power bound exceeded the quotient dimension")

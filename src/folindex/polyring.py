@@ -162,19 +162,54 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def sub_mul(self, e, c, other):
-        """self - c * x^e * other, in one pass over other's terms."""
+    def sub_mul(self, e, c, other, below=None):
+        """self - c * x^e * other, in one pass over other's terms.  With
+        ``below``, the terms of c * x^e * other of total degree ``below`` or
+        more are left out."""
         if not c:
             return self
         assert other.nvars == self.nvars == len(e), "polynomial rings differ"
         terms = dict(self.terms)
-        for f, d in other.terms.items():
+        items = other.terms.items()
+        if below is not None:
+            room = below - sum(e)
+            items = [(f, d) for f, d in items if sum(f) < room]
+        for f, d in items:
             g = tuple(map(_add, e, f))
             s = terms.get(g, 0) - c * d
             if s:
                 terms[g] = s
             else:
                 del terms[g]
+        return self._raw(self.nvars, terms)
+
+    def truncate(self, below):
+        """The terms of total degree less than ``below`` (all of them when
+        ``below`` is None)."""
+        if below is None:
+            return self
+        return self._raw(self.nvars, {e: c for e, c in self.terms.items()
+                                      if sum(e) < below})
+
+    def mul_below(self, other, below):
+        """self * other without the terms of total degree ``below`` or more
+        (with all of them when ``below`` is None)."""
+        if below is None:
+            return self * other
+        if other.nvars != self.nvars:
+            raise InvalidInput("polynomial rings differ")
+        right = [(f, sum(f), d) for f, d in other.terms.items()]
+        terms = {}
+        for e, c in self.terms.items():
+            room = below - sum(e)
+            for f, df, d in right:
+                if df < room:
+                    g = tuple(map(_add, e, f))
+                    s = terms.get(g, 0) + c * d
+                    if s:
+                        terms[g] = s
+                    else:
+                        del terms[g]
         return self._raw(self.nvars, terms)
 
     def __truediv__(self, other):
@@ -185,7 +220,9 @@ class Poly:
         return NotImplemented
 
     def __pow__(self, k):
-        assert isinstance(k, int) and k >= 0
+        if not (isinstance(k, int) and k >= 0):
+            raise InvalidInput("exponent must be a nonnegative integer, got %r"
+                               % (k,))
         result = Poly.const(self.nvars, 1)
         base = self
         while k:

@@ -11,6 +11,22 @@ denominator (x_1^N, ..., x_n^N): the value is the coefficient of
 x^(N-1, ..., N-1) in h * det(A) / (u_1 ... u_n), expanded in the quotient
 ring where any single exponent reaching N is discarded.  The witness data
 (N, units, cofactor matrix) is fingerprinted so runs can be compared.
+
+The witnesses are only needed modulo m^T, T = (n+1)N - n + 1, where m is
+the maximal ideal.  Suppose u_i x_i^N == sum_j A[i][j] v_j + R_i with every
+R_i in m^T.  A monomial of degree T has some exponent of at least N (else
+its degree is at most n(N-1) < T), so R_i == sum_k B[i][k] x_k^N with every
+B[i][k] in m^(n(N-1)+1).  Then (U - B) x^N == A v for U = diag(u_i), and
+the transformation law reads the residue as the coefficient of
+x^(N-1, ..., N-1) in h * det(A) / det(U - B).  Every term of det(U - B)
+other than u_1 ... u_n contains an entry of B, so det(U - B) and
+u_1 ... u_n, and hence their inverses, agree below degree n(N-1) + 1; the
+coefficient read has degree n(N-1), so the value is the one of the exact
+witnesses.  The standard basis that yields the witnesses works modulo a
+power of m that contains them: with corner degree c (m^c in the ideal) the
+power bound N is at most c, so one basis cut at (n+1)c - n + 1 serves both
+the power bound and the witnesses; only an explicit bound above c raises
+the cut to T.
 """
 
 from __future__ import annotations
@@ -19,7 +35,7 @@ import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegreeMismatch
+from .errors import DegreeMismatch, InvalidInput, RouteConflict
 from .localalgebra import (
     IdealGens,
     MonomialOrder,
@@ -71,7 +87,8 @@ def _box_mul(a, b, N):
 def _box_inverse(u, N, n):
     zero_exp = (0,) * n
     c = u.get(zero_exp, Fraction(0))
-    assert c != 0, "box inverse of a non-unit"
+    if c == 0:
+        raise RouteConflict("box inverse of a non-unit")
     # u/c = 1 - w with w nilpotent in the box ring
     w = {e: -v / c for e, v in u.items() if e != zero_exp}
     inv = {zero_exp: Fraction(1) / c}
@@ -99,25 +116,33 @@ def grothendieck_residue(h, v, point=None, bound=None):
     """Residue of h over the components of v at an isolated zero.
 
     point defaults to the origin.  bound overrides the computed pure-power
-    exponent; NotMember surfaces if it is too small, NotZeroDimensional if
-    the zero is not isolated.
+    exponent and must be a positive integer; NotMember surfaces if it is too
+    small, NotZeroDimensional if the zero is not isolated.  The witnesses
+    hold modulo m^((n+1)N - n + 1) (see the module docstring).
     """
     n = v.nvars
-    assert h.nvars == n
+    if not (isinstance(h, Poly) and h.nvars == n):
+        raise InvalidInput("the numerator must be a polynomial in the %d "
+                           "variables of the field" % n)
+    if bound is not None and not (isinstance(bound, int) and bound >= 1):
+        raise InvalidInput("the power bound must be a positive integer, "
+                           "got %r" % (bound,))
     if point is not None:
         h = translate_to_origin(h, point)
         v = VectorField(tuple(translate_to_origin(c, point)
                               for c in v.components))
     ideal = IdealGens(v.components, MonomialOrder.local(n))
-    if bound is None:
-        N = monomial_power_bound(ideal)
-    else:
-        assert bound >= 1
-        N = bound
+    least = 1 if bound is None else bound
+
+    def modulo(c):
+        # the cut serves every power bound up to max(c, bound)
+        return (n + 1) * max(c, least) - n + 1
+
+    N = monomial_power_bound(ideal, modulo) if bound is None else bound
     rows = []
     units = []
     for i in range(n):
-        wit = membership_with_cofactors(Poly.var(n, i) ** N, ideal)
+        wit = membership_with_cofactors(Poly.var(n, i) ** N, ideal, modulo)
         rows.append(wit.cofactors)
         units.append(wit.unit)
     det = PolyMatrix(rows).det()

@@ -13,6 +13,7 @@ from folindex.errors import (
     NotLogarithmic,
     NotZeroDimensional,
     ResourceCap,
+    RouteConflict,
 )
 from folindex.indices import (
     cs_index,
@@ -251,3 +252,54 @@ def test_step_budget_caps_all_calls_of_an_index():
     with step_budget(200):
         assert gsv_curve(v, f).value == -1
     assert gsv_curve(v, f).value == -1
+
+
+# The twelve k = 3 germs of the benchmark's _draw_exps/_sqh_germ with
+# random.Random(7), plane and space alternating: the pure powers x_i^a_i
+# plus three terms above the Newton boundary, so mu == prod (a_i - 1).
+# Before the highest corner, tjurina_number ran past 5 s on six of them.
+K3_GERMS = (
+    ((5, 6), {(0, 6): 1, (1, 5): 1, (3, 4): -3, (4, 4): 3, (5, 0): 1}),
+    ((2, 3, 4), {(0, 0, 4): 1, (0, 2, 3): -3, (0, 3, 0): 1, (1, 1, 4): -3,
+                 (2, 0, 0): 1, (2, 3, 0): -3}),
+    ((4, 4), {(0, 4): 1, (1, 4): -3, (3, 2): 1, (3, 3): 3, (4, 0): 1}),
+    ((2, 4, 4), {(0, 0, 4): 1, (0, 3, 2): -3, (0, 4, 0): 1, (1, 2, 3): 3,
+                 (2, 0, 0): 1, (2, 1, 1): 1}),
+    ((4, 6), {(0, 6): 1, (2, 4): 1, (3, 3): -3, (3, 5): -1, (4, 0): 1}),
+    ((2, 4, 4), {(0, 0, 4): 1, (0, 4, 0): 1, (0, 4, 2): -3, (1, 2, 1): 1,
+                 (2, 0, 0): 1, (2, 0, 4): 2}),
+    ((3, 7), {(0, 7): 1, (1, 5): 2, (2, 3): 3, (3, 0): 1, (3, 2): 1}),
+    ((3, 3, 4), {(0, 0, 4): 1, (0, 3, 0): 1, (2, 0, 2): -2, (2, 1, 2): 3,
+                 (2, 3, 1): -2, (3, 0, 0): 1}),
+    ((4, 4), {(0, 4): 1, (2, 4): 2, (3, 3): -1, (4, 0): 1, (4, 2): -1}),
+    ((2, 2, 4), {(0, 0, 4): 1, (0, 2, 0): 1, (0, 2, 4): -2, (1, 2, 1): -1,
+                 (2, 0, 0): 1, (2, 0, 1): 3}),
+    ((6, 9), {(0, 9): 1, (1, 9): 3, (2, 7): 1, (6, 0): 1, (6, 4): 1}),
+    ((3, 3, 4), {(0, 0, 4): 1, (0, 3, 0): 1, (2, 1, 1): 1, (3, 0, 0): 1,
+                 (3, 0, 2): -3, (3, 3, 0): 3}),
+)
+
+
+@pytest.mark.parametrize("exps, terms", K3_GERMS)
+def test_k3_germs_within_a_small_budget(exps, terms):
+    f = Poly(len(exps), terms)
+    mu = 1
+    for a in exps:
+        mu *= a - 1
+    with step_budget(200):
+        assert milnor_number(f).value == mu
+        assert 1 <= tjurina_number(f).value <= mu
+
+
+def test_saito_self_checks_raise_route_conflict(monkeypatch):
+    # _saito_triple is called directly: tangency_cofactor divides too
+    x, y = xy()
+    v, f = VectorField((2 * x, 3 * y)), y ** 2 - x ** 3
+    exact = indices.exact_divide
+    monkeypatch.setattr(indices, "exact_divide", lambda p, g: None)
+    with pytest.raises(RouteConflict, match="tangency guarantees"):
+        indices._saito_triple(v, f, "fy")
+    monkeypatch.setattr(indices, "exact_divide",
+                        lambda p, g: exact(p, g) + x)
+    with pytest.raises(RouteConflict, match="decomposition identity"):
+        indices._saito_triple(v, f, "fx")

@@ -23,6 +23,7 @@ from folindex.localalgebra import (
     IdealGens,
     MonomialOrder,
     StepBudget,
+    at_corner,
     exact_divide,
     membership_with_cofactors,
     monomial_power_bound,
@@ -313,3 +314,124 @@ def test_every_s_polynomial_reduces_to_zero(gens, kind):
             assert r.is_zero(), (i, j)
     except ResourceCap:
         pass
+
+
+def _box_count(exps, n):
+    """Standard monomials of the monomial ideal of exps, counted in the box
+    of its pure powers; None when some variable has none."""
+    if (0,) * n in exps:
+        return 0
+    ks = []
+    for i in range(n):
+        pure = [e[i] for e in exps if e[i] and sum(e) == e[i]]
+        if not pure:
+            return None
+        ks.append(min(pure))
+    return sum(1 for a in itertools.product(*(range(k) for k in ks))
+               if not any(all(f <= b for f, b in zip(e, a)) for e in exps))
+
+
+def _zero_dim_ideals():
+    def gens(n):
+        term = st.tuples(st.tuples(*[st.integers(0, 3)] * n),
+                         st.integers(-3, 3).filter(bool))
+        poly = st.lists(term, min_size=1, max_size=4).map(
+            lambda ts: Poly(n, dict(ts)))
+        powers = st.tuples(*[st.integers(1, 4)] * n).map(
+            lambda ks: [Poly.var(n, i) ** k for i, k in enumerate(ks)])
+        # a pure power of each variable, disguised by the random generators
+        return st.tuples(st.lists(poly, min_size=1, max_size=3), powers).map(
+            lambda gp: [g + p for g, p in zip(gp[0], gp[1])]
+            + gp[0][len(gp[1]):] + gp[1][len(gp[0]):])
+    return st.integers(2, 3).flatmap(gens)
+
+
+@seed(20261019)
+@settings(max_examples=100, deadline=None)
+@given(_zero_dim_ideals())
+def test_corner_dimension_matches_exact_basis(gens):
+    n = gens[0].nvars
+    gens = [g for g in gens if not g.is_zero()] or [Poly.var(n, 0)]
+    order = MonomialOrder.local(n)
+    try:
+        with step_budget(300):
+            exact = standard_basis(gens, order)
+    except ResourceCap:
+        return
+    want = _box_count(exact.leading_exps, n)
+    ideal = IdealGens(gens, order)
+    got = quotient_dim(ideal)
+    assert (got is INFINITE) if want is None else got == want
+    sb = ideal.basis(at_corner)
+    assert exact.modulo is None
+    if want is not None:
+        # m^T lies in the ideal: every degree-T monomial has the exact
+        # normal form 0
+        assert sb.modulo is not None
+        for e in itertools.product(range(sb.modulo + 1), repeat=n):
+            if sum(e) == sb.modulo:
+                r, _, _ = localalgebra._nf(
+                    Poly.monomial(e), exact.elements, exact.leading_exps,
+                    order, StepBudget(2000))
+                assert r.is_zero()
+        # truncated expansions hold modulo m^T and nothing reaches degree T
+        for b, row in zip(sb.elements, sb.expansions):
+            acc = Poly.zero(n)
+            for q, g in zip(row, gens):
+                acc = acc + q * g
+            assert (acc - b).truncate(sb.modulo).is_zero()
+            assert all(q.degree() < sb.modulo for q in row)
+            assert b.degree() < sb.modulo or len(b.terms) == 1
+
+
+def test_corner_truncates_the_local_basis_only():
+    x, y = Poly.variables(2)
+    gens = (y ** 2 - x ** 3 + x ** 5 * y, x * y + y ** 7)
+    ideal = IdealGens(gens, local2())
+    assert quotient_dim(ideal) == 5
+    sb = ideal.basis(at_corner)
+    assert sb.modulo == 4
+    assert ideal.basis() is not sb and ideal.basis().modulo is None
+    # an element whose leading monomial reaches degree 4 is that monomial
+    assert all(b.degree() < 4 or len(b.terms) == 1 for b in sb.elements)
+    # x^4 lies in the ideal, x^3 does not: the remainder of x^3 + x^5
+    # modulo m^4 is x^3
+    assert normal_form(x ** 4 + x ** 5 * y, ideal).is_zero()
+    assert normal_form(x ** 3 + x ** 5, ideal) == x ** 3
+    # x*y == -y^7 modulo the ideal, and y^7 lies in m^4
+    wit = membership_with_cofactors(x * y, ideal, at_corner)
+    assert all(q.degree() < 4 for q in wit.cofactors)
+    assert wit.unit.constant_term() == 1
+    glob = IdealGens(gens, MonomialOrder.degrevlex(2))
+    assert glob.basis(at_corner) is glob.basis()
+    assert glob.basis().modulo is None
+
+
+def _doubled_truncated_unit(nf):
+    # doubles the unit of every normal form taken modulo a power of m and
+    # leaves the exact ones alone
+    def broken(p, elements, lead_exps, order, budget, below=None):
+        r, u, c = nf(p, elements, lead_exps, order, budget, below)
+        return r, (u if below is None else u + u), c
+    return broken
+
+
+def test_corrupted_truncated_row_raises_route_conflict(monkeypatch):
+    x, y = Poly.variables(2)
+    # the corner is known from the start (x^5, y^5), and the S-pair of the
+    # first two generators adds an element below it
+    gens = (x * y - x ** 3, x ** 2 * y + y ** 4, x ** 5, y ** 5)
+    sb = standard_basis(gens, local2(), at_corner)
+    assert sb.modulo is not None
+    assert len(sb.elements) > len(gens)
+    assert quotient_dim(IdealGens(gens, local2())) == _box_count(
+        standard_basis(gens, local2()).leading_exps, 2)
+    ideal = IdealGens((y ** 2 - x ** 3, y), local2())
+    ideal.basis(at_corner)
+    monkeypatch.setattr(localalgebra, "_nf",
+                        _doubled_truncated_unit(localalgebra._nf))
+    standard_basis(gens, local2())
+    with pytest.raises(RouteConflict, match="expansion bookkeeping"):
+        standard_basis(gens, local2(), at_corner)
+    with pytest.raises(RouteConflict, match="cofactor identity"):
+        membership_with_cofactors(y + x * y, ideal, at_corner)

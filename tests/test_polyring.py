@@ -251,6 +251,9 @@ def test_bad_inputs_are_rejected():
         VectorField((x,))
     with pytest.raises(InvalidInput):
         DiffForm(2, 1, {(1, 0): x})
+    for k in (-1, Fraction(1, 2), 1.0):
+        with pytest.raises(InvalidInput):
+            x ** k
 
 
 def _polys(n):

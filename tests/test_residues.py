@@ -1,11 +1,24 @@
 """Point residue evaluation against hand-computed values."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from folindex.errors import DegreeMismatch
-from folindex.polyring import Poly, VectorField, jacobian
+from folindex import residues
+from folindex.errors import (
+    DegreeMismatch,
+    InvalidInput,
+    NotMember,
+    RouteConflict,
+)
+from folindex.localalgebra import (
+    IdealGens,
+    MonomialOrder,
+    at_corner,
+    membership_with_cofactors,
+)
+from folindex.polyring import Poly, PolyMatrix, VectorField, jacobian
 from folindex.residues import PhiSpec, baum_bott_residue, grothendieck_residue
 
 
@@ -72,3 +85,85 @@ def test_baum_bott_residue():
     lin = VectorField((2 * x + y, x + 3 * y))
     assert baum_bott_residue(lin, c1_squared).value == 5
     assert baum_bott_residue(lin, c2).value == 1
+
+
+def _exact_witness_value(h, v, N):
+    """The residue from exact witnesses u_i x_i^N == sum_j A[i][j] v_j: the
+    coefficient of x^(N-1, ..., N-1) in h det(A) / (u_1 ... u_n)."""
+    n = v.nvars
+    ideal = IdealGens(v.components, MonomialOrder.local(n))
+    wits = [membership_with_cofactors(Poly.var(n, i) ** N, ideal)
+            for i in range(n)]
+    det = PolyMatrix([w.cofactors for w in wits]).det()
+    units = {(0,) * n: Fraction(1)}
+    for w in wits:
+        units = residues._box_mul(units, residues._box(w.unit, N), N)
+    series = residues._box_mul(residues._box(h * det, N),
+                               residues._box_inverse(units, N, n), N)
+    return series.get((N - 1,) * n, Fraction(0))
+
+
+def _random_fields():
+    rng = random.Random(29)
+    out = []
+    while len(out) < 12:
+        n = 2 if len(out) % 3 else 3
+        xs = Poly.variables(n)
+        comps = []
+        for i in range(n):
+            c = rng.choice((1, 2, -3)) * xs[i] ** rng.randint(1, 3)
+            for _ in range(rng.randint(1, 2)):
+                e = tuple(rng.randint(0, 2) for _ in range(n))
+                if sum(e) >= 2:
+                    c = c + Poly.monomial(e, rng.choice((-2, -1, 1, 3)))
+            comps.append(c)
+        h = Poly.const(n, rng.randint(1, 3)) + Poly.monomial(
+            tuple(rng.randint(0, 2) for _ in range(n)), rng.randint(-2, 2))
+        out.append((h, VectorField(tuple(comps))))
+    return out
+
+
+@pytest.mark.parametrize("h, v", _random_fields())
+def test_truncated_witnesses_give_the_exact_value(h, v):
+    n = v.nvars
+    auto = grothendieck_residue(h, v)
+    assert auto.value == _exact_witness_value(h, v, auto.bound)
+    jac = grothendieck_residue(v.jacobian().det(), v)
+    assert jac.value == _exact_witness_value(v.jacobian().det(), v,
+                                             jac.bound)
+    # an explicit bound above the corner degree c needs its own, higher cut
+    c = IdealGens(v.components, MonomialOrder.local(n)).basis(
+        at_corner).modulo
+    assert auto.bound <= c
+    forced = grothendieck_residue(h, v, bound=c + 2)
+    assert forced.value == auto.value
+    assert forced.value == _exact_witness_value(h, v, c + 2)
+    if auto.bound > 1:
+        with pytest.raises(NotMember):
+            grothendieck_residue(h, v, bound=auto.bound - 1)
+
+
+def test_bad_residue_input_raises_invalid_input():
+    x, y = xy()
+    v = VectorField((x ** 2, y ** 2))
+    for bound in (0, -1, Fraction(3, 2), 2.0, "2"):
+        with pytest.raises(InvalidInput):
+            grothendieck_residue(x * y, v, bound=bound)
+    with pytest.raises(InvalidInput):
+        grothendieck_residue(Poly.var(3, 0), v)
+    with pytest.raises(InvalidInput):
+        grothendieck_residue(1, v)
+
+
+def test_box_inverse_of_a_non_unit_raises_route_conflict(monkeypatch):
+    x, y = xy()
+    v = VectorField((x ** 2, y ** 2))
+    exact = residues.membership_with_cofactors
+
+    def unit_dropped(p, ideal, modulo=None):
+        wit = exact(p, ideal, modulo)
+        return type(wit)(cofactors=wit.cofactors, unit=wit.unit - 1)
+
+    monkeypatch.setattr(residues, "membership_with_cofactors", unit_dropped)
+    with pytest.raises(RouteConflict, match="box inverse of a non-unit"):
+        grothendieck_residue(x * y, v)
