@@ -44,7 +44,7 @@ class TruncationNotStabilized(FolindexError):
 class RouteConflict(FolindexError):
     """Two independent computation routes disagreed.
 
-    The offending report (with its CONFLICT flag set) is attached.
+    The offending report, when there is one, is attached.
     """
 
     def __init__(self, message, report=None):

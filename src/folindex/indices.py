@@ -2,8 +2,8 @@
 
 Every operation returns an IndexReport carrying the value, the method that
 produced it, and the outcome of whatever independent cross-checks were run.
-A failed cross-check never passes silently: the report is flagged CONFLICT
-and RouteConflict is raised with the report attached.
+A failed cross-check never passes silently: RouteConflict is raised with
+the report attached.
 
 Points default to the origin; all computations translate their inputs there
 first.  Curve branches are given in absolute coordinates (the branch passes
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import (
     DegenerateDecomposition,
@@ -43,6 +42,7 @@ from .polyring import (
     VectorField,
     dual_form,
     field_from_dual,
+    translate_field,
     translate_to_origin,
 )
 from .residues import grothendieck_residue
@@ -80,15 +80,13 @@ class IndexReport:
     value: object
     method: str
     crosschecks: list = field(default_factory=list)
-    flags: list = field(default_factory=list)
 
 
 def _finish(value, method, crosschecks=()):
-    crosschecks = list(crosschecks)
-    report = IndexReport(value=value, method=method, crosschecks=crosschecks)
-    bad = [name for name, ok, _ in crosschecks if not ok]
+    report = IndexReport(value=value, method=method,
+                         crosschecks=list(crosschecks))
+    bad = [name for name, ok, _ in report.crosschecks if not ok]
     if bad:
-        report.flags.append("CONFLICT")
         raise RouteConflict(
             "independent routes disagree (%s)" % ", ".join(bad), report=report)
     return report
@@ -99,10 +97,7 @@ def _at_point(p, point):
 
 
 def _field_at_point(v, point):
-    if point is None:
-        return v
-    return VectorField(tuple(translate_to_origin(c, point)
-                             for c in v.components))
+    return v if point is None else translate_field(v, point)
 
 
 def _local_dim(gens, n, what):
@@ -295,7 +290,6 @@ def cs_index(v, f, branch, point=None, max_order=DEFAULT_MAX_ORDER):
     tangency_cofactor(v0, f0)
     valid = _saito_valid_variants(v0, f0)
 
-    shift = (Fraction(0), Fraction(0)) if point is None else tuple(point)
     order = 20
     cap = branch.max_order()
     if cap is not None:
@@ -303,7 +297,8 @@ def cs_index(v, f, branch, point=None, max_order=DEFAULT_MAX_ORDER):
 
     while True:
         br = branch.at_order(order)
-        comps = tuple(s - shift[i] for i, s in enumerate(br.comps))
+        comps = br.comps if point is None else tuple(
+            s - q for s, q in zip(br.comps, point))
         if all(s.valuation() is None for s in comps):
             raise NotInvariant("branch is constant at the point")
         if any(s.coeffs[0] != 0 for s in comps):
@@ -363,13 +358,10 @@ def gsv_pfaff_curve(data, curve_polys, point=None):
 
     data may be a vector field or its dual (n-1)-form.  Every minor index set
     with finite orders is evaluated; all of them must give the same value."""
-    if isinstance(data, VectorField):
-        v = data
-        omega = dual_form(v)
-    else:
-        assert isinstance(data, DiffForm)
-        omega = data
-        v = field_from_dual(omega)
+    v = field_from_dual(data) if isinstance(data, DiffForm) else data
+    if not isinstance(v, VectorField):
+        raise InvalidInput("gsv_pfaff_curve needs a vector field or its dual "
+                           "form, got %r" % (data,))
     n = v.nvars
     curve_polys = tuple(curve_polys)
     assert len(curve_polys) == n - 1

@@ -29,6 +29,9 @@ __all__ = [
     "contraction_complex_euler",
 ]
 
+# highest truncation level contraction_complex_euler tries on its own
+_MAX_TRUNC = 32
+
 
 def _monomials(n, d):
     """Exponent tuples of total degree d in n variables."""
@@ -405,7 +408,7 @@ def _chi_at(cx, N, window):
     return chi
 
 
-def contraction_complex_euler(v, germ, N=None, max_trunc=32):
+def contraction_complex_euler(v, germ, N=None):
     """Euler characteristic of the contraction complex of v, by truncation.
 
     germ may be a polynomial f (complex of differential forms on the
@@ -416,7 +419,7 @@ def contraction_complex_euler(v, germ, N=None, max_trunc=32):
 
     Returns (value, stabilized), where stabilized means the value recurs at
     truncation N + 2.  With N omitted, the level is raised automatically
-    until stable, and TruncationNotStabilized is raised past max_trunc.
+    until stable, and TruncationNotStabilized is raised past _MAX_TRUNC.
     """
     n = v.nvars
     if isinstance(germ, Poly):
@@ -464,7 +467,7 @@ def contraction_complex_euler(v, germ, N=None, max_trunc=32):
         max_level = N + 2
     else:
         level = max(8 if n <= 2 else 5, buffer + 2)
-        max_level = max(level, max_trunc) + 2
+        max_level = max(level, _MAX_TRUNC) + 2
     cx = _Complex(_integer_terms(cs),
                   None if f is None else _integer_terms([f])[0],
                   top, max_level, check=n <= 2)
@@ -476,10 +479,10 @@ def contraction_complex_euler(v, germ, N=None, max_trunc=32):
         value = chi(N)
         return value, value == chi(N + 2)
 
-    while level <= max_trunc:
+    while level <= _MAX_TRUNC:
         value = chi(level)
         if value == chi(level + 2):
             return value, True
         level *= 2
     raise TruncationNotStabilized(
-        "no stable Euler characteristic up to truncation %d" % max_trunc)
+        "no stable Euler characteristic up to truncation %d" % _MAX_TRUNC)

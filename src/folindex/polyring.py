@@ -18,6 +18,7 @@ __all__ = [
     "DiffForm",
     "PolyMatrix",
     "translate_to_origin",
+    "translate_field",
     "contract",
     "wedge",
     "exterior_derivative",
@@ -266,40 +267,35 @@ class Poly:
 
     def __call__(self, *point):
         if len(point) == 1 and isinstance(point[0], (tuple, list)):
-            point = tuple(point[0])
-        assert len(point) == self.nvars
-        point = [_rat(q) for q in point]
-        total = Fraction(0)
+            point = point[0]
+        return self.subst(point)
+
+    def subst(self, values):
+        """Substitute values[i] for variable i.  The values share one ring
+        whose elements add, multiply and scale by a rational (the rationals,
+        one polynomial ring or truncated series), and the result lies in it;
+        a series result has the least order of the values.  InvalidInput for
+        a wrong count or for values that share no such ring."""
+        values = tuple(values)
+        if len(values) != self.nvars:
+            raise InvalidInput("%d values for %d variables"
+                               % (len(values), self.nvars))
+        try:
+            zero = sum((0 * q for q in values), Fraction(0))
+        except TypeError:
+            zero = None
+        if zero is None or isinstance(zero, (float, complex)):
+            raise InvalidInput("the values %r share no exact ring" % (values,))
+        powers = [[zero + 1] for _ in values]   # powers[i][k] = values[i]^k
+        total = zero
         for e, c in self.terms.items():
-            v = c
-            for q, k in zip(point, e):
-                for _ in range(k):
-                    v *= q
-            total += v
-        return total
-
-    def subst(self, polys):
-        """Substitute polys[i] for variable i; polys share an arbitrary ring."""
-        assert len(polys) == self.nvars
-        if not self.terms:
-            target_n = polys[0].nvars if polys else 0
-            return Poly.zero(target_n)
-        target_n = polys[0].nvars
-        assert all(p.nvars == target_n for p in polys)
-        pow_cache = [{0: Poly.const(target_n, 1)} for _ in range(self.nvars)]
-
-        def power(i, k):
-            cache = pow_cache[i]
-            if k not in cache:
-                cache[k] = power(i, k - 1) * polys[i]
-            return cache[k]
-
-        total = Poly.zero(target_n)
-        for e, c in self.terms.items():
-            piece = Poly.const(target_n, c)
+            piece = c
             for i, k in enumerate(e):
                 if k:
-                    piece = piece * power(i, k)
+                    row = powers[i]
+                    while len(row) <= k:
+                        row.append(row[-1] * values[i])
+                    piece = row[k] * piece
             total = total + piece
         return total
 
@@ -557,9 +553,14 @@ class DiffForm:
 
 def translate_to_origin(p, q):
     """p(x + q): the germ of p at the point q, presented at the origin."""
-    assert len(q) == p.nvars
-    xs = Poly.variables(p.nvars)
-    return p.subst([xs[i] + _rat(q[i]) for i in range(p.nvars)])
+    if len(q) != p.nvars or not all(isinstance(c, (int, Fraction)) for c in q):
+        raise InvalidInput("the point %r is not %d rationals" % (q, p.nvars))
+    return p.subst([x + c for x, c in zip(Poly.variables(p.nvars), q)])
+
+
+def translate_field(v, q):
+    """The field v at the point q, presented at the origin."""
+    return VectorField(translate_to_origin(c, q) for c in v.components)
 
 
 def contract(omega, v):
@@ -653,7 +654,8 @@ def field_from_dual(omega):
     """Inverse of dual_form: recover v with omega = i_v(dx_1 ^ ... ^ dx_n)."""
     assert isinstance(omega, DiffForm)
     n = omega.nvars
-    assert omega.degree == n - 1
+    if omega.degree != n - 1:
+        raise InvalidInput("a dual form has degree %d" % (n - 1))
     comps = []
     full = tuple(range(n))
     for j in range(n):

@@ -45,8 +45,8 @@ from .localalgebra import (
 from .polyring import (
     Poly,
     PolyMatrix,
-    VectorField,
     char_poly_coeffs,
+    translate_field,
     translate_to_origin,
 )
 
@@ -129,8 +129,7 @@ def grothendieck_residue(h, v, point=None, bound=None):
                            "got %r" % (bound,))
     if point is not None:
         h = translate_to_origin(h, point)
-        v = VectorField(tuple(translate_to_origin(c, point)
-                              for c in v.components))
+        v = translate_field(v, point)
     ideal = IdealGens(v.components, MonomialOrder.local(n))
     least = 1 if bound is None else bound
 
@@ -167,12 +166,13 @@ class PhiSpec:
     __slots__ = ("n", "terms")
 
     def __init__(self, n, terms):
-        assert n >= 1
+        if not (isinstance(n, int) and n >= 1):
+            raise InvalidInput("phi needs a dimension n >= 1, got %r" % (n,))
         clean = []
         for coeff, exps in terms:
-            if isinstance(coeff, int):
-                coeff = Fraction(coeff)
-            assert isinstance(coeff, Fraction)
+            if not isinstance(coeff, (int, Fraction)):
+                raise InvalidInput("phi coefficient %r is not rational"
+                                   % (coeff,))
             exps = tuple(exps)
             if len(exps) != n or any(e < 0 for e in exps):
                 raise DegreeMismatch(
@@ -183,22 +183,14 @@ class PhiSpec:
                     "term weight %d differs from the dimension %d"
                     % (weight, n))
             if coeff:
-                clean.append((coeff, exps))
+                clean.append((Fraction(coeff), exps))
         self.n = n
         self.terms = tuple(clean)
 
     def apply(self, cs):
         """Evaluate at concrete polynomials cs = [c_1, ..., c_n]."""
-        assert len(cs) == self.n
-        nv = cs[0].nvars
-        total = Poly.zero(nv)
-        for coeff, exps in self.terms:
-            piece = Poly.const(nv, coeff)
-            for ci, e in zip(cs, exps):
-                if e:
-                    piece = piece * ci ** e
-            total = total + piece
-        return total
+        return sum((Poly.monomial(exps, coeff) for coeff, exps in self.terms),
+                   Poly.zero(self.n)).subst(cs)
 
     def __repr__(self):
         body = " + ".join(
@@ -211,10 +203,10 @@ class PhiSpec:
 def baum_bott_residue(v, phi, point=None):
     """Residue of phi(c_1, ..., c_n) of the Jacobian over the components
     of v, the local contribution of an isolated singular point."""
-    n = v.nvars
-    assert isinstance(phi, PhiSpec) and phi.n == n
+    if not (isinstance(phi, PhiSpec) and phi.n == v.nvars):
+        raise InvalidInput("phi must be a PhiSpec in the %d Chern classes of "
+                           "the field" % v.nvars)
     if point is not None:
-        v = VectorField(tuple(translate_to_origin(c, point)
-                              for c in v.components))
+        v = translate_field(v, point)
     cs = char_poly_coeffs(v.jacobian())
     return grothendieck_residue(phi.apply(cs), v)

@@ -42,12 +42,9 @@ class TruncSeries:
 
     @classmethod
     def from_poly(cls, p, order):
-        assert p.nvars == 1
-        coeffs = [Fraction(0)] * order
-        for (k,), c in p.terms.items():
-            if k < order:
-                coeffs[k] = c
-        return cls(order, coeffs)
+        if p.nvars != 1:
+            raise InvalidInput("a series comes from a polynomial in t alone")
+        return cls(order, (p.terms.get((k,), 0) for k in range(order)))
 
     def truncate(self, order):
         assert order <= self.order
@@ -66,7 +63,7 @@ class TruncSeries:
     def __add__(self, other):
         other = self._coerce(other)
         n = min(self.order, other.order)
-        return TruncSeries(n, (a + b for a, b in
+        return TruncSeries(n, (a + b if b else a for a, b in
                                zip(self.coeffs[:n], other.coeffs[:n])))
 
     __radd__ = __add__
@@ -82,8 +79,8 @@ class TruncSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _rat(other)
-            return TruncSeries(self.order, (a * c for a in self.coeffs))
+            return TruncSeries(self.order,
+                               (a * other if a else a for a in self.coeffs))
         n = min(self.order, other.order)
         out = [Fraction(0)] * n
         for i, a in enumerate(self.coeffs[:n]):
@@ -138,39 +135,23 @@ class TruncSeries:
 
 
 def poly_on_branch(p, comps):
-    """Evaluate the polynomial p at a tuple of series, one per variable."""
-    comps = tuple(comps)
-    assert len(comps) == p.nvars
-    order = min(s.order for s in comps)
-    pow_cache = [{0: TruncSeries.const(1, order)} for _ in comps]
-
-    def power(i, k):
-        cache = pow_cache[i]
-        if k not in cache:
-            cache[k] = power(i, k - 1) * comps[i]
-        return cache[k]
-
-    total = TruncSeries(order)
-    for e, c in p.terms.items():
-        piece = TruncSeries.const(c, order)
-        for i, k in enumerate(e):
-            if k:
-                piece = piece * power(i, k)
-        total = total + piece
-    return total
+    """Evaluate the polynomial p at a tuple of series, one per variable; the
+    result has the least order of the series."""
+    return p.subst(comps)
 
 
 def pullback_one_form(form, comps):
     """Pull a polynomial 1-form back along t -> (comps); returns a series of
     order one less than the branch (differentiation loses a coefficient)."""
-    assert form.degree == 1
+    if form.degree != 1:
+        raise InvalidInput("a branch pulls back 1-forms, not %d-forms"
+                           % form.degree)
     comps = tuple(comps)
-    assert len(comps) == form.nvars
-    order = min(s.order for s in comps)
-    total = TruncSeries(order - 1)
+    # the zero of the branch: checks the count and has the least order
+    total = poly_on_branch(Poly.zero(form.nvars), comps)
+    total = total.truncate(total.order - 1)
     for (i,), a in form.coeffs.items():
-        total = total + poly_on_branch(a, comps).truncate(order - 1) \
-            * comps[i].derivative().truncate(order - 1)
+        total = total + poly_on_branch(a, comps) * comps[i].derivative()
     return total
 
 
@@ -198,29 +179,27 @@ def laurent_residue(num, den):
 class BranchParam:
     """A parametrized curve branch t -> (x_1(t), ..., x_n(t)).
 
-    Branches built from exact polynomial components (or equipped with a lift
-    callback) can be re-expanded to any order; hand-entered series branches
-    are capped at the order they were given.
+    A branch with a lift callback, as every branch built from exact
+    polynomial components has, can be re-expanded to any order; hand-entered
+    series branches are capped at the order they were given.
     """
 
-    __slots__ = ("order", "comps", "_polys", "_lift")
+    __slots__ = ("order", "comps", "_lift")
 
-    def __init__(self, comps, polys=None, lift=None):
+    def __init__(self, comps, lift=None):
         comps = tuple(comps)
         assert comps
         assert all(isinstance(s, TruncSeries) for s in comps)
         order = min(s.order for s in comps)
         self.order = order
         self.comps = tuple(s.truncate(order) for s in comps)
-        self._polys = tuple(polys) if polys is not None else None
         self._lift = lift
 
     @classmethod
     def from_polys(cls, polys, order):
         polys = tuple(polys)
-        assert all(p.nvars == 1 for p in polys)
-        return cls(tuple(TruncSeries.from_poly(p, order) for p in polys),
-                   polys=polys)
+        return cls((TruncSeries.from_poly(p, order) for p in polys),
+                   lift=lambda n: cls.from_polys(polys, n))
 
     @property
     def nvars(self):
@@ -228,7 +207,7 @@ class BranchParam:
 
     @property
     def extendable(self):
-        return self._polys is not None or self._lift is not None
+        return self._lift is not None
 
     def max_order(self):
         """The largest usable working order; None when unbounded."""
@@ -236,14 +215,12 @@ class BranchParam:
 
     def at_order(self, order):
         if order <= self.order:
-            return BranchParam(tuple(s.truncate(order) for s in self.comps),
-                               polys=self._polys, lift=self._lift)
-        if self._polys is not None:
-            return BranchParam.from_polys(self._polys, order)
-        if self._lift is not None:
-            return self._lift(order)
-        raise TruncationNotStabilized(
-            "branch is only known to order %d" % self.order)
+            return BranchParam((s.truncate(order) for s in self.comps),
+                               lift=self._lift)
+        if self._lift is None:
+            raise TruncationNotStabilized(
+                "branch is only known to order %d" % self.order)
+        return self._lift(order)
 
     def __repr__(self):
         return "BranchParam(order=%d, nvars=%d)" % (self.order, self.nvars)
@@ -263,11 +240,8 @@ def newton_lift(f, order):
     if fx0 == 0 and fy0 == 0:
         raise InvalidInput("origin is a singular point of the curve")
     swap = fy0 == 0
-    if swap:
-        # solve for x in terms of y
-        g = Poly(2, {(e[1], e[0]): c for e, c in f.terms.items()})
-    else:
-        g = f
+    # with swap, solve for x in terms of y
+    g = f.subst(Poly.variables(2)[::-1]) if swap else f
     gy = g.diff(1)
 
     t = TruncSeries.param(order)

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from folindex.dsl import (
     Assign,
@@ -134,6 +136,116 @@ def test_print_parse_round_trip():
         second = parse_session(printed)
         assert second == first
         assert print_session(second) == printed
+
+
+# Names a session may declare besides its ring variables: plain ones and
+# keywords, which are contextual and so may name objects too.
+_NAMES = ("f", "g", "h", "v", "u", "w", "b", "P", "Q", "R", "at", "along",
+          "branch", "order", "phi", "over", "of", "points", "divisor",
+          "infinity", "milnor", "check", "vf", "point", "form", "ring")
+_RINGS = ("x", "y", "z", "s", "t")
+_RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+def _poly_text(draw, names, max_exp=2):
+    n = len(names)
+    terms = draw(st.lists(st.tuples(st.tuples(*[st.integers(0, max_exp)] * n),
+                                    _RATIONALS), max_size=3))
+    return Poly(n, dict(terms)).format(names)
+
+
+def _form_text(draw, ring, degree):
+    idx = draw(st.lists(st.permutations(range(len(ring))).map(
+        lambda p: p[:degree]), min_size=1, max_size=2))
+    return "form(%s)" % ", ".join(
+        "(%s) %s" % (_poly_text(draw, ring), " ^ ".join(
+            "d" + ring[i] for i in chain)) for chain in idx)
+
+
+def _rational_list(draw, k):
+    return "(%s)" % ", ".join(str(c) for c in draw(
+        st.lists(_RATIONALS, min_size=k, max_size=k)))
+
+
+@st.composite
+def _sessions(draw):
+    """Session text over a 2- or 3-variable ring with every constructor
+    and every command kind whose shape rules the ring admits."""
+    n = draw(st.sampled_from((2, 3)))
+    ring = tuple(draw(st.permutations(_RINGS))[:n])
+    names = iter(draw(st.permutations(
+        [name for name in _NAMES if name not in ring])))
+    polys = [next(names) for _ in range(3)]
+    fields = [next(names) for _ in range(2)]
+    dual, other = next(names), next(names)
+    branch, affine, proj = next(names), next(names), next(names)
+    lines = ["ring %s;" % ", ".join(ring)]
+    lines += ["%s := %s;" % (p, _poly_text(draw, ring)) for p in polys]
+    lines += ["%s := vf(%s);" % (v, ", ".join(
+        _poly_text(draw, ring) for _ in ring)) for v in fields]
+    lines.append("%s := %s;" % (dual, _form_text(draw, ring, n - 1)))
+    lines.append("%s := %s;" % (other, _form_text(
+        draw, ring, draw(st.integers(1, n)))))
+    lines.append("%s := branch(%s) order %d;" % (branch, ", ".join(
+        _poly_text(draw, ("t",), 4) for _ in ring), draw(st.integers(2, 30))))
+    lines.append("%s := point %s;" % (affine, _rational_list(draw, n)))
+    lines.append("%s := point %s;" % (proj, _rational_list(draw, n + 1)))
+
+    def one(options):
+        return draw(st.sampled_from(options))
+
+    def at():
+        return "at " + one((affine, _rational_list(draw, n)))
+
+    def curves():
+        return "(%s)" % ", ".join(one(polys) for _ in range(n - 1))
+
+    def divisor(items):
+        return "(%s)" % ", ".join(draw(st.lists(
+            st.sampled_from(items), min_size=1, max_size=n + 1)))
+
+    plane = n == 2
+    phis = ("c1^2", "c2") if plane else ("c1^3", "c1*c2", "c3")
+    phi = " + ".join("%s*%s" % (draw(_RATIONALS), m) for m in phis)
+    v, f = one(fields), one(polys)
+    commands = [
+        "milnor %s %s" % (f, at()), "tjurina %s %s" % (one(polys), at()),
+        "ph %s %s" % (v, at()),
+        "homological %s along %s %s" % (v, f, at()),
+        "radial %s along %s %s" % (one(fields), one(polys), at()),
+        "gsv %s along %s %s" % (v, curves(), at()),
+        "gsv %s along %s %s" % (dual, f if plane else curves(), at()),
+        "logindex %s divisor %s %s" % (v, divisor(ring), at()),
+        "bb %s phi (%s) %s" % (v, phi, at()),
+        "residue %s over %s %s" % (f, v, at()),
+        "check milnor_total of %s points (%s)" % (v, ", ".join(
+            draw(st.lists(st.sampled_from((proj, affine)), min_size=1,
+                          max_size=3)))),
+        "check pfaff_degree of %s along %s" % (v, curves()),
+        "check log_bb of %s divisor %s points (%s branch %s)" % (
+            v, divisor(ring + ("infinity",)), proj, branch),
+    ]
+    if plane:
+        commands += [
+            "cs %s along %s branch %s %s" % (v, f, branch, at()),
+            "var %s along %s branch %s %s" % (v, f, branch, at()),
+            "check bb_total of %s points (%s)" % (v, proj),
+            "check brunella of %s along %s" % (v, f),
+            "check cs_total of %s along %s points (%s branch %s branch %s)"
+            % (v, f, proj, branch, branch),
+            "check var_total of %s along %s divisor (infinity)" % (v, f),
+        ]
+    lines += [c + ";" for c in draw(st.permutations(commands))]
+    return "\n".join(lines)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sessions())
+def test_generated_sessions_round_trip(text):
+    session = parse_session(text)
+    printed = print_session(session)
+    assert parse_session(printed) == session
+    assert print_session(parse_session(printed)) == printed
 
 
 def test_round_trip_random_polys():

@@ -227,6 +227,25 @@ def test_gsv_pfaff_curve():
         gsv_pfaff_curve(VectorField((Y, X, Z)), (Y, Z))
 
 
+@pytest.mark.parametrize("call", [
+    lambda x, y: milnor_number(y ** 2 - x ** 3, point=(1,)),
+    lambda x, y: tjurina_number(y ** 2 - x ** 3, point=(0, 0, 0)),
+    lambda x, y: ph_index(VectorField((x, y)), point=(0,)),
+    lambda x, y: gsv_curve(VectorField((2 * x, 3 * y)), y ** 2 - x ** 3,
+                           point=(0, 0, 0)),
+], ids=["milnor-short", "tjurina-long", "ph-short", "gsv-long"])
+def test_point_of_the_wrong_length_raises_invalid_input(call):
+    with pytest.raises(InvalidInput):
+        call(*xy())
+
+
+def test_gsv_pfaff_curve_rejects_data_that_is_no_field():
+    X, Y, Z = Poly.variables(3)
+    for data in (X, (X, 2 * Y, 3 * Z), DiffForm(3, 1, {(0,): X})):
+        with pytest.raises(InvalidInput):
+            gsv_pfaff_curve(data, (Y - X ** 2, Z))
+
+
 def test_log_index():
     x, y = xy()
     assert log_index(VectorField((2 * x, 3 * y)), (0,)).value == 0

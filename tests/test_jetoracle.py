@@ -404,4 +404,4 @@ def test_non_reduced_curve_never_stabilizes():
     _, stabilized = contraction_complex_euler(v, y ** 2, N=8)
     assert not stabilized
     with pytest.raises(TruncationNotStabilized):
-        contraction_complex_euler(v, y ** 2, max_trunc=10)
+        contraction_complex_euler(v, y ** 2)

@@ -21,9 +21,11 @@ from folindex.polyring import (
     homogenize,
     jacobian,
     set_coordinate_one,
+    translate_field,
     translate_to_origin,
     wedge,
 )
+from folindex.series import TruncSeries
 
 
 def rand_poly(rng, nvars, max_deg=3, nterms=4):
@@ -86,6 +88,55 @@ def test_subst_matches_evaluation():
         composed = p.subst([g0, g1])
         pt = (Fraction(rng.randrange(-3, 4)), Fraction(rng.randrange(-3, 4)))
         assert composed(pt) == p(g0(pt), g1(pt))
+
+
+X, Y = Poly.variables(2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: (Y ** 2 - X ** 3)(1),
+    lambda: (Y ** 2 - X ** 3)((1, 2, 3)),
+    lambda: (X + Y).subst([X]),
+    lambda: X.subst([]),
+], ids=["call-short", "call-long", "subst-short", "subst-none"])
+def test_wrong_value_count_raises_invalid_input(call):
+    with pytest.raises(InvalidInput):
+        call()
+
+
+@pytest.mark.parametrize("values", [
+    (0.5, 1),
+    ("1", 1),
+    (None, 1),
+    (X, Poly.var(3, 0)),
+    (X, TruncSeries.param(4)),
+], ids=["float", "str", "none", "two-rings", "poly-and-series"])
+def test_values_without_a_shared_exact_ring_raise_invalid_input(values):
+    with pytest.raises(InvalidInput):
+        (X * Y + 1).subst(values)
+    with pytest.raises(InvalidInput):
+        (X * Y + 1)(*values)
+
+
+@pytest.mark.parametrize("point", [(1,), (1, 2, 3), (), (0.5, 1), (1, "2")],
+                         ids=["short", "long", "empty", "float", "str"])
+def test_translation_checks_the_point(point):
+    with pytest.raises(InvalidInput):
+        translate_to_origin(Y ** 2 - X ** 3, point)
+    with pytest.raises(InvalidInput):
+        translate_field(VectorField((X, Y)), point)
+
+
+def test_substitution_keeps_the_value_ring():
+    assert (X * Y + 3)(2, Fraction(1, 2)) == 4
+    assert isinstance(Poly.zero(2)(1, 2), Fraction)
+    assert isinstance((X + 1)(1, 2), Fraction)
+    t = TruncSeries.param(5)
+    assert (X * Y).subst([t, TruncSeries.param(3)]).order == 3
+    assert Poly.zero(2).subst([Poly.var(3, 0)] * 2) == Poly.zero(3)
+    assert (X ** 2).subst([Y, 1]) == Y ** 2
+    assert translate_field(VectorField((X, Y)), (1, 2)) == VectorField(
+        (X + 1, Y + 2))
 
 
 def test_translate_round_trip():
@@ -281,3 +332,17 @@ def test_format_is_stable():
     assert Poly.zero(2).format() == "0"
     v = VectorField((x, -y))
     assert dual_form(v).format() == "(y) dx + (x) dy"
+
+
+_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
+    lambda nm: st.tuples(
+        _polys(nm[0]), st.lists(_polys(nm[1]), min_size=nm[0],
+                                max_size=nm[0]),
+        st.lists(_rationals, min_size=nm[1], max_size=nm[1]))))
+def test_substitution_commutes_with_evaluation(case):
+    p, qs, pt = case
+    assert p.subst(qs)(pt) == p(*[q(pt) for q in qs])

@@ -155,6 +155,46 @@ def test_bad_residue_input_raises_invalid_input():
         grothendieck_residue(1, v)
 
 
+def test_residue_at_a_point_of_another_space_raises_invalid_input():
+    x, y = xy()
+    with pytest.raises(InvalidInput):
+        grothendieck_residue(x * y, VectorField((x ** 2, y ** 2)),
+                             point=(0, 0, 0))
+
+
+@pytest.mark.parametrize("n, terms", [
+    (0, []),
+    (-1, []),
+    (Fraction(2), [(1, (2, 0))]),
+    (2, [(0.5, (2, 0))]),
+    (2, [("1", (2, 0))]),
+], ids=["n-zero", "n-negative", "n-not-int", "float-coefficient",
+        "str-coefficient"])
+def test_bad_phi_raises_invalid_input(n, terms):
+    with pytest.raises(InvalidInput):
+        PhiSpec(n, terms)
+
+
+def test_phi_takes_one_value_per_symbol():
+    x, y = xy()
+    phi = PhiSpec(2, [(1, (2, 0)), (-3, (0, 1))])
+    assert phi.apply([x, y]) == x ** 2 - 3 * y
+    for cs in ([x], [x, y, x]):
+        with pytest.raises(InvalidInput):
+            phi.apply(cs)
+
+
+@pytest.mark.parametrize("phi", [
+    PhiSpec(3, [(1, (0, 0, 1))]),
+    PhiSpec(1, [(1, (1,))]),
+    [(1, (2, 0))],
+], ids=["three-classes", "one-class", "not-a-phispec"])
+def test_baum_bott_needs_phi_in_the_classes_of_the_field(phi):
+    x, y = xy()
+    with pytest.raises(InvalidInput):
+        baum_bott_residue(VectorField((x, 7 * y)), phi)
+
+
 def test_box_inverse_of_a_non_unit_raises_route_conflict(monkeypatch):
     x, y = xy()
     v = VectorField((x ** 2, y ** 2))

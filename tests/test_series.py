@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from folindex.errors import InvalidInput, TruncationNotStabilized
 from folindex.polyring import DiffForm, Poly
@@ -131,3 +133,46 @@ def test_newton_lift_rejects_singular_point():
         newton_lift(y ** 2 - x ** 3, 5)
     with pytest.raises(InvalidInput):
         newton_lift(y + Poly.const(2, 1), 5)
+
+
+def test_branch_inputs_are_checked():
+    x, y = Poly.variables(2)
+    t = TruncSeries.param(6)
+    with pytest.raises(InvalidInput):
+        BranchParam.from_polys((x, y), 6)
+    with pytest.raises(InvalidInput):
+        poly_on_branch(y ** 2 - x ** 3, (t,))
+    with pytest.raises(InvalidInput):
+        poly_on_branch(y ** 2 - x ** 3, (t, t, t))
+
+
+@pytest.mark.parametrize("form, comps", [
+    (DiffForm(2, 1, {(1,): Poly.var(2, 0)}), (TruncSeries.param(6),)),
+    (DiffForm(2, 1), (TruncSeries.param(6),) * 3),
+    (DiffForm(2, 2, {(0, 1): Poly.var(2, 0)}), (TruncSeries.param(6),) * 2),
+    (DiffForm(2, 0, {(): Poly.var(2, 0)}), (TruncSeries.param(6),) * 2),
+], ids=["short", "zero-form-long", "two-form", "function"])
+def test_pullback_checks_components_and_degree(form, comps):
+    with pytest.raises(InvalidInput):
+        pullback_one_form(form, comps)
+
+
+def _poly(n, max_exp):
+    term = st.tuples(st.tuples(*[st.integers(0, max_exp)] * n),
+                     st.fractions(min_value=-5, max_value=5,
+                                  max_denominator=4))
+    return st.lists(term, max_size=5).map(lambda ts: Poly(n, dict(ts)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    _poly(n, 3), st.lists(_poly(1, 4), min_size=n, max_size=n),
+    st.lists(st.integers(1, 12), min_size=n, max_size=n))))
+def test_branch_pullback_is_the_substituted_polynomial(case):
+    # components of equal or of different orders: the least order wins
+    p, cs, orders = case
+    comps = [TruncSeries.from_poly(c, k) for c, k in zip(cs, orders)]
+    least = min(orders)
+    on_branch = poly_on_branch(p, comps)
+    assert on_branch.order == least
+    assert on_branch == TruncSeries.from_poly(p.subst(cs), least)
