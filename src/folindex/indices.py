@@ -100,6 +100,11 @@ def _field_at_point(v, point):
     return v if point is None else translate_field(v, point)
 
 
+def _plane(v, f, what):
+    if v.nvars != 2 or f.nvars != 2:
+        raise InvalidInput("%s needs a plane field and a plane curve" % what)
+
+
 def _local_dim(gens, n, what):
     d = quotient_dim(IdealGens(tuple(gens), MonomialOrder.local(n)))
     if d is INFINITE:
@@ -247,11 +252,13 @@ def saito_decomposition(v, f, variant="auto"):
     first variant whose g and xi have finite vanishing order along the curve
     and raises DegenerateDecomposition when neither does.
     """
-    assert v.nvars == 2 and f.nvars == 2
+    _plane(v, f, "saito_decomposition")
+    if variant not in ("fy", "fx", "auto"):
+        raise InvalidInput("variant must be 'fy', 'fx' or 'auto', got %r"
+                           % (variant,))
     tangency_cofactor(v, f)
-    if variant in ("fy", "fx"):
+    if variant != "auto":
         return _saito_triple(v, f, variant)
-    assert variant == "auto"
     return _saito_valid_variants(v, f)[0][0]
 
 
@@ -259,7 +266,7 @@ def gsv_curve(v, f, point=None):
     """Index of v along the invariant plane curve f == 0, via vanishing
     orders of the decomposition data.  Every valid variant is computed and
     must agree, as must the homological route."""
-    assert v.nvars == 2 and f.nvars == 2
+    _plane(v, f, "gsv_curve")
     f0 = _at_point(f, point)
     v0 = _field_at_point(v, point)
     tangency_cofactor(v0, f0)
@@ -281,7 +288,7 @@ def cs_index(v, f, branch, point=None, max_order=DEFAULT_MAX_ORDER):
     The branch must lie on the curve and pass through the point.  The residue
     is exact once the working order suffices; extendable branches are re-lifted
     up to max_order before TruncationNotStabilized is raised."""
-    assert v.nvars == 2 and f.nvars == 2
+    _plane(v, f, "cs_index")
     if not (isinstance(max_order, int) and max_order >= 1):
         raise InvalidInput("truncation order must be a positive integer, "
                            "got %r" % (max_order,))
@@ -364,8 +371,10 @@ def gsv_pfaff_curve(data, curve_polys, point=None):
                            "form, got %r" % (data,))
     n = v.nvars
     curve_polys = tuple(curve_polys)
-    assert len(curve_polys) == n - 1
-    assert all(g.nvars == n for g in curve_polys)
+    if len(curve_polys) != n - 1 or not all(
+            isinstance(g, Poly) and g.nvars == n for g in curve_polys):
+        raise InvalidInput("a curve in %d-space needs %d polynomials in %d "
+                           "variables, got %r" % (n, n - 1, n, curve_polys))
 
     f0s = tuple(_at_point(g, point) for g in curve_polys)
     v0 = _field_at_point(v, point)

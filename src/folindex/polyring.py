@@ -506,9 +506,6 @@ class DiffForm:
         return DiffForm(self.nvars, self.degree,
                         {idx: -p for idx, p in self.coeffs.items()})
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, scalar):
         if isinstance(scalar, (int, Fraction)):
             scalar = Poly.const(self.nvars, scalar)

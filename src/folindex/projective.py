@@ -9,12 +9,15 @@ w_i = (T_i - u_i T_j)|_{x_j=1}, which is well defined modulo radial.
 Global identity checks sum local indices over user-declared singular
 points and compare against the closed-form right-hand side.  Each kind is
 one entry of CHECKS: the shape of data it needs (a plane curve, n-1 curves,
-a divisor, a plane) and the local quantity it sums at a declared point in
-that point's first visible chart.  run_global_check runs every kind down
-one path.  Because a declared list can silently omit a point, it first
-certifies completeness chart by chart: the global affine quotient
-dimension of the ideal of the field and the curve equations must equal the
-sum of the declared local multiplicities.
+a divisor, a plane) and the local quantity it sums at a declared point.
+run_global_check runs every kind down one path.  It turns each declared
+point into one germ: the field, the curve equations and the branches
+translated once to the origin of the point's first visible chart, which
+every later step reads.  Because a declared list can silently omit a
+point, it first certifies completeness chart by chart: the global affine
+quotient dimension of the ideal of the field and the curve equations must
+equal the sum of the declared local multiplicities, with one multiplicity
+per point, summed into every chart that sees it.
 """
 
 from dataclasses import dataclass
@@ -54,9 +57,11 @@ from .polyring import (
     field_from_dual,
     homogenize,
     set_coordinate_one,
+    translate_field,
     translate_to_origin,
 )
 from .residues import PhiSpec, baum_bott_residue
+from .series import BranchParam
 
 
 class ProjPoint:
@@ -118,7 +123,10 @@ class ProjectiveFoliation:
     __slots__ = ("n", "d", "field")
 
     def __init__(self, n, d, field):
-        assert field.nvars == n + 1
+        if not isinstance(field, VectorField) or field.nvars != n + 1:
+            raise InvalidInput("a foliation of P^%d needs a vector field on "
+                               "%d homogeneous coordinates, got %r"
+                               % (n, n + 1, field))
         deg = None
         for c in field.components:
             if c.is_zero():
@@ -173,8 +181,10 @@ class ProjectiveFoliation:
     def from_homogeneous_form(cls, omega):
         """P^2 foliation from a homogeneous 1-form A dx0 + A1 dx1 + A2 dx2
         with the Euler contraction x0 A0 + x1 A1 + x2 A2 = 0."""
-        assert isinstance(omega, DiffForm) and omega.degree == 1
-        assert omega.nvars == 3, "form input is a plane-foliation route"
+        if (not isinstance(omega, DiffForm) or omega.degree != 1
+                or omega.nvars != 3):
+            raise InvalidInput("a plane foliation comes from a 1-form in 3 "
+                               "homogeneous coordinates, got %r" % (omega,))
         radial = VectorField(tuple(Poly.var(3, i) for i in range(3)))
         euler = contract(omega, radial)
         if not euler.as_poly().is_zero():
@@ -189,7 +199,9 @@ class ProjectiveFoliation:
     def chart_restrict(self, chart):
         """Affine representative in {x_chart = 1}, coordinates in order
         with x_chart removed."""
-        assert 0 <= chart <= self.n
+        if not (isinstance(chart, int) and 0 <= chart <= self.n):
+            raise InvalidInput("P^%d has charts 0 to %d, not %r"
+                               % (self.n, self.n, chart))
         tj = set_coordinate_one(self.field.components[chart], chart)
         out = []
         pos = 0
@@ -221,7 +233,8 @@ def affine_singular_audit(v):
         v = field_from_dual(v)
     n = v.nvars
     gens = [c for c in v.components if not c.is_zero()]
-    assert gens, "zero field"
+    if not gens:
+        raise InvalidInput("the zero field has no isolated singular points")
     dim = quotient_dim(IdealGens(gens, MonomialOrder.degrevlex(n)))
     if dim is INFINITE:
         raise NotZeroDimensional("singular set is positive dimensional")
@@ -249,10 +262,52 @@ class CheckReport:
         return self.verdict == "PASS"
 
 
-def _certify(kind, gens_by_chart, points):
+class _Site(NamedTuple):
+    """One declared point as a germ: the check's data translated once to the
+    origin of the point's first visible chart."""
+    point: ProjPoint
+    chart: int              # the point's first visible chart
+    field: VectorField      # the chart's affine field, at the origin
+    curves: tuple           # the check's curve equations, at the origin
+    branches: list          # declared branches, through the origin
+    divisor: tuple          # homogeneous coordinate indices
+    oracle: bool
+    truncation: int
+
+
+def _moved(branch, at):
+    """The branch minus the point at, so that it passes through the origin;
+    an extendable branch re-lifts and then subtracts the point again."""
+    lift = None
+    if branch.extendable:
+        def lift(order):
+            return _moved(branch.at_order(order), at)
+    return BranchParam((s - q for s, q in zip(branch.comps, at)), lift=lift)
+
+
+def _certify(kind, gens_by_chart, sites):
     """Per-chart completeness: the global quotient dimension of the chart
     ideal must equal the sum of local multiplicities at the declared
-    points visible there."""
+    points visible there.
+
+    Each point's multiplicity dim O_p/I is computed once, from its germ in
+    its first visible chart, and counts toward every chart that sees the
+    point, because it does not depend on the chart.  Write M_ab for the
+    minor x_a T_b - x_b T_a of the homogeneous field T.  The chart-j field
+    w_i = T_i - x_i T_j at x_j = 1 is M_ji there, and the identity
+    x_j M_ab = x_a M_jb - x_b M_ja puts every other minor in its ideal, so
+    the chart-j field ideal is the dehomogenized ideal of all the minors.
+    At a point seen by charts j and k, x_k / x_j is a unit, so the two
+    dehomogenizations of each minor differ by a unit power of it, and so do
+    the two chart equations of each curve.  The chart transition therefore
+    maps one local ideal onto the other, and dim O_p/I is the same in both.
+
+    Charts are certified in order, so a chart's mismatch is reported before
+    a later chart's error.  A point's multiplicity is therefore computed in
+    its first visible chart, after that chart's global dimension came out
+    finite, so the local ideal has finite colength.
+    """
+    local = {}
     for j, gens in enumerate(gens_by_chart):
         gens = [g for g in gens if not g.is_zero()]
         if not gens:
@@ -264,37 +319,24 @@ def _certify(kind, gens_by_chart, points):
             raise IncompleteSingularities(
                 "%s: chart %d meets the data in positive dimension" % (kind, j))
         declared = 0
-        for p in points:
-            if p.visible_in(j):
-                at = p.affine_in(j)
-                local = quotient_dim(IdealGens(
-                    [translate_to_origin(g, at) for g in gens],
-                    MonomialOrder.local(n)))
-                assert local is not INFINITE
-                declared += local
+        for s in sites:
+            if not s.point.visible_in(j):
+                continue
+            if s.point not in local:
+                germ = [g for g in s.field.components + s.curves
+                        if not g.is_zero()]
+                local[s.point] = quotient_dim(
+                    IdealGens(germ, MonomialOrder.local(n)))
+            declared += local[s.point]
         if declared != total:
             raise IncompleteSingularities(
                 "%s: chart %d carries multiplicity %d, declared points "
                 "cover %d" % (kind, j, total, declared))
 
 
-class _Site(NamedTuple):
-    """One declared point as a check sees it in its first visible chart."""
-    point: ProjPoint
-    chart: int
-    field: VectorField      # the chart's affine field
-    curves: list            # the check's curve equations in the chart
-    at: tuple               # the point's affine coordinates in the chart
-    branches: list          # branches declared at the point
-    divisor: tuple          # homogeneous coordinate indices
-    oracle: bool
-    truncation: int
-
-
 def _branch_sum(index, s):
-    return sum((index(s.field, s.curves[0], br, point=s.at,
-                      max_order=s.truncation).value for br in s.branches),
-               Fraction(0))
+    return sum((index(s.field, s.curves[0], br, max_order=s.truncation).value
+                for br in s.branches), Fraction(0))
 
 
 def _log(s):
@@ -302,9 +344,8 @@ def _log(s):
     local = tuple(i - (i > s.chart) for i in s.divisor
                   if s.point.coords[i] == 0)
     if not local:
-        return "milnor", ph_index(s.field, point=s.at).value
-    return "log", log_index(s.field, local, point=s.at,
-                            oracle=s.oracle).value
+        return "milnor", ph_index(s.field).value
+    return "log", log_index(s.field, local, oracle=s.oracle).value
 
 
 class _Check(NamedTuple):
@@ -318,15 +359,15 @@ class _Check(NamedTuple):
 # wrapper bound to one of those names sees every call.
 CHECKS = {
     "milnor_total": _Check(None, lambda s: (
-        "milnor", ph_index(s.field, point=s.at).value)),
+        "milnor", ph_index(s.field).value)),
     "bb_total": _Check("plane-ring", lambda s: ("bb_c1sq", baum_bott_residue(
-        s.field, PhiSpec(2, [(1, (2, 0))]), point=s.at).value)),
+        s.field, PhiSpec(2, [(1, (2, 0))])).value)),
     "brunella": _Check("plane", lambda s: (
-        "gsv", gsv_curve(s.field, s.curves[0], point=s.at).value)),
+        "gsv", gsv_curve(s.field, s.curves[0]).value)),
     "cs_total": _Check("plane", lambda s: ("cs", _branch_sum(cs_index, s))),
     "var_total": _Check("plane", lambda s: ("var", _branch_sum(var_index, s))),
     "pfaff_degree": _Check("curves", lambda s: (
-        "gsv", gsv_pfaff_curve(s.field, s.curves, point=s.at).value)),
+        "gsv", gsv_pfaff_curve(s.field, s.curves).value)),
     "log_bb": _Check("divisor", _log),
 }
 
@@ -378,6 +419,9 @@ def run_global_check(fol, kind, curve=None, points=(), branches=(),
         if p not in points:
             raise InvalidInput("branch at %r, which is not a declared point"
                                % (p,))
+        if not isinstance(br, BranchParam):
+            raise InvalidInput("branch at %r is %r, not a BranchParam"
+                               % (p, br))
         grouped.setdefault(p, []).append(br)
     if kind not in CHECKS:
         raise UnsupportedIdentity(kind)
@@ -392,14 +436,18 @@ def run_global_check(fol, kind, curve=None, points=(), branches=(),
     fields = [fol.chart_restrict(j) for j in charts]
     chart_curves = [[set_coordinate_one(h, j) for h, _ in homs]
                     for j in charts]
-    _certify(kind, [list(fields[j].components) + chart_curves[j]
-                    for j in charts], points)
-    rows = []
+    sites = []
     for p in points:
         j = p.first_chart()
-        site = _Site(p, j, fields[j], chart_curves[j], p.affine_in(j),
-                     grouped.get(p, ()), divisor, oracle, truncation)
-        rows.append(CheckRow(p, j, *check.local(site)))
+        at = p.affine_in(j)
+        sites.append(_Site(
+            p, j, translate_field(fields[j], at),
+            tuple(translate_to_origin(f, at) for f in chart_curves[j]),
+            [_moved(br, at) for br in grouped.get(p, ())],
+            divisor, oracle, truncation))
+    _certify(kind, [list(fields[j].components) + chart_curves[j]
+                    for j in charts], sites)
+    rows = [CheckRow(s.point, s.chart, *check.local(s)) for s in sites]
     total = sum(row.value for row in rows)
     diagnostics = tuple(
         "gsv %s at %r: a nondicritical separatrix would force a "

@@ -24,9 +24,13 @@ class TruncSeries:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order, coeffs=()):
-        assert order >= 1
+        if not (isinstance(order, int) and order >= 1):
+            raise InvalidInput("a series order is a positive integer, got %r"
+                               % (order,))
         coeffs = [_rat(c) for c in coeffs]
-        assert len(coeffs) <= order
+        if len(coeffs) > order:
+            raise InvalidInput("%d coefficients do not fit order %d"
+                               % (len(coeffs), order))
         coeffs.extend([Fraction(0)] * (order - len(coeffs)))
         self.order = order
         self.coeffs = tuple(coeffs)
@@ -47,7 +51,9 @@ class TruncSeries:
         return cls(order, (p.terms.get((k,), 0) for k in range(order)))
 
     def truncate(self, order):
-        assert order <= self.order
+        if order > self.order:
+            raise InvalidInput("a series of order %d cannot be truncated to "
+                               "order %d" % (self.order, order))
         return TruncSeries(order, self.coeffs[:order])
 
     def is_zero(self):
@@ -74,9 +80,6 @@ class TruncSeries:
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return TruncSeries(self.order,
@@ -99,13 +102,16 @@ class TruncSeries:
         return TruncSeries.const(_rat(other), self.order)
 
     def derivative(self):
-        assert self.order >= 2
+        if self.order < 2:
+            raise InvalidInput("an order-1 series has no known derivative")
         return TruncSeries(self.order - 1,
                            (k * self.coeffs[k] for k in range(1, self.order)))
 
     def inverse(self):
         a = self.coeffs
-        assert a[0] != 0, "series with zero constant term has no inverse"
+        if a[0] == 0:
+            raise InvalidInput("a series with zero constant term has no "
+                               "inverse")
         b = [Fraction(1) / a[0]]
         for k in range(1, self.order):
             s = sum(a[j] * b[k - j] for j in range(1, k + 1) if a[j])
@@ -188,8 +194,9 @@ class BranchParam:
 
     def __init__(self, comps, lift=None):
         comps = tuple(comps)
-        assert comps
-        assert all(isinstance(s, TruncSeries) for s in comps)
+        if not comps or not all(isinstance(s, TruncSeries) for s in comps):
+            raise InvalidInput("a branch needs at least one series component, "
+                               "got %r" % (comps,))
         order = min(s.order for s in comps)
         self.order = order
         self.comps = tuple(s.truncate(order) for s in comps)
@@ -200,10 +207,6 @@ class BranchParam:
         polys = tuple(polys)
         return cls((TruncSeries.from_poly(p, order) for p in polys),
                    lift=lambda n: cls.from_polys(polys, n))
-
-    @property
-    def nvars(self):
-        return len(self.comps)
 
     @property
     def extendable(self):
@@ -223,7 +226,8 @@ class BranchParam:
         return self._lift(order)
 
     def __repr__(self):
-        return "BranchParam(order=%d, nvars=%d)" % (self.order, self.nvars)
+        return "BranchParam(order=%d, nvars=%d)" % (self.order,
+                                                     len(self.comps))
 
 
 def newton_lift(f, order):

@@ -239,6 +239,29 @@ def test_point_of_the_wrong_length_raises_invalid_input(call):
         call(*xy())
 
 
+@pytest.mark.parametrize("call", [
+    lambda x, y: saito_decomposition(VectorField((2 * x, 3 * y)),
+                                     y ** 2 - x ** 3, variant="zz"),
+    lambda x, y: saito_decomposition(VectorField(Poly.variables(3)),
+                                     y ** 2 - x ** 3),
+    lambda x, y: gsv_curve(VectorField(Poly.variables(3)), y ** 2 - x ** 3),
+    lambda x, y: cs_index(VectorField((2 * x, 3 * y)), Poly.var(3, 0),
+                          BranchParam.from_polys((Poly.var(1, 0),) * 2, 8)),
+    lambda x, y: gsv_pfaff_curve(VectorField(Poly.variables(3)),
+                                 (Poly.var(3, 1),)),
+    lambda x, y: gsv_pfaff_curve(VectorField(Poly.variables(3)),
+                                 (Poly.var(3, 1), y)),
+    lambda x, y: gsv_pfaff_curve(VectorField(Poly.variables(3)),
+                                 (Poly.var(3, 1), "z")),
+], ids=["saito-variant", "saito-space", "gsv-space", "cs-space",
+        "pfaff-short", "pfaff-plane-poly", "pfaff-no-poly"])
+def test_malformed_arguments_raise_invalid_input(call):
+    # these were asserts: under python -O the wrong variant returned the
+    # auto variant and a short curve list raised IndexError
+    with pytest.raises(InvalidInput):
+        call(*xy())
+
+
 def test_gsv_pfaff_curve_rejects_data_that_is_no_field():
     X, Y, Z = Poly.variables(3)
     for data in (X, (X, 2 * Y, 3 * Z), DiffForm(3, 1, {(0,): X})):

@@ -3,8 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from folindex import chern
+from folindex import chern, projective
 from folindex.errors import (
     DegreeMismatch,
     EulerConditionViolated,
@@ -12,8 +14,17 @@ from folindex.errors import (
     InvalidInput,
     UnsupportedIdentity,
 )
-from folindex.indices import ph_index
-from folindex.polyring import DiffForm, Poly, VectorField, dual_form
+from folindex.indices import cs_index, ph_index
+from folindex.localalgebra import IdealGens, MonomialOrder, quotient_dim
+from folindex.polyring import (
+    DiffForm,
+    Poly,
+    VectorField,
+    dual_form,
+    set_coordinate_one,
+    translate_field,
+    translate_to_origin,
+)
 from folindex.projective import (
     CHECKS,
     ProjPoint,
@@ -302,3 +313,121 @@ def test_bad_check_input_raises_folindex_error():
         ProjPoint((1,))
     with pytest.raises(InvalidInput):
         ProjPoint((0, 0, 1)).affine_in(0)
+
+
+def grid_foliation(a, b, scale=1):
+    """(scale^(d-1) prod (x - a_i), prod (y - b_j)) and its singular points:
+    the grid, with the multiplicity of repeated roots, and the d + 1 points
+    [0:1:0], [0:0:1] and [0:1:w] with w^(d-1) = scale^(d-1) at infinity."""
+    x, y = xy()
+    d = len(a)
+    px = py = Poly.const(2, 1)
+    for c in a:
+        px = px * (x - c)
+    for c in b:
+        py = py * (y - c)
+    fol = ProjectiveFoliation.from_affine_field(
+        VectorField((scale ** (d - 1) * px, py)))
+    points = [ProjPoint((1, ai, bj)) for ai in sorted(set(a))
+              for bj in sorted(set(b))]
+    points += [ProjPoint((0, 1, 0)), ProjPoint((0, 0, 1))]
+    points += [ProjPoint((0, 1, w)) for w in (scale, -scale)[:d - 1]]
+    return fol, points
+
+
+def degree3_grid():
+    # the benchmark's degree-3 grid: G00 .. G22, then I0 .. I3
+    fol, points = grid_foliation((0, 1, 2), (1, 2, 3))
+    return fol, points[:9] + [ProjPoint((0, 1, 0)), ProjPoint((0, 0, 1)),
+                              ProjPoint((0, 1, 1)), ProjPoint((0, 1, -1))]
+
+
+def chart_multiplicity(fol, curves, p, j):
+    """dim O_p / (field, curves) computed in chart j."""
+    at = p.affine_in(j)
+    gens = list(translate_field(fol.chart_restrict(j), at).components)
+    gens += [translate_to_origin(set_coordinate_one(h, j), at)
+             for h, _ in curves]
+    gens = [g for g in gens if not g.is_zero()]
+    return quotient_dim(IdealGens(gens, MonomialOrder.local(2)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda d: st.tuples(
+    st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+    st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+    st.sampled_from((1, -1, 2, Fraction(1, 2))), st.booleans())))
+def test_multiplicity_is_the_same_in_every_chart(case):
+    # the completeness certificate counts one multiplicity per point in
+    # every chart that sees it
+    a, b, scale, with_curve = case
+    fol, points = grid_foliation(a, b, scale)
+    x, _ = xy()
+    curves = [curve_to_homogeneous(x - a[0])] if with_curve else []
+    for p in points:
+        charts = [j for j in range(3) if p.visible_in(j)]
+        mults = {chart_multiplicity(fol, curves, p, j) for j in charts}
+        assert len(mults) == 1, (p, charts, mults)
+    report = run_global_check(fol, "milnor_total", points=points)
+    assert report.passed() and report.local_sum == len(a) ** 2 + len(a) + 1
+
+
+def test_certificate_takes_one_local_dimension_per_point(monkeypatch):
+    fol, points = degree3_grid()
+    calls = []
+    exact = projective.quotient_dim
+
+    def counted(ideal):
+        calls.append(ideal.order.is_local())
+        return exact(ideal)
+
+    monkeypatch.setattr(projective, "quotient_dim", counted)
+    report = run_global_check(fol, "milnor_total", points=points)
+    assert report.passed() and report.local_sum == 13
+    assert calls.count(True) == len(points) == 13
+    assert calls.count(False) == 3
+
+
+def test_omitted_point_names_the_chart_that_misses_it():
+    fol, points = degree3_grid()
+    assert points[-1] == ProjPoint((0, 1, -1))
+    with pytest.raises(IncompleteSingularities,
+                       match="chart 1 carries multiplicity 9, declared "
+                             "points cover 8"):
+        run_global_check(fol, "milnor_total", points=points[:-1])
+
+
+def test_branch_at_a_translated_point_relifts():
+    # the branch enters at order 6 and is re-lifted past it; its value must
+    # be the local one at the point
+    x, y = xy()
+    t = tvar()
+    f = (y - 2) ** 2 - (x - 1) ** 3
+    v = VectorField((2 * (x - 1), 3 * (y - 2)))
+    fol = ProjectiveFoliation.from_affine_field(v)
+    p0, pinf = ProjPoint((1, 1, 2)), ProjPoint((0, 0, 1))
+    b0 = br(1 + t ** 2, 2 + t ** 3, order=6)
+    report = run_global_check(fol, "cs_total", curve=f, points=(p0, pinf),
+                              branches=[(p0, b0)])
+    assert report.rows[0].value == cs_index(v, f, b0, point=(1, 2)).value == 6
+    with pytest.raises(InvalidInput, match="not a BranchParam"):
+        run_global_check(fol, "cs_total", curve=f, points=(p0, pinf),
+                         branches=[(p0, (1 + t ** 2, 2 + t ** 3))])
+
+
+def test_malformed_projective_input_raises_invalid_input():
+    # these were asserts: under python -O a field of the wrong arity built a
+    # bogus foliation and chart 5 of P^2 raised IndexError
+    x, y = xy()
+    fol = cusp_foliation()
+    with pytest.raises(InvalidInput):
+        ProjectiveFoliation(2, 1, VectorField((x, y)))
+    for chart in (5, -1, 1.0):
+        with pytest.raises(InvalidInput):
+            fol.chart_restrict(chart)
+    for omega in (DiffForm(2, 1, {(0,): y, (1,): -x}),
+                  DiffForm(3, 2, {(0, 1): Poly.var(3, 2)}), x):
+        with pytest.raises(InvalidInput):
+            ProjectiveFoliation.from_homogeneous_form(omega)
+    with pytest.raises(InvalidInput):
+        affine_singular_audit(VectorField((Poly.zero(2), Poly.zero(2))))

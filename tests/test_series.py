@@ -146,6 +146,26 @@ def test_branch_inputs_are_checked():
         poly_on_branch(y ** 2 - x ** 3, (t, t, t))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: TruncSeries(2, (1, 2, 3)),
+    lambda: TruncSeries(0),
+    lambda: TruncSeries(Fraction(3, 2)),
+    lambda: TruncSeries.param(4).truncate(5),
+    lambda: TruncSeries(1, (1,)).derivative(),
+    lambda: TruncSeries.param(4).inverse(),
+    lambda: BranchParam.from_polys((), 5),
+    lambda: BranchParam((1, 2)),
+], ids=["too-many-coeffs", "order-0", "order-fraction", "truncate-up",
+        "derivative-order-1", "inverse-no-constant", "branch-empty",
+        "branch-no-series"])
+def test_malformed_series_raise_invalid_input(call):
+    # these were asserts: under python -O TruncSeries(2, (1, 2, 3)) built an
+    # order-2 series of three coefficients and an empty branch raised
+    # ValueError
+    with pytest.raises(InvalidInput):
+        call()
+
+
 @pytest.mark.parametrize("form, comps", [
     (DiffForm(2, 1, {(1,): Poly.var(2, 0)}), (TruncSeries.param(6),)),
     (DiffForm(2, 1), (TruncSeries.param(6),) * 3),
