@@ -170,8 +170,19 @@ def homological_index(v, f, point=None, oracle=False):
     the characteristic independently and must agree."""
     f0 = _at_point(f, point)
     v0 = _field_at_point(v, point)
-    n = f.nvars
-    h = tangency_cofactor(v0, f0)
+    value = _homological(v0, f0, tangency_cofactor(v0, f0))
+    checks = []
+    if oracle:
+        chi, _ = contraction_complex_euler(v0, f0)
+        checks.append(("truncation-oracle", chi == value,
+                       "oracle characteristic %s" % chi))
+    return _finish(value, "module-dimension-formula", checks)
+
+
+def _homological(v0, f0, h):
+    """The module-dimension formula at the origin, for the cofactor h of
+    v0(f0) == h * f0."""
+    n = f0.nvars
     a = v0.components
     jac = [f0.diff(i) for i in range(n)]
     htop = _local_dim([f0] + jac, n, "singular point of the hypersurface")
@@ -182,12 +193,7 @@ def homological_index(v, f, point=None, oracle=False):
         value = (_local_dim(a, n, "ambient zero of the field")
                  - _local_dim((h,) + a, n, "cofactor locus")
                  + htop)
-    checks = []
-    if oracle:
-        chi, _ = contraction_complex_euler(v0, f0)
-        checks.append(("truncation-oracle", chi == value,
-                       "oracle characteristic %s" % chi))
-    return _finish(value, "module-dimension-formula", checks)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -262,41 +268,35 @@ def saito_decomposition(v, f, variant="auto"):
     return _saito_valid_variants(v, f)[0][0]
 
 
-def gsv_curve(v, f, point=None):
-    """Index of v along the invariant plane curve f == 0, via vanishing
-    orders of the decomposition data.  Every valid variant is computed and
-    must agree, as must the homological route."""
-    _plane(v, f, "gsv_curve")
+def _plane_germ(v, f, point):
+    """What gsv_curve, cs_index and var_index share: the field and curve
+    translated to the origin, the tangency cofactor, and the valid
+    decomposition variants with their order differences."""
     f0 = _at_point(f, point)
     v0 = _field_at_point(v, point)
-    tangency_cofactor(v0, f0)
-    values = [(triple.variant, diff)
-              for triple, diff in _saito_valid_variants(v0, f0)]
-    value = values[0][1]
-    checks = [("variant-" + variant, val == value, "order difference %s" % val)
-              for variant, val in values[1:]]
-    hom = homological_index(v0, f0)
-    checks.append(("homological", hom.value == value,
-                   "homological index %s" % hom.value))
+    h = tangency_cofactor(v0, f0)
+    return v0, f0, h, _saito_valid_variants(v0, f0)
+
+
+def _gsv(v0, f0, h, valid):
+    """gsv_curve on a germ of _plane_germ."""
+    value = valid[0][1]
+    checks = [("variant-" + triple.variant, val == value,
+               "order difference %s" % val) for triple, val in valid[1:]]
+    hom = _homological(v0, f0, h)
+    checks.append(("homological", hom == value, "homological index %s" % hom))
     return _finish(value, "vanishing-orders", checks)
 
 
-def cs_index(v, f, branch, point=None, max_order=DEFAULT_MAX_ORDER):
-    """Residue-type index of v along one parametrized branch of the invariant
-    curve f == 0: minus the t-residue of the pulled-back eta over xi.
-
-    The branch must lie on the curve and pass through the point.  The residue
-    is exact once the working order suffices; extendable branches are re-lifted
-    up to max_order before TruncationNotStabilized is raised."""
-    _plane(v, f, "cs_index")
+def _check_max_order(max_order):
     if not (isinstance(max_order, int) and max_order >= 1):
         raise InvalidInput("truncation order must be a positive integer, "
                            "got %r" % (max_order,))
-    f0 = _at_point(f, point)
-    v0 = _field_at_point(v, point)
-    tangency_cofactor(v0, f0)
-    valid = _saito_valid_variants(v0, f0)
 
+
+def _cs(f0, valid, branch, point, max_order):
+    """cs_index on a germ of _plane_germ; the branch is in absolute
+    coordinates."""
     order = 20
     cap = branch.max_order()
     if cap is not None:
@@ -332,12 +332,37 @@ def cs_index(v, f, branch, point=None, max_order=DEFAULT_MAX_ORDER):
     return _finish(value, "branch-residue", checks)
 
 
+def gsv_curve(v, f, point=None):
+    """Index of v along the invariant plane curve f == 0, via vanishing
+    orders of the decomposition data.  Every valid variant is computed and
+    must agree, as must the homological route."""
+    _plane(v, f, "gsv_curve")
+    return _gsv(*_plane_germ(v, f, point))
+
+
+def cs_index(v, f, branch, point=None, max_order=DEFAULT_MAX_ORDER):
+    """Residue-type index of v along one parametrized branch of the invariant
+    curve f == 0: minus the t-residue of the pulled-back eta over xi.
+
+    The branch must lie on the curve and pass through the point.  The residue
+    is exact once the working order suffices; extendable branches are re-lifted
+    up to max_order before TruncationNotStabilized is raised."""
+    _plane(v, f, "cs_index")
+    _check_max_order(max_order)
+    _, f0, _, valid = _plane_germ(v, f, point)
+    return _cs(f0, valid, branch, point, max_order)
+
+
 def var_index(v, f, branch, point=None, max_order=DEFAULT_MAX_ORDER):
     """Variation-type index along one branch: the curve index plus the
     branch residue index, whose series are capped at max_order as in
-    cs_index."""
-    gsv = gsv_curve(v, f, point=point)
-    cs = cs_index(v, f, branch, point=point, max_order=max_order)
+    cs_index.  Both parts read one translation, one cofactor and one
+    decomposition."""
+    _plane(v, f, "var_index")
+    v0, f0, h, valid = _plane_germ(v, f, point)
+    gsv = _gsv(v0, f0, h, valid)
+    _check_max_order(max_order)
+    cs = _cs(f0, valid, branch, point, max_order)
     return _finish(gsv.value + cs.value, "sum-of-parts")
 
 

@@ -65,7 +65,7 @@ import contextvars
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
+from operator import le, sub
 
 from .errors import (
     InvalidInput,
@@ -203,7 +203,7 @@ class MonomialOrder:
 
 
 def _divides(e1, e2):
-    return all(a <= b for a, b in zip(e1, e2))
+    return all(map(le, e1, e2))
 
 
 def _nf(p, elements, lead_exps, order, budget, below=None):
@@ -269,7 +269,9 @@ class StandardBasis:
     expansion has a term of degree modulo or more, except an element whose
     leading monomial has that degree, which is that monomial.  Elements are
     monic with respect to the order; leading_exps[k] is the leading exponent
-    of elements[k].
+    of elements[k].  staircase holds the standard monomials of the leading
+    exponents, by degree and then as tuples, or None when there are
+    infinitely many.
     """
 
     order: MonomialOrder
@@ -277,6 +279,7 @@ class StandardBasis:
     elements: tuple
     expansions: tuple
     leading_exps: tuple
+    staircase: tuple | None
     modulo: int | None = None
 
 
@@ -333,6 +336,11 @@ def standard_basis(gens, order, modulo=None):
     pending = set()
     queue = []
     below = None
+    # the staircase of the leading exponents: in a truncating local basis
+    # enumerated once, when pure powers of all variables first bound it,
+    # and then shrunk as each new leading exponent arrives; in any other
+    # basis enumerated once, at the end
+    std = None
 
     def add_element(b, e, row, sugar):
         t = len(elements)
@@ -353,21 +361,27 @@ def standard_basis(gens, order, modulo=None):
             pending.add((s, t))
             heapq.heappush(queue, (head, order.key(lcm), s, t))
         if local and modulo is not None:
-            lower_corner()
+            lower_corner(e)
 
-    def lower_corner():
+    def lower_corner(e):
         # the staircase of the leading monomials sets c; once it is finite,
         # cut every element and expansion at the new, lower T
-        nonlocal below
-        std = _staircase(lead_exps, n)
+        nonlocal below, std
         if std is None:
-            return
-        t = max(1, modulo(1 + max(map(sum, std), default=-1)))
+            std = _staircase(lead_exps, n)
+            if std is None:
+                return
+        else:
+            kept = tuple(s for s in std if not _divides(e, s))
+            if len(kept) == len(std):
+                return
+            std = kept
+        t = max(1, modulo(1 + (sum(std[-1]) if std else -1)))
         if below is not None and t >= below:
             return
         below = t
-        for k, e in enumerate(lead_exps):
-            elements[k], expans[k] = _cut(elements[k], e, expans[k], t)
+        for k, ek in enumerate(lead_exps):
+            elements[k], expans[k] = _cut(elements[k], ek, expans[k], t)
 
     for j, g in enumerate(gens):
         if g.is_zero():
@@ -435,6 +449,7 @@ def standard_basis(gens, order, modulo=None):
         elements=tuple(elements),
         expansions=tuple(tuple(row) for row in expans),
         leading_exps=tuple(lead_exps),
+        staircase=_staircase(lead_exps, n) if std is None else std,
         modulo=below,
     )
 
@@ -529,32 +544,36 @@ def membership_with_cofactors(p, ideal, modulo=None):
 
 
 def _staircase(exps, n):
-    """The standard monomials of the monomial ideal generated by exps, by
-    degree, or None when there are infinitely many (some variable has no
-    pure power among exps)."""
+    """The standard monomials of the monomial ideal generated by exps,
+    sorted by degree and then as tuples, or None when there are infinitely
+    many (some variable has no pure power among exps)."""
     if (0,) * n in exps:
-        return []
+        return ()
     if not all(any(e[i] and sum(e) == e[i] for e in exps) for i in range(n)):
         return None
-    lms = []
-    for e in sorted(exps, key=sum):
-        if not any(_divides(f, e) for f in lms):
-            lms.append(e)
     out = []
-    layer = [(0,) * n]
-    while layer:
-        layer = [e for e in layer if not any(_divides(f, e) for f in lms)]
-        out.extend(layer)
-        # a divisor of a standard monomial is standard, so the next degree
-        # grows from this one
-        layer = {e[:i] + (e[i] + 1,) + e[i + 1:]
-                 for e in layer for i in range(n)}
-    return out
 
+    def walk(prefix, active, i):
+        # the entries before i are fixed, and active holds the exponents
+        # whose entries before i are at most those; entry i grows until an
+        # active exponent with only zeros after i divides every completion
+        # (the pure power of x_i does at the latest).  So each prefix
+        # reached, padded with zeros, is standard, and none is visited in
+        # vain.
+        a = 0
+        while True:
+            live = [g for g in active if g[i] <= a]
+            if not all(any(g[i + 1:]) for g in live):
+                return
+            if i == n - 1:
+                out.append(prefix + (a,))
+            else:
+                walk(prefix + (a,), live, i + 1)
+            a += 1
 
-def _dim(sb):
-    std = _staircase(sb.leading_exps, sb.order.nvars)
-    return INFINITE if std is None else len(std)
+    walk((), exps, 0)
+    out.sort(key=lambda e: (sum(e), e))
+    return tuple(out)
 
 
 def quotient_dim(ideal):
@@ -565,7 +584,8 @@ def quotient_dim(ideal):
     basis at the highest corner.
     Global order: number of standard monomials (degree of a 0-dim ideal).
     """
-    return _dim(ideal.basis(at_corner))
+    std = ideal.basis(at_corner).staircase
+    return INFINITE if std is None else len(std)
 
 
 def monomial_power_bound(ideal, modulo=at_corner):
@@ -579,10 +599,10 @@ def monomial_power_bound(ideal, modulo=at_corner):
     if not ideal.order.is_local():
         raise InvalidInput("monomial_power_bound needs a local order")
     sb = ideal.basis(modulo)
-    d = _dim(sb)
-    if d is INFINITE:
+    if sb.staircase is None:
         raise NotZeroDimensional(
             "ideal does not cut out an isolated point; no power bound exists")
+    d = len(sb.staircase)
     n = ideal.nvars
     if d == 0:
         return 1

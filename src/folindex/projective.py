@@ -149,7 +149,10 @@ class ProjectiveFoliation:
 
         The foliation degree is the top polynomial degree of the
         components, dropping by one exactly when the top homogeneous part
-        is a multiple of the radial field.
+        is a multiple of the radial field.  Then the top parts are x_i * q,
+        the homogenized field (0, T_1, ..., T_n) is x0 * (-q, (T_i - x_i q)
+        / x0) modulo q times the radial field, and the saturated second
+        factor, of degree d, is the field stored.
         """
         n = v.nvars
         delta = max((c.degree() for c in v.components if not c.is_zero()),
@@ -173,9 +176,14 @@ class ProjectiveFoliation:
         if degree is not None and degree != d:
             raise DegreeMismatch(
                 "declared degree %d, computed %d" % (degree, d))
-        comps = [Poly.zero(n + 1)]
-        comps += [homogenize(c, delta, 0) for c in v.components]
-        return cls(n, d, VectorField(comps))
+        comps = [homogenize(c, delta, 0) for c in v.components]
+        if not radial_top:
+            return cls(n, d, VectorField([Poly.zero(n + 1)] + comps))
+        q = homogenize(quotients[0], d, 0)
+        x0 = Poly.var(n + 1, 0)
+        return cls(n, d, VectorField([-q] + [
+            exact_divide(t - Poly.var(n + 1, i + 1) * q, x0)
+            for i, t in enumerate(comps)]))
 
     @classmethod
     def from_homogeneous_form(cls, omega):

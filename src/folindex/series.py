@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InvalidInput, TruncationNotStabilized
+from .errors import InvalidInput, RouteConflict, TruncationNotStabilized
 from .polyring import Poly, _rat
 
 
@@ -36,6 +36,15 @@ class TruncSeries:
         self.coeffs = tuple(coeffs)
 
     @classmethod
+    def _make(cls, coeffs):
+        """Internal constructor: coeffs is a tuple of Fractions, as many as
+        the order, and is taken as it is."""
+        s = object.__new__(cls)
+        s.order = len(coeffs)
+        s.coeffs = coeffs
+        return s
+
+    @classmethod
     def const(cls, c, order):
         return cls(order, (c,))
 
@@ -54,7 +63,7 @@ class TruncSeries:
         if order > self.order:
             raise InvalidInput("a series of order %d cannot be truncated to "
                                "order %d" % (self.order, order))
-        return TruncSeries(order, self.coeffs[:order])
+        return TruncSeries._make(self.coeffs[:order])
 
     def is_zero(self):
         return not any(self.coeffs)
@@ -68,22 +77,21 @@ class TruncSeries:
 
     def __add__(self, other):
         other = self._coerce(other)
-        n = min(self.order, other.order)
-        return TruncSeries(n, (a + b if b else a for a, b in
-                               zip(self.coeffs[:n], other.coeffs[:n])))
+        return TruncSeries._make(tuple(
+            a + b if b else a for a, b in zip(self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncSeries(self.order, (-c for c in self.coeffs))
+        return TruncSeries._make(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return TruncSeries(self.order,
-                               (a * other if a else a for a in self.coeffs))
+            return TruncSeries._make(tuple(a * other if a else a
+                                           for a in self.coeffs))
         n = min(self.order, other.order)
         out = [Fraction(0)] * n
         for i, a in enumerate(self.coeffs[:n]):
@@ -92,20 +100,21 @@ class TruncSeries:
             for j, b in enumerate(other.coeffs[: n - i]):
                 if b:
                     out[i + j] += a * b
-        return TruncSeries(n, out)
+        return TruncSeries._make(tuple(out))
 
     __rmul__ = __mul__
 
     def _coerce(self, other):
         if isinstance(other, TruncSeries):
             return other
-        return TruncSeries.const(_rat(other), self.order)
+        return TruncSeries._make(
+            (_rat(other),) + (Fraction(0),) * (self.order - 1))
 
     def derivative(self):
         if self.order < 2:
             raise InvalidInput("an order-1 series has no known derivative")
-        return TruncSeries(self.order - 1,
-                           (k * self.coeffs[k] for k in range(1, self.order)))
+        return TruncSeries._make(tuple(k * self.coeffs[k]
+                                       for k in range(1, self.order)))
 
     def inverse(self):
         a = self.coeffs
@@ -116,13 +125,13 @@ class TruncSeries:
         for k in range(1, self.order):
             s = sum(a[j] * b[k - j] for j in range(1, k + 1) if a[j])
             b.append(-s / a[0])
-        return TruncSeries(self.order, b)
+        return TruncSeries._make(tuple(b))
 
     def shift_down(self, k):
         """Divide by t^k; the first k coefficients must vanish."""
         if not 0 <= k < self.order or any(self.coeffs[:k]):
             raise InvalidInput("t^%d does not divide the series" % k)
-        return TruncSeries(self.order - k, self.coeffs[k:])
+        return TruncSeries._make(self.coeffs[k:])
 
     def __eq__(self, other):
         return (isinstance(other, TruncSeries)
@@ -255,6 +264,7 @@ def newton_lift(f, order):
         val = poly_on_branch(g, (t, phi))
         dval = poly_on_branch(gy, (t, phi))
         phi = phi - val * dval.inverse()
-    assert poly_on_branch(g, (t, phi)).is_zero(), "Newton iteration stalled"
+    if not poly_on_branch(g, (t, phi)).is_zero():
+        raise RouteConflict("Newton iteration stalled")
     comps = (phi, t) if swap else (t, phi)
     return BranchParam(comps, lift=lambda n: newton_lift(f, n))

@@ -315,3 +315,12 @@ def test_point_name_in_at_clause():
     records = run_session(session)
     assert records[0]["value"] == 2
     assert parse_session(print_session(session)) == session
+
+
+def test_check_on_a_field_with_radial_top_part():
+    text = ("ring x,y; v := vf(x + x^2, 2*y + x*y); P := point (1, 0, 0); "
+            "Q := point (1, -1, 0); R := point (0, 0, 1); "
+            "check milnor_total of v points (P, Q, R);")
+    records = run_session(parse_session(text))
+    assert records[0]["verdict"] == "PASS"
+    assert records[0]["value"] == 3

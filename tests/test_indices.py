@@ -1,10 +1,11 @@
 """Local index computations against hand-computed values."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from folindex import indices
+from folindex import indices, localalgebra
 from folindex.errors import (
     DegenerateDecomposition,
     DegenerateMinors,
@@ -345,3 +346,93 @@ def test_saito_self_checks_raise_route_conflict(monkeypatch):
                         lambda p, g: exact(p, g) + x)
     with pytest.raises(RouteConflict, match="decomposition identity"):
         indices._saito_triple(v, f, "fx")
+
+
+def _acceptance_moves():
+    """The 25 invertible integer matrices of acceptance criterion 10."""
+    rng = random.Random(17)
+    out = []
+    while len(out) < 25:
+        a, b, c, d = (rng.randrange(-3, 4) for _ in range(4))
+        if a * d - b * c:
+            out.append((a, b, c, d))
+    return out
+
+
+def _moved_anchor(move, p=3, q=4):
+    """y^p - x^q with (p x, q y) and the branch (t^p, t^q), moved by the
+    linear change x = A x' for A = ((a, b), (c, d))."""
+    a, b, c, d = move
+    x, y = xy()
+    t = Poly.var(1, 0)
+    det = a * d - b * c
+    inv = ((Fraction(d, det), Fraction(-b, det)),
+           (Fraction(-c, det), Fraction(a, det)))
+    sub = (a * x + b * y, c * x + d * y)
+    f = (y ** p - x ** q).subst(sub)
+    w = ((p * x).subst(sub), (q * y).subst(sub))
+    v = VectorField(tuple(r[0] * w[0] + r[1] * w[1] for r in inv))
+    br = BranchParam.from_polys(
+        tuple(r[0] * t ** p + r[1] * t ** q for r in inv), 4 * p * q)
+    return v, f, br
+
+
+@pytest.mark.parametrize("move", _acceptance_moves(), ids=str)
+def test_var_index_is_gsv_plus_cs_under_coordinate_changes(move):
+    v, f, br = _moved_anchor(move)
+    gsv = gsv_curve(v, f)
+    cs = cs_index(v, f, br)
+    var = var_index(v, f, br)
+    assert (gsv.value, cs.value) == (3 + 4 - 12, 12)
+    assert var.value == gsv.value + cs.value == 3 + 4
+    assert var.method == "sum-of-parts" and var.crosschecks == []
+
+
+def _counted_bases(monkeypatch):
+    calls = []
+    real = localalgebra.standard_basis
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(localalgebra, "standard_basis", counted)
+    return calls
+
+
+def test_var_index_shares_one_decomposition(monkeypatch):
+    # four orders along the curve and the homological route's two
+    # dimensions, once: gsv_curve makes 6 bases, cs_index 4, var_index 6
+    v, f, br = _moved_anchor(_acceptance_moves()[2])
+    calls = _counted_bases(monkeypatch)
+    counts = []
+    for call in (lambda: gsv_curve(v, f), lambda: cs_index(v, f, br),
+                 lambda: var_index(v, f, br)):
+        del calls[:]
+        call()
+        counts.append(len(calls))
+    assert counts == [6, 4, 6]
+
+
+def test_var_index_keeps_its_error_classes():
+    x, y = xy()
+    t = Poly.var(1, 0)
+    axis = BranchParam.from_polys((t, 0 * t), 20)
+    cusp_branch = BranchParam.from_polys((t ** 2, t ** 3), 20)
+    # the node: both decomposition variants vanish along a branch
+    with pytest.raises(DegenerateDecomposition):
+        var_index(VectorField((x, -y)), x * y, axis)
+    # the decomposition is checked before the truncation order
+    with pytest.raises(DegenerateDecomposition):
+        var_index(VectorField((x, -y)), x * y, axis, max_order=0)
+    with pytest.raises(InvalidInput):
+        var_index(VectorField((2 * x, 3 * y)), y ** 2 - x ** 3, cusp_branch,
+                  max_order=0)
+    with pytest.raises(NotInvariant):
+        var_index(VectorField((x, x + y)), y ** 2 - x ** 3, cusp_branch)
+    with pytest.raises(NotInvariant):
+        var_index(VectorField((2 * x, 3 * y)), y ** 2 - x ** 3,
+                  BranchParam.from_polys((t, t), 20))
+    X, Y, Z = Poly.variables(3)
+    with pytest.raises(InvalidInput):
+        var_index(VectorField((X, Y, Z)), X * Y - Z ** 2,
+                  BranchParam.from_polys((t, t, t), 20))

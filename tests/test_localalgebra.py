@@ -316,19 +316,21 @@ def test_every_s_polynomial_reduces_to_zero(gens, kind):
         pass
 
 
-def _box_count(exps, n):
-    """Standard monomials of the monomial ideal of exps, counted in the box
-    of its pure powers; None when some variable has none."""
+def _box_staircase(exps, n):
+    """Standard monomials of the monomial ideal of exps, enumerated in the
+    box of its pure powers and sorted by degree and then as tuples; None
+    when some variable has no pure power."""
     if (0,) * n in exps:
-        return 0
+        return ()
     ks = []
     for i in range(n):
         pure = [e[i] for e in exps if e[i] and sum(e) == e[i]]
         if not pure:
             return None
         ks.append(min(pure))
-    return sum(1 for a in itertools.product(*(range(k) for k in ks))
-               if not any(all(f <= b for f, b in zip(e, a)) for e in exps))
+    std = [a for a in itertools.product(*(range(k) for k in ks))
+           if not any(all(f <= b for f, b in zip(e, a)) for e in exps)]
+    return tuple(sorted(std, key=lambda a: (sum(a), a)))
 
 
 def _zero_dim_ideals():
@@ -358,10 +360,10 @@ def test_corner_dimension_matches_exact_basis(gens):
             exact = standard_basis(gens, order)
     except ResourceCap:
         return
-    want = _box_count(exact.leading_exps, n)
+    want = _box_staircase(exact.leading_exps, n)
     ideal = IdealGens(gens, order)
     got = quotient_dim(ideal)
-    assert (got is INFINITE) if want is None else got == want
+    assert (got is INFINITE) if want is None else got == len(want)
     sb = ideal.basis(at_corner)
     assert exact.modulo is None
     if want is not None:
@@ -424,8 +426,8 @@ def test_corrupted_truncated_row_raises_route_conflict(monkeypatch):
     sb = standard_basis(gens, local2(), at_corner)
     assert sb.modulo is not None
     assert len(sb.elements) > len(gens)
-    assert quotient_dim(IdealGens(gens, local2())) == _box_count(
-        standard_basis(gens, local2()).leading_exps, 2)
+    assert quotient_dim(IdealGens(gens, local2())) == len(_box_staircase(
+        standard_basis(gens, local2()).leading_exps, 2))
     ideal = IdealGens((y ** 2 - x ** 3, y), local2())
     ideal.basis(at_corner)
     monkeypatch.setattr(localalgebra, "_nf",
@@ -435,3 +437,82 @@ def test_corrupted_truncated_row_raises_route_conflict(monkeypatch):
         standard_basis(gens, local2(), at_corner)
     with pytest.raises(RouteConflict, match="cofactor identity"):
         membership_with_cofactors(y + x * y, ideal, at_corner)
+
+
+@seed(20261020)
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_zero_dim_ideals(), _ideals()),
+       st.sampled_from(("local-corner", "local-exact", "global")))
+def test_stored_staircase_is_the_staircase_of_the_leading_exponents(gens,
+                                                                    kind):
+    # the truncating local basis shrinks the staircase it enumerated once;
+    # the others enumerate it at the end
+    n = gens[0].nvars
+    gens = [g for g in gens if not g.is_zero()] or [Poly.var(n, 0)]
+    if kind == "global":
+        order = MonomialOrder.degrevlex(n)
+    else:
+        order = MonomialOrder.local(n)
+    modulo = at_corner if kind == "local-corner" else None
+    try:
+        with step_budget(300):
+            sb = standard_basis(gens, order, modulo)
+    except ResourceCap:
+        return
+    want = _box_staircase(sb.leading_exps, n)
+    assert sb.staircase == localalgebra._staircase(sb.leading_exps, n)
+    assert sb.staircase == want
+
+
+def _counted_staircase(monkeypatch):
+    """Replace _staircase by a wrapper; the list it returns records the size
+    of every finite staircase enumerated."""
+    sizes = []
+    real = localalgebra._staircase
+
+    def counted(exps, n):
+        std = real(exps, n)
+        if std is not None:
+            sizes.append(len(std))
+        return std
+    monkeypatch.setattr(localalgebra, "_staircase", counted)
+    return sizes
+
+
+def test_one_basis_enumerates_its_staircase_once(monkeypatch):
+    sizes = _counted_staircase(monkeypatch)
+    x, y = Poly.variables(2)
+    X, Y, Z = Poly.variables(3)
+    f = Z ** 4 - 3 * Y ** 2 * Z ** 3 + Y ** 3 + X ** 2 - 3 * X ** 2 * Y ** 3
+    cases = [
+        # the corner is known from the start, and later elements shrink the
+        # staircase below it
+        ((x * y - x ** 3, x ** 2 * y + y ** 4, x ** 5, y ** 5), local2()),
+        ((y ** 2 - x ** 3 + x ** 5 * y, x * y + y ** 7), local2()),
+        ([f.diff(i) for i in range(3)], MonomialOrder.local(3)),
+        ((x ** 2 - y, y ** 3 - x), MonomialOrder.degrevlex(2)),
+    ]
+    for gens, order in cases:
+        for modulo in (None, at_corner):
+            del sizes[:]
+            sb = standard_basis(gens, order, modulo)
+            assert len(sizes) == 1, (gens, order, modulo)
+            assert sizes[0] >= len(sb.staircase)
+    # the first case shrank its staircase after enumerating it: 9 -> 8
+    sb = standard_basis(cases[0][0], local2(), at_corner)
+    assert sizes[-1] == 9 and len(sb.staircase) == 8
+    # a staircase that never becomes finite is never enumerated
+    del sizes[:]
+    assert standard_basis((x * y,), local2(), at_corner).staircase is None
+    assert sizes == []
+
+
+def test_quotient_dim_and_power_bound_read_the_stored_staircase(monkeypatch):
+    x, y = Poly.variables(2)
+    ideal = IdealGens((y ** 2 - x ** 3, x * y), local2())
+    sizes = _counted_staircase(monkeypatch)
+    assert quotient_dim(ideal) == 5
+    assert monomial_power_bound(ideal) == 4
+    assert ideal.basis(at_corner).staircase == (
+        (0, 0), (0, 1), (1, 0), (2, 0), (3, 0))
+    assert len(sizes) == 1

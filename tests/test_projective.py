@@ -431,3 +431,22 @@ def test_malformed_projective_input_raises_invalid_input():
             ProjectiveFoliation.from_homogeneous_form(omega)
     with pytest.raises(InvalidInput):
         affine_singular_audit(VectorField((Poly.zero(2), Poly.zero(2))))
+
+
+def test_radial_top_part_is_saturated():
+    # x + x^2, 2y + xy has top part x * (x, y): a degree-1 foliation whose
+    # saturated field (-x1, x1, 2 x2) has three isolated singular points
+    x, y = xy()
+    fol = ProjectiveFoliation.from_affine_field(
+        VectorField((x + x ** 2, 2 * y + x * y)))
+    x0, x1, x2 = Poly.variables(3)
+    assert fol.d == 1
+    assert fol.field.components == (-x1, x1, 2 * x2)
+    assert fol.chart_restrict(0).components == (x + x ** 2, 2 * y + x * y)
+    points = [ProjPoint(p) for p in ((1, 0, 0), (1, -1, 0), (0, 0, 1))]
+    report = run_global_check(fol, "milnor_total", points=points)
+    assert (report.verdict, report.local_sum, report.rhs) == ("PASS", 3, 3)
+    # the radial field itself saturates to the degree-0 field (-1, 0, 0)
+    radial = ProjectiveFoliation.from_affine_field(VectorField((x, y)))
+    assert radial.field.components == (-Poly.const(3, 1), Poly.zero(3),
+                                       Poly.zero(3))

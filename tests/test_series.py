@@ -1,13 +1,21 @@
 """Truncated series arithmetic, branch evaluation, and one-variable residues."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from folindex.errors import InvalidInput, TruncationNotStabilized
+from folindex.errors import (
+    InvalidInput,
+    RouteConflict,
+    TruncationNotStabilized,
+)
 from folindex.polyring import DiffForm, Poly
 from folindex.series import (
     BranchParam,
@@ -196,3 +204,89 @@ def test_branch_pullback_is_the_substituted_polynomial(case):
     on_branch = poly_on_branch(p, comps)
     assert on_branch.order == least
     assert on_branch == TruncSeries.from_poly(p.subst(cs), least)
+
+
+def _series(max_order=8):
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    return st.integers(1, max_order).flatmap(lambda n: st.lists(
+        coeff, max_size=n).map(lambda cs: TruncSeries(n, cs)))
+
+
+def _well_formed(s):
+    return (type(s.coeffs) is tuple and len(s.coeffs) == s.order
+            and all(type(c) is Fraction for c in s.coeffs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_series(), _series(), st.fractions(min_value=-5, max_value=5,
+                                          max_denominator=4),
+       st.integers(-3, 3), st.integers(0, 8))
+def test_arithmetic_equals_the_public_constructor(a, b, c, k, m):
+    # the module builds its results without re-checking their coefficients;
+    # each must equal the series the public constructor builds from the
+    # same formula
+    def public(coeffs, order):
+        return TruncSeries(order, list(coeffs))
+    n = min(a.order, b.order)
+    cases = [
+        (a + b, public([p + q for p, q in zip(a.coeffs, b.coeffs)], n)),
+        (a - b, public([p - q for p, q in zip(a.coeffs, b.coeffs)], n)),
+        (-a, public([-p for p in a.coeffs], a.order)),
+        (a * b, public([sum(a.coeffs[i] * b.coeffs[j - i]
+                            for i in range(j + 1)) for j in range(n)], n)),
+        (a * c, public([p * c for p in a.coeffs], a.order)),
+        (k * a, public([k * p for p in a.coeffs], a.order)),
+        (a + k, public([a.coeffs[0] + k] + list(a.coeffs[1:]), a.order)),
+        (a - c, public([a.coeffs[0] - c] + list(a.coeffs[1:]), a.order)),
+    ]
+    cut = min(m, a.order - 1) + 1
+    cases.append((a.truncate(cut), public(a.coeffs[:cut], cut)))
+    if a.order >= 2:
+        cases.append((a.derivative(), public(
+            [j * a.coeffs[j] for j in range(1, a.order)], a.order - 1)))
+    shift = min(m, 3)
+    if a.order > shift:
+        up = TruncSeries(a.order,
+                         [0] * shift + list(a.coeffs[:a.order - shift]))
+        cases.append((up.shift_down(shift),
+                      public(a.coeffs[:a.order - shift], a.order - shift)))
+    if a.coeffs[0]:
+        inv = a.inverse()
+        cases.append((inv, public(inv.coeffs, a.order)))
+        cases.append((a * inv, public([1], a.order)))
+    for got, want in cases:
+        assert got == want
+        assert _well_formed(got)
+
+
+def test_stalled_newton_iteration_raises_route_conflict(monkeypatch):
+    # a Newton step that never moves: the self-check raises, it does not
+    # assert, so python -O keeps it
+    monkeypatch.setattr(TruncSeries, "inverse",
+                        lambda self: TruncSeries(self.order))
+    x, y = Poly.variables(2)
+    with pytest.raises(RouteConflict, match="stalled"):
+        newton_lift(y - x ** 2, 8)
+
+
+_STALLED_NEWTON = """
+import sys
+from folindex.errors import RouteConflict
+from folindex.polyring import Poly
+from folindex.series import TruncSeries, newton_lift
+TruncSeries.inverse = lambda self: TruncSeries(self.order)
+x, y = Poly.variables(2)
+try:
+    newton_lift(y - x ** 2, 8)
+except RouteConflict:
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+def test_stalled_newton_iteration_raises_under_optimization():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-O", "-c", _STALLED_NEWTON],
+                          env=env)
+    assert done.returncode == 0
