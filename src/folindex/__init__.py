@@ -10,7 +10,6 @@ from .errors import (
     DegenerateDecomposition,
     DegenerateMinors,
     DegreeMismatch,
-    EulerConditionViolated,
     FolindexError,
     IncompleteSingularities,
     InvalidInput,
@@ -46,13 +45,14 @@ from .polyring import (
 from .localalgebra import (
     DEFAULT_MAX_STEPS,
     INFINITE,
-    IdealGens,
     MonomialOrder,
+    at_corner,
     exact_divide,
     monomial_power_bound,
     normal_form,
     order_along_curve,
     quotient_dim,
+    standard_basis,
     step_budget,
 )
 from .series import (
@@ -116,19 +116,19 @@ __all__ = [
     # errors
     "FolindexError", "ResourceCap", "NotZeroDimensional", "NotMember",
     "NotInvariant", "NotLogarithmic", "DegenerateDecomposition",
-    "DegenerateMinors", "DegreeMismatch", "EulerConditionViolated",
-    "IncompleteSingularities", "RouteConflict", "TruncationNotStabilized",
-    "UnsupportedIdentity", "SessionError", "ParseError", "UndeclaredName",
-    "RingMismatch", "InsufficientOrder", "InvalidInput",
+    "DegenerateMinors", "DegreeMismatch", "IncompleteSingularities",
+    "RouteConflict", "TruncationNotStabilized", "UnsupportedIdentity",
+    "SessionError", "ParseError", "UndeclaredName", "RingMismatch",
+    "InsufficientOrder", "InvalidInput",
     # polynomials, fields, forms
     "Poly", "VectorField", "DiffForm", "PolyMatrix", "contract", "wedge",
     "exterior_derivative", "dual_form", "field_from_dual",
     "char_poly_coeffs", "jacobian", "homogenize", "set_coordinate_one",
     "translate_to_origin",
     # local algebra
-    "MonomialOrder", "IdealGens", "INFINITE", "DEFAULT_MAX_STEPS",
-    "normal_form", "quotient_dim", "monomial_power_bound", "exact_divide",
-    "order_along_curve", "step_budget",
+    "MonomialOrder", "INFINITE", "DEFAULT_MAX_STEPS", "standard_basis",
+    "at_corner", "normal_form", "quotient_dim", "monomial_power_bound",
+    "exact_divide", "order_along_curve", "step_budget",
     # series and branches
     "TruncSeries", "BranchParam", "laurent_residue", "newton_lift",
     "poly_on_branch", "pullback_one_form",

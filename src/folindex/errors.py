@@ -56,10 +56,6 @@ class UnsupportedIdentity(FolindexError):
     """The requested global identity is not one the engine knows."""
 
 
-class EulerConditionViolated(FolindexError):
-    """A homogeneous form does not contract to zero with the radial field."""
-
-
 class DegreeMismatch(FolindexError):
     """Homogeneous data is inconsistent with the declared degree."""
 

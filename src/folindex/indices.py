@@ -28,12 +28,13 @@ from .errors import (
 from .jetoracle import contraction_complex_euler
 from .localalgebra import (
     INFINITE,
-    IdealGens,
     MonomialOrder,
+    at_corner,
     exact_divide,
     normal_form,
     order_along_curve,
     quotient_dim,
+    standard_basis,
 )
 from .polyring import (
     DiffForm,
@@ -106,7 +107,7 @@ def _plane(v, f, what):
 
 
 def _local_dim(gens, n, what):
-    d = quotient_dim(IdealGens(tuple(gens), MonomialOrder.local(n)))
+    d = quotient_dim(gens, MonomialOrder.local(n))
     if d is INFINITE:
         raise NotZeroDimensional("%s is not isolated" % what)
     return d
@@ -234,14 +235,13 @@ def _saito_valid_variants(v, f):
     """(triple, order difference) for the variants whose g and xi have
     finite order along the curve, in the order fy, fx; the difference is
     ord(xi) - ord(g).  DegenerateDecomposition when there is none."""
-    curve = IdealGens((f,), MonomialOrder.local(2))
     out = []
     for variant in ("fy", "fx"):
         triple = _saito_triple(v, f, variant)
-        ord_g = order_along_curve(triple.g, curve)
+        ord_g = order_along_curve(triple.g, (f,))
         if ord_g is INFINITE:
             continue
-        ord_xi = order_along_curve(triple.xi, curve)
+        ord_xi = order_along_curve(triple.xi, (f,))
         if ord_xi is not INFINITE:
             out.append((triple, ord_xi - ord_g))
     if not out:
@@ -380,10 +380,6 @@ def radial_index(v, f, point=None):
 # complete intersection curves in higher dimension
 
 
-def _curve_ideal(curve_polys, n):
-    return IdealGens(tuple(curve_polys), MonomialOrder.local(n))
-
-
 def gsv_pfaff_curve(data, curve_polys, point=None):
     """Index along a complete-intersection curve in n-space cut out by n - 1
     polynomials, from the coefficient form and the Jacobian minors.
@@ -404,7 +400,7 @@ def gsv_pfaff_curve(data, curve_polys, point=None):
     f0s = tuple(_at_point(g, point) for g in curve_polys)
     v0 = _field_at_point(v, point)
     omega0 = dual_form(v0)
-    curve = _curve_ideal(f0s, n)
+    curve = standard_basis(f0s, MonomialOrder.local(n), at_corner)
     for g in f0s:
         if not normal_form(v0.apply(g), curve).is_zero():
             raise NotInvariant(
@@ -414,12 +410,12 @@ def gsv_pfaff_curve(data, curve_polys, point=None):
     for idx_set in itertools.combinations(range(n), n - 1):
         rows = [[f0s[i].diff(j) for j in idx_set] for i in range(n - 1)]
         minor = PolyMatrix(rows).det()
-        ord_minor = order_along_curve(minor, curve)
+        ord_minor = order_along_curve(minor, f0s)
         if ord_minor is INFINITE:
             continue
         # coefficient of omega on dx_I
         a = omega0.coefficient(idx_set)
-        ord_a = order_along_curve(a, curve)
+        ord_a = order_along_curve(a, f0s)
         if ord_a is INFINITE:
             continue
         candidates.append((idx_set, ord_a - ord_minor))

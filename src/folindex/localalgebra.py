@@ -50,6 +50,12 @@ decreases, and an element computed modulo an earlier certified m^T lies in
 I by the same argument.  Every identity of the basis then holds modulo the
 final m^T, and the checks below are made modulo it.
 
+The truncation policy is chosen in one place, ``standard_basis``, and the
+StandardBasis it returns is the one handle on the ideal: normal_form,
+membership_with_cofactors and monomial_power_bound reduce against the basis
+they are given and work modulo its m^T.  quotient_dim and order_along_curve
+take generators and read the basis at the highest corner.
+
 Every loop spends from a step budget and raises ResourceCap when it runs
 out; nothing here terminates silently with a wrong answer.  Inside a
 ``with step_budget(limit):`` block, every standard basis, normal form and
@@ -82,7 +88,6 @@ __all__ = [
     "INFINITE",
     "DEFAULT_MAX_STEPS",
     "MonomialOrder",
-    "IdealGens",
     "StandardBasis",
     "Cofactors",
     "StepBudget",
@@ -283,17 +288,9 @@ class StandardBasis:
     modulo: int | None = None
 
 
-def _check_gens(gens, order):
-    if not gens:
-        raise InvalidInput("empty generator list")
-    n = gens[0].nvars
-    if any(g.nvars != n for g in gens) or order.nvars != n:
-        raise InvalidInput("generators and order live in different rings")
-
-
 def at_corner(c):
-    """The truncation degree that works modulo m^c at the corner degree c,
-    the policy quotient_dim, normal_form and monomial_power_bound read."""
+    """The truncation degree that works modulo m^c at the corner degree c:
+    the policy of the corner basis."""
     return c
 
 
@@ -322,8 +319,11 @@ def standard_basis(gens, order, modulo=None):
     final T.  A global order never truncates.
     """
     gens = tuple(gens)
-    _check_gens(gens, order)
+    if not gens:
+        raise InvalidInput("empty generator list")
     n = order.nvars
+    if any(g.nvars != n for g in gens):
+        raise InvalidInput("generators and order live in different rings")
     budget = _budget()
     local = order.is_local()
     zero = Poly.zero(n)
@@ -454,51 +454,11 @@ def standard_basis(gens, order, modulo=None):
     )
 
 
-class IdealGens:
-    """An ideal presented by generators together with a monomial order.
-
-    Each standard basis is computed on first use and cached.
-    """
-
-    __slots__ = ("gens", "order", "_bases")
-
-    def __init__(self, gens, order):
-        gens = tuple(gens)
-        _check_gens(gens, order)
-        self.gens = gens
-        self.order = order
-        self._bases = {}
-
-    @property
-    def nvars(self):
-        return self.gens[0].nvars
-
-    def basis(self, modulo=None):
-        """The standard basis for the truncation policy ``modulo`` (see
-        standard_basis); a global order has only the exact one."""
-        if not self.order.is_local():
-            modulo = None
-        sb = self._bases.get(modulo)
-        if sb is None:
-            sb = standard_basis(self.gens, self.order, modulo)
-            self._bases[modulo] = sb
-        return sb
-
-    def with_extra(self, extra):
-        return IdealGens(self.gens + tuple(extra), self.order)
-
-    def __repr__(self):
-        return "IdealGens(%s; %r)" % (
-            ", ".join(g.format() for g in self.gens), self.order.kind)
-
-
-def normal_form(p, ideal):
-    """Weak normal form of p modulo the ideal (remainder only), read from
-    the basis at the highest corner: when m^T lies in the ideal the
-    remainder has no term of degree T or more.  It is zero exactly when p
-    lies in the ideal."""
-    sb = ideal.basis(at_corner)
-    r, _, _ = _nf(p, sb.elements, sb.leading_exps, ideal.order, _budget(),
+def normal_form(p, sb):
+    """Weak normal form of p against the standard basis sb (remainder
+    only): when sb works modulo m^T the remainder has no term of degree T or
+    more.  It is zero exactly when p lies in the ideal."""
+    r, _, _ = _nf(p, sb.elements, sb.leading_exps, sb.order, _budget(),
                   sb.modulo)
     return r
 
@@ -512,31 +472,29 @@ class Cofactors:
     unit: Poly
 
 
-def membership_with_cofactors(p, ideal, modulo=None):
-    """Express p in terms of the original generators, up to a unit.
+def membership_with_cofactors(p, sb):
+    """Express p in terms of the generators of the standard basis sb, up to
+    a unit.
 
-    Raises NotMember when p is not in the ideal.  The basis is the one of
-    the truncation policy ``modulo`` (see standard_basis).  The identity
+    Raises NotMember when p is not in the ideal.  The identity
     unit * p == sum cofactors[j] * gens[j] is checked before returning:
-    exactly when modulo is None or the basis never truncated, else modulo
-    m^T for the basis's T, and then no cofactor and no unit term has degree
-    T or more.
+    exactly when sb.modulo is None, else modulo m^T for T == sb.modulo, and
+    then no cofactor and no unit term has degree T or more.
     """
-    sb = ideal.basis(modulo)
     below = sb.modulo
-    r, u, c = _nf(p, sb.elements, sb.leading_exps, ideal.order, _budget(),
+    r, u, c = _nf(p, sb.elements, sb.leading_exps, sb.order, _budget(),
                   below)
     if not r.is_zero():
         raise NotMember("polynomial is not in the ideal (normal form %s)"
                         % r.format())
     n = p.nvars
-    q = [Poly.zero(n) for _ in ideal.gens]
+    q = [Poly.zero(n) for _ in sb.gens]
     for k, ck in c.items():
         row = sb.expansions[k]
         for j in range(len(q)):
             q[j] = q[j] + ck.mul_below(row[j], below)
     acc = Poly.zero(n)
-    for qj, gj in zip(q, ideal.gens):
+    for qj, gj in zip(q, sb.gens):
         acc = acc + qj.mul_below(gj, below)
     if acc != u.mul_below(p, below):
         raise RouteConflict("cofactor identity broke")
@@ -576,40 +534,41 @@ def _staircase(exps, n):
     return tuple(out)
 
 
-def quotient_dim(ideal):
-    """Dimension of the quotient by the ideal of leading terms, hence of the
-    quotient ring itself.  Returns INFINITE when the staircase is unbounded.
+def quotient_dim(gens, order):
+    """Dimension of the quotient by the ideal of gens, read from the
+    staircase of its leading terms.  Returns INFINITE when the staircase is
+    unbounded.
 
     Local order: dimension of O_0 / I as a vector space, read from the
     basis at the highest corner.
-    Global order: number of standard monomials (degree of a 0-dim ideal).
+    Global order: number of standard monomials (degree of a 0-dim ideal),
+    read from the exact basis.
     """
-    std = ideal.basis(at_corner).staircase
+    std = standard_basis(gens, order, at_corner).staircase
     return INFINITE if std is None else len(std)
 
 
-def monomial_power_bound(ideal, modulo=at_corner):
-    """Smallest N with every pure power x_i^N in the ideal, read from the
-    basis of the truncation policy ``modulo`` (see standard_basis).
+def monomial_power_bound(sb):
+    """Smallest N with every pure power x_i^N in the ideal of the standard
+    basis sb.
 
     Requires a local order and a finite quotient dimension d; the maximal
     ideal to the power d lies inside the ideal, so the search up to d always
     succeeds.
     """
-    if not ideal.order.is_local():
+    if not sb.order.is_local():
         raise InvalidInput("monomial_power_bound needs a local order")
-    sb = ideal.basis(modulo)
     if sb.staircase is None:
         raise NotZeroDimensional(
             "ideal does not cut out an isolated point; no power bound exists")
     d = len(sb.staircase)
-    n = ideal.nvars
+    n = sb.order.nvars
     if d == 0:
         return 1
     budget = _budget()
     for bound in range(1, d + 1):
         if all(_nf(Poly.var(n, i) ** bound, sb.elements, sb.leading_exps,
-                   ideal.order, budget, sb.modulo)[0].is_zero()
+                   sb.order, budget, sb.modulo)[0].is_zero()
                for i in range(n)):
             return bound
     raise RouteConflict("power bound exceeded the quotient dimension")
@@ -636,14 +595,13 @@ def exact_divide(p, f):
     return Poly(p.nvars, q)
 
 
-def order_along_curve(g, curve):
-    """Vanishing order of g along the curve germ cut out by ``curve``:
-    the local intersection number dim O_0 / (curve + g).
+def order_along_curve(g, curve_polys):
+    """Vanishing order of g along the curve germ cut out by curve_polys:
+    the local intersection number dim O_0 / (curve_polys + g).
 
     Returns INFINITE when g vanishes on a whole component (and for g == 0).
     """
-    if not curve.order.is_local():
-        raise InvalidInput("order_along_curve needs a local order")
     if g.is_zero():
         return INFINITE
-    return quotient_dim(curve.with_extra((g,)))
+    return quotient_dim(tuple(curve_polys) + (g,),
+                        MonomialOrder.local(g.nvars))

@@ -38,6 +38,11 @@ def _rat(c):
     raise TypeError("rational coefficient expected, got %r" % (c,))
 
 
+def _check_index(i, nvars):
+    if not (isinstance(i, int) and 0 <= i < nvars):
+        raise InvalidInput("%r is not a variable index below %d" % (i, nvars))
+
+
 class Poly:
     """Polynomial in ``nvars`` variables, stored as {exponent tuple: coefficient}.
 
@@ -49,7 +54,9 @@ class Poly:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars, terms=None):
-        assert nvars >= 0
+        if not (isinstance(nvars, int) and nvars >= 0):
+            raise InvalidInput("a ring has a nonnegative number of variables, "
+                               "got %r" % (nvars,))
         clean = {}
         if terms:
             for exp, c in terms.items():
@@ -74,7 +81,7 @@ class Poly:
 
     @classmethod
     def var(cls, nvars, i):
-        assert 0 <= i < nvars
+        _check_index(i, nvars)
         exp = tuple(1 if j == i else 0 for j in range(nvars))
         return cls(nvars, {exp: Fraction(1)})
 
@@ -169,7 +176,8 @@ class Poly:
         more are left out."""
         if not c:
             return self
-        assert other.nvars == self.nvars == len(e), "polynomial rings differ"
+        if not other.nvars == self.nvars == len(e):
+            raise InvalidInput("polynomial rings differ")
         terms = dict(self.terms)
         items = other.terms.items()
         if below is not None:
@@ -216,7 +224,8 @@ class Poly:
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _rat(other)
-            assert c != 0, "division by zero"
+            if not c:
+                raise InvalidInput("division of a polynomial by zero")
             return self * (Fraction(1) / c)
         return NotImplemented
 
@@ -253,7 +262,7 @@ class Poly:
     # -- calculus / substitution ----------------------------------------
 
     def diff(self, i):
-        assert 0 <= i < self.nvars
+        _check_index(i, self.nvars)
         terms = {}
         for e, c in self.terms.items():
             if e[i]:
@@ -372,7 +381,8 @@ class VectorField:
 
     def apply(self, f):
         """Directional derivative: sum v_i * df/dx_i."""
-        assert f.nvars == self.nvars
+        if f.nvars != self.nvars:
+            raise InvalidInput("polynomial rings differ")
         total = Poly.zero(self.nvars)
         for i, vi in enumerate(self.components):
             total = total + vi * f.diff(i)
@@ -399,11 +409,12 @@ class PolyMatrix:
 
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
-        assert rows and rows[0]
-        width = len(rows[0])
-        assert all(len(r) == width for r in rows), "ragged matrix"
+        if not (rows and rows[0]
+                and all(len(r) == len(rows[0]) for r in rows)):
+            raise InvalidInput("a matrix needs rows of one positive length")
         n = rows[0][0].nvars
-        assert all(p.nvars == n for r in rows for p in r)
+        if not all(p.nvars == n for r in rows for p in r):
+            raise InvalidInput("matrix entries live in different rings")
         self.rows = rows
 
     @property
@@ -420,7 +431,8 @@ class PolyMatrix:
     def det(self):
         """Determinant by cofactor expansion (matrices here are tiny)."""
         nr, nc = self.shape
-        assert nr == nc
+        if nr != nc:
+            raise InvalidInput("determinant of a %d x %d matrix" % (nr, nc))
         if nr == 1:
             return self.rows[0][0]
         total = Poly.zero(self.nvars)
@@ -450,7 +462,9 @@ class DiffForm:
     __slots__ = ("nvars", "degree", "coeffs")
 
     def __init__(self, nvars, degree, coeffs=None):
-        assert 0 <= degree <= nvars
+        if not (isinstance(degree, int) and 0 <= degree <= nvars):
+            raise InvalidInput("no %r-forms in %r variables"
+                               % (degree, nvars))
         clean = {}
         if coeffs:
             for idx, p in coeffs.items():
@@ -481,7 +495,8 @@ class DiffForm:
         return cls(nvars, nvars, {tuple(range(nvars)): Poly.const(nvars, 1)})
 
     def as_poly(self):
-        assert self.degree == 0
+        if self.degree:
+            raise InvalidInput("a %d-form is not a polynomial" % self.degree)
         return self.coeffs.get((), Poly.zero(self.nvars))
 
     def is_zero(self):
@@ -491,8 +506,9 @@ class DiffForm:
         return self.coeffs.get(tuple(idx), Poly.zero(self.nvars))
 
     def __add__(self, other):
-        assert isinstance(other, DiffForm)
-        assert (other.nvars, other.degree) == (self.nvars, self.degree)
+        if not (isinstance(other, DiffForm) and (other.nvars, other.degree)
+                == (self.nvars, self.degree)):
+            raise InvalidInput("only forms of one degree in one ring add")
         coeffs = dict(self.coeffs)
         for idx, p in other.coeffs.items():
             s = coeffs.get(idx, Poly.zero(self.nvars)) + p
@@ -509,7 +525,9 @@ class DiffForm:
     def __mul__(self, scalar):
         if isinstance(scalar, (int, Fraction)):
             scalar = Poly.const(self.nvars, scalar)
-        assert isinstance(scalar, Poly)
+        if not isinstance(scalar, Poly):
+            raise InvalidInput("a form scales by a polynomial, not %r"
+                               % (scalar,))
         return DiffForm(self.nvars, self.degree,
                         {idx: p * scalar for idx, p in self.coeffs.items()})
 
@@ -566,9 +584,10 @@ def contract(omega, v):
     Sign convention: i_v(dx_{i1} ^ ... ^ dx_{iq}) =
     sum_j (-1)^{j-1} v_{i_j} dx_{i1} ^ ... (j-th factor removed) ... ^ dx_{iq}.
     """
-    assert isinstance(omega, DiffForm) and isinstance(v, VectorField)
-    assert omega.nvars == v.nvars
-    assert omega.degree >= 1
+    if not (isinstance(omega, DiffForm) and isinstance(v, VectorField)
+            and omega.nvars == v.nvars and omega.degree >= 1):
+        raise InvalidInput("a field contracts a form of positive degree in "
+                           "its own ring")
     n = omega.nvars
     out = {}
     for idx, p in omega.coeffs.items():
@@ -587,11 +606,13 @@ def contract(omega, v):
 
 def wedge(a, b):
     """Exterior product a ^ b."""
-    assert isinstance(a, DiffForm) and isinstance(b, DiffForm)
-    assert a.nvars == b.nvars
+    if not (isinstance(a, DiffForm) and isinstance(b, DiffForm)
+            and a.nvars == b.nvars):
+        raise InvalidInput("only forms in one ring wedge")
     n = a.nvars
     q = a.degree + b.degree
-    assert q <= n, "wedge degree exceeds the number of variables"
+    if q > n:
+        raise InvalidInput("wedge degree exceeds the number of variables")
     out = {}
     for ia, pa in a.coeffs.items():
         seta = set(ia)
@@ -617,7 +638,8 @@ def exterior_derivative(form):
     if isinstance(form, Poly):
         form = DiffForm.from_poly(form)
     n = form.nvars
-    assert form.degree < n
+    if form.degree >= n:
+        raise InvalidInput("d of a %d-form in %d variables" % (form.degree, n))
     out = {}
     for idx, p in form.coeffs.items():
         for i in range(n):
@@ -649,7 +671,8 @@ def dual_form(v):
 
 def field_from_dual(omega):
     """Inverse of dual_form: recover v with omega = i_v(dx_1 ^ ... ^ dx_n)."""
-    assert isinstance(omega, DiffForm)
+    if not isinstance(omega, DiffForm):
+        raise InvalidInput("a dual form is a DiffForm, not %r" % (omega,))
     n = omega.nvars
     if omega.degree != n - 1:
         raise InvalidInput("a dual form has degree %d" % (n - 1))
@@ -668,9 +691,10 @@ def char_poly_coeffs(m):
     c_k is the sum of the principal k x k minors: division-free and valid
     over any commutative ring.
     """
-    assert isinstance(m, PolyMatrix)
-    nr, nc = m.shape
-    assert nr == nc
+    if not isinstance(m, PolyMatrix) or m.shape[0] != m.shape[1]:
+        raise InvalidInput("characteristic coefficients need a square "
+                           "matrix")
+    nr = m.shape[0]
     from itertools import combinations
 
     out = []
@@ -694,7 +718,9 @@ def jacobian(v):
 def homogenize(p, degree, at=0):
     """Insert a homogenizing variable at position ``at`` so every term of the
     result has total degree ``degree``."""
-    assert degree >= p.degree()
+    if degree < p.degree():
+        raise InvalidInput("cannot homogenize degree %d to degree %r"
+                           % (p.degree(), degree))
     terms = {}
     for e, c in p.terms.items():
         filler = degree - sum(e)
@@ -705,7 +731,7 @@ def homogenize(p, degree, at=0):
 
 def set_coordinate_one(p, at):
     """Evaluate variable ``at`` to 1, dropping it from the ring."""
-    assert 0 <= at < p.nvars
+    _check_index(at, p.nvars)
     terms = {}
     for e, c in p.terms.items():
         exp = e[:at] + e[at + 1:]

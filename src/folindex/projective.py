@@ -27,7 +27,6 @@ from typing import NamedTuple
 from .chern import IdentitySpec, identity_rhs
 from .errors import (
     DegreeMismatch,
-    EulerConditionViolated,
     IncompleteSingularities,
     InvalidInput,
     NotZeroDimensional,
@@ -44,7 +43,6 @@ from .indices import (
 )
 from .localalgebra import (
     INFINITE,
-    IdealGens,
     MonomialOrder,
     exact_divide,
     quotient_dim,
@@ -53,7 +51,6 @@ from .polyring import (
     DiffForm,
     Poly,
     VectorField,
-    contract,
     field_from_dual,
     homogenize,
     set_coordinate_one,
@@ -185,25 +182,6 @@ class ProjectiveFoliation:
             exact_divide(t - Poly.var(n + 1, i + 1) * q, x0)
             for i, t in enumerate(comps)]))
 
-    @classmethod
-    def from_homogeneous_form(cls, omega):
-        """P^2 foliation from a homogeneous 1-form A dx0 + A1 dx1 + A2 dx2
-        with the Euler contraction x0 A0 + x1 A1 + x2 A2 = 0."""
-        if (not isinstance(omega, DiffForm) or omega.degree != 1
-                or omega.nvars != 3):
-            raise InvalidInput("a plane foliation comes from a 1-form in 3 "
-                               "homogeneous coordinates, got %r" % (omega,))
-        radial = VectorField(tuple(Poly.var(3, i) for i in range(3)))
-        euler = contract(omega, radial)
-        if not euler.as_poly().is_zero():
-            raise EulerConditionViolated(
-                "radial contraction of the form is %r" % euler.as_poly())
-        a1 = set_coordinate_one(omega.coefficient((1,)), 0)
-        a2 = set_coordinate_one(omega.coefficient((2,)), 0)
-        if a1.is_zero() and a2.is_zero():
-            raise DegreeMismatch("form restricts to zero on chart 0")
-        return cls.from_affine_field(VectorField((a2, -a1)))
-
     def chart_restrict(self, chart):
         """Affine representative in {x_chart = 1}, coordinates in order
         with x_chart removed."""
@@ -243,7 +221,7 @@ def affine_singular_audit(v):
     gens = [c for c in v.components if not c.is_zero()]
     if not gens:
         raise InvalidInput("the zero field has no isolated singular points")
-    dim = quotient_dim(IdealGens(gens, MonomialOrder.degrevlex(n)))
+    dim = quotient_dim(gens, MonomialOrder.degrevlex(n))
     if dim is INFINITE:
         raise NotZeroDimensional("singular set is positive dimensional")
     return dim
@@ -322,7 +300,7 @@ def _certify(kind, gens_by_chart, sites):
             raise IncompleteSingularities(
                 "%s: chart %d has identically singular data" % (kind, j))
         n = gens[0].nvars
-        total = quotient_dim(IdealGens(gens, MonomialOrder.degrevlex(n)))
+        total = quotient_dim(gens, MonomialOrder.degrevlex(n))
         if total is INFINITE:
             raise IncompleteSingularities(
                 "%s: chart %d meets the data in positive dimension" % (kind, j))
@@ -333,8 +311,7 @@ def _certify(kind, gens_by_chart, sites):
             if s.point not in local:
                 germ = [g for g in s.field.components + s.curves
                         if not g.is_zero()]
-                local[s.point] = quotient_dim(
-                    IdealGens(germ, MonomialOrder.local(n)))
+                local[s.point] = quotient_dim(germ, MonomialOrder.local(n))
             declared += local[s.point]
         if declared != total:
             raise IncompleteSingularities(

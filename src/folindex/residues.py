@@ -37,10 +37,10 @@ from fractions import Fraction
 
 from .errors import DegreeMismatch, InvalidInput, RouteConflict
 from .localalgebra import (
-    IdealGens,
     MonomialOrder,
     membership_with_cofactors,
     monomial_power_bound,
+    standard_basis,
 )
 from .polyring import (
     Poly,
@@ -130,18 +130,18 @@ def grothendieck_residue(h, v, point=None, bound=None):
     if point is not None:
         h = translate_to_origin(h, point)
         v = translate_field(v, point)
-    ideal = IdealGens(v.components, MonomialOrder.local(n))
     least = 1 if bound is None else bound
 
     def modulo(c):
         # the cut serves every power bound up to max(c, bound)
         return (n + 1) * max(c, least) - n + 1
 
-    N = monomial_power_bound(ideal, modulo) if bound is None else bound
+    sb = standard_basis(v.components, MonomialOrder.local(n), modulo)
+    N = monomial_power_bound(sb) if bound is None else bound
     rows = []
     units = []
     for i in range(n):
-        wit = membership_with_cofactors(Poly.var(n, i) ** N, ideal, modulo)
+        wit = membership_with_cofactors(Poly.var(n, i) ** N, sb)
         rows.append(wit.cofactors)
         units.append(wit.unit)
     det = PolyMatrix(rows).det()

@@ -88,6 +88,9 @@ class TruncSeries:
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
+    def __rsub__(self, other):
+        return self._coerce(other) + (-self)
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return TruncSeries._make(tuple(a * other if a else a

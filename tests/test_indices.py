@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from folindex import indices, localalgebra
+from folindex import indices, localalgebra, residues
 from folindex.errors import (
     DegenerateDecomposition,
     DegenerateMinors,
@@ -263,6 +263,27 @@ def test_malformed_arguments_raise_invalid_input(call):
         call(*xy())
 
 
+def test_gsv_pfaff_curve_builds_one_curve_basis(monkeypatch):
+    # the n - 1 tangency normal forms reduce against one corner basis of
+    # the curve; every other basis is an order along the curve
+    X, Y, Z = Poly.variables(3)
+    curve = (Y - X ** 2, Z - X ** 3)
+    calls = _counted_bases(monkeypatch)
+    nf_bases = []
+    real_nf = indices.normal_form
+
+    def counted_nf(p, sb):
+        nf_bases.append(sb)
+        return real_nf(p, sb)
+    monkeypatch.setattr(indices, "normal_form", counted_nf)
+    assert gsv_pfaff_curve(VectorField((X, 2 * Y, 3 * Z)), curve).value == 1
+    curve_only = [args for args in calls if tuple(args[0]) == curve]
+    assert len(curve_only) == 1
+    assert curve_only[0][2] is localalgebra.at_corner
+    assert len(nf_bases) == 2 and nf_bases[0] is nf_bases[1]
+    assert all(len(args[0]) == 3 for args in calls if args not in curve_only)
+
+
 def test_gsv_pfaff_curve_rejects_data_that_is_no_field():
     X, Y, Z = Poly.variables(3)
     for data in (X, (X, 2 * Y, 3 * Z), DiffForm(3, 1, {(0,): X})):
@@ -389,13 +410,15 @@ def test_var_index_is_gsv_plus_cs_under_coordinate_changes(move):
 
 
 def _counted_bases(monkeypatch):
+    """Count every standard basis, in whichever module calls it."""
     calls = []
     real = localalgebra.standard_basis
 
     def counted(*args):
         calls.append(args)
         return real(*args)
-    monkeypatch.setattr(localalgebra, "standard_basis", counted)
+    for module in (localalgebra, indices, residues):
+        monkeypatch.setattr(module, "standard_basis", counted)
     return calls
 
 

@@ -26,7 +26,6 @@ from folindex.jetoracle import (
 )
 from folindex.localalgebra import (
     INFINITE,
-    IdealGens,
     MonomialOrder,
     quotient_dim,
 )
@@ -155,7 +154,7 @@ def test_truncated_quotient_dim_agrees_with_standard_bases():
         gens = _random_plane_germ(rng)
         if any(g.is_zero() for g in gens):
             continue
-        dim = quotient_dim(IdealGens(gens, MonomialOrder.local(2)))
+        dim = quotient_dim(gens, MonomialOrder.local(2))
         if dim is INFINITE or dim > 12:
             continue
         assert truncated_quotient_dim(gens, dim + 5) == (dim, True), gens

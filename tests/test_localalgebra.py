@@ -20,7 +20,6 @@ from folindex.localalgebra import (
     GLOBAL,
     INFINITE,
     LOCAL,
-    IdealGens,
     MonomialOrder,
     StepBudget,
     at_corner,
@@ -58,8 +57,8 @@ def test_order_permutation():
 
 def test_mora_unit_tracking():
     x = Poly.var(1, 0)
-    ideal = IdealGens((x - x ** 2,), MonomialOrder.local(1))
-    wit = membership_with_cofactors(x, ideal)
+    sb = standard_basis((x - x ** 2,), MonomialOrder.local(1))
+    wit = membership_with_cofactors(x, sb)
     assert wit.cofactors == (Poly.const(1, 1),)
     assert wit.unit == 1 - x
     assert wit.unit.constant_term() == 1
@@ -67,34 +66,33 @@ def test_mora_unit_tracking():
 
 def test_cusp_jacobian_ideal_local():
     x, y = Poly.variables(2)
-    ideal = IdealGens((3 * x ** 2, -2 * y), local2())
-    assert quotient_dim(ideal) == 2
-    ideal2 = IdealGens((3 * x ** 2, 3 * y ** 2), local2())
-    assert quotient_dim(ideal2) == 4
+    assert quotient_dim((3 * x ** 2, -2 * y), local2()) == 2
+    assert quotient_dim((3 * x ** 2, 3 * y ** 2), local2()) == 4
 
 
 def test_curve_plus_line_basis_and_cofactors():
     x, y = Poly.variables(2)
-    ideal = IdealGens((y ** 2 - x ** 3, y), local2())
-    assert quotient_dim(ideal) == 3
-    wit = membership_with_cofactors(x ** 3, ideal)
+    gens = (y ** 2 - x ** 3, y)
+    assert quotient_dim(gens, local2()) == 3
+    sb = standard_basis(gens, local2())
+    wit = membership_with_cofactors(x ** 3, sb)
     assert wit.unit == Poly.const(2, 1)
     assert wit.cofactors == (Poly.const(2, -1), y)
     with pytest.raises(NotMember):
-        membership_with_cofactors(x ** 2, ideal)
+        membership_with_cofactors(x ** 2, sb)
 
 
 def test_membership_identity_random():
     rng = random.Random(41)
     x, y = Poly.variables(2)
     gens = (y ** 2 - x ** 3, x * y)
-    ideal = IdealGens(gens, local2())
+    sb = standard_basis(gens, local2())
     for _ in range(10):
         combo = Poly.zero(2)
         for g in gens:
             e = (rng.randrange(3), rng.randrange(3))
             combo = combo + Poly.monomial(e, Fraction(rng.randrange(-4, 5))) * g
-        wit = membership_with_cofactors(combo, ideal)
+        wit = membership_with_cofactors(combo, sb)
         acc = Poly.zero(2)
         for q, g in zip(wit.cofactors, gens):
             acc = acc + q * g
@@ -105,9 +103,8 @@ def test_membership_identity_random():
 def test_global_basis_five_points():
     x, y = Poly.variables(2)
     gens = (x * (5 * y ** 2 - 9), y * (5 * x ** 2 - 9))
-    ideal = IdealGens(gens, MonomialOrder.degrevlex(2))
-    assert quotient_dim(ideal) == 5
-    sb = ideal.basis()
+    assert quotient_dim(gens, MonomialOrder.degrevlex(2)) == 5
+    sb = standard_basis(gens, MonomialOrder.degrevlex(2))
     minimal = set()
     for e in sb.leading_exps:
         if not any(all(a <= b for a, b in zip(f, e)) for f in sb.leading_exps
@@ -126,7 +123,7 @@ def test_quotient_dim_monomial_oracle():
         exps.add((0, rng.randrange(1, 5)))
         gens = tuple(Poly.monomial(e) for e in exps)
         for order in (local2(), MonomialOrder.degrevlex(2)):
-            dim = quotient_dim(IdealGens(gens, order))
+            dim = quotient_dim(gens, order)
             brute = sum(
                 1
                 for a in range(6)
@@ -138,28 +135,32 @@ def test_quotient_dim_monomial_oracle():
 
 def test_quotient_dim_infinite():
     x, y = Poly.variables(2)
-    assert quotient_dim(IdealGens((x,), local2())) is INFINITE
-    assert quotient_dim(IdealGens((x * y,), MonomialOrder.degrevlex(2))) is INFINITE
-    assert quotient_dim(IdealGens((Poly.const(2, 1) + x,), local2())) == 0
+    assert quotient_dim((x,), local2()) is INFINITE
+    assert quotient_dim((x * y,), MonomialOrder.degrevlex(2)) is INFINITE
+    assert quotient_dim((Poly.const(2, 1) + x,), local2()) == 0
+
+
+def _corner(gens, order=None):
+    return standard_basis(gens, order or local2(), at_corner)
 
 
 def test_power_bound():
     x, y = Poly.variables(2)
-    assert monomial_power_bound(IdealGens((x, y), local2())) == 1
-    assert monomial_power_bound(IdealGens((y ** 2 - x ** 3, y), local2())) == 3
-    assert monomial_power_bound(IdealGens((x ** 2, y), local2())) == 2
+    assert monomial_power_bound(_corner((x, y))) == 1
+    assert monomial_power_bound(_corner((y ** 2 - x ** 3, y))) == 3
+    assert monomial_power_bound(_corner((x ** 2, y))) == 2
     with pytest.raises(NotZeroDimensional):
-        monomial_power_bound(IdealGens((x,), local2()))
+        monomial_power_bound(_corner((x,)))
 
 
 def test_power_bound_is_sharp():
     x, y = Poly.variables(2)
-    ideal = IdealGens((y ** 2 - x ** 3, y), local2())
-    n = monomial_power_bound(ideal)
+    sb = _corner((y ** 2 - x ** 3, y))
+    n = monomial_power_bound(sb)
     for i in range(2):
-        assert normal_form(Poly.var(2, i) ** n, ideal).is_zero()
+        assert normal_form(Poly.var(2, i) ** n, sb).is_zero()
     assert not all(
-        normal_form(Poly.var(2, i) ** (n - 1), ideal).is_zero() for i in range(2)
+        normal_form(Poly.var(2, i) ** (n - 1), sb).is_zero() for i in range(2)
     )
 
 
@@ -180,15 +181,17 @@ def test_exact_divide():
 
 def test_order_along_curve():
     x, y = Poly.variables(2)
-    cusp = IdealGens((y ** 2 - x ** 3,), local2())
+    cusp = (y ** 2 - x ** 3,)
     assert order_along_curve(y, cusp) == 3
     assert order_along_curve(x, cusp) == 2
     assert order_along_curve(x + y, cusp) == 2
     assert order_along_curve(y ** 2 - x ** 3, cusp) is INFINITE
     assert order_along_curve(Poly.zero(2), cusp) is INFINITE
-    line = IdealGens((y,), local2())
+    line = [y]
     assert order_along_curve(x, line) == 1
     assert order_along_curve(Poly.const(2, 1), line) == 0
+    # the order of g is the colength of the curve with g added
+    assert quotient_dim(cusp + (y,), local2()) == 3
 
 
 def test_resource_cap():
@@ -196,11 +199,6 @@ def test_resource_cap():
     gens = (y ** 2 - x ** 3, x * y ** 2 - y)
     with pytest.raises(ResourceCap), step_budget(2):
         standard_basis(gens, local2())
-    # a failed attempt must not poison the cache
-    ideal = IdealGens(gens, local2())
-    with pytest.raises(ResourceCap), step_budget(2):
-        ideal.basis()
-    assert ideal.basis() is not None
 
 
 def test_step_budget_spans_the_block():
@@ -224,14 +222,6 @@ def test_step_budget_spans_the_block():
         assert outer.remaining == spent + 1
 
 
-def test_with_extra():
-    x, y = Poly.variables(2)
-    curve = IdealGens((y ** 2 - x ** 3,), local2())
-    bigger = curve.with_extra((y,))
-    assert bigger.gens == (y ** 2 - x ** 3, y)
-    assert quotient_dim(bigger) == 3
-
-
 def test_bad_inputs_raise_invalid_input():
     x, y = Poly.variables(2)
     with pytest.raises(InvalidInput):
@@ -246,14 +236,16 @@ def test_bad_inputs_raise_invalid_input():
     with pytest.raises(InvalidInput):
         standard_basis((x, Poly.var(3, 0)), local2())
     with pytest.raises(InvalidInput):
-        IdealGens((x,), MonomialOrder.local(3))
+        standard_basis((x,), MonomialOrder.local(3))
+    with pytest.raises(InvalidInput):
+        quotient_dim((x,), MonomialOrder.local(3))
     with pytest.raises(InvalidInput):
         local2().leading(Poly.zero(2))
-    global_line = IdealGens((x, y), MonomialOrder.degrevlex(2))
+    global_line = standard_basis((x, y), MonomialOrder.degrevlex(2))
     with pytest.raises(InvalidInput):
         monomial_power_bound(global_line)
     with pytest.raises(InvalidInput):
-        order_along_curve(x, global_line)
+        order_along_curve(x, (Poly.var(3, 0),))
     with pytest.raises(InvalidInput):
         exact_divide(x, Poly.zero(2))
 
@@ -275,11 +267,10 @@ def test_broken_bookkeeping_raises_route_conflict(monkeypatch):
 
 def test_broken_cofactors_raise_route_conflict(monkeypatch):
     x, y = Poly.variables(2)
-    ideal = IdealGens((y ** 2 - x ** 3, y), local2())
-    ideal.basis()
+    sb = standard_basis((y ** 2 - x ** 3, y), local2())
     monkeypatch.setattr(localalgebra, "_nf", _doubled_unit(localalgebra._nf))
     with pytest.raises(RouteConflict, match="cofactor identity"):
-        membership_with_cofactors(x ** 3, ideal)
+        membership_with_cofactors(x ** 3, sb)
 
 
 def _ideals():
@@ -361,10 +352,9 @@ def test_corner_dimension_matches_exact_basis(gens):
     except ResourceCap:
         return
     want = _box_staircase(exact.leading_exps, n)
-    ideal = IdealGens(gens, order)
-    got = quotient_dim(ideal)
+    got = quotient_dim(gens, order)
     assert (got is INFINITE) if want is None else got == len(want)
-    sb = ideal.basis(at_corner)
+    sb = standard_basis(gens, order, at_corner)
     assert exact.modulo is None
     if want is not None:
         # m^T lies in the ideal: every degree-T monomial has the exact
@@ -389,24 +379,24 @@ def test_corner_dimension_matches_exact_basis(gens):
 def test_corner_truncates_the_local_basis_only():
     x, y = Poly.variables(2)
     gens = (y ** 2 - x ** 3 + x ** 5 * y, x * y + y ** 7)
-    ideal = IdealGens(gens, local2())
-    assert quotient_dim(ideal) == 5
-    sb = ideal.basis(at_corner)
+    assert quotient_dim(gens, local2()) == 5
+    sb = _corner(gens)
     assert sb.modulo == 4
-    assert ideal.basis() is not sb and ideal.basis().modulo is None
+    assert standard_basis(gens, local2()).modulo is None
     # an element whose leading monomial reaches degree 4 is that monomial
     assert all(b.degree() < 4 or len(b.terms) == 1 for b in sb.elements)
     # x^4 lies in the ideal, x^3 does not: the remainder of x^3 + x^5
     # modulo m^4 is x^3
-    assert normal_form(x ** 4 + x ** 5 * y, ideal).is_zero()
-    assert normal_form(x ** 3 + x ** 5, ideal) == x ** 3
+    assert normal_form(x ** 4 + x ** 5 * y, sb).is_zero()
+    assert normal_form(x ** 3 + x ** 5, sb) == x ** 3
     # x*y == -y^7 modulo the ideal, and y^7 lies in m^4
-    wit = membership_with_cofactors(x * y, ideal, at_corner)
+    wit = membership_with_cofactors(x * y, sb)
     assert all(q.degree() < 4 for q in wit.cofactors)
     assert wit.unit.constant_term() == 1
-    glob = IdealGens(gens, MonomialOrder.degrevlex(2))
-    assert glob.basis(at_corner) is glob.basis()
-    assert glob.basis().modulo is None
+    # a global order never truncates: the corner policy gives the exact basis
+    glob = _corner(gens, MonomialOrder.degrevlex(2))
+    assert glob.modulo is None
+    assert glob == standard_basis(gens, MonomialOrder.degrevlex(2))
 
 
 def _doubled_truncated_unit(nf):
@@ -426,17 +416,16 @@ def test_corrupted_truncated_row_raises_route_conflict(monkeypatch):
     sb = standard_basis(gens, local2(), at_corner)
     assert sb.modulo is not None
     assert len(sb.elements) > len(gens)
-    assert quotient_dim(IdealGens(gens, local2())) == len(_box_staircase(
+    assert quotient_dim(gens, local2()) == len(_box_staircase(
         standard_basis(gens, local2()).leading_exps, 2))
-    ideal = IdealGens((y ** 2 - x ** 3, y), local2())
-    ideal.basis(at_corner)
+    line = _corner((y ** 2 - x ** 3, y))
     monkeypatch.setattr(localalgebra, "_nf",
                         _doubled_truncated_unit(localalgebra._nf))
     standard_basis(gens, local2())
     with pytest.raises(RouteConflict, match="expansion bookkeeping"):
         standard_basis(gens, local2(), at_corner)
     with pytest.raises(RouteConflict, match="cofactor identity"):
-        membership_with_cofactors(y + x * y, ideal, at_corner)
+        membership_with_cofactors(y + x * y, line)
 
 
 @seed(20261020)
@@ -509,10 +498,12 @@ def test_one_basis_enumerates_its_staircase_once(monkeypatch):
 
 def test_quotient_dim_and_power_bound_read_the_stored_staircase(monkeypatch):
     x, y = Poly.variables(2)
-    ideal = IdealGens((y ** 2 - x ** 3, x * y), local2())
+    gens = (y ** 2 - x ** 3, x * y)
     sizes = _counted_staircase(monkeypatch)
-    assert quotient_dim(ideal) == 5
-    assert monomial_power_bound(ideal) == 4
-    assert ideal.basis(at_corner).staircase == (
-        (0, 0), (0, 1), (1, 0), (2, 0), (3, 0))
+    sb = _corner(gens)
+    assert monomial_power_bound(sb) == 4
+    assert sb.staircase == ((0, 0), (0, 1), (1, 0), (2, 0), (3, 0))
     assert len(sizes) == 1
+    # quotient_dim builds its own corner basis and enumerates it once
+    assert quotient_dim(gens, local2()) == 5
+    assert len(sizes) == 2

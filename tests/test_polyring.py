@@ -307,6 +307,46 @@ def test_bad_inputs_are_rejected():
             x ** k
 
 
+@pytest.mark.parametrize("call", [
+    lambda x, y: Poly(-1),
+    lambda x, y: Poly.var(2, 5),
+    lambda x, y: Poly.var(2, -1),
+    lambda x, y: x.diff(3),
+    lambda x, y: x / 0,
+    lambda x, y: x.sub_mul((1, 0), 1, Poly.var(3, 0)),
+    lambda x, y: VectorField((x, y)).apply(Poly.var(3, 0)),
+    lambda x, y: PolyMatrix([[x, y], [x]]),
+    lambda x, y: PolyMatrix([]),
+    lambda x, y: PolyMatrix([[x, Poly.var(3, 0)]]),
+    lambda x, y: PolyMatrix([[x, y]]).det(),
+    lambda x, y: char_poly_coeffs(PolyMatrix([[x, y]])),
+    lambda x, y: DiffForm(2, 3),
+    lambda x, y: DiffForm.from_poly(x).as_poly() + DiffForm.dx(2, 0).as_poly(),
+    lambda x, y: DiffForm.dx(2, 0) + DiffForm.volume(2),
+    lambda x, y: DiffForm.dx(2, 0) * "x",
+    lambda x, y: contract(DiffForm.from_poly(x), VectorField((x, y))),
+    lambda x, y: contract(DiffForm.dx(2, 0), VectorField(Poly.variables(3))),
+    lambda x, y: wedge(DiffForm.dx(2, 0), DiffForm.volume(2)),
+    lambda x, y: wedge(DiffForm.dx(2, 0), x),
+    lambda x, y: exterior_derivative(DiffForm.volume(2)),
+    lambda x, y: field_from_dual(x),
+    lambda x, y: homogenize(x ** 2, 1),
+    lambda x, y: set_coordinate_one(x, 2),
+], ids=["ring-negative", "var-high", "var-negative", "diff-high",
+        "divide-by-zero", "sub-mul-ring", "apply-ring", "matrix-ragged",
+        "matrix-empty", "matrix-rings", "det-nonsquare", "charpoly-nonsquare",
+        "form-degree-high", "one-form-as-poly", "form-add-degree",
+        "form-scale-string", "contract-zero-form", "contract-ring",
+        "wedge-degree-high", "wedge-poly", "d-top-form", "dual-of-poly",
+        "homogenize-low", "dehomogenize-high"])
+def test_malformed_input_raises_invalid_input(call):
+    # these were asserts: under python -O Poly.var(2, 5) returned 1,
+    # DiffForm(2, 3) built a 3-form in the plane, and x.diff(3), a ragged
+    # determinant and x / 0 raised IndexError or ZeroDivisionError
+    with pytest.raises(InvalidInput):
+        call(*Poly.variables(2))
+
+
 def _polys(n):
     term = st.tuples(st.tuples(*[st.integers(0, 3)] * n),
                      st.fractions(min_value=-5, max_value=5, max_denominator=4))

@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 from folindex import chern, projective
 from folindex.errors import (
     DegreeMismatch,
-    EulerConditionViolated,
     IncompleteSingularities,
     InvalidInput,
     UnsupportedIdentity,
 )
 from folindex.indices import cs_index, ph_index
-from folindex.localalgebra import IdealGens, MonomialOrder, quotient_dim
+from folindex.localalgebra import MonomialOrder, quotient_dim
 from folindex.polyring import (
     DiffForm,
     Poly,
@@ -102,22 +101,6 @@ def test_chart_restrict():
     assert cusp2.components == (-3 * u, -w)
     cusp1 = cusp_foliation().chart_restrict(1)
     assert cusp1.components == (-2 * u, w)
-
-
-def test_from_homogeneous_form():
-    x0, x1, x2 = Poly.variables(3)
-    omega = DiffForm(3, 1, {
-        (0,): x1 * x2,
-        (1,): -3 * x0 * x2,
-        (2,): 2 * x0 * x1,
-    })
-    fol = ProjectiveFoliation.from_homogeneous_form(omega)
-    assert fol.d == 1
-    x, y = xy()
-    assert fol.chart_restrict(0).components == (2 * x, 3 * y)
-    bad = DiffForm(3, 1, {(0,): x0, (1,): x1, (2,): x2})
-    with pytest.raises(EulerConditionViolated):
-        ProjectiveFoliation.from_homogeneous_form(bad)
 
 
 def test_curve_to_homogeneous():
@@ -349,7 +332,7 @@ def chart_multiplicity(fol, curves, p, j):
     gens += [translate_to_origin(set_coordinate_one(h, j), at)
              for h, _ in curves]
     gens = [g for g in gens if not g.is_zero()]
-    return quotient_dim(IdealGens(gens, MonomialOrder.local(2)))
+    return quotient_dim(gens, MonomialOrder.local(2))
 
 
 @settings(max_examples=25, deadline=None)
@@ -377,9 +360,9 @@ def test_certificate_takes_one_local_dimension_per_point(monkeypatch):
     calls = []
     exact = projective.quotient_dim
 
-    def counted(ideal):
-        calls.append(ideal.order.is_local())
-        return exact(ideal)
+    def counted(gens, order):
+        calls.append(order.is_local())
+        return exact(gens, order)
 
     monkeypatch.setattr(projective, "quotient_dim", counted)
     report = run_global_check(fol, "milnor_total", points=points)
@@ -425,10 +408,6 @@ def test_malformed_projective_input_raises_invalid_input():
     for chart in (5, -1, 1.0):
         with pytest.raises(InvalidInput):
             fol.chart_restrict(chart)
-    for omega in (DiffForm(2, 1, {(0,): y, (1,): -x}),
-                  DiffForm(3, 2, {(0, 1): Poly.var(3, 2)}), x):
-        with pytest.raises(InvalidInput):
-            ProjectiveFoliation.from_homogeneous_form(omega)
     with pytest.raises(InvalidInput):
         affine_singular_audit(VectorField((Poly.zero(2), Poly.zero(2))))
 

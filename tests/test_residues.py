@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from folindex import residues
+from folindex import localalgebra, residues
 from folindex.errors import (
     DegreeMismatch,
     InvalidInput,
@@ -13,10 +13,10 @@ from folindex.errors import (
     RouteConflict,
 )
 from folindex.localalgebra import (
-    IdealGens,
     MonomialOrder,
     at_corner,
     membership_with_cofactors,
+    standard_basis,
 )
 from folindex.polyring import Poly, PolyMatrix, VectorField, jacobian
 from folindex.residues import PhiSpec, baum_bott_residue, grothendieck_residue
@@ -57,6 +57,32 @@ def test_residue_bound_override_and_certificate():
     assert again.certificate == auto.certificate
 
 
+@pytest.mark.parametrize("bound", [None, 1, 3])
+def test_residue_makes_one_standard_basis(monkeypatch, bound):
+    # one basis serves the power bound and all n witnesses
+    calls = []
+    real = residues.standard_basis
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    for module in (residues, localalgebra):
+        monkeypatch.setattr(module, "standard_basis", counted)
+    x, y = xy()
+    X, Y, Z = Poly.variables(3)
+    for h, v, want in ((x * y, VectorField((x ** 2, y ** 2)), 1),
+                       (Poly.const(3, 1), VectorField((X, 2 * Y, Z)),
+                        Fraction(1, 2))):
+        del calls[:]
+        if bound == 1 and h.nvars == 2:
+            with pytest.raises(NotMember):
+                grothendieck_residue(h, v, bound=bound)
+        else:
+            assert grothendieck_residue(h, v, bound=bound).value == want
+        assert len(calls) == 1
+        assert calls[0][0] == v.components
+
+
 def test_residue_at_translated_point():
     x, y = xy()
     v = VectorField((x - 1, y + 2))
@@ -91,8 +117,8 @@ def _exact_witness_value(h, v, N):
     """The residue from exact witnesses u_i x_i^N == sum_j A[i][j] v_j: the
     coefficient of x^(N-1, ..., N-1) in h det(A) / (u_1 ... u_n)."""
     n = v.nvars
-    ideal = IdealGens(v.components, MonomialOrder.local(n))
-    wits = [membership_with_cofactors(Poly.var(n, i) ** N, ideal)
+    sb = standard_basis(v.components, MonomialOrder.local(n))
+    wits = [membership_with_cofactors(Poly.var(n, i) ** N, sb)
             for i in range(n)]
     det = PolyMatrix([w.cofactors for w in wits]).det()
     units = {(0,) * n: Fraction(1)}
@@ -132,8 +158,7 @@ def test_truncated_witnesses_give_the_exact_value(h, v):
     assert jac.value == _exact_witness_value(v.jacobian().det(), v,
                                              jac.bound)
     # an explicit bound above the corner degree c needs its own, higher cut
-    c = IdealGens(v.components, MonomialOrder.local(n)).basis(
-        at_corner).modulo
+    c = standard_basis(v.components, MonomialOrder.local(n), at_corner).modulo
     assert auto.bound <= c
     forced = grothendieck_residue(h, v, bound=c + 2)
     assert forced.value == auto.value
@@ -200,8 +225,8 @@ def test_box_inverse_of_a_non_unit_raises_route_conflict(monkeypatch):
     v = VectorField((x ** 2, y ** 2))
     exact = residues.membership_with_cofactors
 
-    def unit_dropped(p, ideal, modulo=None):
-        wit = exact(p, ideal, modulo)
+    def unit_dropped(p, sb):
+        wit = exact(p, sb)
         return type(wit)(cofactors=wit.cofactors, unit=wit.unit - 1)
 
     monkeypatch.setattr(residues, "membership_with_cofactors", unit_dropped)

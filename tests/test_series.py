@@ -41,6 +41,13 @@ def test_basic_arithmetic():
     assert t.truncate(2).coeffs == (0, 1)
 
 
+def test_scalar_minus_series():
+    t = TruncSeries.param(4)
+    assert 1 - t == TruncSeries(4, (1, -1))
+    assert Fraction(1, 2) - t * t == TruncSeries(4, (Fraction(1, 2), 0, -1))
+    assert (1 - t) + (t - 1) == TruncSeries.const(0, 4)
+
+
 def test_inverse_random():
     rng = random.Random(3)
     for _ in range(10):
