@@ -190,8 +190,16 @@ def test_order_along_curve():
     line = [y]
     assert order_along_curve(x, line) == 1
     assert order_along_curve(Poly.const(2, 1), line) == 0
-    # the order of g is the colength of the curve with g added
-    assert quotient_dim(cusp + (y,), local2()) == 3
+
+
+def test_curve_plus_generator_colength():
+    x, y = Poly.variables(2)
+    cusp = (y ** 2 - x ** 3,)
+    bigger = cusp + (y,)
+    assert bigger == (y ** 2 - x ** 3, y)
+    # the order of g along the curve is the colength of the curve with g added
+    assert quotient_dim(bigger, local2()) == 3
+    assert order_along_curve(y, cusp) == 3
 
 
 def test_resource_cap():
