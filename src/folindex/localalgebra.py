@@ -16,6 +16,25 @@ The global order is plain degree reverse lexicographic and the same driver
 degenerates to the ordinary division algorithm with u == 1: a leading
 monomial has top degree there, so every ecart is 0 and nothing is stacked.
 
+Fraction-free arithmetic.  Every reduction runs over the integers
+(Bareiss 1968 does the same for Gaussian elimination).  Each generator g_j
+is w_j * G_j for a primitive integer polynomial G_j and a rational weight
+w_j, and each basis element is held as an integer polynomial B_k with an
+integer row R_k and an integer scale sigma_k such that
+
+    sigma_k * B_k  ==  sum_j R_kj * G_j          (modulo m^T when cut).
+
+A normal form keeps U * P == sum_k C_k * B_k + H with integer U, C_k and H
+and U(0) != 0: a step multiplies by the two leading coefficients divided
+by their gcd, and the common content is divided out as it goes.  Every
+integer state is a nonzero multiple of the rational state the same steps
+would reach with monic elements, so the pair order, the reducer chosen by
+ecart, the stacking, the corner cuts and the steps spent are those of the
+rational algorithm.  Results are converted once, at the boundary: the
+StandardBasis holds the monic Fraction elements b_k == B_k / lc(B_k) and
+the Fraction expansions R_kj / (w_j * sigma_k * lc(B_k)), and a returned
+unit u == U / U(0) has u(0) == 1.
+
 The pair loop computes each element's leading exponent once, when the
 element enters the basis, and each normal form computes a reducer's leading
 exponent, coefficient and ecart once, when the reducer enters its list.  A
@@ -71,7 +90,8 @@ import contextvars
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import le, sub
+from math import gcd, lcm
+from operator import add, le, sub
 
 from .errors import (
     InvalidInput,
@@ -158,11 +178,26 @@ def _budget():
     return StepBudget(DEFAULT_MAX_STEPS) if budget is None else budget
 
 
+class _Keys(dict):
+    """Sort keys by exponent, each computed on its first lookup."""
+
+    __slots__ = ("sign",)
+
+    def __missing__(self, exp):
+        key = self[exp] = ((self.sign * sum(exp),)
+                           + tuple(-e for e in reversed(exp)))
+        return key
+
+
 class MonomialOrder:
     """A monomial order on a fixed number of variables; in the reverse lex
-    tie-break earlier variables are larger."""
+    tie-break earlier variables are larger.
 
-    __slots__ = ("kind", "nvars")
+    key(exp) is the sort key of an exponent: the maximum over a
+    polynomial's terms is its leading monomial.  Each order computes the key
+    of an exponent once."""
+
+    __slots__ = ("kind", "nvars", "key")
 
     def __init__(self, kind, nvars):
         if kind not in (LOCAL, GLOBAL):
@@ -171,6 +206,9 @@ class MonomialOrder:
             raise InvalidInput("an order needs at least one variable")
         self.kind = kind
         self.nvars = nvars
+        keys = _Keys()
+        keys.sign = -1 if kind == LOCAL else 1
+        self.key = keys.__getitem__
 
     @classmethod
     def local(cls, nvars):
@@ -182,12 +220,6 @@ class MonomialOrder:
 
     def is_local(self):
         return self.kind == LOCAL
-
-    def key(self, exp):
-        """Sort key; the maximum over a polynomial's terms is its leading
-        monomial."""
-        head = -sum(exp) if self.kind == LOCAL else sum(exp)
-        return (head,) + tuple(-e for e in reversed(exp))
 
     def leading(self, p):
         """(exponent, coefficient) of the leading term.  p must be nonzero."""
@@ -211,34 +243,95 @@ def _divides(e1, e2):
     return all(map(le, e1, e2))
 
 
-def _nf(p, elements, lead_exps, order, budget, below=None):
-    """Weak normal form of p against elements, whose leading exponents are
-    lead_exps.
+def _integral(p):
+    """(P, num, den) with p == num / den * P: P is the primitive integer
+    polynomial of p as a dict {exponent: int}, and num and den are positive;
+    ({}, 1, 1) for p == 0."""
+    cs = p.terms.values()
+    den = lcm(*(c.denominator for c in cs))
+    num = gcd(*(c.numerator for c in cs)) or 1
+    return ({e: c.numerator // num * (den // c.denominator)
+             for e, c in p.terms.items()}, num, den)
 
-    Returns (r, u, c) with the identity
-        u * p == sum_k c[k] * elements[k] + r
-    where u has constant term 1 (u == 1 under a global order) and no leading
-    monomial of the basis divides the leading monomial of r.  The identity
-    is exact, or with ``below`` holds modulo m^below: r, u and the c[k] then
-    have no term of degree ``below`` or more.
+
+def _rational(P, num, den, n):
+    """The Poly num / den * P of the integer polynomial P."""
+    return Poly(n, {e: Fraction(c * num, den) for e, c in P.items()})
+
+
+def _below(P, below):
+    """The terms of P of total degree less than ``below`` (all of them when
+    ``below`` is None)."""
+    if below is None:
+        return P
+    return {e: c for e, c in P.items() if sum(e) < below}
+
+
+def _degree(P):
+    return max(map(sum, P))
+
+
+def _scale(P, a):
+    """a * P as a new dict."""
+    return dict(P) if a == 1 else {e: a * c for e, c in P.items()}
+
+
+def _addmul(out, c, e, P, below):
+    """out += c * x^e * P in place, without the terms of total degree
+    ``below`` or more; returns out."""
+    items = P.items()
+    if below is not None:
+        room = below - sum(e)
+        items = [(f, d) for f, d in items if sum(f) < room]
+    for f, d in items:
+        g = tuple(map(add, e, f))
+        s = out.get(g, 0) + c * d
+        if s:
+            out[g] = s
+        else:
+            del out[g]
+    return out
+
+
+def _mul(out, c, P, Q, below):
+    """out += c * P * Q in place, without the terms of total degree
+    ``below`` or more; returns out."""
+    for e, d in P.items():
+        _addmul(out, c * d, e, Q, below)
+    return out
+
+
+def _reduce(h, basis, order, budget, below):
+    """Weak normal form of the integer polynomial h against basis, a list of
+    integer polynomials B_k with their leading exponents (B_k, e_k).
+
+    Returns (H, U, C) with the identity
+        U * h == sum_k C[k] * B_k + H
+    over the integers, where U(0) != 0 (U is a constant under a global
+    order) and no leading monomial of the basis divides the leading
+    monomial of H.  The identity is exact, or with ``below`` holds modulo
+    m^below: h, H, U and the C[k] then have no term of degree ``below`` or
+    more.  A step multiplies H, U and the C[k] by the reducer's leading
+    coefficient and subtracts the leading coefficient of H times the
+    reducer, both divided by their gcd; then the common content of H, U and
+    the C[k] is divided out.
     """
-    n = p.nvars
-    zero = Poly.zero(n)
-    one = Poly.const(n, 1)
-    u = one
-    c = {}
-    h = p.truncate(below)
-
+    zero = (0,) * order.nvars
+    one = {zero: 1}
+    key = order.key
+    U = one
+    C = {}
     # Mora: reducers grow with stacked intermediates.  A reducer is
     # (leading exponent, leading coefficient, ecart, polynomial, payload):
     # the payload is the basis index k, or for a stacked intermediate the
-    # representation (u, c) it had when stacked, so reductions against it
-    # fold into (u, c) exactly.
-    reducers = [(eb, b.terms[eb], b.degree() - sum(eb), b, k)
-                for k, (b, eb) in enumerate(zip(elements, lead_exps))]
-    while h.terms:
+    # representation (U, C) it had when stacked, so reductions against it
+    # fold into (U, C) exactly.
+    reducers = [(e, B[e], _degree(B) - sum(e), B, k)
+                for k, (B, e) in enumerate(basis)]
+    while h:
         budget.spend()
-        eh, ch = order.leading(h)
+        eh = max(h, key=key)
+        ch = h[eh]
         best = None
         for red in reducers:
             if (best is None or red[2] < best[2]) and _divides(red[0], eh):
@@ -248,19 +341,33 @@ def _nf(p, elements, lead_exps, order, budget, below=None):
         eg, cg, ec, g, payload = best
         # an ecart is never negative, so h is stacked only against a
         # reducer of positive ecart, never under the global order
-        if ec and ec > (ech := h.degree() - sum(eh)):
-            reducers.append((eh, ch, ech, h, (u, dict(c))))
-        q = ch / cg
+        if ec and ec > (ech := _degree(h) - sum(eh)):
+            reducers.append((eh, ch, ech, h, (U, dict(C))))
+        d = gcd(ch, cg)
+        a, b = cg // d, ch // d
         shift = tuple(map(sub, eh, eg))
-        h = h.sub_mul(shift, q, g, below)
+        h = _addmul(_scale(h, a), -b, shift, g, below)
+        if a != 1:
+            U = _scale(U, a)
+            C = {k: _scale(q, a) for k, q in C.items()}
         if type(payload) is int:
-            c[payload] = c.get(payload, zero).sub_mul(shift, -q, one, below)
+            C[payload] = _addmul(dict(C.get(payload, {})), b, shift, one,
+                                 below)
         else:
-            u0, c0 = payload
-            u = u.sub_mul(shift, q, u0, below)
-            for k, c0k in c0.items():
-                c[k] = c.get(k, zero).sub_mul(shift, q, c0k, below)
-    return h, u, c
+            U0, C0 = payload
+            U = _addmul(dict(U), -b, shift, U0, below)
+            for k, q in C0.items():
+                C[k] = _addmul(dict(C.get(k, {})), -b, shift, q, below)
+        content = gcd(*h.values())
+        if content != 1:
+            content = gcd(content, *U.values(),
+                          *(c for q in C.values() for c in q.values()))
+            if content != 1:
+                h, U = ({e: c // content for e, c in P.items()}
+                        for P in (h, U))
+                C = {k: {e: c // content for e, c in q.items()}
+                     for k, q in C.items()}
+    return h, U, C
 
 
 @dataclass(frozen=True)
@@ -294,18 +401,16 @@ def at_corner(c):
     return c
 
 
-def _cut(b, e, row, below):
-    """Element b with leading exponent e and its expansion row modulo
-    m^below; an element whose leading monomial lies in m^below becomes that
-    monomial, which is in the ideal and keeps the leading exponent."""
-    b = Poly.monomial(e) if sum(e) >= below else b.truncate(below)
-    return b, [q.truncate(below) for q in row]
-
-
-def _shifted_difference(si, a, sj, b, below):
-    """x^si * a - x^sj * b, without the terms of degree ``below`` or more."""
-    return Poly.zero(a.nvars).sub_mul(si, -1, a, below).sub_mul(sj, 1, b,
-                                                                below)
+def _clip(B, e, row, sigma, below):
+    """Element B with leading exponent e, its row and its scale sigma modulo
+    m^below.  An element whose leading monomial lies in m^below becomes that
+    monomial, which is in the ideal and keeps the leading exponent; its old
+    leading coefficient moves into the scale, so that the expansions read
+    from the row stay those of the monic element."""
+    row = [_below(R, below) for R in row]
+    if sum(e) >= below:
+        return {e: 1}, row, sigma * B[e]
+    return _below(B, below), row, sigma
 
 
 def standard_basis(gens, order, modulo=None):
@@ -326,12 +431,15 @@ def standard_basis(gens, order, modulo=None):
         raise InvalidInput("generators and order live in different rings")
     budget = _budget()
     local = order.is_local()
-    zero = Poly.zero(n)
+    ints = [_integral(g) for g in gens]
     m = len(gens)
 
-    elements = []
+    # basis[k] == (B_k, e_k) and scales[k] * B_k == sum_j rows[k][j] * G_j
+    # for the primitive generators G_j (module docstring)
+    basis = []
     lead_exps = []
-    expans = []
+    rows = []
+    scales = []
     sugars = []
     pending = set()
     queue = []
@@ -342,30 +450,31 @@ def standard_basis(gens, order, modulo=None):
     # basis enumerated once, at the end
     std = None
 
-    def add_element(b, e, row, sugar):
-        t = len(elements)
+    def add_element(B, e, row, sigma, sugar):
+        t = len(basis)
         if below is not None:
-            b, row = _cut(b, e, row, below)
-        elements.append(b)
+            B, row, sigma = _clip(B, e, row, sigma, below)
+        basis.append((B, e))
         lead_exps.append(e)
-        expans.append(row)
+        rows.append(row)
+        scales.append(sigma)
         sugars.append(sugar)
         for s in range(t):
             es = lead_exps[s]
-            lcm = tuple(map(max, es, e))
+            lcm_e = tuple(map(max, es, e))
             if local:
-                head = sum(lcm)
+                head = sum(lcm_e)
             else:
-                head = max(sugars[s] + sum(lcm) - sum(es),
-                           sugar + sum(lcm) - sum(e))
+                head = max(sugars[s] + sum(lcm_e) - sum(es),
+                           sugar + sum(lcm_e) - sum(e))
             pending.add((s, t))
-            heapq.heappush(queue, (head, order.key(lcm), s, t))
+            heapq.heappush(queue, (head, order.key(lcm_e), s, t))
         if local and modulo is not None:
             lower_corner(e)
 
     def lower_corner(e):
         # the staircase of the leading monomials sets c; once it is finite,
-        # cut every element and expansion at the new, lower T
+        # cut every element and row at the new, lower T
         nonlocal below, std
         if std is None:
             std = _staircase(lead_exps, n)
@@ -380,22 +489,21 @@ def standard_basis(gens, order, modulo=None):
         if below is not None and t >= below:
             return
         below = t
-        for k, ek in enumerate(lead_exps):
-            elements[k], expans[k] = _cut(elements[k], ek, expans[k], t)
+        for k, (B, ek) in enumerate(basis):
+            B, rows[k], scales[k] = _clip(B, ek, rows[k], scales[k], t)
+            basis[k] = (B, ek)
 
-    for j, g in enumerate(gens):
-        if g.is_zero():
-            continue
-        e, lc = order.leading(g)
-        row = [zero] * m
-        row[j] = Poly.const(n, Fraction(1) / lc)
-        add_element(g / lc, e, row, g.degree())
+    for j, (G, _, _) in enumerate(ints):
+        if G:
+            row = [{}] * m
+            row[j] = {(0,) * n: 1}
+            add_element(G, max(G, key=order.key), row, 1, _degree(G))
 
-    def chain_skips(i, j, lcm):
+    def chain_skips(i, j, lcm_e):
         # Gebauer-Moller: S(i, j) is a combination of S(i, k) and S(j, k)
         # below lcm, and both of those are already done.
         for k, ek in enumerate(lead_exps):
-            if (k != i and k != j and _divides(ek, lcm)
+            if (k != i and k != j and _divides(ek, lcm_e)
                     and (min(i, k), max(i, k)) not in pending
                     and (min(j, k), max(j, k)) not in pending):
                 return True
@@ -415,52 +523,79 @@ def standard_basis(gens, order, modulo=None):
         if not local and all(a == 0 or b == 0 for a, b in zip(ei, ej)):
             # product criterion: disjoint supports reduce to zero (global only)
             continue
-        lcm = tuple(map(max, ei, ej))
-        if chain_skips(i, j, lcm):
+        lcm_e = tuple(map(max, ei, ej))
+        if chain_skips(i, j, lcm_e):
             continue
-        si = tuple(map(sub, lcm, ei))
-        sj = tuple(map(sub, lcm, ej))
-        spoly = _shifted_difference(si, elements[i], sj, elements[j], below)
-        if spoly.is_zero():
+        si = tuple(map(sub, lcm_e, ei))
+        sj = tuple(map(sub, lcm_e, ej))
+        Bi, Bj = basis[i][0], basis[j][0]
+        d = gcd(Bi[ei], Bj[ej])
+        a, b = Bj[ej] // d, Bi[ei] // d
+        spoly = _addmul(_addmul({}, a, si, Bi, below), -b, sj, Bj, below)
+        if not spoly:
             continue
-        r, u, c = _nf(spoly, elements, lead_exps, order, budget, below)
-        if r.is_zero():
+        H, U, C = _reduce(spoly, basis, order, budget, below)
+        if not H:
             continue
-        row = [u.mul_below(_shifted_difference(si, xi, sj, xj, below), below)
-               for xi, xj in zip(expans[i], expans[j])]
-        for t, ct in c.items():
-            for k in range(m):
-                row[k] = row[k] - ct.mul_below(expans[t][k], below)
-        e, lc = order.leading(r)
+        # M * H == row . G: the S-polynomial's row times U, less the rows
+        # of the elements C reduced by, over a common scale M
+        M = lcm(scales[i], scales[j], *(scales[t] for t in C))
+        fi, fj = a * (M // scales[i]), b * (M // scales[j])
+        row = []
+        for col, (Ri, Rj) in enumerate(zip(rows[i], rows[j])):
+            pair = _addmul(_addmul({}, fi, si, Ri, below), -fj, sj, Rj, below)
+            out = _mul({}, 1, U, pair, below)
+            for t, Ct in C.items():
+                _mul(out, -(M // scales[t]), Ct, rows[t][col], below)
+            row.append(out)
+        content = gcd(*H.values())
+        sigma = M * content
+        common = gcd(sigma, *(c for R in row for c in R.values()))
         # head is the pair's sugar in the global order; the local order
         # never reads sugars
-        add_element(r / lc, e, [q / lc for q in row], head)
+        add_element({e: c // content for e, c in H.items()},
+                    max(H, key=order.key),
+                    [{e: c // common for e, c in R.items()} for R in row],
+                    sigma // common, head)
 
-    for b, row in zip(elements, expans):
-        acc = zero
-        for q, g in zip(row, gens):
-            acc = acc + q.mul_below(g, below)
-        if acc != b.truncate(below):
+    elements = []
+    expansions = []
+    for (B, e), row, sigma in zip(basis, rows, scales):
+        acc = {}
+        for R, (G, _, _) in zip(row, ints):
+            _mul(acc, 1, R, G, below)
+        if acc != _below(_scale(B, sigma), below):
             raise RouteConflict("expansion bookkeeping broke")
+        lc = B[e]
+        elements.append(_rational(B, 1, lc, n))
+        expansions.append(tuple(_rational(R, b, a * sigma * lc, n)
+                                for R, (_, a, b) in zip(row, ints)))
 
     return StandardBasis(
         order=order,
         gens=gens,
         elements=tuple(elements),
-        expansions=tuple(tuple(row) for row in expans),
+        expansions=tuple(expansions),
         leading_exps=tuple(lead_exps),
         staircase=_staircase(lead_exps, n) if std is None else std,
         modulo=below,
     )
 
 
+def _integral_basis(sb):
+    """The elements of sb as primitive integer polynomials, with their
+    leading exponents: the basis _reduce takes."""
+    return [(_integral(b)[0], e) for b, e in zip(sb.elements, sb.leading_exps)]
+
+
 def normal_form(p, sb):
     """Weak normal form of p against the standard basis sb (remainder
     only): when sb works modulo m^T the remainder has no term of degree T or
     more.  It is zero exactly when p lies in the ideal."""
-    r, _, _ = _nf(p, sb.elements, sb.leading_exps, sb.order, _budget(),
-                  sb.modulo)
-    return r
+    P, a, b = _integral(p)
+    H, U, _ = _reduce(_below(P, sb.modulo), _integral_basis(sb), sb.order,
+                      _budget(), sb.modulo)
+    return _rational(H, a, b * U[(0,) * p.nvars], p.nvars)
 
 
 @dataclass(frozen=True)
@@ -482,23 +617,43 @@ def membership_with_cofactors(p, sb):
     then no cofactor and no unit term has degree T or more.
     """
     below = sb.modulo
-    r, u, c = _nf(p, sb.elements, sb.leading_exps, sb.order, _budget(),
-                  below)
-    if not r.is_zero():
-        raise NotMember("polynomial is not in the ideal (normal form %s)"
-                        % r.format())
     n = p.nvars
-    q = [Poly.zero(n) for _ in sb.gens]
-    for k, ck in c.items():
-        row = sb.expansions[k]
-        for j in range(len(q)):
-            q[j] = q[j] + ck.mul_below(row[j], below)
-    acc = Poly.zero(n)
-    for qj, gj in zip(q, sb.gens):
-        acc = acc + qj.mul_below(gj, below)
-    if acc != u.mul_below(p, below):
+    basis = _integral_basis(sb)
+    P, pa, pb = _integral(p)
+    P = _below(P, below)
+    H, U, C = _reduce(P, basis, sb.order, _budget(), below)
+    u0 = U[(0,) * n]
+    if H:
+        raise NotMember("polynomial is not in the ideal (normal form %s)"
+                        % _rational(H, pa, pb * u0, n).format())
+    ints = [_integral(g) for g in sb.gens]
+    # B_k == (beta_k / s_k) * sum_j R_kj * G_j, with the integer rows R_k
+    # read from the expansions over the primitive generators G_j
+    parts = []
+    for k, Ck in C.items():
+        E = [{e: Fraction(c.numerator * a, c.denominator * b)
+              for e, c in q.terms.items()}
+             for q, (_, a, b) in zip(sb.expansions[k], ints)]
+        s = lcm(*(c.denominator for q in E for c in q.values()))
+        R = [{e: c.numerator * (s // c.denominator) for e, c in q.items()}
+             for q in E]
+        B, ek = basis[k]
+        parts.append((Ck, B[ek], s, R))
+    # M * U * P == sum_j Q_j * G_j
+    M = lcm(*(s // gcd(s, beta) for _, beta, s, _ in parts))
+    Q = [{} for _ in ints]
+    for Ck, beta, s, R in parts:
+        for Qj, Rj in zip(Q, R):
+            _mul(Qj, M * beta // s, Ck, Rj, below)
+    acc = {}
+    for Qj, (G, _, _) in zip(Q, ints):
+        _mul(acc, 1, Qj, G, below)
+    if acc != _mul({}, M, U, P, below):
         raise RouteConflict("cofactor identity broke")
-    return Cofactors(cofactors=tuple(q), unit=u)
+    return Cofactors(
+        cofactors=tuple(_rational(Qj, pa * b, pb * M * u0 * a, n)
+                        for Qj, (_, a, b) in zip(Q, ints)),
+        unit=_rational(U, 1, u0, n))
 
 
 def _staircase(exps, n):
@@ -566,9 +721,12 @@ def monomial_power_bound(sb):
     if d == 0:
         return 1
     budget = _budget()
+    basis = _integral_basis(sb)
+    below = sb.modulo
     for bound in range(1, d + 1):
-        if all(_nf(Poly.var(n, i) ** bound, sb.elements, sb.leading_exps,
-                   sb.order, budget, sb.modulo)[0].is_zero()
+        if all(not _reduce(_below({tuple(bound * (i == k) for k in range(n)):
+                                   1}, below),
+                           basis, sb.order, budget, below)[0]
                for i in range(n)):
             return bound
     raise RouteConflict("power bound exceeded the quotient dimension")
@@ -581,18 +739,25 @@ def exact_divide(p, f):
         raise InvalidInput("division by the zero polynomial")
     if p.nvars != f.nvars:
         raise InvalidInput("dividend and divisor live in different rings")
-    order = MonomialOrder.degrevlex(p.nvars)
-    ef, cf = order.leading(f)
-    h = p
+    key = MonomialOrder.degrevlex(p.nvars).key
+    # by Gauss's lemma the quotient of two primitive integer polynomials is
+    # an integer polynomial, so a remainder in a quotient coefficient means
+    # that f does not divide p
+    P, pa, pb = _integral(p)
+    F, fa, fb = _integral(f)
+    ef = max(F, key=key)
     q = {}
-    while h.terms:
-        eh, ch = order.leading(h)
+    while P:
+        eh = max(P, key=key)
         if not _divides(ef, eh):
             return None
+        c, rem = divmod(P[eh], F[ef])
+        if rem:
+            return None
         shift = tuple(map(sub, eh, ef))
-        q[shift] = ch / cf
-        h = h.sub_mul(shift, q[shift], f)
-    return Poly(p.nvars, q)
+        q[shift] = c
+        P = _addmul(dict(P), -c, shift, F, None)
+    return _rational(q, pa * fb, pb * fa, p.nvars)
 
 
 def order_along_curve(g, curve_polys):

@@ -8,7 +8,6 @@ All values are immutable after construction and safe to share.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add as _add
 
 from .errors import InvalidInput
 
@@ -169,57 +168,6 @@ class Poly:
         return self._raw(self.nvars, terms)
 
     __rmul__ = __mul__
-
-    def sub_mul(self, e, c, other, below=None):
-        """self - c * x^e * other, in one pass over other's terms.  With
-        ``below``, the terms of c * x^e * other of total degree ``below`` or
-        more are left out."""
-        if not c:
-            return self
-        if not other.nvars == self.nvars == len(e):
-            raise InvalidInput("polynomial rings differ")
-        terms = dict(self.terms)
-        items = other.terms.items()
-        if below is not None:
-            room = below - sum(e)
-            items = [(f, d) for f, d in items if sum(f) < room]
-        for f, d in items:
-            g = tuple(map(_add, e, f))
-            s = terms.get(g, 0) - c * d
-            if s:
-                terms[g] = s
-            else:
-                del terms[g]
-        return self._raw(self.nvars, terms)
-
-    def truncate(self, below):
-        """The terms of total degree less than ``below`` (all of them when
-        ``below`` is None)."""
-        if below is None:
-            return self
-        return self._raw(self.nvars, {e: c for e, c in self.terms.items()
-                                      if sum(e) < below})
-
-    def mul_below(self, other, below):
-        """self * other without the terms of total degree ``below`` or more
-        (with all of them when ``below`` is None)."""
-        if below is None:
-            return self * other
-        if other.nvars != self.nvars:
-            raise InvalidInput("polynomial rings differ")
-        right = [(f, sum(f), d) for f, d in other.terms.items()]
-        terms = {}
-        for e, c in self.terms.items():
-            room = below - sum(e)
-            for f, df, d in right:
-                if df < room:
-                    g = tuple(map(_add, e, f))
-                    s = terms.get(g, 0) + c * d
-                    if s:
-                        terms[g] = s
-                    else:
-                        del terms[g]
-        return self._raw(self.nvars, terms)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -258,17 +258,23 @@ def test_bad_inputs_raise_invalid_input():
         exact_divide(x, Poly.zero(2))
 
 
-def _doubled_unit(nf):
+def _doubled(unit):
+    return {e: 2 * c for e, c in unit.items()}
+
+
+def _doubled_unit(reduce):
+    # the integer kernel returns (H, U, C) with U * h == sum C[k] B_k + H
     def broken(*args):
-        r, u, c = nf(*args)
-        return r, u + u, c
+        h, u, c = reduce(*args)
+        return h, _doubled(u), c
     return broken
 
 
 def test_broken_bookkeeping_raises_route_conflict(monkeypatch):
     x, y = Poly.variables(2)
     gens = (y ** 2 - x ** 3, x * y ** 2 - y)
-    monkeypatch.setattr(localalgebra, "_nf", _doubled_unit(localalgebra._nf))
+    monkeypatch.setattr(localalgebra, "_reduce",
+                        _doubled_unit(localalgebra._reduce))
     with pytest.raises(RouteConflict, match="expansion bookkeeping"):
         standard_basis(gens, local2())
 
@@ -276,7 +282,8 @@ def test_broken_bookkeeping_raises_route_conflict(monkeypatch):
 def test_broken_cofactors_raise_route_conflict(monkeypatch):
     x, y = Poly.variables(2)
     sb = standard_basis((y ** 2 - x ** 3, y), local2())
-    monkeypatch.setattr(localalgebra, "_nf", _doubled_unit(localalgebra._nf))
+    monkeypatch.setattr(localalgebra, "_reduce",
+                        _doubled_unit(localalgebra._reduce))
     with pytest.raises(RouteConflict, match="cofactor identity"):
         membership_with_cofactors(x ** 3, sb)
 
@@ -308,9 +315,8 @@ def test_every_s_polynomial_reduces_to_zero(gens, kind):
                      * sb.elements[i]
                      - Poly.monomial(tuple(a - b for a, b in zip(lcm, ej)))
                      * sb.elements[j])
-            r, _, _ = localalgebra._nf(spoly, sb.elements, sb.leading_exps,
-                                       order, StepBudget(300))
-            assert r.is_zero(), (i, j)
+            with step_budget(300):
+                assert normal_form(spoly, sb).is_zero(), (i, j)
     except ResourceCap:
         pass
 
@@ -370,16 +376,14 @@ def test_corner_dimension_matches_exact_basis(gens):
         assert sb.modulo is not None
         for e in itertools.product(range(sb.modulo + 1), repeat=n):
             if sum(e) == sb.modulo:
-                r, _, _ = localalgebra._nf(
-                    Poly.monomial(e), exact.elements, exact.leading_exps,
-                    order, StepBudget(2000))
-                assert r.is_zero()
+                with step_budget(2000):
+                    assert normal_form(Poly.monomial(e), exact).is_zero()
         # truncated expansions hold modulo m^T and nothing reaches degree T
         for b, row in zip(sb.elements, sb.expansions):
             acc = Poly.zero(n)
             for q, g in zip(row, gens):
                 acc = acc + q * g
-            assert (acc - b).truncate(sb.modulo).is_zero()
+            assert all(sum(e) >= sb.modulo for e in (acc - b).terms)
             assert all(q.degree() < sb.modulo for q in row)
             assert b.degree() < sb.modulo or len(b.terms) == 1
 
@@ -407,12 +411,12 @@ def test_corner_truncates_the_local_basis_only():
     assert glob == standard_basis(gens, MonomialOrder.degrevlex(2))
 
 
-def _doubled_truncated_unit(nf):
+def _doubled_truncated_unit(reduce):
     # doubles the unit of every normal form taken modulo a power of m and
     # leaves the exact ones alone
-    def broken(p, elements, lead_exps, order, budget, below=None):
-        r, u, c = nf(p, elements, lead_exps, order, budget, below)
-        return r, (u if below is None else u + u), c
+    def broken(h, basis, order, budget, below):
+        h, u, c = reduce(h, basis, order, budget, below)
+        return h, (u if below is None else _doubled(u)), c
     return broken
 
 
@@ -427,13 +431,20 @@ def test_corrupted_truncated_row_raises_route_conflict(monkeypatch):
     assert quotient_dim(gens, local2()) == len(_box_staircase(
         standard_basis(gens, local2()).leading_exps, 2))
     line = _corner((y ** 2 - x ** 3, y))
-    monkeypatch.setattr(localalgebra, "_nf",
-                        _doubled_truncated_unit(localalgebra._nf))
+    monkeypatch.setattr(localalgebra, "_reduce",
+                        _doubled_truncated_unit(localalgebra._reduce))
     standard_basis(gens, local2())
     with pytest.raises(RouteConflict, match="expansion bookkeeping"):
         standard_basis(gens, local2(), at_corner)
     with pytest.raises(RouteConflict, match="cofactor identity"):
         membership_with_cofactors(y + x * y, line)
+
+
+def _order_and_policy(kind, n):
+    if kind == "global":
+        return MonomialOrder.degrevlex(n), None
+    return (MonomialOrder.local(n),
+            at_corner if kind == "local-corner" else None)
 
 
 @seed(20261020)
@@ -446,14 +457,9 @@ def test_stored_staircase_is_the_staircase_of_the_leading_exponents(gens,
     # the others enumerate it at the end
     n = gens[0].nvars
     gens = [g for g in gens if not g.is_zero()] or [Poly.var(n, 0)]
-    if kind == "global":
-        order = MonomialOrder.degrevlex(n)
-    else:
-        order = MonomialOrder.local(n)
-    modulo = at_corner if kind == "local-corner" else None
     try:
         with step_budget(300):
-            sb = standard_basis(gens, order, modulo)
+            sb = standard_basis(gens, *_order_and_policy(kind, n))
     except ResourceCap:
         return
     want = _box_staircase(sb.leading_exps, n)
@@ -515,3 +521,117 @@ def test_quotient_dim_and_power_bound_read_the_stored_staircase(monkeypatch):
     # quotient_dim builds its own corner basis and enumerates it once
     assert quotient_dim(gens, local2()) == 5
     assert len(sizes) == 2
+
+
+_scales = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6).filter(bool),
+                    st.integers(1, 10 ** 6))
+
+
+@seed(20261021)
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_zero_dim_ideals(), _ideals()),
+       st.sampled_from(("local-corner", "local-exact", "global")),
+       st.lists(_scales, min_size=4, max_size=4))
+def test_scaling_the_generators_divides_only_the_expansions(gens, kind,
+                                                            scales):
+    # the integer kernel splits each generator into a rational weight and a
+    # primitive integer polynomial; the weight must reach the expansions and
+    # nothing else, and must not change the steps spent
+    n = gens[0].nvars
+    gens = [g for g in gens if not g.is_zero()] or [Poly.var(n, 0)]
+    order, modulo = _order_and_policy(kind, n)
+
+    def basis(gs):
+        try:
+            with step_budget(300) as budget:
+                return standard_basis(gs, order, modulo), budget.remaining
+        except ResourceCap:
+            return None, None
+
+    sb, left = basis(gens)
+    scaled, scaled_left = basis([g * s for g, s in zip(gens, scales)])
+    assert scaled_left == left
+    if sb is None:
+        return
+    assert scaled.elements == sb.elements
+    assert scaled.leading_exps == sb.leading_exps
+    assert scaled.staircase == sb.staircase
+    assert scaled.modulo == sb.modulo
+    assert scaled.expansions == tuple(
+        tuple(q / s for q, s in zip(row, scales)) for row in sb.expansions)
+
+
+def _pinned_inputs():
+    x, y = Poly.variables(2)
+    X, Y, Z = Poly.variables(3)
+    q = Fraction
+    cusp = y ** 2 - x ** 3 + q(1, 2) * x * y ** 3 - x ** 2 * y ** 2
+    bp = (X ** 2 + Y ** 3 + Z ** 4 + q(2, 3) * X * Y * Z ** 2
+          + Y ** 2 * Z ** 2 - 3 * X * Y ** 3)
+    field = (x ** 2 + q(2, 3) * y ** 3 - x * y ** 2 + 5 * x ** 2 * y,
+             y ** 2 - q(3, 2) * x ** 3 + x * y - y ** 3)
+    audit = (x ** 3 - 2 * x ** 2 * y + q(1, 2) * y ** 3 + x * y - 3 * y + 1,
+             y ** 3 + x ** 2 * y - q(2, 3) * x ** 2 + x - 2)
+    return {
+        # the Tjurina ideal of a cusp, exact and cut at its corner, where
+        # two elements become their leading monomials
+        "cusp": ((cusp, cusp.diff(0), cusp.diff(1)), local2(), None),
+        "cusp-corner": ((cusp, cusp.diff(0), cusp.diff(1)), local2(),
+                        at_corner),
+        # a Brieskorn-Pham space germ, cut at its corner
+        "brieskorn-pham": ([bp.diff(i) for i in range(3)],
+                           MonomialOrder.local(3), at_corner),
+        # the cut grothendieck_residue makes for the bound 1 in the plane
+        "residue-cut": (field, local2(), lambda c: 3 * max(c, 1) - 1),
+        # a dense degree-3 field of an affine audit, in degrevlex
+        "audit": (audit, MonomialOrder.degrevlex(2), None),
+    }
+
+
+# elements, expansions and steps left of step_budget(20000), as the rational
+# Mora and Buchberger loops computed them
+_PINNED = {
+    "cusp": (
+        ["y^2 + 1/2*x*y^3 - x^2*y^2 - x^3", "-1/6*y^3 + 2/3*x*y^2 + x^2",
+         "y + 3/4*x*y^2 - x^2*y"],
+        [["1", "0", "0"], ["0", "-1/3", "0"], ["0", "0", "1/2"]],
+        19942),
+    "cusp-corner": (
+        ["y^2", "x^2", "y"],
+        [["1", "0", "0"], ["0", "-1/3", "0"], ["0", "0", "1/2"]],
+        19997),
+    "brieskorn-pham": (
+        ["1/3*y*z^2 - 3/2*y^3 + x", "2/3*y*z^2 + y^2 + 2/9*x*z^2 - 3*x*y^2",
+         "3*z^3 + 3/2*y^2*z + x*y*z", "z^3"],
+        [["1/2", "0", "0"], ["0", "1/3", "0"], ["0", "0", "3/4"],
+         ["-1/6*y*z", "-1/6*z", "1/4"]],
+        19992),
+    "residue-cut": (
+        ["2/3*y^3 - x*y^2 + x^2 + 5*x^2*y", "y^2 - y^3 + x*y - 3/2*x^3",
+         "y^3 - 1/3*y^4 + 5*x^2*y^2 - 3/2*x^3*y + 3/2*x^4"],
+        [["1", "0"], ["0", "1"], ["y", "y - x"]],
+        19988),
+    "audit": (
+        ["1 - 3*y + 1/2*y^3 + x*y - 2*x^2*y + x^3",
+         "-2 + y^3 + x - 2/3*x^2 + x^2*y",
+         "3*y + 3*y^2 - 5/2*y^4 - 2*x - 2*x*y - x*y^2 + x*y^3 + x^2"
+         " + 4/3*x^2*y - 2/3*x^3",
+         "-38/29*y^2 - 30/29*y^3 + y^5 + 8/29*x*y + 12/29*x*y^2"
+         " + 10/29*x*y^3 + 8/29*x^2 - 2/29*x^2*y - 12/29*x^2*y^2"
+         " - 4/29*x^3 + 4/87*x^3*y + 8/87*x^4"],
+        [["1", "0"], ["0", "1"], ["-y", "-2*y + x"],
+         ["10/29*y^2 + 4/29*x*y",
+          "24/29*y^2 - 2/29*x*y - 4/29*x^2"]],
+        19981),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_basis_matches_the_rational_algorithm(name):
+    gens, order, modulo = _pinned_inputs()[name]
+    with step_budget(20000) as budget:
+        sb = standard_basis(gens, order, modulo)
+    elements, expansions, left = _PINNED[name]
+    assert [b.format() for b in sb.elements] == elements
+    assert [[q.format() for q in row] for row in sb.expansions] == expansions
+    assert budget.remaining == left

@@ -313,7 +313,6 @@ def test_bad_inputs_are_rejected():
     lambda x, y: Poly.var(2, -1),
     lambda x, y: x.diff(3),
     lambda x, y: x / 0,
-    lambda x, y: x.sub_mul((1, 0), 1, Poly.var(3, 0)),
     lambda x, y: VectorField((x, y)).apply(Poly.var(3, 0)),
     lambda x, y: PolyMatrix([[x, y], [x]]),
     lambda x, y: PolyMatrix([]),
@@ -333,7 +332,7 @@ def test_bad_inputs_are_rejected():
     lambda x, y: homogenize(x ** 2, 1),
     lambda x, y: set_coordinate_one(x, 2),
 ], ids=["ring-negative", "var-high", "var-negative", "diff-high",
-        "divide-by-zero", "sub-mul-ring", "apply-ring", "matrix-ragged",
+        "divide-by-zero", "apply-ring", "matrix-ragged",
         "matrix-empty", "matrix-rings", "det-nonsquare", "charpoly-nonsquare",
         "form-degree-high", "one-form-as-poly", "form-add-degree",
         "form-scale-string", "contract-zero-form", "contract-ring",
@@ -351,18 +350,6 @@ def _polys(n):
     term = st.tuples(st.tuples(*[st.integers(0, 3)] * n),
                      st.fractions(min_value=-5, max_value=5, max_denominator=4))
     return st.lists(term, max_size=5).map(lambda ts: Poly(n, dict(ts)))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
-    _polys(n), _polys(n), st.tuples(*[st.integers(0, 2)] * n),
-    st.fractions(min_value=-5, max_value=5, max_denominator=4))))
-def test_sub_mul_is_minus_monomial_times(case):
-    p, q, e, c = case
-    assert p.sub_mul(e, c, q) == p - Poly.monomial(e, c) * q
-    # (1 - c x^e) p vanishes only for p == 0 or c x^e == 1
-    assert p.sub_mul(e, c, p).is_zero() == (
-        p.is_zero() or (c == 1 and not any(e)))
 
 
 def test_format_is_stable():
