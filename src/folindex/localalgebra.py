@@ -30,10 +30,15 @@ by their gcd, and the common content is divided out as it goes.  Every
 integer state is a nonzero multiple of the rational state the same steps
 would reach with monic elements, so the pair order, the reducer chosen by
 ecart, the stacking, the corner cuts and the steps spent are those of the
-rational algorithm.  Results are converted once, at the boundary: the
-StandardBasis holds the monic Fraction elements b_k == B_k / lc(B_k) and
-the Fraction expansions R_kj / (w_j * sigma_k * lc(B_k)), and a returned
-unit u == U / U(0) has u(0) == 1.
+rational algorithm.  The StandardBasis keeps this integer form: each B_k
+with its leading exponent, its row R_k and scale sigma_k, and the split
+(G_j, w_j) of each generator.  normal_form, membership_with_cofactors and
+monomial_power_bound reduce against the B_k, and a membership witness takes
+its rows and scales from the basis.  Fractions are built on first read
+only: the monic elements b_k == B_k / lc(B_k), the expansions
+R_kj / (w_j * sigma_k * lc(B_k)), and the results a caller is returned,
+where a unit u == U / U(0) has u(0) == 1.  quotient_dim reads the
+staircase and builds no Fraction.
 
 The pair loop computes each element's leading exponent once, when the
 element enters the basis, and each normal form computes a reducer's leading
@@ -88,8 +93,9 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from operator import add, le, sub
 
@@ -374,25 +380,46 @@ def _reduce(h, basis, order, budget, below):
 class StandardBasis:
     """A standard (local) or Groebner (global) basis with expansions.
 
-    expansions[k] is a cofactor vector over the original generators:
+    The basis is held in integers (module docstring): basis[k] is (B_k, e_k)
+    for an integer polynomial B_k with leading exponent e_k, and
+        scales[k] * B_k == sum_j rows[k][j] * G_j
+    for the splits[j] == (G_j, num_j, den_j) with gens[j] == num_j / den_j *
+    G_j and G_j primitive.  The identity holds as a polynomial identity when
+    modulo is None, and modulo m^modulo otherwise; then m^modulo lies in the
+    ideal and no element or row has a term of degree modulo or more, except
+    an element whose leading monomial has that degree, which is that
+    monomial.  leading_exps[k] is e_k.  staircase holds the standard
+    monomials of the leading exponents, by degree and then as tuples, or
+    None when there are infinitely many.
+
+    elements and expansions are the Fraction form, computed on first read:
+    elements[k] is B_k made monic with respect to the order, and
         elements[k] == sum_j expansions[k][j] * gens[j]
-    holds as a polynomial identity when modulo is None, and modulo
-    m^modulo otherwise; then m^modulo lies in the ideal and no element or
-    expansion has a term of degree modulo or more, except an element whose
-    leading monomial has that degree, which is that monomial.  Elements are
-    monic with respect to the order; leading_exps[k] is the leading exponent
-    of elements[k].  staircase holds the standard monomials of the leading
-    exponents, by degree and then as tuples, or None when there are
-    infinitely many.
+    with the same modulo.
     """
 
     order: MonomialOrder
     gens: tuple
-    elements: tuple
-    expansions: tuple
+    basis: tuple = field(hash=False)
+    rows: tuple = field(hash=False)
+    scales: tuple
+    splits: tuple = field(hash=False)
     leading_exps: tuple
     staircase: tuple | None
     modulo: int | None = None
+
+    @cached_property
+    def elements(self):
+        n = self.order.nvars
+        return tuple(_rational(B, 1, B[e], n) for B, e in self.basis)
+
+    @cached_property
+    def expansions(self):
+        n = self.order.nvars
+        return tuple(
+            tuple(_rational(R, den, num * sigma * B[e], n)
+                  for R, (_, num, den) in zip(row, self.splits))
+            for (B, e), row, sigma in zip(self.basis, self.rows, self.scales))
 
 
 def at_corner(c):
@@ -558,43 +585,40 @@ def standard_basis(gens, order, modulo=None):
                     [{e: c // common for e, c in R.items()} for R in row],
                     sigma // common, head)
 
-    elements = []
-    expansions = []
-    for (B, e), row, sigma in zip(basis, rows, scales):
+    for (B, _), row, sigma in zip(basis, rows, scales):
         acc = {}
         for R, (G, _, _) in zip(row, ints):
             _mul(acc, 1, R, G, below)
         if acc != _below(_scale(B, sigma), below):
             raise RouteConflict("expansion bookkeeping broke")
-        lc = B[e]
-        elements.append(_rational(B, 1, lc, n))
-        expansions.append(tuple(_rational(R, b, a * sigma * lc, n)
-                                for R, (_, a, b) in zip(row, ints)))
 
     return StandardBasis(
         order=order,
         gens=gens,
-        elements=tuple(elements),
-        expansions=tuple(expansions),
+        basis=tuple(basis),
+        rows=tuple(map(tuple, rows)),
+        scales=tuple(scales),
+        splits=tuple(ints),
         leading_exps=tuple(lead_exps),
         staircase=_staircase(lead_exps, n) if std is None else std,
         modulo=below,
     )
 
 
-def _integral_basis(sb):
-    """The elements of sb as primitive integer polynomials, with their
-    leading exponents: the basis _reduce takes."""
-    return [(_integral(b)[0], e) for b, e in zip(sb.elements, sb.leading_exps)]
+def _check_ring(p, sb):
+    if p.nvars != sb.order.nvars:
+        raise InvalidInput("polynomial and standard basis live in different "
+                           "rings")
 
 
 def normal_form(p, sb):
     """Weak normal form of p against the standard basis sb (remainder
     only): when sb works modulo m^T the remainder has no term of degree T or
     more.  It is zero exactly when p lies in the ideal."""
+    _check_ring(p, sb)
     P, a, b = _integral(p)
-    H, U, _ = _reduce(_below(P, sb.modulo), _integral_basis(sb), sb.order,
-                      _budget(), sb.modulo)
+    H, U, _ = _reduce(_below(P, sb.modulo), sb.basis, sb.order, _budget(),
+                      sb.modulo)
     return _rational(H, a, b * U[(0,) * p.nvars], p.nvars)
 
 
@@ -616,43 +640,31 @@ def membership_with_cofactors(p, sb):
     exactly when sb.modulo is None, else modulo m^T for T == sb.modulo, and
     then no cofactor and no unit term has degree T or more.
     """
+    _check_ring(p, sb)
     below = sb.modulo
     n = p.nvars
-    basis = _integral_basis(sb)
     P, pa, pb = _integral(p)
     P = _below(P, below)
-    H, U, C = _reduce(P, basis, sb.order, _budget(), below)
+    H, U, C = _reduce(P, sb.basis, sb.order, _budget(), below)
     u0 = U[(0,) * n]
     if H:
         raise NotMember("polynomial is not in the ideal (normal form %s)"
                         % _rational(H, pa, pb * u0, n).format())
-    ints = [_integral(g) for g in sb.gens]
-    # B_k == (beta_k / s_k) * sum_j R_kj * G_j, with the integer rows R_k
-    # read from the expansions over the primitive generators G_j
-    parts = []
+    # U * P == sum_k C_k * B_k and scales[k] * B_k == sum_j rows[k][j] * G_j,
+    # so M * U * P == sum_j Q_j * G_j over a common multiple M of the scales
+    M = lcm(*(sb.scales[k] for k in C))
+    Q = [{} for _ in sb.splits]
     for k, Ck in C.items():
-        E = [{e: Fraction(c.numerator * a, c.denominator * b)
-              for e, c in q.terms.items()}
-             for q, (_, a, b) in zip(sb.expansions[k], ints)]
-        s = lcm(*(c.denominator for q in E for c in q.values()))
-        R = [{e: c.numerator * (s // c.denominator) for e, c in q.items()}
-             for q in E]
-        B, ek = basis[k]
-        parts.append((Ck, B[ek], s, R))
-    # M * U * P == sum_j Q_j * G_j
-    M = lcm(*(s // gcd(s, beta) for _, beta, s, _ in parts))
-    Q = [{} for _ in ints]
-    for Ck, beta, s, R in parts:
-        for Qj, Rj in zip(Q, R):
-            _mul(Qj, M * beta // s, Ck, Rj, below)
+        for Qj, Rkj in zip(Q, sb.rows[k]):
+            _mul(Qj, M // sb.scales[k], Ck, Rkj, below)
     acc = {}
-    for Qj, (G, _, _) in zip(Q, ints):
+    for Qj, (G, _, _) in zip(Q, sb.splits):
         _mul(acc, 1, Qj, G, below)
     if acc != _mul({}, M, U, P, below):
         raise RouteConflict("cofactor identity broke")
     return Cofactors(
         cofactors=tuple(_rational(Qj, pa * b, pb * M * u0 * a, n)
-                        for Qj, (_, a, b) in zip(Q, ints)),
+                        for Qj, (_, a, b) in zip(Q, sb.splits)),
         unit=_rational(U, 1, u0, n))
 
 
@@ -721,12 +733,11 @@ def monomial_power_bound(sb):
     if d == 0:
         return 1
     budget = _budget()
-    basis = _integral_basis(sb)
     below = sb.modulo
     for bound in range(1, d + 1):
         if all(not _reduce(_below({tuple(bound * (i == k) for k in range(n)):
                                    1}, below),
-                           basis, sb.order, budget, below)[0]
+                           sb.basis, sb.order, budget, below)[0]
                for i in range(n)):
             return bound
     raise RouteConflict("power bound exceeded the quotient dimension")

@@ -3,11 +3,19 @@ algebra of polynomial differential forms and vector fields.
 
 Every coefficient is a `fractions.Fraction`; nothing here ever rounds.
 All values are immutable after construction and safe to share.
+
+A product of two polynomials puts each factor over the least common
+denominator of its coefficients, multiplies and adds the integer numerators
+term by term, and builds one Fraction per term of the result (numerator
+over the product of the two denominators), so no term pair pays for a
+Fraction gcd.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import add
 
 from .errors import InvalidInput
 
@@ -35,6 +43,14 @@ def _rat(c):
     if isinstance(c, int):
         return Fraction(c)
     raise TypeError("rational coefficient expected, got %r" % (c,))
+
+
+def _over_common_denominator(terms):
+    """(d, [(exponent, integer numerator)]) with terms == numerator / d
+    term by term, for the least common denominator d of the coefficients."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    return d, [(e, c.numerator * (d // c.denominator))
+               for e, c in terms.items()]
 
 
 def _check_index(i, nvars):
@@ -156,16 +172,16 @@ class Poly:
             return NotImplemented
         if other.nvars != self.nvars:
             raise InvalidInput("polynomial rings differ")
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, 0) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
-        return self._raw(self.nvars, terms)
+        dp, P = _over_common_denominator(self.terms)
+        dq, Q = _over_common_denominator(other.terms)
+        acc = {}
+        for e1, c1 in P:
+            for e2, c2 in Q:
+                e = tuple(map(add, e1, e2))
+                acc[e] = acc.get(e, 0) + c1 * c2
+        den = dp * dq
+        return self._raw(self.nvars, {e: Fraction(c, den)
+                                      for e, c in acc.items() if c})
 
     __rmul__ = __mul__
 

@@ -258,6 +258,24 @@ def test_bad_inputs_raise_invalid_input():
         exact_divide(x, Poly.zero(2))
 
 
+def test_ring_mismatch_raises_invalid_input_at_entry():
+    # a 3-variable polynomial against a 2-variable basis: normal_form raised
+    # a bare KeyError, and membership ran to ResourceCap
+    x, y = Poly.variables(2)
+    X, Y, Z = Poly.variables(3)
+    for sb in (standard_basis((y ** 2 - x ** 3, x * y), local2()),
+               _corner((y ** 2 - x ** 3, x * y)),
+               standard_basis((x ** 2, y ** 2), MonomialOrder.degrevlex(2))):
+        for p in (X * Y * Z + X, Poly.const(3, 1), Poly.zero(3),
+                  Poly.var(1, 0)):
+            with step_budget(10) as budget:
+                with pytest.raises(InvalidInput):
+                    normal_form(p, sb)
+                with pytest.raises(InvalidInput):
+                    membership_with_cofactors(p, sb)
+            assert budget.remaining == 10
+
+
 def _doubled(unit):
     return {e: 2 * c for e, c in unit.items()}
 
@@ -635,3 +653,48 @@ def test_basis_matches_the_rational_algorithm(name):
     assert [b.format() for b in sb.elements] == elements
     assert [[q.format() for q in row] for row in sb.expansions] == expansions
     assert budget.remaining == left
+
+
+def test_fractions_are_built_only_where_they_are_read(monkeypatch):
+    x, y = Poly.variables(2)
+    q = Fraction
+    gens = (y ** 2 - x ** 3 + q(1, 2) * x * y ** 3, x * y - q(2, 3) * y ** 4)
+    member = (1 + x) * gens[0] - q(3, 5) * y * gens[1]
+    built = []
+    real = localalgebra._rational
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    def unread(self):
+        pytest.fail("the Fraction form of the basis was read")
+
+    with monkeypatch.context() as m:
+        m.setattr(localalgebra, "_rational", counted)
+        # quotient_dim reads the staircase and builds no Fraction
+        assert quotient_dim(gens, local2()) == 5
+        assert built == []
+        bases = [standard_basis(gens, local2()), _corner(gens),
+                 standard_basis(gens, MonomialOrder.degrevlex(2))]
+        assert built == []
+        # normal forms, witnesses and power bounds reduce against the
+        # integer basis and read neither elements nor expansions
+        m.setattr(localalgebra.StandardBasis, "elements", property(unread))
+        m.setattr(localalgebra.StandardBasis, "expansions",
+                  property(unread))
+        for sb in bases:
+            assert normal_form(member, sb).is_zero()
+            assert not normal_form(x, sb).is_zero()
+            membership_with_cofactors(member, sb)
+            with pytest.raises(NotMember):
+                membership_with_cofactors(x, sb)
+        assert monomial_power_bound(bases[1]) == 4
+    # the Fraction form is computed on the first read and kept
+    for sb in bases:
+        assert sb.elements is sb.elements
+        assert sb.expansions is sb.expansions
+        for b, row in zip(sb.elements, sb.expansions):
+            rest = b - sum((c * g for c, g in zip(row, gens)), Poly.zero(2))
+            assert all(sb.modulo is not None and sum(e) >= sb.modulo
+                       for e in rest.terms)

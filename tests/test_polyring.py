@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from folindex.errors import InvalidInput
@@ -373,3 +373,49 @@ _rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 def test_substitution_commutes_with_evaluation(case):
     p, qs, pt = case
     assert p.subst(qs)(pt) == p(*[q(pt) for q in qs])
+
+
+_wide_rationals = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                            st.integers(1, 10 ** 6))
+
+
+def _wide_polys(n):
+    term = st.tuples(st.tuples(*[st.integers(0, 3)] * n), _wide_rationals)
+    return st.one_of(
+        st.lists(term, max_size=6).map(lambda ts: Poly(n, dict(ts))),
+        _wide_rationals.map(lambda c: Poly.const(n, c)))
+
+
+def _factor_pairs(n):
+    # random pairs, and pairs (p + r, p - r) whose cross terms cancel, such
+    # as (x + 1)(x - 1)
+    pairs = st.tuples(_wide_polys(n), _wide_polys(n))
+    return st.one_of(pairs, pairs.map(lambda pr: (pr[0] + pr[1],
+                                                  pr[0] - pr[1])))
+
+
+def _schoolbook_product(p, q):
+    terms = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            terms[e] = terms.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in terms.items() if c}
+
+
+_x, _y = Poly.variables(2)
+
+
+@seed(20261019)
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(_factor_pairs))
+@example((_x + 1, _x - 1))
+@example((Fraction(1, 2) * _x + _y, Fraction(1, 2) * _x - _y))
+@example((_x, Poly.zero(2)))
+@example((Poly.const(2, Fraction(1, 2)), Poly.const(2, Fraction(2, 3))))
+def test_product_matches_the_schoolbook_fraction_product(pq):
+    p, q = pq
+    for prod in (p * q, q * p):
+        assert prod.terms == _schoolbook_product(p, q)
+        assert all(type(c) is Fraction and c for c in prod.terms.values())
+        assert all(len(e) == p.nvars for e in prod.terms)
