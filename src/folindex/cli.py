@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from .dsl import parse_session, run_session
 from .errors import FolindexError
-from .indices import DEFAULT_MAX_ORDER
 from .localalgebra import DEFAULT_MAX_STEPS
 
 
@@ -30,10 +29,6 @@ def _build_parser():
     run.add_argument("--steps", type=int, default=DEFAULT_MAX_STEPS,
                      metavar="N",
                      help="standard-basis step cap of each whole command "
-                          "(default %(default)s)")
-    run.add_argument("--truncation", type=int, default=DEFAULT_MAX_ORDER,
-                     metavar="N",
-                     help="series truncation cap for branch residues "
                           "(default %(default)s)")
     return parser
 
@@ -79,7 +74,6 @@ def main(argv=None):
             session,
             oracle=args.oracle == "on",
             max_steps=args.steps,
-            truncation=args.truncation,
         )
     except FolindexError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -53,7 +53,6 @@ from .errors import (
     UndeclaredName,
 )
 from .indices import (
-    DEFAULT_MAX_ORDER,
     cs_index,
     gsv_curve,
     gsv_pfaff_curve,
@@ -176,7 +175,7 @@ class _Op(NamedTuple):
     key: str            # inputs key of the subject
     clauses: tuple      # _Clause, in the order they are written
     run: object = None  # engine function: (subject, *clauses, point)
-    takes: tuple = ()   # which of "oracle", "max_order" run also takes
+    takes_oracle: bool = False  # whether run also takes oracle=
 
 
 def _fmt_point(coords):
@@ -265,16 +264,15 @@ COMMANDS = {
     "milnor": _Op(("poly",), "f", (), milnor_number),
     "tjurina": _Op(("poly",), "f", (), tjurina_number),
     "ph": _Op(("field",), "v", (), ph_index),
-    "homological": _Op(("field",), "v", (_ALONG,), homological_index,
-                       ("oracle",)),
+    "homological": _Op(("field",), "v", (_ALONG,), homological_index, True),
     "radial": _Op(("field",), "v", (_ALONG,), radial_index),
     "gsv": _Op(("field", "form"), "v", (_Clause("along", _CURVES, "curve"),),
                _gsv),
-    "cs": _Op(("field",), "v", (_ALONG, _BRANCH), cs_index, ("max_order",)),
-    "var": _Op(("field",), "v", (_ALONG, _BRANCH), var_index, ("max_order",)),
+    "cs": _Op(("field",), "v", (_ALONG, _BRANCH), cs_index),
+    "var": _Op(("field",), "v", (_ALONG, _BRANCH), var_index),
     "logindex": _Op(("field",), "v",
                     (_Clause("divisor", _divisor(False), "divisor"),),
-                    log_index, ("oracle",)),
+                    log_index, True),
     "bb": _Op(("field",), "v", (_Clause("phi", _PHI, "phi"),),
               baum_bott_residue),
     "residue": _Op(("poly",), "h", (_Clause("over", _name("field"), "v"),),
@@ -723,8 +721,7 @@ class _Env:
         return ProjPoint(coords)
 
 
-def run_session(session, oracle=False, max_steps=DEFAULT_MAX_STEPS,
-                truncation=DEFAULT_MAX_ORDER):
+def run_session(session, oracle=False, max_steps=DEFAULT_MAX_STEPS):
     """Execute every command; returns one record per command with fields
     command, inputs, value, method, crosschecks, verdict.  Each command
     spends from one step budget of max_steps."""
@@ -734,7 +731,7 @@ def run_session(session, oracle=False, max_steps=DEFAULT_MAX_STEPS,
         if isinstance(stmt, Assign):
             continue
         with step_budget(max_steps):
-            records.append(_run_command(stmt, env, oracle, truncation))
+            records.append(_run_command(stmt, env, oracle))
     return records
 
 
@@ -749,9 +746,9 @@ def _record(cmd, inputs, value, method, crosschecks, verdict):
     }
 
 
-def _run_command(cmd, env, oracle, truncation):
+def _run_command(cmd, env, oracle):
     if cmd.op == "check":
-        return _run_check(cmd, env, oracle, truncation)
+        return _run_check(cmd, env, oracle)
     spec = COMMANDS[cmd.op]
     at = env.affine_point(cmd.at, cmd.line)
     inputs = {"at": _fmt_at(cmd.at), spec.key: cmd.subject}
@@ -760,9 +757,8 @@ def _run_command(cmd, env, oracle, truncation):
         value = getattr(cmd, clause.word)
         args.append(clause.syntax.resolve(value, env))
         inputs[clause.key] = clause.syntax.show(value, args[-1])
-    options = {"oracle": oracle, "max_order": truncation}
-    result = spec.run(*args, point=at,
-                      **{name: options[name] for name in spec.takes})
+    kwargs = {"oracle": oracle} if spec.takes_oracle else {}
+    result = spec.run(*args, point=at, **kwargs)
     if isinstance(result, ResidueResult):
         return _record(cmd, inputs, result.value, "transformation_law",
                        [("certificate", True, result.certificate[:12])], "OK")
@@ -771,7 +767,7 @@ def _run_command(cmd, env, oracle, truncation):
     return _record(cmd, inputs, result.value, result.method, checks, "OK")
 
 
-def _run_check(cmd, env, oracle, truncation):
+def _run_check(cmd, env, oracle):
     spec = COMMANDS["check"]
     obj = env.objects
     fol = ProjectiveFoliation.from_affine_field(obj[cmd.subject])
@@ -793,7 +789,7 @@ def _run_check(cmd, env, oracle, truncation):
                               curve=resolved.get("along"),
                               points=tuple(points), branches=branches,
                               divisor=resolved.get("divisor", ()),
-                              oracle=oracle, truncation=truncation)
+                              oracle=oracle)
     checks = []
     for row in report.rows:
         checks.append(("%s at %r chart %d" % (row.quantity, row.point,

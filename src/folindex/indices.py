@@ -55,7 +55,6 @@ from .series import (
 )
 
 __all__ = [
-    "DEFAULT_MAX_ORDER",
     "IndexReport",
     "DecompositionTriple",
     "milnor_number",
@@ -71,10 +70,6 @@ __all__ = [
     "radial_index",
     "log_index",
 ]
-
-# series order up to which cs_index re-lifts an extendable branch
-DEFAULT_MAX_ORDER = 160
-
 
 @dataclass
 class IndexReport:
@@ -232,9 +227,9 @@ def _saito_triple(v, f, variant):
 
 
 def _saito_valid_variants(v, f):
-    """(triple, order difference) for the variants whose g and xi have
-    finite order along the curve, in the order fy, fx; the difference is
-    ord(xi) - ord(g).  DegenerateDecomposition when there is none."""
+    """(triple, order difference, ord(xi)) for the variants whose g and xi
+    have finite order along the curve, in the order fy, fx; the difference
+    is ord(xi) - ord(g).  DegenerateDecomposition when there is none."""
     out = []
     for variant in ("fy", "fx"):
         triple = _saito_triple(v, f, variant)
@@ -243,7 +238,7 @@ def _saito_valid_variants(v, f):
             continue
         ord_xi = order_along_curve(triple.xi, (f,))
         if ord_xi is not INFINITE:
-            out.append((triple, ord_xi - ord_g))
+            out.append((triple, ord_xi - ord_g, ord_xi))
     if not out:
         raise DegenerateDecomposition(
             "both decomposition variants vanish along the curve")
@@ -271,7 +266,7 @@ def saito_decomposition(v, f, variant="auto"):
 def _plane_germ(v, f, point):
     """What gsv_curve, cs_index and var_index share: the field and curve
     translated to the origin, the tangency cofactor, and the valid
-    decomposition variants with their order differences."""
+    decomposition variants with their order differences and orders of xi."""
     f0 = _at_point(f, point)
     v0 = _field_at_point(v, point)
     h = tangency_cofactor(v0, f0)
@@ -282,46 +277,53 @@ def _gsv(v0, f0, h, valid):
     """gsv_curve on a germ of _plane_germ."""
     value = valid[0][1]
     checks = [("variant-" + triple.variant, val == value,
-               "order difference %s" % val) for triple, val in valid[1:]]
+               "order difference %s" % val) for triple, val, _ in valid[1:]]
     hom = _homological(v0, f0, h)
     checks.append(("homological", hom == value, "homological index %s" % hom))
     return _finish(value, "vanishing-orders", checks)
 
 
-def _check_max_order(max_order):
-    if not (isinstance(max_order, int) and max_order >= 1):
-        raise InvalidInput("truncation order must be a positive integer, "
-                           "got %r" % (max_order,))
-
-
-def _cs(f0, valid, branch, point, max_order):
+def _cs(f0, valid, branch, point):
     """cs_index on a germ of _plane_germ; the branch is in absolute
-    coordinates."""
-    order = 20
-    cap = branch.max_order()
-    if cap is not None:
-        order = min(order, cap)
+    coordinates.
+
+    The working order starts at 20 and doubles up to a ceiling K that the
+    germ proves sufficient.  Let gamma be the branch moved to the origin
+    and omega = dim O/(f, xi) the order of a variant's xi along the curve.
+    gamma = beta(t^e) for a primitive parametrization beta of a branch phi
+    of f, so ord_t(xi o gamma) = e I(xi, phi) <= e omega, since the
+    intersection number of xi with f sums those with its branches; and
+    e <= ord_t(gamma).  laurent_residue resolves once the working order
+    exceeds 2 ord_t(xi o gamma), so K = 2 ord_t(gamma) omega + 1, the
+    largest over the variants, suffices for an extendable branch.  A
+    hand-entered branch is known only to its own order, which is its
+    ceiling.  TruncationNotStabilized is raised at the ceiling."""
+    ceiling = None if branch.extendable else branch.order
+    order = 20 if ceiling is None else min(20, ceiling)
 
     while True:
         br = branch.at_order(order)
         comps = br.comps if point is None else tuple(
             s - q for s, q in zip(br.comps, point))
-        if all(s.valuation() is None for s in comps):
+        vals = [s.valuation() for s in comps if not s.is_zero()]
+        if not vals:
             raise NotInvariant("branch is constant at the point")
-        if any(s.coeffs[0] != 0 for s in comps):
+        if min(vals) == 0:
             raise NotInvariant("branch does not pass through the point")
         if not poly_on_branch(f0, comps).is_zero():
             raise NotInvariant("branch does not lie on the curve")
+        if ceiling is None:
+            ceiling = 2 * min(vals) * max(w for _, _, w in valid) + 1
         try:
             values = []
-            for triple, _ in valid:
+            for triple, _, _ in valid:
                 num = pullback_one_form(triple.eta, comps)
                 den = poly_on_branch(triple.xi, comps).truncate(num.order)
                 values.append((triple.variant, -laurent_residue(num, den)))
             break
         except InsufficientOrder:
-            if cap is None and order < max_order:
-                order = min(2 * order, max_order)
+            if order < ceiling:
+                order = min(2 * order, ceiling)
                 continue
             raise TruncationNotStabilized(
                 "branch order %d cannot resolve the residue" % order)
@@ -340,29 +342,28 @@ def gsv_curve(v, f, point=None):
     return _gsv(*_plane_germ(v, f, point))
 
 
-def cs_index(v, f, branch, point=None, max_order=DEFAULT_MAX_ORDER):
+def cs_index(v, f, branch, point=None):
     """Residue-type index of v along one parametrized branch of the invariant
     curve f == 0: minus the t-residue of the pulled-back eta over xi.
 
-    The branch must lie on the curve and pass through the point.  The residue
-    is exact once the working order suffices; extendable branches are re-lifted
-    up to max_order before TruncationNotStabilized is raised."""
+    The branch must lie on the curve and pass through the point.  The series
+    order is worked out from the germ: an extendable branch is re-lifted up
+    to an order proven to resolve the residue, a hand-entered one is used up
+    to the order it was given, and TruncationNotStabilized is raised when
+    that does not suffice."""
     _plane(v, f, "cs_index")
-    _check_max_order(max_order)
     _, f0, _, valid = _plane_germ(v, f, point)
-    return _cs(f0, valid, branch, point, max_order)
+    return _cs(f0, valid, branch, point)
 
 
-def var_index(v, f, branch, point=None, max_order=DEFAULT_MAX_ORDER):
+def var_index(v, f, branch, point=None):
     """Variation-type index along one branch: the curve index plus the
-    branch residue index, whose series are capped at max_order as in
-    cs_index.  Both parts read one translation, one cofactor and one
-    decomposition."""
+    branch residue index, whose series order is worked out as in cs_index.
+    Both parts read one translation, one cofactor and one decomposition."""
     _plane(v, f, "var_index")
     v0, f0, h, valid = _plane_germ(v, f, point)
     gsv = _gsv(v0, f0, h, valid)
-    _check_max_order(max_order)
-    cs = _cs(f0, valid, branch, point, max_order)
+    cs = _cs(f0, valid, branch, point)
     return _finish(gsv.value + cs.value, "sum-of-parts")
 
 

@@ -227,16 +227,10 @@ class Poly:
 
     def diff(self, i):
         _check_index(i, self.nvars)
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                e2 = e[:i] + (e[i] - 1,) + e[i + 1:]
-                s = terms.get(e2, 0) + c * e[i]
-                if s:
-                    terms[e2] = s
-                else:
-                    terms.pop(e2, None)
-        return self._raw(self.nvars, terms)
+        # distinct exponents have distinct derivatives: no two terms meet
+        return self._raw(self.nvars, {
+            e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+            for e, c in self.terms.items() if e[i]})
 
     def __call__(self, *point):
         if len(point) == 1 and isinstance(point[0], (tuple, list)):
@@ -457,11 +451,6 @@ class DiffForm:
     @classmethod
     def volume(cls, nvars):
         return cls(nvars, nvars, {tuple(range(nvars)): Poly.const(nvars, 1)})
-
-    def as_poly(self):
-        if self.degree:
-            raise InvalidInput("a %d-form is not a polynomial" % self.degree)
-        return self.coeffs.get((), Poly.zero(self.nvars))
 
     def is_zero(self):
         return not self.coeffs

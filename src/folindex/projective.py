@@ -33,7 +33,6 @@ from .errors import (
     UnsupportedIdentity,
 )
 from .indices import (
-    DEFAULT_MAX_ORDER,
     cs_index,
     gsv_curve,
     gsv_pfaff_curve,
@@ -258,7 +257,6 @@ class _Site(NamedTuple):
     branches: list          # declared branches, through the origin
     divisor: tuple          # homogeneous coordinate indices
     oracle: bool
-    truncation: int
 
 
 def _moved(branch, at):
@@ -320,7 +318,7 @@ def _certify(kind, gens_by_chart, sites):
 
 
 def _branch_sum(index, s):
-    return sum((index(s.field, s.curves[0], br, max_order=s.truncation).value
+    return sum((index(s.field, s.curves[0], br).value
                 for br in s.branches), Fraction(0))
 
 
@@ -382,7 +380,7 @@ def _shaped(kind, shape, n, curve, divisor):
 
 
 def run_global_check(fol, kind, curve=None, points=(), branches=(),
-                     divisor=(), oracle=False, truncation=DEFAULT_MAX_ORDER):
+                     divisor=(), oracle=False):
     """Evaluate one global identity: local indices at the declared
     singular points against the closed-form total.
 
@@ -391,8 +389,7 @@ def run_global_check(fol, kind, curve=None, points=(), branches=(),
     of homogeneous coordinates whose hyperplanes form the invariant
     normal crossing divisor.  branches: (ProjPoint, BranchParam) pairs at
     declared points (InvalidInput otherwise), each branch written in the
-    affine coordinates of the point's first visible chart.  truncation
-    caps the series order of the cs and var branch residues.
+    affine coordinates of the point's first visible chart.
     """
     n = fol.n
     points = tuple(points)
@@ -429,7 +426,7 @@ def run_global_check(fol, kind, curve=None, points=(), branches=(),
             p, j, translate_field(fields[j], at),
             tuple(translate_to_origin(f, at) for f in chart_curves[j]),
             [_moved(br, at) for br in grouped.get(p, ())],
-            divisor, oracle, truncation))
+            divisor, oracle))
     _certify(kind, [list(fields[j].components) + chart_curves[j]
                     for j in charts], sites)
     rows = [CheckRow(s.point, s.chart, *check.local(s)) for s in sites]

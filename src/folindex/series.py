@@ -224,10 +224,6 @@ class BranchParam:
     def extendable(self):
         return self._lift is not None
 
-    def max_order(self):
-        """The largest usable working order; None when unbounded."""
-        return None if self.extendable else self.order
-
     def at_order(self, order):
         if order <= self.order:
             return BranchParam((s.truncate(order) for s in self.comps),

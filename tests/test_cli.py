@@ -150,11 +150,25 @@ CUSP_25 = ("ring x,y; f := y^2 - x^25; v := vf(2*x, 25*y); "
            "b := branch(t^2, t^25) order 20; ")
 
 
+def test_branch_residue_order_comes_from_the_germ(tmp_path, capsys):
+    # the branch is lifted past order 50 with no flag
+    code, out, err = run_cli(
+        tmp_path, capsys,
+        CUSP_25 + "cs v along f branch b at (0,0); "
+        "var v along f branch b at (0,0);", "--format", "json")
+    assert code == 0
+    assert err == ""
+    assert [r["value"] for r in json.loads(out)["records"]] == [50, 27]
+
+
+def test_truncation_flag_is_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, capsys, CUSP_25 + "cs v along f branch b at (0,0);",
+                "--truncation", "20")
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("text, extra, message", [
-    (CUSP_25 + "cs v along f branch b at (0,0);", ["--truncation", "20"],
-     "cannot resolve the residue"),
-    (CUSP_25 + "var v along f branch b at (0,0);", ["--truncation", "20"],
-     "cannot resolve the residue"),
     (PLANE + "c := 1; check brunella of v along c points (P);", [],
      "does not define a curve"),
     (PLANE + "z := 0; homological v along z at (0,0);", [],
@@ -163,13 +177,8 @@ CUSP_25 = ("ring x,y; f := y^2 - x^25; v := vf(2*x, 25*y); "
      "does not define a curve"),
     (PLANE + "milnor f at (0,0);", ["--steps", "0"],
      "step budget must be a positive integer"),
-    (CUSP_25 + "cs v along f branch b at (0,0);", ["--truncation", "0"],
-     "truncation order must be a positive integer"),
-    (CUSP_25 + "var v along f branch b at (0,0);", ["--truncation", "-5"],
-     "truncation order must be a positive integer"),
-], ids=["cs-truncation", "var-truncation", "constant-curve",
-        "homological-zero-curve", "gsv-zero-curve", "steps-zero",
-        "cs-truncation-zero", "var-truncation-negative"])
+], ids=["constant-curve", "homological-zero-curve", "gsv-zero-curve",
+        "steps-zero"])
 def test_run_time_bad_input_exit_two(tmp_path, capsys, text, extra, message):
     code, out, err = run_cli(tmp_path, capsys, text, *extra)
     assert code == 2

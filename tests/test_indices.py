@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from folindex import indices, localalgebra, residues
 from folindex.errors import (
@@ -15,6 +18,7 @@ from folindex.errors import (
     NotZeroDimensional,
     ResourceCap,
     RouteConflict,
+    TruncationNotStabilized,
 )
 from folindex.indices import (
     cs_index,
@@ -32,7 +36,7 @@ from folindex.indices import (
 )
 from folindex.localalgebra import step_budget
 from folindex.polyring import DiffForm, Poly, VectorField, dual_form
-from folindex.series import BranchParam
+from folindex.series import BranchParam, TruncSeries
 
 
 def xy():
@@ -41,6 +45,11 @@ def xy():
 
 def branch_poly(*polys, order=12):
     return BranchParam.from_polys(polys, order)
+
+
+def branch_by_hand(*polys, order):
+    """A hand-entered branch: known to order, with no lift."""
+    return BranchParam(TruncSeries.from_poly(p, order) for p in polys)
 
 
 def test_milnor():
@@ -195,6 +204,49 @@ def test_var_index():
     assert rep.value == 5
     # the parts are summed, not compared: nothing to report as a crosscheck
     assert rep.crosschecks == []
+
+
+def test_hand_entered_branch_is_read_to_its_own_order():
+    # y vanishes to order 25 along (t^2, t^25), so the fx variant's residue
+    # needs working order 51; the branch's own order is the ceiling
+    x, y = xy()
+    t = Poly.var(1, 0)
+    v, f = VectorField((2 * x, 25 * y)), y ** 2 - x ** 25
+    for order in (51, 60, 160):
+        br = branch_by_hand(t ** 2, t ** 25, order=order)
+        assert cs_index(v, f, br).value == 50
+    with pytest.raises(TruncationNotStabilized):
+        cs_index(v, f, branch_by_hand(t ** 2, t ** 25, order=50))
+
+
+def test_branch_order_past_160_comes_from_the_germ():
+    # y vanishes to order 101 along the branch, so the residue needs
+    # working order 203; the germ's ceiling is 2 * 2 * 101 + 1
+    x, y = xy()
+    t = Poly.var(1, 0)
+    v, f = VectorField((2 * x, 101 * y)), y ** 2 - x ** 101
+    br = branch_poly(t ** 2, t ** 101)
+    assert cs_index(v, f, br).value == 202
+    assert var_index(v, f, br).value == 103
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 14).flatmap(lambda p: st.tuples(
+    st.just(p), st.integers(p + 1, 15), st.integers(1, 19 // p)))
+    .filter(lambda c: gcd(c[0], c[1]) == 1))
+def test_cs_and_var_along_covers_of_quasihomogeneous_cusps(case):
+    # (t^kp, t^kq) is a k-fold cover of the branch of y^p - x^q; a
+    # hand-entered branch cut at the germ's ceiling 2 kp q + 1 suffices
+    p, q, k = case
+    x, y = xy()
+    t = Poly.var(1, 0)
+    v, f = VectorField((p * x, q * y)), y ** p - x ** q
+    comps = (t ** (k * p), t ** (k * q))
+    assert cs_index(v, f, branch_poly(*comps)).value == k * p * q
+    var = var_index(v, f, branch_poly(*comps)).value
+    assert var == p + q - p * q + k * p * q
+    by_hand = branch_by_hand(*comps, order=2 * k * p * q + 1)
+    assert cs_index(v, f, by_hand).value == k * p * q
 
 
 def test_radial_index():
@@ -444,12 +496,6 @@ def test_var_index_keeps_its_error_classes():
     # the node: both decomposition variants vanish along a branch
     with pytest.raises(DegenerateDecomposition):
         var_index(VectorField((x, -y)), x * y, axis)
-    # the decomposition is checked before the truncation order
-    with pytest.raises(DegenerateDecomposition):
-        var_index(VectorField((x, -y)), x * y, axis, max_order=0)
-    with pytest.raises(InvalidInput):
-        var_index(VectorField((2 * x, 3 * y)), y ** 2 - x ** 3, cusp_branch,
-                  max_order=0)
     with pytest.raises(NotInvariant):
         var_index(VectorField((x, x + y)), y ** 2 - x ** 3, cusp_branch)
     with pytest.raises(NotInvariant):

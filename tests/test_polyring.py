@@ -271,7 +271,8 @@ def test_cartan_identity_on_functions():
     for _ in range(10):
         f = rand_poly(rng, 3)
         v = VectorField(tuple(rand_poly(rng, 3, 2, 3) for _ in range(3)))
-        assert contract(exterior_derivative(f), v).as_poly() == v.apply(f)
+        i_v_df = contract(exterior_derivative(f), v)
+        assert i_v_df.coefficient(()) == v.apply(f)
 
 
 def test_homogenize_and_dehomogenize():
@@ -320,7 +321,6 @@ def test_bad_inputs_are_rejected():
     lambda x, y: PolyMatrix([[x, y]]).det(),
     lambda x, y: char_poly_coeffs(PolyMatrix([[x, y]])),
     lambda x, y: DiffForm(2, 3),
-    lambda x, y: DiffForm.from_poly(x).as_poly() + DiffForm.dx(2, 0).as_poly(),
     lambda x, y: DiffForm.dx(2, 0) + DiffForm.volume(2),
     lambda x, y: DiffForm.dx(2, 0) * "x",
     lambda x, y: contract(DiffForm.from_poly(x), VectorField((x, y))),
@@ -334,7 +334,7 @@ def test_bad_inputs_are_rejected():
 ], ids=["ring-negative", "var-high", "var-negative", "diff-high",
         "divide-by-zero", "apply-ring", "matrix-ragged",
         "matrix-empty", "matrix-rings", "det-nonsquare", "charpoly-nonsquare",
-        "form-degree-high", "one-form-as-poly", "form-add-degree",
+        "form-degree-high", "form-add-degree",
         "form-scale-string", "contract-zero-form", "contract-ring",
         "wedge-degree-high", "wedge-poly", "d-top-form", "dual-of-poly",
         "homogenize-low", "dehomogenize-high"])

@@ -105,14 +105,14 @@ def test_laurent_residue():
 def test_branch_param_extension():
     tp = Poly.var(1, 0)
     br = BranchParam.from_polys((tp ** 2, tp ** 3), 5)
-    assert br.extendable and br.max_order() is None
+    assert br.extendable
     hi = br.at_order(9)
     assert hi.order == 9 and hi.comps[1].coeffs[3] == 1
     lo = br.at_order(3)
     assert lo.order == 3 and lo.extendable
 
     capped = BranchParam((TruncSeries.param(4), TruncSeries.param(4)))
-    assert capped.max_order() == 4
+    assert not capped.extendable and capped.order == 4
     assert capped.at_order(2).order == 2
     with pytest.raises(TruncationNotStabilized):
         capped.at_order(8)
