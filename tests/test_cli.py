@@ -150,21 +150,26 @@ CUSP_25 = ("ring x,y; f := y^2 - x^25; v := vf(2*x, 25*y); "
            "b := branch(t^2, t^25) order 20; ")
 
 
-def test_branch_residue_order_comes_from_the_germ(tmp_path, capsys):
+@pytest.mark.parametrize("kind, value", [("cs", 50), ("var", 27)],
+                         ids=["cs", "var"])
+def test_branch_residue_order_comes_from_the_germ(tmp_path, capsys, kind,
+                                                  value):
     # the branch is lifted past order 50 with no flag
     code, out, err = run_cli(
         tmp_path, capsys,
-        CUSP_25 + "cs v along f branch b at (0,0); "
-        "var v along f branch b at (0,0);", "--format", "json")
+        CUSP_25 + f"{kind} v along f branch b at (0,0);", "--format", "json")
     assert code == 0
     assert err == ""
-    assert [r["value"] for r in json.loads(out)["records"]] == [50, 27]
+    assert [r["value"] for r in json.loads(out)["records"]] == [value]
 
 
-def test_truncation_flag_is_gone(tmp_path, capsys):
+@pytest.mark.parametrize("kind, order", [("cs", "0"), ("var", "-5")],
+                         ids=["cs-truncation-zero", "var-truncation-negative"])
+def test_truncation_flag_is_gone(tmp_path, capsys, kind, order):
     with pytest.raises(SystemExit) as exc:
-        run_cli(tmp_path, capsys, CUSP_25 + "cs v along f branch b at (0,0);",
-                "--truncation", "20")
+        run_cli(tmp_path, capsys,
+                CUSP_25 + f"{kind} v along f branch b at (0,0);",
+                "--truncation", order)
     assert exc.value.code == 2
 
 
