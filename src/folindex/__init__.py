@@ -89,11 +89,7 @@ from .indices import (
     tjurina_number,
     var_index,
 )
-from .chern import (
-    IdentitySpec,
-    identity_rhs,
-    pn_chern_integral,
-)
+from .chern import pn_chern_integral
 from .projective import (
     CheckReport,
     CheckRow,
@@ -142,7 +138,7 @@ __all__ = [
     "gsv_curve", "gsv_pfaff_curve", "cs_index", "var_index", "radial_index",
     "log_index",
     # degree arithmetic on projective space
-    "pn_chern_integral", "IdentitySpec", "identity_rhs",
+    "pn_chern_integral",
     # projective foliations and global checks
     "ProjPoint", "ProjectiveFoliation", "curve_to_homogeneous",
     "affine_singular_audit", "run_global_check", "CheckRow", "CheckReport",

@@ -36,8 +36,8 @@ the parameter t.  Points carry n affine or n+1 homogeneous coordinates;
 local commands need the affine form, check commands the homogeneous one.
 Shape rules (_NEEDS, with those of the check kinds read from
 projective.CHECKS) are checked at parse time too: gsv needs a plane ring
-or n-1 curves, cs, var and check bb_total a plane ring, a form subject
-degree n-1.
+or n-1 curves, cs and var a plane ring, a form subject degree n-1.  check
+bb_total needs nothing beyond its field, in any number of variables.
 """
 
 import re
@@ -295,7 +295,6 @@ _SHAPES = {
                lambda cmd, n: (isinstance(cmd.along, tuple)
                                and len(cmd.along) == n - 1)),
     "divisor": ("'divisor'", lambda cmd, n: cmd.divisor is not None),
-    "plane-ring": ("a plane ring", lambda cmd, n: n == 2),
 }
 _NEEDS = {
     "gsv": ("plane", "curves"),

@@ -96,6 +96,10 @@ def _field_at_point(v, point):
     return v if point is None else translate_field(v, point)
 
 
+def _branch_at_point(branch, point):
+    return branch if point is None else branch.moved(point)
+
+
 def _plane(v, f, what):
     if v.nvars != 2 or f.nvars != 2:
         raise InvalidInput("%s needs a plane field and a plane curve" % what)
@@ -283,37 +287,53 @@ def _gsv(v0, f0, h, valid):
     return _finish(value, "vanishing-orders", checks)
 
 
-def _cs(f0, valid, branch, point):
-    """cs_index on a germ of _plane_germ; the branch is in absolute
-    coordinates.
+def _cs(f0, valid, branch):
+    """cs_index on a germ of _plane_germ, along a branch moved to the origin.
 
     The working order starts at 20 and doubles up to a ceiling K that the
-    germ proves sufficient.  Let gamma be the branch moved to the origin
-    and omega = dim O/(f, xi) the order of a variant's xi along the curve.
-    gamma = beta(t^e) for a primitive parametrization beta of a branch phi
-    of f, so ord_t(xi o gamma) = e I(xi, phi) <= e omega, since the
-    intersection number of xi with f sums those with its branches; and
-    e <= ord_t(gamma).  laurent_residue resolves once the working order
-    exceeds 2 ord_t(xi o gamma), so K = 2 ord_t(gamma) omega + 1, the
-    largest over the variants, suffices for an extendable branch.  A
+    germ proves sufficient.  Let omega = dim O/(f, xi) be the order of a
+    variant's xi along the curve.  gamma = beta(t^e) for a primitive
+    parametrization beta of a branch phi of f, so ord_t(xi o gamma) =
+    e I(xi, phi) <= e omega, since the intersection number of xi with f
+    sums those with its branches; and e <= ord_t(gamma).  laurent_residue
+    resolves once the working order exceeds 2 ord_t(xi o gamma), so
+    K = 2 ord_t(gamma) omega + 1, the largest over the variants, suffices
+    for an extendable branch.
+
+    A branch given by polynomials is checked once and exactly, with the
+    exact ord_t(gamma).  A series branch is checked at each working order,
+    lifted past an order it vanishes to while below its ceiling, and read
+    for ord_t(gamma) at the first order it does not vanish to.  A
     hand-entered branch is known only to its own order, which is its
     ceiling.  TruncationNotStabilized is raised at the ceiling."""
+    omega = max(w for _, _, w in valid)
     ceiling = None if branch.extendable else branch.order
     order = 20 if ceiling is None else min(20, ceiling)
+    if branch.polys is not None:
+        polys = branch.polys
+        if any(p.constant_term() for p in polys):
+            raise NotInvariant("branch does not pass through the point")
+        if all(p.is_zero() for p in polys):
+            raise NotInvariant("branch is constant at the point")
+        if not f0.subst(polys).is_zero():
+            raise NotInvariant("branch does not lie on the curve")
+        ceiling = 2 * min(k for p in polys for (k,) in p.terms) * omega + 1
 
     while True:
-        br = branch.at_order(order)
-        comps = br.comps if point is None else tuple(
-            s - q for s, q in zip(br.comps, point))
-        vals = [s.valuation() for s in comps if not s.is_zero()]
-        if not vals:
-            raise NotInvariant("branch is constant at the point")
-        if min(vals) == 0:
-            raise NotInvariant("branch does not pass through the point")
-        if not poly_on_branch(f0, comps).is_zero():
-            raise NotInvariant("branch does not lie on the curve")
-        if ceiling is None:
-            ceiling = 2 * min(vals) * max(w for _, _, w in valid) + 1
+        comps = branch.at_order(order).comps
+        if branch.polys is None:
+            vals = [s.valuation() for s in comps if not s.is_zero()]
+            if not vals and ceiling is not None and order < ceiling:
+                order = min(2 * order, ceiling)
+                continue
+            if not vals:
+                raise NotInvariant("branch is constant at the point")
+            if min(vals) == 0:
+                raise NotInvariant("branch does not pass through the point")
+            if not poly_on_branch(f0, comps).is_zero():
+                raise NotInvariant("branch does not lie on the curve")
+            if ceiling is None:
+                ceiling = 2 * min(vals) * omega + 1
         try:
             values = []
             for triple, _, _ in valid:
@@ -346,14 +366,15 @@ def cs_index(v, f, branch, point=None):
     """Residue-type index of v along one parametrized branch of the invariant
     curve f == 0: minus the t-residue of the pulled-back eta over xi.
 
-    The branch must lie on the curve and pass through the point.  The series
-    order is worked out from the germ: an extendable branch is re-lifted up
-    to an order proven to resolve the residue, a hand-entered one is used up
-    to the order it was given, and TruncationNotStabilized is raised when
-    that does not suffice."""
+    The branch must lie on the curve and pass through the point.  A branch
+    given by polynomials is checked exactly, a series branch to the working
+    order.  The series order is worked out from the germ: an extendable
+    branch is re-lifted up to an order proven to resolve the residue, a
+    hand-entered one is used up to the order it was given, and
+    TruncationNotStabilized is raised when that does not suffice."""
     _plane(v, f, "cs_index")
     _, f0, _, valid = _plane_germ(v, f, point)
-    return _cs(f0, valid, branch, point)
+    return _cs(f0, valid, _branch_at_point(branch, point))
 
 
 def var_index(v, f, branch, point=None):
@@ -363,7 +384,7 @@ def var_index(v, f, branch, point=None):
     _plane(v, f, "var_index")
     v0, f0, h, valid = _plane_germ(v, f, point)
     gsv = _gsv(v0, f0, h, valid)
-    cs = _cs(f0, valid, branch, point)
+    cs = _cs(f0, valid, _branch_at_point(branch, point))
     return _finish(gsv.value + cs.value, "sum-of-parts")
 
 

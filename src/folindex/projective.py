@@ -9,7 +9,7 @@ w_i = (T_i - u_i T_j)|_{x_j=1}, which is well defined modulo radial.
 Global identity checks sum local indices over user-declared singular
 points and compare against the closed-form right-hand side.  Each kind is
 one entry of CHECKS: the shape of data it needs (a plane curve, n-1 curves,
-a divisor, a plane) and the local quantity it sums at a declared point.
+a divisor or nothing) and the local quantity it sums at a declared point.
 run_global_check runs every kind down one path.  It turns each declared
 point into one germ: the field, the curve equations and the branches
 translated once to the origin of the point's first visible chart, which
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .chern import IdentitySpec, identity_rhs
+from .chern import identity_rhs
 from .errors import (
     DegreeMismatch,
     IncompleteSingularities,
@@ -92,10 +92,7 @@ class ProjPoint:
         return tuple(q / c for i, q in enumerate(self.coords) if i != chart)
 
     def first_chart(self):
-        for j, c in enumerate(self.coords):
-            if c:
-                return j
-        raise AssertionError("unreachable")
+        return self.coords.index(1)
 
     def __eq__(self, other):
         if not isinstance(other, ProjPoint):
@@ -259,16 +256,6 @@ class _Site(NamedTuple):
     oracle: bool
 
 
-def _moved(branch, at):
-    """The branch minus the point at, so that it passes through the origin;
-    an extendable branch re-lifts and then subtracts the point again."""
-    lift = None
-    if branch.extendable:
-        def lift(order):
-            return _moved(branch.at_order(order), at)
-    return BranchParam((s - q for s, q in zip(branch.comps, at)), lift=lift)
-
-
 def _certify(kind, gens_by_chart, sites):
     """Per-chart completeness: the global quotient dimension of the chart
     ideal must equal the sum of local multiplicities at the declared
@@ -322,6 +309,13 @@ def _branch_sum(index, s):
                 for br in s.branches), Fraction(0))
 
 
+def _bb(s):
+    # phi = c_1^n, whose residues sum to (n + d)^n on P^n
+    n = s.point.n
+    return "bb_c1^%d" % n, baum_bott_residue(
+        s.field, PhiSpec(n, [(1, (n,) + (0,) * (n - 1))])).value
+
+
 def _log(s):
     # divisor components through the point, as local coordinates
     local = tuple(i - (i > s.chart) for i in s.divisor
@@ -343,8 +337,7 @@ class _Check(NamedTuple):
 CHECKS = {
     "milnor_total": _Check(None, lambda s: (
         "milnor", ph_index(s.field).value)),
-    "bb_total": _Check("plane-ring", lambda s: ("bb_c1sq", baum_bott_residue(
-        s.field, PhiSpec(2, [(1, (2, 0))])).value)),
+    "bb_total": _Check(None, _bb),
     "brunella": _Check("plane", lambda s: (
         "gsv", gsv_curve(s.field, s.curves[0]).value)),
     "cs_total": _Check("plane", lambda s: ("cs", _branch_sum(cs_index, s))),
@@ -358,8 +351,6 @@ CHECKS = {
 def _shaped(kind, shape, n, curve, divisor):
     """The check's affine curve equations, 0, 1 or n-1 of them, and its
     divisor, once the data have the shape the kind needs."""
-    if shape == "plane-ring" and n != 2:
-        raise UnsupportedIdentity("%s is the plane identity" % kind)
     if shape == "plane":
         if not isinstance(curve, Poly) or n != 2:
             raise InvalidInput("%s needs a plane foliation and an affine "
@@ -392,6 +383,9 @@ def run_global_check(fol, kind, curve=None, points=(), branches=(),
     affine coordinates of the point's first visible chart.
     """
     n = fol.n
+    if n < 2 or fol.d < 0:
+        raise UnsupportedIdentity("%s: global identities need P^n with "
+                                  "n >= 2 and degree d >= 0" % kind)
     points = tuple(points)
     for p in points:
         if not isinstance(p, ProjPoint) or p.n != n:
@@ -410,10 +404,6 @@ def run_global_check(fol, kind, curve=None, points=(), branches=(),
     check = CHECKS[kind]
     curves, divisor = _shaped(kind, check.shape, n, curve, divisor)
     homs = [curve_to_homogeneous(f) for f in curves]
-    degrees = tuple(m for _, m in homs)
-    spec = IdentitySpec(kind, n=n, d=fol.d,
-                        m=degrees[0] if len(degrees) == 1 else None,
-                        degrees=degrees, divisor_degrees=(1,) * len(divisor))
     charts = range(n + 1)
     fields = [fol.chart_restrict(j) for j in charts]
     chart_curves = [[set_coordinate_one(h, j) for h, _ in homs]
@@ -425,7 +415,7 @@ def run_global_check(fol, kind, curve=None, points=(), branches=(),
         sites.append(_Site(
             p, j, translate_field(fields[j], at),
             tuple(translate_to_origin(f, at) for f in chart_curves[j]),
-            [_moved(br, at) for br in grouped.get(p, ())],
+            [br.moved(at) for br in grouped.get(p, ())],
             divisor, oracle))
     _certify(kind, [list(fields[j].components) + chart_curves[j]
                     for j in charts], sites)
@@ -435,7 +425,8 @@ def run_global_check(fol, kind, curve=None, points=(), branches=(),
         "gsv %s at %r: a nondicritical separatrix would force a "
         "nonnegative value" % (row.value, row.point)
         for row in rows if row.quantity == "gsv" and row.value < 0)
-    rhs = identity_rhs(spec)
+    rhs = identity_rhs(kind, n, fol.d, tuple(m for _, m in homs),
+                       len(divisor))
     verdict = "PASS" if total == rhs else "FAIL"
     return CheckReport(kind=kind, rows=tuple(rows), local_sum=total, rhs=rhs,
                        verdict=verdict, diagnostics=diagnostics)

@@ -199,10 +199,12 @@ class BranchParam:
 
     A branch with a lift callback, as every branch built from exact
     polynomial components has, can be re-expanded to any order; hand-entered
-    series branches are capped at the order they were given.
+    series branches are capped at the order they were given.  A branch built
+    from polynomials keeps them as polys, so it is known exactly; polys is
+    None for a series branch.
     """
 
-    __slots__ = ("order", "comps", "_lift")
+    __slots__ = ("order", "comps", "polys", "_lift")
 
     def __init__(self, comps, lift=None):
         comps = tuple(comps)
@@ -212,13 +214,29 @@ class BranchParam:
         order = min(s.order for s in comps)
         self.order = order
         self.comps = tuple(s.truncate(order) for s in comps)
+        self.polys = None
         self._lift = lift
 
     @classmethod
     def from_polys(cls, polys, order):
         polys = tuple(polys)
-        return cls((TruncSeries.from_poly(p, order) for p in polys),
-                   lift=lambda n: cls.from_polys(polys, n))
+        branch = cls((TruncSeries.from_poly(p, order) for p in polys),
+                     lift=lambda n: cls.from_polys(polys, n))
+        branch.polys = polys
+        return branch
+
+    def moved(self, at):
+        """The branch minus the point at, so that it passes through the
+        origin when it passed through at; an extendable series branch
+        re-lifts and then subtracts the point again."""
+        if self.polys is not None:
+            return BranchParam.from_polys(
+                (p - q for p, q in zip(self.polys, at)), self.order)
+        lift = None
+        if self.extendable:
+            def lift(order):
+                return self.at_order(order).moved(at)
+        return BranchParam((s - q for s, q in zip(self.comps, at)), lift=lift)
 
     @property
     def extendable(self):
@@ -226,8 +244,10 @@ class BranchParam:
 
     def at_order(self, order):
         if order <= self.order:
-            return BranchParam((s.truncate(order) for s in self.comps),
-                               lift=self._lift)
+            branch = BranchParam((s.truncate(order) for s in self.comps),
+                                 lift=self._lift)
+            branch.polys = self.polys
+            return branch
         if self._lift is None:
             raise TruncationNotStabilized(
                 "branch is only known to order %d" % self.order)

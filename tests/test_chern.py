@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from folindex.chern import IdentitySpec, identity_rhs, pn_chern_integral
-from folindex.errors import UnsupportedIdentity
+from folindex.chern import identity_rhs, pn_chern_integral
+from folindex.errors import InvalidInput, UnsupportedIdentity
+from folindex.polyring import Poly, VectorField
+from folindex.projective import ProjPoint, ProjectiveFoliation, run_global_check
 
 
 def test_pn_chern_integral_matches_expansion():
@@ -39,27 +41,34 @@ def test_pn_chern_integral_values():
 
 def test_milnor_total_geometric_sum():
     for d in range(7):
-        spec = IdentitySpec("milnor_total", n=2, d=d)
-        assert identity_rhs(spec) == d * d + d + 1
-    assert identity_rhs(IdentitySpec("milnor_total", n=3, d=1)) == 4
-    assert identity_rhs(IdentitySpec("milnor_total", n=3, d=2)) == 15
+        assert identity_rhs("milnor_total", 2, d) == d * d + d + 1
+    assert identity_rhs("milnor_total", 3, 1) == 4
+    assert identity_rhs("milnor_total", 3, 2) == 15
 
 
 def test_identity_values():
-    assert identity_rhs(IdentitySpec("brunella", d=1, m=3)) == 0
-    assert identity_rhs(IdentitySpec("cs_total", m=3)) == 9
-    assert identity_rhs(IdentitySpec("var_total", d=1, m=3)) == 9
-    assert identity_rhs(IdentitySpec("bb_total", d=1)) == 9
-    assert identity_rhs(IdentitySpec("pfaff_degree", n=3, d=1, degrees=(1, 1))) == 2
-    assert identity_rhs(
-        IdentitySpec("log_bb", n=2, d=1, divisor_degrees=(1,))) == 1
+    assert identity_rhs("brunella", 2, 1, (3,)) == 0
+    assert identity_rhs("cs_total", 2, 1, (3,)) == 9
+    assert identity_rhs("var_total", 2, 1, (3,)) == 9
+    assert identity_rhs("bb_total", 2, 1) == 9
+    assert identity_rhs("pfaff_degree", 3, 1, (1, 1)) == 2
+    assert identity_rhs("log_bb", 2, 1, divisors=1) == 1
+    assert identity_rhs("pfaff_degree", 4, 2, (2, 3)) == (2 + 2 + 1 - 5) * 6
+    # the integral of c_1^n, with c_1(TP^n - TF) = (n + 1) h - (1 - d) h
+    for n in (2, 3):
+        for d in range(5):
+            assert identity_rhs("bb_total", n, d) == (n + d) ** n
+            assert identity_rhs("bb_total", n, d) == pn_chern_integral(
+                n, (n + d,) * n)
+    with pytest.raises(UnsupportedIdentity):
+        identity_rhs("poincare", 2, 1)
 
 
 def test_pfaff_matches_brunella_on_plane_curves():
     for d in range(4):
         for m in range(1, 5):
-            plane = identity_rhs(IdentitySpec("brunella", d=d, m=m))
-            ci = identity_rhs(IdentitySpec("pfaff_degree", n=2, d=d, degrees=(m,)))
+            plane = identity_rhs("brunella", 2, d, (m,))
+            ci = identity_rhs("pfaff_degree", 2, d, (m,))
             assert plane == ci
 
 
@@ -77,18 +86,48 @@ def test_attained_bound_margin():
         assert pn_chern_integral(4, (1,) * 5, (d + 1, 1 - d)) == d ** 4
 
 
-def test_identity_spec_validation():
+def _plane_and_space():
+    x, y = Poly.variables(2)
+    X, Y, Z = Poly.variables(3)
+    plane = ProjectiveFoliation.from_affine_field(VectorField((2 * x, 3 * y)))
+    space = ProjectiveFoliation.from_affine_field(
+        VectorField((X, 2 * Y, 3 * Z)))
+    return (plane, (ProjPoint((1, 0, 0)), ProjPoint((0, 0, 1))),
+            space, (ProjPoint((1, 0, 0, 0)), ProjPoint((0, 1, 0, 0))))
+
+
+def test_run_global_check_rejects_data_its_kind_cannot_read():
+    # every kind reads only data the check has validated on its way in
+    plane, points, space, points3 = _plane_and_space()
+    X, Y, Z = Poly.variables(3)
     with pytest.raises(UnsupportedIdentity):
-        IdentitySpec("poincare", d=1)
-    with pytest.raises(UnsupportedIdentity):
-        IdentitySpec("brunella", d=1)
-    with pytest.raises(UnsupportedIdentity):
-        IdentitySpec("brunella", d=-1, m=2)
-    with pytest.raises(UnsupportedIdentity):
-        IdentitySpec("pfaff_degree", n=3, d=1, degrees=(1, 1, 1))
-    with pytest.raises(UnsupportedIdentity):
-        IdentitySpec("pfaff_degree", n=3, d=1, degrees=(1, 0))
-    with pytest.raises(UnsupportedIdentity):
-        IdentitySpec("log_bb", n=2, d=1)
-    spec = IdentitySpec("pfaff_degree", n=4, d=2, degrees=(2, 3))
-    assert identity_rhs(spec) == (2 + 2 + 1 - 5) * 6
+        run_global_check(plane, "poincare", points=points)
+    with pytest.raises(InvalidInput, match="affine plane curve"):
+        run_global_check(plane, "brunella", points=points)
+    with pytest.raises(InvalidInput, match="n-1 affine curve equations"):
+        run_global_check(space, "pfaff_degree", curve=(Y, Z, X),
+                         points=points3)
+    with pytest.raises(InvalidInput, match="does not define a curve"):
+        run_global_check(space, "pfaff_degree", curve=(Y, Poly.const(3, 1)),
+                         points=points3)
+    with pytest.raises(InvalidInput, match="divisor"):
+        run_global_check(plane, "log_bb", points=points)
+
+
+def test_run_global_check_needs_a_projective_space_of_dimension_two():
+    x = Poly.var(1, 0)
+    line = ProjectiveFoliation.from_affine_field(VectorField((x,)))
+    assert line.n == 1
+    for kind in ("milnor_total", "bb_total"):
+        with pytest.raises(UnsupportedIdentity):
+            run_global_check(line, kind,
+                             points=(ProjPoint((1, 0)), ProjPoint((0, 1))))
+
+
+def test_run_global_check_needs_a_nonnegative_degree():
+    plane, points, _, _ = _plane_and_space()
+    negative = ProjectiveFoliation(2, -1, plane.field)
+    # cs_total never reads d, and is rejected all the same
+    for kind in ("milnor_total", "cs_total"):
+        with pytest.raises(UnsupportedIdentity):
+            run_global_check(negative, kind, points=points)

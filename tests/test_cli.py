@@ -132,17 +132,26 @@ SPACE = ("ring x,y,z; v := vf(x, 2*y, 3*z); f := y; g := z; "
     PLANE + "gsv v along (f, f) at (0,0);",
     SPACE + "gsv v along (f, g, f) at (0,0,0);",
     SPACE + "w := form(x dx); gsv w along (f, g) at (0,0,0);",
-    SPACE + "check bb_total of v points (P);",
 ], ids=["brunella-no-along", "cs-along-list", "log-bb-no-divisor", "soares",
         "adjunction", "pfaff-one-name", "pfaff-short-list", "var-in-space",
         "gsv-one-name-in-space", "cs-in-space", "var-in-space-local",
-        "gsv-list-too-long", "gsv-list-too-long-in-space", "gsv-form-degree",
-        "bb-total-in-space"])
+        "gsv-list-too-long", "gsv-list-too-long-in-space", "gsv-form-degree"])
 def test_check_missing_what_its_kind_needs_exit_two(tmp_path, capsys, text):
     code, out, err = run_cli(tmp_path, capsys, text)
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "line 1" in err
+
+
+def test_bb_total_in_space_exit_zero(tmp_path, capsys):
+    code, out, err = run_cli(
+        tmp_path, capsys,
+        SPACE + "Q := point (0, 1, 0, 0); R := point (0, 0, 1, 0); "
+        "S := point (0, 0, 0, 1); check bb_total of v points (P, Q, R, S);",
+        "--format", "json")
+    assert code == 0
+    assert err == ""
+    assert [r["value"] for r in json.loads(out)["records"]] == [64]
 
 
 # the residue along y^2 = x^25 needs branch order past 20

@@ -230,9 +230,9 @@ def test_branch_order_past_160_comes_from_the_germ():
     assert var_index(v, f, br).value == 103
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(st.integers(2, 14).flatmap(lambda p: st.tuples(
-    st.just(p), st.integers(p + 1, 15), st.integers(1, 19 // p)))
+    st.just(p), st.integers(p + 1, 15), st.integers(1, 45 // p)))
     .filter(lambda c: gcd(c[0], c[1]) == 1))
 def test_cs_and_var_along_covers_of_quasihomogeneous_cusps(case):
     # (t^kp, t^kq) is a k-fold cover of the branch of y^p - x^q; a
@@ -247,6 +247,31 @@ def test_cs_and_var_along_covers_of_quasihomogeneous_cusps(case):
     assert var == p + q - p * q + k * p * q
     by_hand = branch_by_hand(*comps, order=2 * k * p * q + 1)
     assert cs_index(v, f, by_hand).value == k * p * q
+
+
+def test_polynomial_branch_is_checked_exactly():
+    # both branches agree with a branch of the curve to order 20 and leave
+    # it later; a branch given by polynomials is checked past any order
+    x, y = xy()
+    t = Poly.var(1, 0)
+    with pytest.raises(NotInvariant, match="does not lie on the curve"):
+        cs_index(VectorField((x, y)), y, branch_poly(t, t ** 25))
+    with pytest.raises(NotInvariant, match="does not lie on the curve"):
+        cs_index(VectorField((2 * x, 3 * y)), y ** 2 - x ** 3,
+                 branch_poly(t ** 2, t ** 3 + t ** 30))
+
+
+def test_branch_vanishing_past_order_20_is_lifted():
+    # (t^21, t^30) is a threefold cover of the branch (t^7, t^10) and is
+    # zero to order 20; a hand-entered copy is cut at the germ's ceiling
+    # 2 kp q + 1
+    x, y = xy()
+    t = Poly.var(1, 0)
+    v, f = VectorField((7 * x, 10 * y)), y ** 7 - x ** 10
+    assert cs_index(v, f, branch_poly(t ** 7, t ** 10)).value == 70
+    assert cs_index(v, f, branch_poly(t ** 21, t ** 30)).value == 210
+    by_hand = branch_by_hand(t ** 21, t ** 30, order=2 * 21 * 10 + 1)
+    assert cs_index(v, f, by_hand).value == 210
 
 
 def test_radial_index():

@@ -256,12 +256,53 @@ def test_unsupported_check_kinds():
         run_global_check(fol, "soares", points=points)
     with pytest.raises(UnsupportedIdentity):
         run_global_check(fol, "poincare", points=points)
+
+
+def coordinate_points(n):
+    return tuple(ProjPoint(tuple(int(i == j) for i in range(n + 1)))
+                 for j in range(n + 1))
+
+
+def test_bb_total_in_space():
+    # the residues of c_1^3 sum to (3 + d)^3 on P^3
     x, y, z = Poly.variables(3)
-    fol3 = ProjectiveFoliation.from_affine_field(
+    fol = ProjectiveFoliation.from_affine_field(
         VectorField((x, 2 * y, 3 * z)))
-    with pytest.raises(UnsupportedIdentity):
-        run_global_check(fol3, "bb_total",
-                         points=(ProjPoint((1, 0, 0, 0)),))
+    report = run_global_check(fol, "bb_total", points=coordinate_points(3))
+    assert [(row.quantity, row.value) for row in report.rows] == [
+        ("bb_c1^3", 36), ("bb_c1^3", -4), ("bb_c1^3", -4), ("bb_c1^3", 36)]
+    assert report.local_sum == report.rhs == 64 and report.passed()
+
+
+def test_bb_total_on_a_degree_two_grid_in_space():
+    x, y, z = Poly.variables(3)
+    fol = ProjectiveFoliation.from_affine_field(
+        VectorField((x * (x - 1), y * (y - 2), z * (z - 3))))
+    assert fol.d == 2
+    points = [ProjPoint((1, a, b, c)) for a in (0, 1) for b in (0, 2)
+              for c in (0, 3)]
+    points += [ProjPoint(p) for p in (
+        (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1),
+        (0, 0, 1, 1), (0, 1, 1, 1))]
+    report = run_global_check(fol, "bb_total", points=points)
+    assert report.local_sum == report.rhs == 125 and report.passed()
+    with pytest.raises(IncompleteSingularities):
+        run_global_check(fol, "bb_total", points=points[:-1])
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(2, 3).flatmap(lambda n: st.lists(
+    st.integers(-9, 9).filter(bool), min_size=n, max_size=n, unique=True)))
+def test_bb_total_of_diagonal_fields(lams):
+    # (lam_1 x_1, ..., lam_n x_n) has degree 1 and vanishes at the n + 1
+    # coordinate points
+    n = len(lams)
+    xs = Poly.variables(n)
+    fol = ProjectiveFoliation.from_affine_field(
+        VectorField(tuple(lam * xi for lam, xi in zip(lams, xs))))
+    report = run_global_check(fol, "bb_total", points=coordinate_points(n))
+    assert report.local_sum == report.rhs == (n + 1) ** n
+    assert report.passed()
 
 
 def test_bad_check_input_raises_folindex_error():
