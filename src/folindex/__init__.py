@@ -39,6 +39,7 @@ from .polyring import (
     homogenize,
     jacobian,
     set_coordinate_one,
+    translate_field,
     translate_to_origin,
     wedge,
 )
@@ -60,6 +61,7 @@ from .series import (
     InsufficientOrder,
     TruncSeries,
     laurent_residue,
+    moved,
     newton_lift,
     poly_on_branch,
     pullback_one_form,
@@ -120,14 +122,14 @@ __all__ = [
     "Poly", "VectorField", "DiffForm", "PolyMatrix", "contract", "wedge",
     "exterior_derivative", "dual_form", "field_from_dual",
     "char_poly_coeffs", "jacobian", "homogenize", "set_coordinate_one",
-    "translate_to_origin",
+    "translate_to_origin", "translate_field",
     # local algebra
     "MonomialOrder", "INFINITE", "DEFAULT_MAX_STEPS", "standard_basis",
     "at_corner", "normal_form", "quotient_dim", "monomial_power_bound",
     "exact_divide", "order_along_curve", "step_budget",
     # series and branches
     "TruncSeries", "BranchParam", "laurent_residue", "newton_lift",
-    "poly_on_branch", "pullback_one_form",
+    "poly_on_branch", "pullback_one_form", "moved",
     # jet-truncation oracle
     "truncated_quotient_dim", "contraction_complex_euler",
     # residues

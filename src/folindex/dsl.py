@@ -73,7 +73,7 @@ from .residues import (
     baum_bott_residue,
     grothendieck_residue,
 )
-from .series import BranchParam
+from .series import BranchParam, moved
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>[ \t\r]+)
@@ -174,7 +174,8 @@ class _Op(NamedTuple):
     subject: tuple      # kinds the subject may name
     key: str            # inputs key of the subject
     clauses: tuple      # _Clause, in the order they are written
-    run: object = None  # engine function: (subject, *clauses, point)
+    run: object = None  # engine function: (subject, *clauses), all moved
+                        # to the origin from the command's point
     takes_oracle: bool = False  # whether run also takes oracle=
 
 
@@ -250,14 +251,14 @@ _ALONG = _Clause("along", _name("poly"), "f")
 _BRANCH = _Clause("branch", _name("branch"), "branch")
 
 
-def _gsv(data, curve, point):
+def _gsv(data, curve):
     """GSV index of a field, or of its dual form, along a plane curve or
     along the n-1 curves that cut out a space curve."""
     if isinstance(curve, tuple):
-        return gsv_pfaff_curve(data, curve, point=point)
+        return gsv_pfaff_curve(data, curve)
     if isinstance(data, DiffForm):
         data = field_from_dual(data)
-    return gsv_curve(data, curve, point=point)
+    return gsv_curve(data, curve)
 
 
 COMMANDS = {
@@ -757,7 +758,7 @@ def _run_command(cmd, env, oracle):
         args.append(clause.syntax.resolve(value, env))
         inputs[clause.key] = clause.syntax.show(value, args[-1])
     kwargs = {"oracle": oracle} if spec.takes_oracle else {}
-    result = spec.run(*args, point=at, **kwargs)
+    result = spec.run(*moved(args, at), **kwargs)
     if isinstance(result, ResidueResult):
         return _record(cmd, inputs, result.value, "transformation_law",
                        [("certificate", True, result.certificate[:12])], "OK")

@@ -5,9 +5,9 @@ produced it, and the outcome of whatever independent cross-checks were run.
 A failed cross-check never passes silently: RouteConflict is raised with
 the report attached.
 
-Points default to the origin; all computations translate their inputs there
-first.  Curve branches are given in absolute coordinates (the branch passes
-through the point at t == 0).
+Every function reads the germ of its data at the origin, and a branch
+passes through the origin at t == 0.  Data given at another point is moved
+there first, with series.moved or the translation helpers of polyring.
 """
 
 from __future__ import annotations
@@ -43,8 +43,6 @@ from .polyring import (
     VectorField,
     dual_form,
     field_from_dual,
-    translate_field,
-    translate_to_origin,
 )
 from .residues import grothendieck_residue
 from .series import (
@@ -88,18 +86,6 @@ def _finish(value, method, crosschecks=()):
     return report
 
 
-def _at_point(p, point):
-    return p if point is None else translate_to_origin(p, point)
-
-
-def _field_at_point(v, point):
-    return v if point is None else translate_field(v, point)
-
-
-def _branch_at_point(branch, point):
-    return branch if point is None else branch.moved(point)
-
-
 def _plane(v, f, what):
     if v.nvars != 2 or f.nvars != 2:
         raise InvalidInput("%s needs a plane field and a plane curve" % what)
@@ -116,32 +102,29 @@ def _local_dim(gens, n, what):
 # classical numbers
 
 
-def milnor_number(f, point=None):
+def milnor_number(f):
     """Dimension of the local ring modulo the partials of f."""
-    f0 = _at_point(f, point)
     n = f.nvars
-    value = _local_dim([f0.diff(i) for i in range(n)], n,
+    value = _local_dim([f.diff(i) for i in range(n)], n,
                        "critical point of the function")
     return _finish(value, "local-algebra")
 
 
-def tjurina_number(f, point=None):
+def tjurina_number(f):
     """Dimension of the local ring modulo f and its partials."""
-    f0 = _at_point(f, point)
     n = f.nvars
-    value = _local_dim([f0] + [f0.diff(i) for i in range(n)], n,
+    value = _local_dim([f] + [f.diff(i) for i in range(n)], n,
                        "singular point of the hypersurface")
     return _finish(value, "local-algebra")
 
 
-def ph_index(v, point=None):
+def ph_index(v):
     """Index of an isolated zero of v in the ambient space: the dimension of
     the local ring modulo the components.  Cross-checked against the residue
     of the Jacobian determinant, which must agree exactly."""
-    v0 = _field_at_point(v, point)
     n = v.nvars
-    value = _local_dim(v0.components, n, "zero of the vector field")
-    res = grothendieck_residue(v0.jacobian().det(), v0)
+    value = _local_dim(v.components, n, "zero of the vector field")
+    res = grothendieck_residue(v.jacobian().det(), v)
     checks = [("jacobian-residue", res.value == value,
                "residue %s at power bound %d" % (res.value, res.bound))]
     return _finish(value, "local-algebra", checks)
@@ -163,31 +146,29 @@ def tangency_cofactor(v, f):
     return h
 
 
-def homological_index(v, f, point=None, oracle=False):
+def homological_index(v, f, oracle=False):
     """Euler characteristic of the contraction complex on the hypersurface,
     out of closed module-dimension formulas split by the parity of the
     hypersurface dimension.  With oracle=True the truncation oracle recomputes
     the characteristic independently and must agree."""
-    f0 = _at_point(f, point)
-    v0 = _field_at_point(v, point)
-    value = _homological(v0, f0, tangency_cofactor(v0, f0))
+    value = _homological(v, f, tangency_cofactor(v, f))
     checks = []
     if oracle:
-        chi, _ = contraction_complex_euler(v0, f0)
+        chi, _ = contraction_complex_euler(v, f)
         checks.append(("truncation-oracle", chi == value,
                        "oracle characteristic %s" % chi))
     return _finish(value, "module-dimension-formula", checks)
 
 
-def _homological(v0, f0, h):
+def _homological(v, f, h):
     """The module-dimension formula at the origin, for the cofactor h of
-    v0(f0) == h * f0."""
-    n = f0.nvars
-    a = v0.components
-    jac = [f0.diff(i) for i in range(n)]
-    htop = _local_dim([f0] + jac, n, "singular point of the hypersurface")
+    v(f) == h * f."""
+    n = f.nvars
+    a = v.components
+    jac = [f.diff(i) for i in range(n)]
+    htop = _local_dim([f] + jac, n, "singular point of the hypersurface")
     if (n - 1) % 2 == 1:
-        h0 = _local_dim((f0,) + a, n, "zero of the field on the hypersurface")
+        h0 = _local_dim((f,) + a, n, "zero of the field on the hypersurface")
         value = h0 - htop
     else:
         value = (_local_dim(a, n, "ambient zero of the field")
@@ -267,28 +248,26 @@ def saito_decomposition(v, f, variant="auto"):
     return _saito_valid_variants(v, f)[0][0]
 
 
-def _plane_germ(v, f, point):
-    """What gsv_curve, cs_index and var_index share: the field and curve
-    translated to the origin, the tangency cofactor, and the valid
-    decomposition variants with their order differences and orders of xi."""
-    f0 = _at_point(f, point)
-    v0 = _field_at_point(v, point)
-    h = tangency_cofactor(v0, f0)
-    return v0, f0, h, _saito_valid_variants(v0, f0)
+def _plane_germ(v, f):
+    """What gsv_curve, cs_index and var_index share: the tangency cofactor,
+    and the valid decomposition variants with their order differences and
+    orders of xi."""
+    h = tangency_cofactor(v, f)
+    return h, _saito_valid_variants(v, f)
 
 
-def _gsv(v0, f0, h, valid):
+def _gsv(v, f, h, valid):
     """gsv_curve on a germ of _plane_germ."""
     value = valid[0][1]
     checks = [("variant-" + triple.variant, val == value,
                "order difference %s" % val) for triple, val, _ in valid[1:]]
-    hom = _homological(v0, f0, h)
+    hom = _homological(v, f, h)
     checks.append(("homological", hom == value, "homological index %s" % hom))
     return _finish(value, "vanishing-orders", checks)
 
 
-def _cs(f0, valid, branch):
-    """cs_index on a germ of _plane_germ, along a branch moved to the origin.
+def _cs(f, valid, branch):
+    """cs_index on a germ of _plane_germ, along a branch through the origin.
 
     The working order starts at 20 and doubles up to a ceiling K that the
     germ proves sufficient.  Let omega = dim O/(f, xi) be the order of a
@@ -315,7 +294,7 @@ def _cs(f0, valid, branch):
             raise NotInvariant("branch does not pass through the point")
         if all(p.is_zero() for p in polys):
             raise NotInvariant("branch is constant at the point")
-        if not f0.subst(polys).is_zero():
+        if not f.subst(polys).is_zero():
             raise NotInvariant("branch does not lie on the curve")
         ceiling = 2 * min(k for p in polys for (k,) in p.terms) * omega + 1
 
@@ -330,7 +309,7 @@ def _cs(f0, valid, branch):
                 raise NotInvariant("branch is constant at the point")
             if min(vals) == 0:
                 raise NotInvariant("branch does not pass through the point")
-            if not poly_on_branch(f0, comps).is_zero():
+            if not poly_on_branch(f, comps).is_zero():
                 raise NotInvariant("branch does not lie on the curve")
             if ceiling is None:
                 ceiling = 2 * min(vals) * omega + 1
@@ -354,46 +333,46 @@ def _cs(f0, valid, branch):
     return _finish(value, "branch-residue", checks)
 
 
-def gsv_curve(v, f, point=None):
+def gsv_curve(v, f):
     """Index of v along the invariant plane curve f == 0, via vanishing
     orders of the decomposition data.  Every valid variant is computed and
     must agree, as must the homological route."""
     _plane(v, f, "gsv_curve")
-    return _gsv(*_plane_germ(v, f, point))
+    return _gsv(v, f, *_plane_germ(v, f))
 
 
-def cs_index(v, f, branch, point=None):
+def cs_index(v, f, branch):
     """Residue-type index of v along one parametrized branch of the invariant
     curve f == 0: minus the t-residue of the pulled-back eta over xi.
 
-    The branch must lie on the curve and pass through the point.  A branch
+    The branch must lie on the curve and pass through the origin.  A branch
     given by polynomials is checked exactly, a series branch to the working
     order.  The series order is worked out from the germ: an extendable
     branch is re-lifted up to an order proven to resolve the residue, a
     hand-entered one is used up to the order it was given, and
     TruncationNotStabilized is raised when that does not suffice."""
     _plane(v, f, "cs_index")
-    _, f0, _, valid = _plane_germ(v, f, point)
-    return _cs(f0, valid, _branch_at_point(branch, point))
+    _, valid = _plane_germ(v, f)
+    return _cs(f, valid, branch)
 
 
-def var_index(v, f, branch, point=None):
+def var_index(v, f, branch):
     """Variation-type index along one branch: the curve index plus the
     branch residue index, whose series order is worked out as in cs_index.
-    Both parts read one translation, one cofactor and one decomposition."""
+    Both parts read one cofactor and one decomposition."""
     _plane(v, f, "var_index")
-    v0, f0, h, valid = _plane_germ(v, f, point)
-    gsv = _gsv(v0, f0, h, valid)
-    cs = _cs(f0, valid, _branch_at_point(branch, point))
+    h, valid = _plane_germ(v, f)
+    gsv = _gsv(v, f, h, valid)
+    cs = _cs(f, valid, branch)
     return _finish(gsv.value + cs.value, "sum-of-parts")
 
 
-def radial_index(v, f, point=None):
+def radial_index(v, f):
     """Index with the Milnor-number defect removed: the homological index
     minus (-1)^dim(V) times the Milnor number of f."""
     dim_v = f.nvars - 1
-    hom = homological_index(v, f, point=point)
-    mu = milnor_number(f, point=point)
+    hom = homological_index(v, f)
+    mu = milnor_number(f)
     sign = -1 if dim_v % 2 else 1
     return _finish(hom.value - sign * mu.value, "defect-corrected")
 
@@ -402,7 +381,7 @@ def radial_index(v, f, point=None):
 # complete intersection curves in higher dimension
 
 
-def gsv_pfaff_curve(data, curve_polys, point=None):
+def gsv_pfaff_curve(data, curve_polys):
     """Index along a complete-intersection curve in n-space cut out by n - 1
     polynomials, from the coefficient form and the Jacobian minors.
 
@@ -419,25 +398,24 @@ def gsv_pfaff_curve(data, curve_polys, point=None):
         raise InvalidInput("a curve in %d-space needs %d polynomials in %d "
                            "variables, got %r" % (n, n - 1, n, curve_polys))
 
-    f0s = tuple(_at_point(g, point) for g in curve_polys)
-    v0 = _field_at_point(v, point)
-    omega0 = dual_form(v0)
-    curve = standard_basis(f0s, MonomialOrder.local(n), at_corner)
-    for g in f0s:
-        if not normal_form(v0.apply(g), curve).is_zero():
+    omega = dual_form(v)
+    curve = standard_basis(curve_polys, MonomialOrder.local(n), at_corner)
+    for g in curve_polys:
+        if not normal_form(v.apply(g), curve).is_zero():
             raise NotInvariant(
                 "vector field is not tangent to the curve")
 
     candidates = []
     for idx_set in itertools.combinations(range(n), n - 1):
-        rows = [[f0s[i].diff(j) for j in idx_set] for i in range(n - 1)]
+        rows = [[curve_polys[i].diff(j) for j in idx_set]
+                for i in range(n - 1)]
         minor = PolyMatrix(rows).det()
-        ord_minor = order_along_curve(minor, f0s)
+        ord_minor = order_along_curve(minor, curve_polys)
         if ord_minor is INFINITE:
             continue
         # coefficient of omega on dx_I
-        a = omega0.coefficient(idx_set)
-        ord_a = order_along_curve(a, f0s)
+        a = omega.coefficient(idx_set)
+        ord_a = order_along_curve(a, curve_polys)
         if ord_a is INFINITE:
             continue
         candidates.append((idx_set, ord_a - ord_minor))
@@ -454,7 +432,7 @@ def gsv_pfaff_curve(data, curve_polys, point=None):
 # logarithmic index
 
 
-def log_index(v, divisor, point=None, oracle=False):
+def log_index(v, divisor, oracle=False):
     """Index of v relative to the union of coordinate hyperplanes x_i == 0
     for i in divisor.  Components over the divisor must divide by their
     coordinate (NotLogarithmic otherwise); the value is the dimension of the
@@ -470,21 +448,20 @@ def log_index(v, divisor, point=None, oracle=False):
         raise InvalidInput("divisor entries %r are not variable indices "
                            "below %d" % (bad, n))
     divisor = tuple(sorted(divisor))
-    v0 = _field_at_point(v, point)
     gens = []
     for i in range(n):
         if i in divisor:
-            h = exact_divide(v0.components[i], Poly.var(n, i))
+            h = exact_divide(v.components[i], Poly.var(n, i))
             if h is None:
                 raise NotLogarithmic(
                     "component %d does not vanish on its hyperplane" % i)
             gens.append(h)
         else:
-            gens.append(v0.components[i])
+            gens.append(v.components[i])
     value = _local_dim(gens, n, "zero of the field relative to the divisor")
     checks = []
     if oracle:
-        chi, _ = contraction_complex_euler(v0, divisor)
+        chi, _ = contraction_complex_euler(v, divisor)
         checks.append(("truncation-oracle", chi == value,
                        "oracle characteristic %s" % chi))
     return _finish(value, "local-algebra", checks)

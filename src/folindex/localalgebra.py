@@ -745,30 +745,24 @@ def monomial_power_bound(sb):
 
 def exact_divide(p, f):
     """Quotient p / f when f divides p exactly in the polynomial ring,
-    else None."""
+    else None.  Against f alone in degrevlex the weak normal form is the
+    division algorithm, U * P == C * F + H with a constant U for the
+    integer forms P and F of p and f.  The leading monomial of f divides
+    that of every multiple of f, so f divides p exactly when H == 0, and
+    p / f is then C / U.  Its steps spend from the budget."""
     if f.is_zero():
         raise InvalidInput("division by the zero polynomial")
-    if p.nvars != f.nvars:
+    n = p.nvars
+    if n != f.nvars:
         raise InvalidInput("dividend and divisor live in different rings")
-    key = MonomialOrder.degrevlex(p.nvars).key
-    # by Gauss's lemma the quotient of two primitive integer polynomials is
-    # an integer polynomial, so a remainder in a quotient coefficient means
-    # that f does not divide p
+    order = MonomialOrder.degrevlex(n)
     P, pa, pb = _integral(p)
     F, fa, fb = _integral(f)
-    ef = max(F, key=key)
-    q = {}
-    while P:
-        eh = max(P, key=key)
-        if not _divides(ef, eh):
-            return None
-        c, rem = divmod(P[eh], F[ef])
-        if rem:
-            return None
-        shift = tuple(map(sub, eh, ef))
-        q[shift] = c
-        P = _addmul(dict(P), -c, shift, F, None)
-    return _rational(q, pa * fb, pb * fa, p.nvars)
+    H, U, C = _reduce(P, [(F, max(F, key=order.key))], order, _budget(),
+                      None)
+    if H:
+        return None
+    return _rational(C.get(0, {}), pa * fb, pb * fa * U[(0,) * n], n)
 
 
 def order_along_curve(g, curve_polys):

@@ -519,10 +519,15 @@ class DiffForm:
 # free functions used by the index and residue layers
 
 
+def _check_point(q, n):
+    """InvalidInput unless q is a point of n rational coordinates."""
+    if len(q) != n or not all(isinstance(c, (int, Fraction)) for c in q):
+        raise InvalidInput("the point %r is not %d rationals" % (q, n))
+
+
 def translate_to_origin(p, q):
     """p(x + q): the germ of p at the point q, presented at the origin."""
-    if len(q) != p.nvars or not all(isinstance(c, (int, Fraction)) for c in q):
-        raise InvalidInput("the point %r is not %d rationals" % (q, p.nvars))
+    _check_point(q, p.nvars)
     return p.subst([x + c for x, c in zip(Poly.variables(p.nvars), q)])
 
 

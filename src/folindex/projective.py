@@ -12,12 +12,12 @@ one entry of CHECKS: the shape of data it needs (a plane curve, n-1 curves,
 a divisor or nothing) and the local quantity it sums at a declared point.
 run_global_check runs every kind down one path.  It turns each declared
 point into one germ: the field, the curve equations and the branches
-translated once to the origin of the point's first visible chart, which
-every later step reads.  Because a declared list can silently omit a
-point, it first certifies completeness chart by chart: the global affine
-quotient dimension of the ideal of the field and the curve equations must
-equal the sum of the declared local multiplicities, with one multiplicity
-per point, summed into every chart that sees it.
+moved once (series.moved) to the origin of the point's first visible
+chart, which every later step reads.  Because a declared list can
+silently omit a point, it first certifies completeness chart by chart:
+the global affine quotient dimension of the ideal of the field and the
+curve equations must equal the sum of the declared local multiplicities,
+with one multiplicity per point, summed into every chart that sees it.
 """
 
 from dataclasses import dataclass
@@ -50,14 +50,13 @@ from .polyring import (
     DiffForm,
     Poly,
     VectorField,
+    _check_point,
     field_from_dual,
     homogenize,
     set_coordinate_one,
-    translate_field,
-    translate_to_origin,
 )
 from .residues import PhiSpec, baum_bott_residue
-from .series import BranchParam
+from .series import BranchParam, moved
 
 
 class ProjPoint:
@@ -67,7 +66,9 @@ class ProjPoint:
     __slots__ = ("coords",)
 
     def __init__(self, coords):
-        coords = tuple(Fraction(c) for c in coords)
+        coords = tuple(coords)
+        _check_point(coords, len(coords))
+        coords = tuple(map(Fraction, coords))
         if len(coords) < 2:
             raise InvalidInput("a point of P^n needs at least 2 coordinates")
         if not any(coords):
@@ -107,19 +108,19 @@ class ProjPoint:
 
 
 class ProjectiveFoliation:
-    """A one-dimensional foliation of P^n of degree d.
+    """A one-dimensional foliation of P^n of degree d, read from its field.
 
     field: homogeneous VectorField on the n+1 coordinates, components all
-    homogeneous of one common degree, taken modulo the radial field.
+    homogeneous of one common degree d, taken modulo the radial field.
     """
 
     __slots__ = ("n", "d", "field")
 
-    def __init__(self, n, d, field):
-        if not isinstance(field, VectorField) or field.nvars != n + 1:
-            raise InvalidInput("a foliation of P^%d needs a vector field on "
-                               "%d homogeneous coordinates, got %r"
-                               % (n, n + 1, field))
+    def __init__(self, field):
+        if not isinstance(field, VectorField) or field.nvars < 2:
+            raise InvalidInput("a foliation of P^n needs a vector field on "
+                               "n + 1 >= 2 homogeneous coordinates, got %r"
+                               % (field,))
         deg = None
         for c in field.components:
             if c.is_zero():
@@ -132,12 +133,12 @@ class ProjectiveFoliation:
                 raise DegreeMismatch("components of mixed degrees")
         if deg is None:
             raise DegreeMismatch("zero field")
-        self.n = n
-        self.d = d
+        self.n = field.nvars - 1
+        self.d = deg
         self.field = field
 
     @classmethod
-    def from_affine_field(cls, v, degree=None):
+    def from_affine_field(cls, v):
         """Extend an affine polynomial field on chart 0 to P^n.
 
         The foliation degree is the top polynomial degree of the
@@ -165,16 +166,12 @@ class ProjectiveFoliation:
             quotients.append(q)
         radial_top = quotients is not None and all(
             q == quotients[0] for q in quotients)
-        d = delta - 1 if radial_top else delta
-        if degree is not None and degree != d:
-            raise DegreeMismatch(
-                "declared degree %d, computed %d" % (degree, d))
         comps = [homogenize(c, delta, 0) for c in v.components]
         if not radial_top:
-            return cls(n, d, VectorField([Poly.zero(n + 1)] + comps))
-        q = homogenize(quotients[0], d, 0)
+            return cls(VectorField([Poly.zero(n + 1)] + comps))
+        q = homogenize(quotients[0], delta - 1, 0)
         x0 = Poly.var(n + 1, 0)
-        return cls(n, d, VectorField([-q] + [
+        return cls(VectorField([-q] + [
             exact_divide(t - Poly.var(n + 1, i + 1) * q, x0)
             for i, t in enumerate(comps)]))
 
@@ -251,7 +248,7 @@ class _Site(NamedTuple):
     chart: int              # the point's first visible chart
     field: VectorField      # the chart's affine field, at the origin
     curves: tuple           # the check's curve equations, at the origin
-    branches: list          # declared branches, through the origin
+    branches: tuple         # declared branches, through the origin
     divisor: tuple          # homogeneous coordinate indices
     oracle: bool
 
@@ -383,9 +380,9 @@ def run_global_check(fol, kind, curve=None, points=(), branches=(),
     affine coordinates of the point's first visible chart.
     """
     n = fol.n
-    if n < 2 or fol.d < 0:
+    if n < 2:
         raise UnsupportedIdentity("%s: global identities need P^n with "
-                                  "n >= 2 and degree d >= 0" % kind)
+                                  "n >= 2" % kind)
     points = tuple(points)
     for p in points:
         if not isinstance(p, ProjPoint) or p.n != n:
@@ -412,10 +409,8 @@ def run_global_check(fol, kind, curve=None, points=(), branches=(),
     for p in points:
         j = p.first_chart()
         at = p.affine_in(j)
-        sites.append(_Site(
-            p, j, translate_field(fields[j], at),
-            tuple(translate_to_origin(f, at) for f in chart_curves[j]),
-            [br.moved(at) for br in grouped.get(p, ())],
+        sites.append(_Site(p, j, *moved(
+            (fields[j], chart_curves[j], grouped.get(p, ())), at),
             divisor, oracle))
     _certify(kind, [list(fields[j].components) + chart_curves[j]
                     for j in charts], sites)

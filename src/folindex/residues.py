@@ -42,13 +42,7 @@ from .localalgebra import (
     monomial_power_bound,
     standard_basis,
 )
-from .polyring import (
-    Poly,
-    PolyMatrix,
-    char_poly_coeffs,
-    translate_field,
-    translate_to_origin,
-)
+from .polyring import Poly, PolyMatrix, char_poly_coeffs
 
 __all__ = [
     "ResidueResult",
@@ -112,13 +106,14 @@ def _certificate(bound, units, rows):
     return hashlib.sha256(";".join(pieces).encode()).hexdigest()
 
 
-def grothendieck_residue(h, v, point=None, bound=None):
-    """Residue of h over the components of v at an isolated zero.
+def grothendieck_residue(h, v, bound=None):
+    """Residue of h over the components of v at an isolated zero at the
+    origin; data at another point is moved there first (series.moved).
 
-    point defaults to the origin.  bound overrides the computed pure-power
-    exponent and must be a positive integer; NotMember surfaces if it is too
-    small, NotZeroDimensional if the zero is not isolated.  The witnesses
-    hold modulo m^((n+1)N - n + 1) (see the module docstring).
+    bound overrides the computed pure-power exponent and must be a positive
+    integer; NotMember surfaces if it is too small, NotZeroDimensional if
+    the zero is not isolated.  The witnesses hold modulo
+    m^((n+1)N - n + 1) (see the module docstring).
     """
     n = v.nvars
     if not (isinstance(h, Poly) and h.nvars == n):
@@ -127,9 +122,6 @@ def grothendieck_residue(h, v, point=None, bound=None):
     if bound is not None and not (isinstance(bound, int) and bound >= 1):
         raise InvalidInput("the power bound must be a positive integer, "
                            "got %r" % (bound,))
-    if point is not None:
-        h = translate_to_origin(h, point)
-        v = translate_field(v, point)
     least = 1 if bound is None else bound
 
     def modulo(c):
@@ -200,13 +192,12 @@ class PhiSpec:
         return "PhiSpec(%s)" % body
 
 
-def baum_bott_residue(v, phi, point=None):
+def baum_bott_residue(v, phi):
     """Residue of phi(c_1, ..., c_n) of the Jacobian over the components
-    of v, the local contribution of an isolated singular point."""
+    of v, the local contribution of an isolated singular point at the
+    origin."""
     if not (isinstance(phi, PhiSpec) and phi.n == v.nvars):
         raise InvalidInput("phi must be a PhiSpec in the %d Chern classes of "
                            "the field" % v.nvars)
-    if point is not None:
-        v = translate_field(v, point)
     cs = char_poly_coeffs(v.jacobian())
     return grothendieck_residue(phi.apply(cs), v)

@@ -1,5 +1,6 @@
 """Truncated power series in one parameter, used for pullbacks along
-parametrized curve branches.
+parametrized curve branches, and moved, which presents the data of a
+command at the origin.
 
 A TruncSeries of order N stores the first N coefficients and stands for the
 class of a series mod t^N.  Everything is exact rational arithmetic; when an
@@ -13,7 +14,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InvalidInput, RouteConflict, TruncationNotStabilized
-from .polyring import Poly, _rat
+from .polyring import (
+    DiffForm,
+    Poly,
+    VectorField,
+    _check_point,
+    _rat,
+    translate_field,
+    translate_to_origin,
+)
 
 
 class InsufficientOrder(Exception):
@@ -229,6 +238,7 @@ class BranchParam:
         """The branch minus the point at, so that it passes through the
         origin when it passed through at; an extendable series branch
         re-lifts and then subtracts the point again."""
+        _check_point(at, len(self.comps))
         if self.polys is not None:
             return BranchParam.from_polys(
                 (p - q for p, q in zip(self.polys, at)), self.order)
@@ -256,6 +266,29 @@ class BranchParam:
     def __repr__(self):
         return "BranchParam(order=%d, nvars=%d)" % (self.order,
                                                      len(self.comps))
+
+
+def moved(data, at):
+    """The germ of command data at the point at, presented at the origin.
+
+    A polynomial, a field and each coefficient of a form are translated by
+    at, a branch is moved by it, and a tuple or list is moved item by item
+    into a tuple.  Data without coordinates, such as a PhiSpec or divisor
+    indices, comes back unchanged.  InvalidInput when at is not a point of
+    the data's space."""
+    if isinstance(data, (tuple, list)):
+        return tuple(moved(item, at) for item in data)
+    if isinstance(data, Poly):
+        return translate_to_origin(data, at)
+    if isinstance(data, VectorField):
+        return translate_field(data, at)
+    if isinstance(data, DiffForm):
+        _check_point(at, data.nvars)
+        return DiffForm(data.nvars, data.degree, {
+            idx: translate_to_origin(p, at) for idx, p in data.coeffs.items()})
+    if isinstance(data, BranchParam):
+        return data.moved(at)
+    return data
 
 
 def newton_lift(f, order):

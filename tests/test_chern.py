@@ -122,12 +122,3 @@ def test_run_global_check_needs_a_projective_space_of_dimension_two():
         with pytest.raises(UnsupportedIdentity):
             run_global_check(line, kind,
                              points=(ProjPoint((1, 0)), ProjPoint((0, 1))))
-
-
-def test_run_global_check_needs_a_nonnegative_degree():
-    plane, points, _, _ = _plane_and_space()
-    negative = ProjectiveFoliation(2, -1, plane.field)
-    # cs_total never reads d, and is rejected all the same
-    for kind in ("milnor_total", "cs_total"):
-        with pytest.raises(UnsupportedIdentity):
-            run_global_check(negative, kind, points=points)

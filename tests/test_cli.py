@@ -202,8 +202,8 @@ def test_run_time_bad_input_exit_two(tmp_path, capsys, text, extra, message):
 
 @pytest.mark.parametrize("steps, code", [("10", 2), ("200", 0)])
 def test_steps_cap_the_whole_command(tmp_path, capsys, steps, code):
-    # gsv on the cusp spends 32 steps over ten standard-basis and
-    # normal-form calls of at most four steps each
+    # gsv on the cusp spends 19 steps: 16 in its standard bases and normal
+    # forms, and one in each of its three exact divisions
     got, out, err = run_cli(
         tmp_path, capsys,
         "ring x,y; f := y^2 - x^3; v := vf(2*x, 3*y); gsv v along f at (0,0);",

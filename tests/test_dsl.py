@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from folindex.dsl import (
@@ -20,7 +20,28 @@ from folindex.errors import (
     SessionError,
     UndeclaredName,
 )
-from folindex.polyring import Poly
+from folindex.indices import (
+    cs_index,
+    gsv_curve,
+    gsv_pfaff_curve,
+    homological_index,
+    log_index,
+    milnor_number,
+    ph_index,
+    radial_index,
+    tjurina_number,
+    var_index,
+)
+from folindex.polyring import (
+    DiffForm,
+    Poly,
+    VectorField,
+    field_from_dual,
+    translate_field,
+    translate_to_origin,
+)
+from folindex.residues import PhiSpec, baum_bott_residue, grothendieck_residue
+from folindex.series import BranchParam
 
 
 def test_basic_session():
@@ -324,3 +345,76 @@ def test_check_on_a_field_with_radial_top_part():
     records = run_session(parse_session(text))
     assert records[0]["verdict"] == "PASS"
     assert records[0]["value"] == 3
+
+
+_COORD = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@seed(20261022)
+@settings(max_examples=15, deadline=None)
+@given(st.tuples(_COORD, _COORD, _COORD), st.sampled_from([(2, 3), (3, 2),
+                                                           (2, 5)]))
+def test_local_commands_at_a_point_read_the_data_moved_by_hand(at, pq):
+    # y^p - x^q with its Euler field (p x, q y), the dual form, the branch
+    # (t^p, t^q) and a numerator, all written at the point (a, b); and the
+    # twisted cubic with (x, 2y, 3z) at (a, b, c).  Every local command at
+    # the point must give what the engine gives on the data that
+    # translate_to_origin, translate_field and BranchParam.moved bring to
+    # the origin.
+    a, b, c = at
+    p, q = pq
+    x, y = Poly.variables(2)
+    X, Y = x - a, y - b
+    f = Y ** p - X ** q
+    v = VectorField((p * X, q * Y))
+    w = DiffForm(2, 1, {(0,): -q * Y, (1,): p * X})
+    t = Poly.var(1, 0)
+    br = BranchParam.from_polys((a + t ** p, b + t ** q), 20)
+    h = x * y + c
+    here = "(%s, %s)" % (a, b)
+    text = (
+        "ring x,y; f := (y - (%s))^%d - (x - (%s))^%d; "
+        "v := vf(%d*(x - (%s)), %d*(y - (%s))); "
+        "w := form(-%d*(y - (%s)) dx, %d*(x - (%s)) dy); "
+        "b := branch(%s + t^%d, %s + t^%d) order 20; h := x*y + %s;"
+        % (b, p, a, q, p, a, q, b, q, b, p, a, a, p, b, q, c)
+        + " ".join("%s at %s;" % (cmd, here) for cmd in (
+            "milnor f", "tjurina f", "ph v", "homological v along f",
+            "radial v along f", "gsv v along f", "gsv w along f",
+            "cs v along f branch b", "var v along f branch b",
+            "logindex v divisor (x, y)", "bb v phi (c1^2)",
+            "residue h over v")))
+    F = translate_to_origin(f, (a, b))
+    V = translate_field(v, (a, b))
+    W = DiffForm(2, 1, {idx: translate_to_origin(g, (a, b))
+                        for idx, g in w.coeffs.items()})
+    B = br.moved((a, b))
+    want = [milnor_number(F), tjurina_number(F), ph_index(V),
+            homological_index(V, F), radial_index(V, F), gsv_curve(V, F),
+            gsv_curve(field_from_dual(W), F), cs_index(V, F, B),
+            var_index(V, F, B), log_index(V, (0, 1)),
+            baum_bott_residue(V, PhiSpec(2, [(1, (2, 0))])),
+            grothendieck_residue(translate_to_origin(h, (a, b)), V)]
+    got = [r["value"] for r in run_session(parse_session(text))]
+    assert got == [r.value for r in want]
+
+    x, y, z = Poly.variables(3)
+    X, Y, Z = x - a, y - b, z - c
+    v = VectorField((X, 2 * Y, 3 * Z))
+    curve = (Y - X ** 2, Z - X ** 3)
+    form = DiffForm(3, 2, {(0, 1): 3 * Z, (0, 2): -2 * Y, (1, 2): X})
+    here = "(%s, %s, %s)" % at
+    text = (
+        "ring x,y,z; v := vf(x - (%s), 2*(y - (%s)), 3*(z - (%s))); "
+        "w := form(3*(z - (%s)) dx^dy, -2*(y - (%s)) dx^dz, "
+        "(x - (%s)) dy^dz); l1 := y - (%s) - (x - (%s))^2; "
+        "l2 := z - (%s) - (x - (%s))^3; "
+        "gsv v along (l1, l2) at %s; gsv w along (l1, l2) at %s;"
+        % (a, b, c, c, b, a, b, a, c, a, here, here))
+    V = translate_field(v, at)
+    C = tuple(translate_to_origin(g, at) for g in curve)
+    W = DiffForm(3, 2, {idx: translate_to_origin(g, at)
+                        for idx, g in form.coeffs.items()})
+    want = [gsv_pfaff_curve(V, C), gsv_pfaff_curve(W, C)]
+    got = [r["value"] for r in run_session(parse_session(text))]
+    assert got == [r.value for r in want]

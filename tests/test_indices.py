@@ -36,7 +36,7 @@ from folindex.indices import (
 )
 from folindex.localalgebra import step_budget
 from folindex.polyring import DiffForm, Poly, VectorField, dual_form
-from folindex.series import BranchParam, TruncSeries
+from folindex.series import BranchParam, TruncSeries, moved
 
 
 def xy():
@@ -56,8 +56,8 @@ def test_milnor():
     x, y = xy()
     assert milnor_number(x ** 3 - y ** 2).value == 2
     assert milnor_number(x ** 3 + y ** 3).value == 4
-    moved = (x - 1) ** 3 - (y + 2) ** 2
-    assert milnor_number(moved, point=(1, -2)).value == 2
+    cusp_at = (x - 1) ** 3 - (y + 2) ** 2
+    assert milnor_number(moved(cusp_at, (1, -2))).value == 2
     with pytest.raises(NotZeroDimensional):
         milnor_number(x ** 2)
 
@@ -192,7 +192,7 @@ def test_cs_index_translated_point():
     v = VectorField((2 * (x - 1), 3 * (y + 2)))
     t = Poly.var(1, 0)
     br = branch_poly(t ** 2 + 1, t ** 3 - 2)
-    rep = cs_index(v, f, br, point=(1, -2))
+    rep = cs_index(*moved((v, f, br), (1, -2)))
     assert rep.value == 6
 
 
@@ -306,13 +306,23 @@ def test_gsv_pfaff_curve():
 
 
 @pytest.mark.parametrize("call", [
-    lambda x, y: milnor_number(y ** 2 - x ** 3, point=(1,)),
-    lambda x, y: tjurina_number(y ** 2 - x ** 3, point=(0, 0, 0)),
-    lambda x, y: ph_index(VectorField((x, y)), point=(0,)),
-    lambda x, y: gsv_curve(VectorField((2 * x, 3 * y)), y ** 2 - x ** 3,
-                           point=(0, 0, 0)),
-], ids=["milnor-short", "tjurina-long", "ph-short", "gsv-long"])
+    lambda x, y: milnor_number(moved(y ** 2 - x ** 3, (1,))),
+    lambda x, y: tjurina_number(moved(y ** 2 - x ** 3, (0, 0, 0))),
+    lambda x, y: ph_index(moved(VectorField((x, y)), (0,))),
+    lambda x, y: gsv_curve(*moved((VectorField((2 * x, 3 * y)),
+                                   y ** 2 - x ** 3), (0, 0, 0))),
+    lambda x, y: moved(dual_form(VectorField((2 * x, 3 * y))), (0, 0, 0)),
+    lambda x, y: moved(DiffForm(2, 1), (0,)),
+    lambda x, y: moved(branch_poly(Poly.var(1, 0) ** 2, Poly.var(1, 0) ** 3),
+                       (0,)),
+    lambda x, y: moved(branch_by_hand(Poly.var(1, 0) ** 2,
+                                      Poly.var(1, 0) ** 3, order=8),
+                       (0, 0, 0)),
+], ids=["milnor-short", "tjurina-long", "ph-short", "gsv-long", "form-long",
+        "zero-form-short", "branch-short", "series-branch-long"])
 def test_point_of_the_wrong_length_raises_invalid_input(call):
+    # moved rejects a point that is not one of the data's space, for every
+    # kind of data that has coordinates
     with pytest.raises(InvalidInput):
         call(*xy())
 

@@ -20,6 +20,7 @@ from folindex.localalgebra import (
 )
 from folindex.polyring import Poly, PolyMatrix, VectorField, jacobian
 from folindex.residues import PhiSpec, baum_bott_residue, grothendieck_residue
+from folindex.series import moved
 
 
 def xy():
@@ -86,7 +87,7 @@ def test_residue_makes_one_standard_basis(monkeypatch, bound):
 def test_residue_at_translated_point():
     x, y = xy()
     v = VectorField((x - 1, y + 2))
-    rep = grothendieck_residue(Poly.const(2, 1), v, point=(1, -2))
+    rep = grothendieck_residue(*moved((Poly.const(2, 1), v), (1, -2)))
     assert rep.value == 1
 
 
@@ -183,8 +184,8 @@ def test_bad_residue_input_raises_invalid_input():
 def test_residue_at_a_point_of_another_space_raises_invalid_input():
     x, y = xy()
     with pytest.raises(InvalidInput):
-        grothendieck_residue(x * y, VectorField((x ** 2, y ** 2)),
-                             point=(0, 0, 0))
+        grothendieck_residue(*moved((x * y, VectorField((x ** 2, y ** 2))),
+                                    (0, 0, 0)))
 
 
 @pytest.mark.parametrize("n, terms", [

@@ -16,12 +16,14 @@ from folindex.errors import (
     RouteConflict,
     TruncationNotStabilized,
 )
-from folindex.polyring import DiffForm, Poly
+from folindex.polyring import DiffForm, Poly, VectorField
+from folindex.residues import PhiSpec
 from folindex.series import (
     BranchParam,
     InsufficientOrder,
     TruncSeries,
     laurent_residue,
+    moved,
     newton_lift,
     poly_on_branch,
     pullback_one_form,
@@ -116,6 +118,23 @@ def test_branch_param_extension():
     assert capped.at_order(2).order == 2
     with pytest.raises(TruncationNotStabilized):
         capped.at_order(8)
+
+
+def test_moved_takes_each_kind_of_data_to_the_origin():
+    x, y = Poly.variables(2)
+    tp = Poly.var(1, 0)
+    at = (1, Fraction(-1, 2))
+    f = (y + Fraction(1, 2)) ** 2 - (x - 1) ** 3
+    br = BranchParam.from_polys((1 + tp ** 2, Fraction(-1, 2) + tp ** 3), 8)
+    phi = PhiSpec(2, [(1, (2, 0))])
+    got = moved([f, VectorField((x - 1, 2 * y + 1)),
+                 DiffForm(2, 1, {(0,): x - 1}), br, phi, (0, 1)], at)
+    assert got[0] == y ** 2 - x ** 3
+    assert got[1].components == (x, 2 * y)
+    assert got[2].coeffs == {(0,): x}
+    assert got[3].polys == (tp ** 2, tp ** 3)
+    # data without coordinates comes back as it was
+    assert got[4] is phi and got[5] == (0, 1)
 
 
 def test_newton_lift_parabola():
