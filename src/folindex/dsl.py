@@ -32,8 +32,10 @@ Grammar (informal):
 Polynomial expressions use + - * / ^ with '/' restricted to integer
 literals, so rationals are written 1/2.  Keywords are contextual: any of
 them may also be a declared name.  Branch components are polynomials in
-the parameter t.  Points carry n affine or n+1 homogeneous coordinates;
-local commands need the affine form, check commands the homogeneous one.
+the parameter t.  Points carry n affine or n+1 homogeneous coordinates:
+an at point, written out or named, needs the affine form and each points
+item the homogeneous one.  Each point is checked where it is written, at
+parse time, and a wrong count raises RingMismatch with its line and column.
 Shape rules (_NEEDS, with those of the check kinds read from
 projective.CHECKS) are checked at parse time too: gsv needs a plane ring
 or n-1 curves, cs and var a plane ring, a form subject degree n-1.  check
@@ -64,7 +66,7 @@ from .indices import (
     tjurina_number,
     var_index,
 )
-from .localalgebra import DEFAULT_MAX_STEPS, step_budget
+from .localalgebra import DEFAULT_MAX_STEPS, StepBudget, step_budget
 from .polyring import DiffForm, Poly, VectorField, field_from_dual, wedge
 from .projective import CHECKS, ProjPoint, ProjectiveFoliation, run_global_check
 from .residues import (
@@ -145,6 +147,8 @@ class Command:
 class Session:
     ring: tuple
     statements: tuple
+    # declared name -> the engine value the parser bound it to
+    bound: dict = field(compare=False, repr=False)
 
 
 # The command table.  Every command but check reads
@@ -156,12 +160,11 @@ class Session:
 
 
 class _Syntax(NamedTuple):
-    """How a clause value is read after its keyword, printed back, handed
-    to the engine and shown in the record's inputs."""
+    """How a clause value is read after its keyword, printed back (also in
+    the record's inputs) and handed to the engine."""
     read: object        # (parser, keyword) -> value stored in the Command
     fmt: object         # value -> text after the keyword
-    resolve: object     # (value, env) -> engine argument
-    show: object        # (value, engine argument) -> inputs text
+    resolve: object     # (value, session) -> engine argument
 
 
 class _Clause(NamedTuple):
@@ -206,14 +209,13 @@ def _fmt_phi(phi):
 def _name(*kinds):
     """One declared name of one of the given kinds."""
     return _Syntax(lambda parser, word: parser.name_of_kind(kinds, word),
-                   str, lambda name, env: env.objects[name],
-                   lambda name, arg: name)
+                   str, lambda name, session: session.bound[name])
 
 
-def _resolve_curves(along, env):
+def _resolve_curves(along, session):
     if isinstance(along, tuple):
-        return tuple(env.objects[name] for name in along)
-    return env.objects[along]
+        return tuple(session.bound[name] for name in along)
+    return session.bound[along]
 
 
 def _divisor(homogeneous):
@@ -227,13 +229,13 @@ def _divisor(homogeneous):
             return parser.next().text
         return parser.ring_var()
 
-    def resolve(names, env):
+    def resolve(names, session):
         return tuple(0 if name == "infinity"
-                     else env.session.ring.index(name) + shift
+                     else session.ring.index(name) + shift
                      for name in names)
 
     return _Syntax(lambda parser, word: parser.paren_list(lambda: item(parser)),
-                   _fmt_list, resolve, lambda names, arg: ", ".join(names))
+                   _fmt_list, resolve)
 
 
 def _fmt_points(points):
@@ -241,12 +243,11 @@ def _fmt_points(points):
 
 
 _CURVES = _Syntax(lambda parser, word: parser.curves(word), _fmt_along,
-                  _resolve_curves, lambda along, arg: str(along))
+                  _resolve_curves)
 _PHI = _Syntax(lambda parser, word: parser.phi(), _fmt_phi,
-               lambda phi, env: PhiSpec(env.n, phi),
-               lambda phi, arg: repr(arg))
+               lambda phi, session: PhiSpec(len(session.ring), phi))
 _POINTS = _Syntax(lambda parser, word: parser.paren_list(parser.point_item),
-                  _fmt_points, None, None)
+                  _fmt_points, None)
 _ALONG = _Clause("along", _name("poly"), "f")
 _BRANCH = _Clause("branch", _name("branch"), "branch")
 
@@ -312,7 +313,7 @@ class _Parser:
         self.pos = 0
         self.ring = None
         self.kinds = {}     # declared name -> kind
-        self.objects = {}   # declared name -> payload, for elaboration
+        self.objects = {}   # declared name -> engine value
 
     # token helpers
 
@@ -371,7 +372,8 @@ class _Parser:
         statements = []
         while self.peek().kind != "eof":
             statements.append(self.statement())
-        return Session(ring=self.ring, statements=tuple(statements))
+        return Session(ring=self.ring, statements=tuple(statements),
+                       bound=self.objects)
 
     def statement(self):
         tok = self.peek()
@@ -403,7 +405,12 @@ class _Parser:
         else:
             kind, payload = "poly", self.expr(self.ring)
         self.kinds[name] = kind
-        self.objects[name] = payload
+        if kind == "field":
+            self.objects[name] = VectorField(payload)
+        elif kind == "branch":
+            self.objects[name] = BranchParam.from_polys(*payload)
+        else:
+            self.objects[name] = payload
         return Assign(name=name, kind=kind, payload=payload,
                       line=name_tok.line)
 
@@ -577,7 +584,9 @@ class _Parser:
         return phi
 
     def point_item(self):
+        tok = self.peek()
         name = self.name_of_kind(("point",), "points")
+        self.check_point(name, tok, homogeneous=True)
         branches = []
         while self.at_word("branch"):
             self.next()
@@ -608,12 +617,26 @@ class _Parser:
                 fields[clause.word] = clause.syntax.read(self, clause.word)
         if kind is None:
             self.expect_word("at")
+            at_tok = self.peek()
             fields["at"] = (self.paren_list(self.rational)
-                            if self.peek().text == "("
+                            if at_tok.text == "("
                             else self.name_of_kind(("point",), "at"))
+            self.check_point(fields["at"], at_tok, homogeneous=False)
         cmd = Command(op=op, check_kind=kind, line=line, **fields)
         self.check_shape(cmd, kind or op, tok)
         return cmd
+
+    def check_point(self, point, tok, homogeneous):
+        """RingMismatch at tok unless point, a coordinate tuple or a point
+        name, has n affine or n+1 homogeneous coordinates."""
+        coords = self.objects[point] if isinstance(point, str) else point
+        want = len(self.ring) + homogeneous
+        if len(coords) != want:
+            raise RingMismatch(
+                "%s commands need %d %s coordinates, got %d"
+                % ("check" if homogeneous else "local", want,
+                   "homogeneous" if homogeneous else "affine", len(coords)),
+                line=tok.line, col=tok.col)
 
     def check_shape(self, cmd, name, tok):
         n = len(self.ring)
@@ -687,51 +710,18 @@ def print_session(session):
 
 # execution
 
-class _Env:
-
-    def __init__(self, session):
-        self.session = session
-        self.n = len(session.ring)
-        self.objects = {}
-        for stmt in session.statements:
-            if not isinstance(stmt, Assign):
-                continue
-            if stmt.kind == "field":
-                self.objects[stmt.name] = VectorField(stmt.payload)
-            elif stmt.kind == "branch":
-                comps, order = stmt.payload
-                self.objects[stmt.name] = BranchParam.from_polys(comps, order)
-            else:
-                self.objects[stmt.name] = stmt.payload
-
-    def affine_point(self, at, line):
-        coords = self.objects[at] if isinstance(at, str) else at
-        if len(coords) != self.n:
-            raise RingMismatch(
-                "local commands need %d affine coordinates, got %d"
-                % (self.n, len(coords)), line=line)
-        return coords
-
-    def proj_point(self, name, line):
-        coords = self.objects[name]
-        if len(coords) != self.n + 1:
-            raise RingMismatch(
-                "check commands need %d homogeneous coordinates, got %d"
-                % (self.n + 1, len(coords)), line=line)
-        return ProjPoint(coords)
-
-
 def run_session(session, oracle=False, max_steps=DEFAULT_MAX_STEPS):
     """Execute every command; returns one record per command with fields
     command, inputs, value, method, crosschecks, verdict.  Each command
-    spends from one step budget of max_steps."""
-    env = _Env(session)
+    spends from one step budget of max_steps, which is checked before the
+    first statement."""
+    StepBudget(max_steps)
     records = []
     for stmt in session.statements:
         if isinstance(stmt, Assign):
             continue
         with step_budget(max_steps):
-            records.append(_run_command(stmt, env, oracle))
+            records.append(_run_command(stmt, session, oracle))
     return records
 
 
@@ -746,17 +736,18 @@ def _record(cmd, inputs, value, method, crosschecks, verdict):
     }
 
 
-def _run_command(cmd, env, oracle):
+def _run_command(cmd, session, oracle):
     if cmd.op == "check":
-        return _run_check(cmd, env, oracle)
+        return _run_check(cmd, session, oracle)
     spec = COMMANDS[cmd.op]
-    at = env.affine_point(cmd.at, cmd.line)
+    bound = session.bound
+    at = bound[cmd.at] if isinstance(cmd.at, str) else cmd.at
     inputs = {"at": _fmt_at(cmd.at), spec.key: cmd.subject}
-    args = [env.objects[cmd.subject]]
+    args = [bound[cmd.subject]]
     for clause in spec.clauses:
         value = getattr(cmd, clause.word)
-        args.append(clause.syntax.resolve(value, env))
-        inputs[clause.key] = clause.syntax.show(value, args[-1])
+        args.append(clause.syntax.resolve(value, session))
+        inputs[clause.key] = clause.syntax.fmt(value)
     kwargs = {"oracle": oracle} if spec.takes_oracle else {}
     result = spec.run(*moved(args, at), **kwargs)
     if isinstance(result, ResidueResult):
@@ -767,24 +758,23 @@ def _run_command(cmd, env, oracle):
     return _record(cmd, inputs, result.value, result.method, checks, "OK")
 
 
-def _run_check(cmd, env, oracle):
+def _run_check(cmd, session, oracle):
     spec = COMMANDS["check"]
-    obj = env.objects
-    fol = ProjectiveFoliation.from_affine_field(obj[cmd.subject])
+    bound = session.bound
+    fol = ProjectiveFoliation.from_affine_field(bound[cmd.subject])
     inputs = {spec.key: cmd.subject, "degree": str(fol.d)}
     resolved = {}
     for clause in spec.clauses:
         value = getattr(cmd, clause.word)
         if value is not None and clause.key:
-            resolved[clause.word] = clause.syntax.resolve(value, env)
-            inputs[clause.key] = clause.syntax.show(value, None)
+            resolved[clause.word] = clause.syntax.resolve(value, session)
+            inputs[clause.key] = clause.syntax.fmt(value)
     points = []
     branches = []
     for name, branch_names in (cmd.points or ()):
-        p = env.proj_point(name, cmd.line)
+        p = ProjPoint(bound[name])
         points.append(p)
-        for bname in branch_names:
-            branches.append((p, obj[bname]))
+        branches += [(p, bound[bname]) for bname in branch_names]
     report = run_global_check(fol, cmd.check_kind,
                               curve=resolved.get("along"),
                               points=tuple(points), branches=branches,

@@ -189,35 +189,31 @@ class DecompositionTriple:
     variant: str
 
 
-def _saito_triple(v, f, variant):
-    """Build one decomposition variant and verify its defining identity
-    g * omega_v == xi * df + f * eta exactly."""
+def _saito_variants(v, f, h):
+    """Both decomposition variants, fy then fx, from the cofactor h of
+    v(f) == h * f.  For omega_v == p dx + q dy, p f_y - q f_x == -v(f) ==
+    -h f, so eta is -h dx when g is f_y and h dy when g is f_x.  Each
+    variant's identity g * omega_v == xi * df + f * eta is verified
+    exactly."""
     omega = dual_form(v)
-    p_coeff = omega.coefficient((0,))
-    q_coeff = omega.coefficient((1,))
-    fx = f.diff(0)
-    fy = f.diff(1)
-    c = exact_divide(p_coeff * fy - q_coeff * fx, f)
-    if c is None:
-        raise RouteConflict("tangency guarantees this division")
-    if variant == "fy":
-        g, xi, eta = fy, q_coeff, DiffForm(2, 1, {(0,): c})
-    else:
-        g, xi, eta = fx, p_coeff, DiffForm(2, 1, {(1,): -c})
-    lhs = g * omega
-    rhs = DiffForm(2, 1, {(0,): xi * fx, (1,): xi * fy}) + f * eta
-    if lhs != rhs:
-        raise RouteConflict("decomposition identity broke")
-    return DecompositionTriple(g=g, xi=xi, eta=eta, variant=variant)
+    fx, fy = f.diff(0), f.diff(1)
+    df = DiffForm(2, 1, {(0,): fx, (1,): fy})
+    out = []
+    for variant, g, xi, eta in (
+            ("fy", fy, omega.coefficient((1,)), DiffForm(2, 1, {(0,): -h})),
+            ("fx", fx, omega.coefficient((0,)), DiffForm(2, 1, {(1,): h}))):
+        if g * omega != xi * df + f * eta:
+            raise RouteConflict("decomposition identity broke")
+        out.append(DecompositionTriple(g=g, xi=xi, eta=eta, variant=variant))
+    return out
 
 
-def _saito_valid_variants(v, f):
+def _saito_valid_variants(v, f, h):
     """(triple, order difference, ord(xi)) for the variants whose g and xi
     have finite order along the curve, in the order fy, fx; the difference
     is ord(xi) - ord(g).  DegenerateDecomposition when there is none."""
     out = []
-    for variant in ("fy", "fx"):
-        triple = _saito_triple(v, f, variant)
+    for triple in _saito_variants(v, f, h):
         ord_g = order_along_curve(triple.g, (f,))
         if ord_g is INFINITE:
             continue
@@ -242,18 +238,19 @@ def saito_decomposition(v, f, variant="auto"):
     if variant not in ("fy", "fx", "auto"):
         raise InvalidInput("variant must be 'fy', 'fx' or 'auto', got %r"
                            % (variant,))
-    tangency_cofactor(v, f)
+    h = tangency_cofactor(v, f)
     if variant != "auto":
-        return _saito_triple(v, f, variant)
-    return _saito_valid_variants(v, f)[0][0]
+        return {t.variant: t for t in _saito_variants(v, f, h)}[variant]
+    return _saito_valid_variants(v, f, h)[0][0]
 
 
 def _plane_germ(v, f):
     """What gsv_curve, cs_index and var_index share: the tangency cofactor,
     and the valid decomposition variants with their order differences and
-    orders of xi."""
+    orders of xi.  The cofactor's exact division is the germ's only one:
+    both variants are built from it."""
     h = tangency_cofactor(v, f)
-    return h, _saito_valid_variants(v, f)
+    return h, _saito_valid_variants(v, f, h)
 
 
 def _gsv(v, f, h, valid):

@@ -384,9 +384,11 @@ def run_global_check(fol, kind, curve=None, points=(), branches=(),
         raise UnsupportedIdentity("%s: global identities need P^n with "
                                   "n >= 2" % kind)
     points = tuple(points)
-    for p in points:
+    for i, p in enumerate(points):
         if not isinstance(p, ProjPoint) or p.n != n:
             raise InvalidInput("%r is not a point of P^%d" % (p, n))
+        if p in points[:i]:
+            raise InvalidInput("point %r is declared twice" % (p,))
     grouped = {}
     for p, br in branches:
         if p not in points:

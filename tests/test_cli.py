@@ -202,8 +202,8 @@ def test_run_time_bad_input_exit_two(tmp_path, capsys, text, extra, message):
 
 @pytest.mark.parametrize("steps, code", [("10", 2), ("200", 0)])
 def test_steps_cap_the_whole_command(tmp_path, capsys, steps, code):
-    # gsv on the cusp spends 19 steps: 16 in its standard bases and normal
-    # forms, and one in each of its three exact divisions
+    # gsv on the cusp spends 17 steps: 16 in its standard bases and normal
+    # forms, and one in its one exact division, the tangency cofactor
     got, out, err = run_cli(
         tmp_path, capsys,
         "ring x,y; f := y^2 - x^3; v := vf(2*x, 3*y); gsv v along f at (0,0);",
@@ -213,3 +213,52 @@ def test_steps_cap_the_whole_command(tmp_path, capsys, steps, code):
         assert err.startswith("error:") and "budget" in err
     else:
         assert "value: -1" in out
+
+
+@pytest.mark.parametrize("text, where", [
+    ("ring x,y; f := y^2 - x^3; milnor f at (0,0,0);", "line 1, column 39"),
+    ("ring x,y; f := y^2 - x^3; P := point (0, 0, 0);\nmilnor f at P;",
+     "line 2, column 13"),
+    ("ring x,y; v := vf(x, 2*y); P := point (0, 0);\n"
+     "check milnor_total of v points (P);", "line 2, column 33"),
+], ids=["at-literal", "at-name", "points-item"])
+def test_point_with_wrong_arity_exit_two(tmp_path, capsys, text, where):
+    code, out, err = run_cli(tmp_path, capsys, text)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "coordinates" in err and where in err
+
+
+DUPLICATE = ("ring x,y; v := vf((x-1)*(x-2), (y-1)*(y-2)); "
+             "A := point (1,1,1); B := point (1,1,2); C := point (1,2,1); "
+             "I0 := point (0,1,0); I1 := point (0,0,1); I2 := point (0,1,1); ")
+
+
+@pytest.mark.parametrize("kind", ["milnor_total", "bb_total"])
+def test_point_declared_twice_exit_two(tmp_path, capsys, kind):
+    # A twice covers the missing [1:2:2] in every chart
+    code, out, err = run_cli(
+        tmp_path, capsys,
+        DUPLICATE + f"check {kind} of v points (A, A, B, C, I0, I1, I2);")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "declared twice" in err
+
+
+def test_file_that_is_not_utf8_exit_two(tmp_path, capsys):
+    path = tmp_path / "session.fol"
+    path.write_bytes(b"ring x,y; f := y^2 - x^3; \xff milnor f at (0,0);")
+    code = main(["run", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_bad_steps_exit_two_without_a_command(tmp_path, capsys, steps):
+    code, out, err = run_cli(tmp_path, capsys,
+                             "ring x,y; f := y^2 - x^3;", "--steps", steps)
+    assert code == 2
+    assert out == ""
+    assert "step budget must be a positive integer" in err

@@ -239,9 +239,7 @@ def _sessions(draw):
         "logindex %s divisor %s %s" % (v, divisor(ring), at()),
         "bb %s phi (%s) %s" % (v, phi, at()),
         "residue %s over %s %s" % (f, v, at()),
-        "check milnor_total of %s points (%s)" % (v, ", ".join(
-            draw(st.lists(st.sampled_from((proj, affine)), min_size=1,
-                          max_size=3)))),
+        "check milnor_total of %s points (%s)" % (v, proj),
         "check pfaff_degree of %s along %s" % (v, curves()),
         "check log_bb of %s divisor %s points (%s branch %s)" % (
             v, divisor(ring + ("infinity",)), proj, branch),
@@ -418,3 +416,26 @@ def test_local_commands_at_a_point_read_the_data_moved_by_hand(at, pq):
     want = [gsv_pfaff_curve(V, C), gsv_pfaff_curve(W, C)]
     got = [r["value"] for r in run_session(parse_session(text))]
     assert got == [r.value for r in want]
+
+
+@pytest.mark.parametrize("text", [
+    "ring x,y; f := x; milnor f at (0,0,0);",
+    "ring x,y; f := x; P := point (1, 0, 0); milnor f at P;",
+    "ring x,y; v := vf(x, y); P := point (0, 0); "
+    "check milnor_total of v points (P);",
+], ids=["at-literal", "at-name", "points-item"])
+def test_point_arity_checked_at_parse_time(text):
+    with pytest.raises(RingMismatch, match="coordinates") as exc:
+        parse_session(text)
+    assert exc.value.line == 1 and exc.value.col is not None
+
+
+def test_record_inputs_are_the_session_text():
+    text = ("ring x,y,z; v := vf(x, 2*y, 3*z); l1 := y - x^2; "
+            "l2 := z - x^3; gsv v along (l1, l2) at (0,0,0); "
+            "logindex v divisor (x, y) at (0,0,0); "
+            "bb v phi (c1^3) at (0,0,0);")
+    inputs = [r["inputs"] for r in run_session(parse_session(text))]
+    assert inputs[0]["curve"] == "(l1, l2)"
+    assert inputs[1]["divisor"] == "(x, y)"
+    assert inputs[2]["phi"] == "(c1^3)"

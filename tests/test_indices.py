@@ -442,18 +442,31 @@ def test_k3_germs_within_a_small_budget(exps, terms):
         assert 1 <= tjurina_number(f).value <= mu
 
 
-def test_saito_self_checks_raise_route_conflict(monkeypatch):
-    # _saito_triple is called directly: tangency_cofactor divides too
+def test_saito_self_checks_raise_route_conflict():
+    # a wrong cofactor breaks the identity g * omega == xi * df + f * eta
     x, y = xy()
     v, f = VectorField((2 * x, 3 * y)), y ** 2 - x ** 3
-    exact = indices.exact_divide
-    monkeypatch.setattr(indices, "exact_divide", lambda p, g: None)
-    with pytest.raises(RouteConflict, match="tangency guarantees"):
-        indices._saito_triple(v, f, "fy")
-    monkeypatch.setattr(indices, "exact_divide",
-                        lambda p, g: exact(p, g) + x)
+    h = tangency_cofactor(v, f)
     with pytest.raises(RouteConflict, match="decomposition identity"):
-        indices._saito_triple(v, f, "fx")
+        indices._saito_variants(v, f, h + x)
+
+
+@pytest.mark.parametrize("command, steps", [
+    (lambda v, f, b: gsv_curve(v, f), 17),
+    (lambda v, f, b: cs_index(v, f, b), 11),
+    (lambda v, f, b: var_index(v, f, b), 17),
+    (lambda v, f, b: saito_decomposition(v, f), 11),
+], ids=["gsv", "cs", "var", "saito_decomposition"])
+def test_plane_germ_divides_once(command, steps):
+    # on the cusp every step but one is a standard basis or normal form:
+    # the tangency cofactor is the germ's only exact division
+    x, y = xy()
+    t = Poly.var(1, 0)
+    v, f = VectorField((2 * x, 3 * y)), y ** 2 - x ** 3
+    b = BranchParam.from_polys((t ** 2, t ** 3), 20)
+    with step_budget(100) as budget:
+        command(v, f, b)
+    assert 100 - budget.remaining == steps
 
 
 def _acceptance_moves():

@@ -213,6 +213,22 @@ def test_branches_at_undeclared_points_rejected():
                          branches=moved)
 
 
+def test_point_declared_twice_rejected():
+    # [1:1:1] counted twice stands in for the missing [1:2:2] in every
+    # chart, so the certificate alone would pass this list
+    x, y = xy()
+    fol = ProjectiveFoliation.from_affine_field(
+        VectorField(((x - 1) * (x - 2), (y - 1) * (y - 2))))
+    points = [ProjPoint(c) for c in ((1, 1, 1), (2, 2, 2), (1, 1, 2),
+                                     (1, 2, 1), (0, 1, 0), (0, 0, 1),
+                                     (0, 1, 1))]
+    for kind in ("milnor_total", "bb_total"):
+        with pytest.raises(InvalidInput, match="declared twice"):
+            run_global_check(fol, kind, points=points)
+        with pytest.raises(IncompleteSingularities):
+            run_global_check(fol, kind, points=points[1:])
+
+
 def test_missing_branches_fail_honestly():
     fol, curve, points, _ = cubic_data()
     report = run_global_check(fol, "cs_total", curve=curve, points=points)
