@@ -106,7 +106,7 @@ def _divide(p, f):
     return Poly(p.nvars, quotient)
 
 
-def integer_rank(rows):
+def integer_rank(rows, pivots=None):
     """Rank of a list of integer rows, by sparse fraction-free elimination.
 
     A row is a dense sequence or a sparse {column: int} dict.  Each row is
@@ -115,8 +115,22 @@ def integer_rank(rows):
     by its content after every step to hold coefficient growth down.  A row
     that does not reduce to zero becomes the pivot of its lowest column.
     The pivots have distinct lowest columns, so their count is the rank.
+
+    pivots, if given, is the echelon {lowest column: row} of rows
+    eliminated before; it is extended in place, and the count returned is
+    the rank of those rows and these together.  A pivot row is never changed
+    once stored, so dict(pivots) is a valid start for a second echelon that
+    extends the first and leaves it as it was.
+
+    The echelon also gives the rank of the rows cut down to any prefix P of
+    the columns (every column below some c): it is the number of pivots in
+    P.  A pivot row is zero below its lowest column, so one whose pivot lies
+    past P is zero on P; the pivot rows with pivot in P keep distinct lowest
+    columns on P, hence stay independent there; and together they span the
+    rows cut down to P, since the pivot rows span the rows.
     """
-    pivots = {}
+    if pivots is None:
+        pivots = {}
     for r in rows:
         items = r.items() if isinstance(r, dict) else enumerate(r)
         row = {k: a for k, a in items if a}
@@ -225,22 +239,30 @@ class _Complex:
 
     comps is the integer field (the divided field in the logarithmic
     case) and f the integer terms of the hypersurface, or None.  A column
-    is the form x^e dx_K, keyed slot(K) * base^(n+1) + _code(e), where
-    slot(K) is the position of K among the index tuples of its size; the
-    key does not depend on the truncation level, so the rows of one level
-    are the rows of degree below it.  base exceeds every degree a row, a
-    contracted relation row or a twice contracted basis form reaches below
-    max_level.
+    is the form x^e dx_K, keyed (slot(K) - width |e|) base^(n+1) + _code(e),
+    where slot(K) is the position of K among the index tuples of its size
+    and width = C(n, n // 2) exceeds every slot.  So columns of higher
+    degree come first, key % base is the degree, and adding shift(a) =
+    _code(a) - width |a| base^(n+1) to a key multiplies its monomial by
+    x^a.  The key does not depend on the truncation level, so the rows of
+    one level are the rows of degree below it.  base exceeds every degree a
+    row, a contracted relation row or a twice contracted basis form reaches
+    below max_level.
 
     grow(L) adds the rows of every basis form x^e dx_I and every relation
-    source x^a with |e|, |a| < L; each is stored with its degree:
+    source x^a with |e|, |a| < L, each the shift of a primitive row computed
+    once for e or a = 0, and stored with its degree:
       phi[j][key of x^e dx_I] = (degree, primitive row of i_v(x^e dx_I)),
           the degree is max(|e|, degree of the image);
       rel[j][template * base^(n+1) + _code(a)] = (degree, row, pushed),
           the rows f x^a dx_I, then df ^ x^a dx_J, and with check set
           pushed = (degree, primitive row) of their contraction.
-    With check set it also verifies once per basis form that contracting
+    With check set it also verifies on every basis form that contracting
     twice gives zero.
+
+    It also carries the echelons of _chi_at from one level to the next
+    (level and window are those of the last level run): s[j] of the
+    relations S_j, k[j] of S_(j-1) stacked on phi_j(U_j), and b[j] of B_j.
     """
 
     def __init__(self, comps, f, top, max_level, check):
@@ -264,29 +286,44 @@ class _Complex:
         df = max([_terms_degree(t) for ts in relations for t in ts] + [0])
         self.base = max_level + df + 2 * dv + 1
         self.span = self.base ** (n + 1)
+        self.width = comb(n, n // 2)
         self.slots = [{K: s for s, K in enumerate(forms)}
                       for forms in self.forms]
         self.contractions = [[[(self.key(J, e), c) for (J, e), c in t.items()]
                               for t in ts] for ts in contractions]
-        self.relations = [[(_primitive({self.key(K, e): c
-                                        for (K, e), c in t.items()}),
-                            _terms_degree(t))
-                           for t in ts if t] for ts in relations]
+        self.images = [[self._primitive_image(dict(t)) for t in ts]
+                       for ts in self.contractions]
+        self.relations = []
+        for j, ts in enumerate(relations):
+            templates = [self._primitive_image({self.key(K, e): c
+                                                for (K, e), c in t.items()})
+                         for t in ts if t]
+            self.relations.append([
+                (deg, row, self._primitive_image(self.contract(j, row))
+                 if check and j else None) for deg, row in templates])
         self.phi = [{} for _ in range(top + 1)]
         self.rel = [{} for _ in range(top + 1)]
         self.built = 0
+        self.level = self.window = 0
+        self.s = [{} for _ in range(top + 1)]
+        self.k = [{} for _ in range(top + 1)]
+        self.b = [{} for _ in range(top)] + [self.s[top]]
+
+    def shift(self, e):
+        return _code(e, self.base) - sum(e) * self.width * self.span
 
     def key(self, K, e):
-        return self.slots[len(K)][K] * self.span + _code(e, self.base)
+        return self.slots[len(K)][K] * self.span + self.shift(e)
 
-    def degree(self, row):
-        return max((k % self.base for k in row), default=-1)
+    def _primitive_image(self, row):
+        return max((k % self.base for k in row), default=-1), _primitive(row)
 
     def contract(self, j, row):
         """Contraction of a row of j-forms, as a row of (j-1)-forms."""
         out = {}
         for k, c in row.items():
-            s, m = divmod(k, self.span)
+            s = k // self.span % self.width
+            m = k - s * self.span
             for t, b in self.contractions[j][s]:
                 t += m
                 x = out.get(t, 0) + c * b
@@ -300,24 +337,26 @@ class _Complex:
         span = self.span
         for d in range(self.built, level):
             for e in _monomials(self.n, d):
-                m = _code(e, self.base)
+                m = self.shift(e)
                 for j in range(1, self.top + 1):
-                    for s, I in enumerate(self.forms[j]):
-                        image = self.contract(j, {s * span + m: 1})
+                    for s, (deg, image) in enumerate(self.images[j]):
+                        row = {k + m: c for k, c in image.items()}
                         if (self.check and j >= 2
-                                and self.contract(j - 1, image)):
+                                and self.contract(j - 1, row)):
                             raise RouteConflict(
-                                "contracting %r twice is not zero" % ((I, e),))
-                        self.phi[j][s * span + m] = (
-                            max(d, self.degree(image)), _primitive(image))
+                                "contracting %r twice is not zero"
+                                % ((self.forms[j][s], e),))
+                        self.phi[j][s * span + m] = (d + max(deg, 0), row)
+                code = _code(e, self.base)
                 for j in range(self.top + 1):
-                    for t, (template, deg) in enumerate(self.relations[j]):
+                    for t, (deg, template, pushed) in enumerate(
+                            self.relations[j]):
                         row = {k + m: c for k, c in template.items()}
-                        pushed = None
-                        if self.check and j:
-                            image = self.contract(j, row)
-                            pushed = (self.degree(image), _primitive(image))
-                        self.rel[j][t * span + m] = (d + deg, row, pushed)
+                        if pushed is not None:
+                            pdeg, image = pushed
+                            pushed = (pdeg + d if image else -1,
+                                      {k + m: c for k, c in image.items()})
+                        self.rel[j][t * span + code] = (d + deg, row, pushed)
         self.built = max(self.built, level)
 
 
@@ -358,8 +397,28 @@ def _chi_at(cx, N, window):
 
         dim(K_j n U_j) = |U_j| - (rank(phi_j(U_j) stacked on S_{j-1})
                                    - rank(S_{j-1}))
-        dim(B_j n U_j) = rank(B_j rows) - rank(B_j rows with the U columns
-                                                zeroed out)
+        dim(B_j n U_j) = rank(B_j rows) - rank(B_j rows cut down to the
+                                                columns outside U)
+
+    The columns outside U, of degree at least window, come first in the
+    key order, so they are a prefix: by integer_rank's prefix rule the last
+    rank is the number of pivots of B_j's echelon at degree window or more,
+    and dim(B_j n U_j) is the number of its pivots in U.  One elimination
+    of the B_j rows gives both ranks.
+
+    At the first level each row is eliminated once: S_(j-1) first, then
+    the stacked rows extend a copy of its echelon, and B_(j-1), which holds
+    every stacked row (a window row has degree below N), extends a copy of
+    that.  The three echelons are then carried to the next level on cx:
+    rows are kept whole and their keys do not depend on N, so the rows of
+    level N (degree below N, or basis degree below the window) are a subset
+    of the rows of every higher level, whose window is larger too, and a
+    higher level eliminates only the rows that enter at it, into each
+    echelon that holds them.  Levels of one call must therefore never
+    decrease.  The carry rests on whole rows:
+    once rows are clipped modulo m^N to make the oracle local, the rows of
+    level N are no longer rows of level N + 2, and the echelons must be
+    rebuilt at each level.
 
     Three self-checks guard the count, and a failure raises RouteConflict
     (so they hold under python -O too): here, the differential keeps the
@@ -368,42 +427,49 @@ def _chi_at(cx, N, window):
     checks that contracting twice gives zero.
     """
     cx.grow(N)
-    base, top = cx.base, cx.top
-    phi = [[]] + [sorted(cx.phi[j].items()) for j in range(1, top + 1)]
-    for j in range(1, top + 1):
-        for k, (deg, _) in phi[j]:
-            if k % base < window and deg >= N:
-                raise RouteConflict(
-                    "window element pushed past the truncation boundary")
-    rel = [[entry for _, entry in sorted(cx.rel[j].items()) if entry[0] < N]
-           for j in range(top + 1)]
-    s_rows = [[row for _, row, _ in entries] for entries in rel]
-    rank_s = [integer_rank(rows) for rows in s_rows]
+    base, top, low, first = cx.base, cx.top, cx.level, not cx.level
+    new_s = [[row for _, (deg, row, _) in sorted(cx.rel[j].items())
+              if low <= deg < N] for j in range(top + 1)]
+    for j in range(top + 1):
+        integer_rank(new_s[j], cx.s[j])
 
     if cx.check:
         for j in range(1, top + 1):
-            pushed = [p for _, _, (deg, p) in rel[j] if p and deg < N]
-            if integer_rank(s_rows[j - 1] + pushed) != rank_s[j - 1]:
+            pushed = [p for deg, _, (pdeg, p) in cx.rel[j].values()
+                      if p and low <= max(deg, pdeg) < N]
+            rank = len(cx.s[j - 1])
+            if integer_rank(pushed, cx.s[j - 1]) != rank:
                 raise RouteConflict(
                     "contraction leaves the relation span at degree %d" % j)
+
+    for j in range(1, top + 1):
+        phi = sorted(cx.phi[j].items())
+        entering = [(deg, row) for k, (deg, row) in phi
+                    if cx.window <= k % base < window]
+        if any(deg >= N for deg, _ in entering):
+            raise RouteConflict(
+                "window element pushed past the truncation boundary")
+        entering = [row for _, row in entering]
+        if first:
+            cx.k[j] = dict(cx.s[j - 1])
+            integer_rank(entering, cx.k[j])
+            cx.b[j - 1] = dict(cx.k[j])
+            integer_rank([row for k, (deg, row) in phi
+                          if deg < N and k % base >= window], cx.b[j - 1])
+        else:
+            integer_rank(new_s[j - 1] + entering, cx.k[j])
+            integer_rank(new_s[j - 1] + [row for _, (deg, row) in phi
+                                         if low <= deg < N], cx.b[j - 1])
+    cx.level, cx.window = N, window
 
     in_window = _count_below(cx.n, window)
     chi = 0
     for j in range(top + 1):
-        nu = len(cx.forms[j]) * in_window
-        if j == 0:
-            dim_ku = nu
-        else:
-            stacked = [row for k, (_, row) in phi[j] if k % base < window]
-            stacked += s_rows[j - 1]
-            dim_ku = nu - (integer_rank(stacked) - rank_s[j - 1])
-        b_rows = list(s_rows[j])
-        if j < top:
-            b_rows = [row for _, (deg, row) in phi[j + 1] if deg < N] + b_rows
-        rb = integer_rank(b_rows)
-        rb_high = integer_rank([{k: a for k, a in r.items()
-                                 if k % base >= window} for r in b_rows])
-        h = dim_ku - (rb - rb_high)
+        dim_ku = len(cx.forms[j]) * in_window
+        if j:
+            dim_ku -= len(cx.k[j]) - len(cx.s[j - 1])
+        dim_bu = sum(1 for k in cx.b[j] if k % base < window)
+        h = dim_ku - dim_bu
         chi += h if j % 2 == 0 else -h
     return chi
 

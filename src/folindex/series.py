@@ -29,13 +29,17 @@ class InsufficientOrder(Exception):
     """Internal: the working truncation order cannot answer the question."""
 
 
+def _check_order(order):
+    if not (isinstance(order, int) and order >= 1):
+        raise InvalidInput("a series order is a positive integer, got %r"
+                           % (order,))
+
+
 class TruncSeries:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order, coeffs=()):
-        if not (isinstance(order, int) and order >= 1):
-            raise InvalidInput("a series order is a positive integer, got %r"
-                               % (order,))
+        _check_order(order)
         coeffs = [_rat(c) for c in coeffs]
         if len(coeffs) > order:
             raise InvalidInput("%d coefficients do not fit order %d"
@@ -209,11 +213,12 @@ class BranchParam:
     A branch with a lift callback, as every branch built from exact
     polynomial components has, can be re-expanded to any order; hand-entered
     series branches are capped at the order they were given.  A branch built
-    from polynomials keeps them as polys, so it is known exactly; polys is
-    None for a series branch.
+    from polynomials keeps them as polys, so it is known exactly, and
+    expands them into series only when comps is read, at the branch's order;
+    polys is None for a series branch.
     """
 
-    __slots__ = ("order", "comps", "polys", "_lift")
+    __slots__ = ("order", "polys", "_comps", "_lift")
 
     def __init__(self, comps, lift=None):
         comps = tuple(comps)
@@ -222,26 +227,40 @@ class BranchParam:
                                "got %r" % (comps,))
         order = min(s.order for s in comps)
         self.order = order
-        self.comps = tuple(s.truncate(order) for s in comps)
+        self._comps = tuple(s.truncate(order) for s in comps)
         self.polys = None
         self._lift = lift
 
     @classmethod
     def from_polys(cls, polys, order):
         polys = tuple(polys)
-        branch = cls((TruncSeries.from_poly(p, order) for p in polys),
-                     lift=lambda n: cls.from_polys(polys, n))
-        branch.polys = polys
+        if not polys or not all(isinstance(p, Poly) and p.nvars == 1
+                                for p in polys):
+            raise InvalidInput("a branch needs at least one polynomial in t "
+                               "alone, got %r" % (polys,))
+        _check_order(order)
+        branch = object.__new__(cls)
+        branch.order, branch.polys, branch._comps = order, polys, None
+        branch._lift = lambda n: cls.from_polys(polys, n)
         return branch
+
+    @property
+    def comps(self):
+        """The components as series to the branch's order."""
+        if self._comps is None:
+            self._comps = tuple(TruncSeries.from_poly(p, self.order)
+                                for p in self.polys)
+        return self._comps
 
     def moved(self, at):
         """The branch minus the point at, so that it passes through the
         origin when it passed through at; an extendable series branch
         re-lifts and then subtracts the point again."""
-        _check_point(at, len(self.comps))
         if self.polys is not None:
+            _check_point(at, len(self.polys))
             return BranchParam.from_polys(
                 (p - q for p, q in zip(self.polys, at)), self.order)
+        _check_point(at, len(self.comps))
         lift = None
         if self.extendable:
             def lift(order):
@@ -253,19 +272,19 @@ class BranchParam:
         return self._lift is not None
 
     def at_order(self, order):
+        if self.polys is not None:
+            return BranchParam.from_polys(self.polys, order)
         if order <= self.order:
-            branch = BranchParam((s.truncate(order) for s in self.comps),
-                                 lift=self._lift)
-            branch.polys = self.polys
-            return branch
+            return BranchParam((s.truncate(order) for s in self.comps),
+                               lift=self._lift)
         if self._lift is None:
             raise TruncationNotStabilized(
                 "branch is only known to order %d" % self.order)
         return self._lift(order)
 
     def __repr__(self):
-        return "BranchParam(order=%d, nvars=%d)" % (self.order,
-                                                     len(self.comps))
+        return "BranchParam(order=%d, nvars=%d)" % (
+            self.order, len(self.polys or self.comps))
 
 
 def moved(data, at):

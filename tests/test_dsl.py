@@ -1,6 +1,7 @@
 """Session language: parsing, printing, round trips, execution."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -122,6 +123,19 @@ def test_branch_and_point_constructors():
         parse_session("ring x,y; P := point (1, 2, 3, 4);")
     with pytest.raises(ParseError):
         parse_session("ring x,y; b := branch(t) order 8;")
+
+
+def test_branch_order_costs_nothing_for_a_polynomial_branch():
+    # a branch from polynomials keeps them and expands to the order the
+    # residue needs, not to the order written; expanded to t^200000 when
+    # bound and again when moved, this session took over a second
+    text = ("ring x,y; f := y^2 - x^3; v := vf(2*x, 3*y); "
+            "b := branch(t^2, t^3) order 200000; "
+            "cs v along f branch b at (0,0);")
+    start = time.perf_counter()
+    records = run_session(parse_session(text))
+    assert [r["value"] for r in records] == [6]
+    assert time.perf_counter() - start < 0.5
 
 
 CORPUS = [

@@ -113,6 +113,11 @@ def test_branch_param_extension():
     lo = br.at_order(3)
     assert lo.order == 3 and lo.extendable
 
+    # polynomials are expanded at the order read, whatever order was given
+    big = BranchParam.from_polys((tp ** 2, tp ** 3), 10 ** 9)
+    assert big.at_order(6).comps[1].coeffs == (0, 0, 0, 1, 0, 0)
+    assert big.moved((1, 0)).at_order(3).comps[0].coeffs == (-1, 0, 1)
+
     capped = BranchParam((TruncSeries.param(4), TruncSeries.param(4)))
     assert not capped.extendable and capped.order == 4
     assert capped.at_order(2).order == 2
@@ -189,9 +194,11 @@ def test_branch_inputs_are_checked():
     lambda: TruncSeries.param(4).inverse(),
     lambda: BranchParam.from_polys((), 5),
     lambda: BranchParam((1, 2)),
+    lambda: BranchParam.from_polys((1, 2), 5),
+    lambda: BranchParam.from_polys((Poly.var(1, 0),), 0),
 ], ids=["too-many-coeffs", "order-0", "order-fraction", "truncate-up",
         "derivative-order-1", "inverse-no-constant", "branch-empty",
-        "branch-no-series"])
+        "branch-no-series", "branch-no-polys", "branch-order-0"])
 def test_malformed_series_raise_invalid_input(call):
     # these were asserts: under python -O TruncSeries(2, (1, 2, 3)) built an
     # order-2 series of three coefficients and an empty branch raised
