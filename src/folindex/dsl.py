@@ -364,10 +364,11 @@ class _Parser:
         names = [self.expect("ident").text]
         while self.peek().text == ",":
             self.next()
-            names.append(self.expect("ident").text)
+            tok = self.expect("ident")
+            if tok.text in names:
+                self.fail("repeated ring variable %r" % tok.text, tok)
+            names.append(tok.text)
         self.expect("op", ";")
-        if len(set(names)) != len(names):
-            self.fail("repeated ring variable")
         self.ring = tuple(names)
         statements = []
         while self.peek().kind != "eof":

@@ -109,12 +109,15 @@ def _divide(p, f):
 def integer_rank(rows, pivots=None):
     """Rank of a list of integer rows, by sparse fraction-free elimination.
 
-    A row is a dense sequence or a sparse {column: int} dict.  Each row is
+    A row is a sparse {column: int} dict with no zero entry.  Each row is
     reduced on its lowest column against the pivot row owning that column,
     by an integer combination that cancels the column exactly, and divided
     by its content after every step to hold coefficient growth down.  A row
     that does not reduce to zero becomes the pivot of its lowest column.
     The pivots have distinct lowest columns, so their count is the rank.
+    A row is never changed: a reduction builds a new dict, and a given row
+    that no pivot reduces is stored as a pivot as it is, not copied, so the
+    caller must not change it afterwards either.
 
     pivots, if given, is the echelon {lowest column: row} of rows
     eliminated before; it is extended in place, and the count returned is
@@ -131,9 +134,7 @@ def integer_rank(rows, pivots=None):
     """
     if pivots is None:
         pivots = {}
-    for r in rows:
-        items = r.items() if isinstance(r, dict) else enumerate(r)
-        row = {k: a for k, a in items if a}
+    for row in rows:
         while row:
             col = min(row)
             pivot = pivots.get(col)

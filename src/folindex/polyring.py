@@ -464,11 +464,7 @@ class DiffForm:
             raise InvalidInput("only forms of one degree in one ring add")
         coeffs = dict(self.coeffs)
         for idx, p in other.coeffs.items():
-            s = coeffs.get(idx, Poly.zero(self.nvars)) + p
-            if s.is_zero():
-                coeffs.pop(idx, None)
-            else:
-                coeffs[idx] = s
+            coeffs[idx] = coeffs.get(idx, Poly.zero(self.nvars)) + p
         return DiffForm(self.nvars, self.degree, coeffs)
 
     def __neg__(self):
@@ -554,11 +550,7 @@ def contract(omega, v):
             if pos % 2:
                 coeff = -coeff
             rest = idx[:pos] + idx[pos + 1:]
-            s = out.get(rest, Poly.zero(n)) + coeff
-            if s.is_zero():
-                out.pop(rest, None)
-            else:
-                out[rest] = s
+            out[rest] = out.get(rest, Poly.zero(n)) + coeff
     return DiffForm(n, omega.degree - 1, out)
 
 
@@ -583,11 +575,7 @@ def wedge(a, b):
             coeff = pa * pb
             if inversions % 2:
                 coeff = -coeff
-            s = out.get(merged, Poly.zero(n)) + coeff
-            if s.is_zero():
-                out.pop(merged, None)
-            else:
-                out[merged] = s
+            out[merged] = out.get(merged, Poly.zero(n)) + coeff
     return DiffForm(n, q, out)
 
 
@@ -610,11 +598,7 @@ def exterior_derivative(form):
             if below % 2:
                 dp = -dp
             merged = tuple(sorted(idx + (i,)))
-            s = out.get(merged, Poly.zero(n)) + dp
-            if s.is_zero():
-                out.pop(merged, None)
-            else:
-                out[merged] = s
+            out[merged] = out.get(merged, Poly.zero(n)) + dp
     return DiffForm(n, form.degree + 1, out)
 
 
@@ -693,9 +677,5 @@ def set_coordinate_one(p, at):
     terms = {}
     for e, c in p.terms.items():
         exp = e[:at] + e[at + 1:]
-        s = terms.get(exp, 0) + c
-        if s:
-            terms[exp] = s
-        else:
-            terms.pop(exp, None)
+        terms[exp] = terms.get(exp, 0) + c
     return Poly(p.nvars - 1, terms)

@@ -8,9 +8,10 @@ x_i^N lies in the component ideal, membership cofactors A with
 
 turn the residue into a coefficient extraction against the monomial
 denominator (x_1^N, ..., x_n^N): the value is the coefficient of
-x^(N-1, ..., N-1) in h * det(A) / (u_1 ... u_n), expanded in the quotient
-ring where any single exponent reaching N is discarded.  The witness data
-(N, units, cofactor matrix) is fingerprinted so runs can be compared.
+x^(N-1, ..., N-1) in h * det(A) / (u_1 ... u_n), expanded in the box ring
+C[x]/(x_1^N, ..., x_n^N): a Poly cut by _box, which drops every term with an
+exponent reaching N.  The witness data (N, units, cofactor matrix) is
+fingerprinted so runs can be compared.
 
 The witnesses are only needed modulo m^T, T = (n+1)N - n + 1, where m is
 the maximal ideal.  Suppose u_i x_i^N == sum_j A[i][j] v_j + R_i with every
@@ -60,41 +61,21 @@ class ResidueResult:
 
 
 def _box(p, N):
-    return {e: c for e, c in p.terms.items() if max(e) < N}
+    """p in the box ring: its terms with every exponent below N."""
+    return Poly._raw(p.nvars, {e: c for e, c in p.terms.items()
+                               if max(e) < N})
 
 
-def _box_mul(a, b, N):
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(i + j for i, j in zip(e1, e2))
-            if max(e) >= N:
-                continue
-            s = out.get(e, 0) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
-
-
-def _box_inverse(u, N, n):
-    zero_exp = (0,) * n
-    c = u.get(zero_exp, Fraction(0))
-    if c == 0:
+def _box_inverse(u, N):
+    """1/u in the box ring for u(0) == 1: the geometric series of the
+    nilpotent w = 1 - u, summed until a power of w leaves the box."""
+    if u.constant_term() != 1:
         raise RouteConflict("box inverse of a non-unit")
-    # u/c = 1 - w with w nilpotent in the box ring
-    w = {e: -v / c for e, v in u.items() if e != zero_exp}
-    inv = {zero_exp: Fraction(1) / c}
-    power = dict(w)
-    while power:
-        for e, v in power.items():
-            s = inv.get(e, 0) + v / c
-            if s:
-                inv[e] = s
-            else:
-                inv.pop(e, None)
-        power = _box_mul(power, w, N)
+    w = _box(1 - u, N)
+    inv = power = Poly.const(u.nvars, 1)
+    while not power.is_zero():
+        power = _box(power * w, N)
+        inv = inv + power
     return inv
 
 
@@ -137,12 +118,11 @@ def grothendieck_residue(h, v, bound=None):
         rows.append(wit.cofactors)
         units.append(wit.unit)
     det = PolyMatrix(rows).det()
-    num = _box(h * det, N)
-    u_prod = {(0,) * n: Fraction(1)}
+    u_prod = Poly.const(n, 1)
     for u in units:
-        u_prod = _box_mul(u_prod, _box(u, N), N)
-    series = _box_mul(num, _box_inverse(u_prod, N, n), N)
-    value = series.get((N - 1,) * n, Fraction(0))
+        u_prod = _box(u_prod * _box(u, N), N)
+    series = _box(h * det, N) * _box_inverse(u_prod, N)
+    value = series.terms.get((N - 1,) * n, Fraction(0))
     return ResidueResult(value=value, bound=N,
                          certificate=_certificate(N, units, rows))
 

@@ -86,6 +86,41 @@ def test_undeclared_name_exit_two(tmp_path, capsys):
     assert "line 2" in err and "column 6" in err
 
 
+@pytest.mark.parametrize("text, message, where", [
+    ("ring x,y; f := x $ y;", "unexpected character", "line 1, column 18"),
+    ("ring x,y,x;", "repeated ring variable", "line 1, column 10"),
+    ("ring x,y; x := y;", "cannot assign to ring variable",
+     "line 1, column 11"),
+    ("ring x,y; v := vf(x);", "vf needs 2 components", "line 1, column 21"),
+    ("ring x,y; w := form(x dx, y);", "expected d<var>",
+     "line 1, column 28"),
+    ("ring x,y; b := branch(t, t) order 1;", "branch order",
+     "line 1, column 35"),
+    ("ring x,y; f := x/0;", "zero denominator", "line 1, column 18"),
+    ("ring x,y; f := y^2 - x^3;\nmilnor f at (1/0, 0);", "zero denominator",
+     "line 2, column 16"),
+    ("ring x,y;\nmilnor g at (0,0);", "unknown name", "line 2, column 8"),
+], ids=["unexpected-character", "repeated-ring-variable",
+        "assign-ring-variable", "vf-arity", "form-item-without-dvar",
+        "branch-order-one", "zero-denominator-expression",
+        "zero-denominator-point", "unknown-name-in-command"])
+def test_bad_session_text_exit_two_with_its_place(tmp_path, capsys, text,
+                                                  message, where):
+    code, out, err = run_cli(tmp_path, capsys, text)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err and where in err
+
+
+def test_declared_polynomial_inside_an_expression(tmp_path, capsys):
+    code, out, err = run_cli(
+        tmp_path, capsys,
+        "ring x,y; f := y^2; g := f - x^3; milnor g at (0,0);",
+        "--format", "json")
+    assert code == 0
+    assert [r["value"] for r in json.loads(out)["records"]] == [2]
+
+
 def test_missing_file_exit_two(tmp_path, capsys):
     code = main(["run", str(tmp_path / "absent.fol")])
     captured = capsys.readouterr()

@@ -36,7 +36,7 @@ from folindex.indices import (
 )
 from folindex.localalgebra import step_budget
 from folindex.polyring import DiffForm, Poly, VectorField, dual_form
-from folindex.series import BranchParam, TruncSeries, moved
+from folindex.series import BranchParam, TruncSeries, moved, newton_lift
 
 
 def xy():
@@ -60,6 +60,15 @@ def test_milnor():
     assert milnor_number(moved(cusp_at, (1, -2))).value == 2
     with pytest.raises(NotZeroDimensional):
         milnor_number(x ** 2)
+
+
+def test_ph_index_at_a_regular_point():
+    # the components generate the unit ideal: power bound 1
+    x, y = xy()
+    rep = ph_index(VectorField((1 + x, y)))
+    assert rep.value == 0
+    assert rep.crosschecks == [("jacobian-residue", True,
+                                "residue 0 at power bound 1")]
 
 
 def test_tjurina():
@@ -247,6 +256,56 @@ def test_cs_and_var_along_covers_of_quasihomogeneous_cusps(case):
     assert var == p + q - p * q + k * p * q
     by_hand = branch_by_hand(*comps, order=2 * k * p * q + 1)
     assert cs_index(v, f, by_hand).value == k * p * q
+
+
+def test_cs_and_var_along_a_newton_lift_branch():
+    # the lifted branch is extendable: its ceiling comes from the germ
+    x, y = xy()
+    v, f = VectorField((x, 2 * y)), y - x ** 2
+    br = newton_lift(f, 8)
+    assert cs_index(v, f, br).value == 2
+    assert var_index(v, f, br).value == 3
+    assert gsv_curve(v, f).value == 1
+
+
+def test_series_branches_moved_from_a_point():
+    # the same germ written at (1, -2): an extendable branch re-lifts and
+    # is moved again at each order, a hand-entered one is moved once
+    x, y = xy()
+    t = Poly.var(1, 0)
+    at = (1, -2)
+    v = VectorField((x - 1, 2 * (y + 2)))
+    f = (y + 2) - (x - 1) ** 2
+
+    def lifted_at(order):
+        comps = newton_lift(y - x ** 2, order).comps
+        return BranchParam((s + q for s, q in zip(comps, at)), lift=lifted_at)
+
+    by_hand = branch_by_hand(1 + t, -2 + t ** 2, order=12)
+    for br in (lifted_at(8), by_hand):
+        assert cs_index(*moved((v, f, br), at)).value == 2
+
+
+@pytest.mark.parametrize("comps, message", [
+    ((1 + Poly.var(1, 0), Poly.var(1, 0) ** 2), "does not pass through"),
+    ((Poly.zero(1), Poly.zero(1)), "is constant"),
+], ids=["misses-the-point", "constant"])
+def test_bad_polynomial_branch_is_not_invariant(comps, message):
+    x, y = xy()
+    with pytest.raises(NotInvariant, match=message):
+        cs_index(VectorField((x, 2 * y)), y - x ** 2, branch_poly(*comps))
+
+
+@pytest.mark.parametrize("comps, message", [
+    ((1 + Poly.var(1, 0), Poly.var(1, 0) ** 2), "does not pass through"),
+    ((Poly.zero(1), Poly.zero(1)), "is constant"),
+    ((Poly.var(1, 0), Poly.var(1, 0)), "does not lie on the curve"),
+], ids=["misses-the-point", "constant", "leaves-the-curve"])
+def test_bad_series_branch_is_not_invariant(comps, message):
+    x, y = xy()
+    with pytest.raises(NotInvariant, match=message):
+        cs_index(VectorField((x, 2 * y)), y - x ** 2,
+                 branch_by_hand(*comps, order=12))
 
 
 def test_polynomial_branch_is_checked_exactly():

@@ -256,6 +256,8 @@ def test_bad_inputs_raise_invalid_input():
         order_along_curve(x, (Poly.var(3, 0),))
     with pytest.raises(InvalidInput):
         exact_divide(x, Poly.zero(2))
+    with pytest.raises(InvalidInput, match="different rings"):
+        exact_divide(x, Poly.var(3, 0))
 
 
 def test_ring_mismatch_raises_invalid_input_at_entry():

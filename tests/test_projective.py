@@ -11,6 +11,7 @@ from folindex.errors import (
     DegreeMismatch,
     IncompleteSingularities,
     InvalidInput,
+    NotZeroDimensional,
     UnsupportedIdentity,
 )
 from folindex.indices import cs_index, ph_index
@@ -111,6 +112,16 @@ def test_degree_detection():
         VectorField((y ** 2, x ** 2))).d == 2
 
 
+@pytest.mark.parametrize("comps, message", [
+    (lambda x, y, z: (x, y, z ** 2), "mixed degrees"),
+    (lambda x, y, z: (x, y, z + x * y), "homogeneous"),
+    (lambda x, y, z: (0 * x, 0 * y, 0 * z), "zero field"),
+], ids=["mixed-degrees", "not-homogeneous", "zero-field"])
+def test_foliation_field_without_one_degree_raises(comps, message):
+    with pytest.raises(DegreeMismatch, match=message):
+        ProjectiveFoliation(VectorField(comps(*Poly.variables(3))))
+
+
 def test_chart_restrict():
     x, y = xy()
     lam = 5
@@ -145,6 +156,8 @@ def test_affine_singular_audit():
     })
     assert affine_singular_audit(omega) == 5
     assert affine_singular_audit(VectorField((2 * x, 3 * y))) == 1
+    with pytest.raises(NotZeroDimensional):
+        affine_singular_audit(VectorField((x * y, x * y)))
 
 
 def cubic_data():

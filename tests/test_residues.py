@@ -116,18 +116,30 @@ def test_baum_bott_residue():
 
 def _exact_witness_value(h, v, N):
     """The residue from exact witnesses u_i x_i^N == sum_j A[i][j] v_j: the
-    coefficient of x^(N-1, ..., N-1) in h det(A) / (u_1 ... u_n)."""
+    coefficient of x^(N-1, ..., N-1) in h det(A) / (u_1 ... u_n), computed
+    with plain polynomial products and a box filter of its own."""
     n = v.nvars
     sb = standard_basis(v.components, MonomialOrder.local(n))
     wits = [membership_with_cofactors(Poly.var(n, i) ** N, sb)
             for i in range(n)]
     det = PolyMatrix([w.cofactors for w in wits]).det()
-    units = {(0,) * n: Fraction(1)}
+
+    def cut(p):
+        return Poly(n, {e: c for e, c in p.terms.items()
+                        if all(k < N for k in e)})
+
+    units = Poly.const(n, 1)
     for w in wits:
-        units = residues._box_mul(units, residues._box(w.unit, N), N)
-    series = residues._box_mul(residues._box(h * det, N),
-                               residues._box_inverse(units, N, n), N)
-    return series.get((N - 1,) * n, Fraction(0))
+        units = cut(units * w.unit)
+    # 1/units is the sum of the powers of rest = 1 - units, which has no
+    # constant term: every power past n(N - 1) leaves the box
+    rest = Poly.const(n, 1) - units
+    inverse = power = Poly.const(n, 1)
+    for _ in range(n * (N - 1)):
+        power = cut(power * rest)
+        inverse = inverse + power
+    series = cut(cut(h * det) * inverse)
+    return series.terms.get((N - 1,) * n, Fraction(0))
 
 
 def _random_fields():
