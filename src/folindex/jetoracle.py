@@ -106,6 +106,12 @@ def _divide(p, f):
     return Poly(p.nvars, quotient)
 
 
+def _check_level(N):
+    # below level 1 every quotient is zero and would read as stabilized
+    if isinstance(N, bool) or not isinstance(N, int) or N < 1:
+        raise InvalidInput("truncation level %r is not an int >= 1" % (N,))
+
+
 def integer_rank(rows, pivots=None):
     """Rank of a list of integer rows, by sparse fraction-free elimination.
 
@@ -166,7 +172,9 @@ def truncated_quotient_dim(gens, N):
     the origin: value(N) == value(N + 1) gives I + m^N == I + m^(N+1), so
     m^N lies in I + m * m^N, and by Nakayama m^N lies in I in the local
     ring, where the quotient by I is then the quotient by I + m^N.
+    N must be an integer of at least 1.
     """
+    _check_level(N)
     gens = tuple(gens)
     if not gens:
         raise InvalidInput("truncated_quotient_dim needs a generator")
@@ -236,19 +244,18 @@ def _terms_degree(terms):
 
 
 class _Complex:
-    """Sparse integer rows of one contraction complex, built once per call.
+    """Sparse integer rows of one hypersurface's contraction complex.
 
-    comps is the integer field (the divided field in the logarithmic
-    case) and f the integer terms of the hypersurface, or None.  A column
-    is the form x^e dx_K, keyed (slot(K) - width |e|) base^(n+1) + _code(e),
-    where slot(K) is the position of K among the index tuples of its size
-    and width = C(n, n // 2) exceeds every slot.  So columns of higher
-    degree come first, key % base is the degree, and adding shift(a) =
-    _code(a) - width |a| base^(n+1) to a key multiplies its monomial by
+    comps is the integer field and f the integer terms of the
+    hypersurface; the complex has forms of degree 0 to top = n - 1.  A
+    column is the form x^e dx_K, keyed (slot(K) - width |e|) base^(n+1) +
+    _code(e), where slot(K) is the position of K among the index tuples of
+    its size and width = C(n, n // 2) exceeds every slot.  So columns of
+    higher degree come first, key % base is the degree, and adding shift(a)
+    = _code(a) - width |a| base^(n+1) to a key multiplies its monomial by
     x^a.  The key does not depend on the truncation level, so the rows of
     one level are the rows of degree below it.  base exceeds every degree a
-    row, a contracted relation row or a twice contracted basis form reaches
-    below max_level.
+    row or a contracted relation row reaches below max_level.
 
     grow(L) adds the rows of every basis form x^e dx_I and every relation
     source x^a with |e|, |a| < L, each the shift of a primitive row computed
@@ -258,34 +265,29 @@ class _Complex:
       rel[j][template * base^(n+1) + _code(a)] = (degree, row, pushed),
           the rows f x^a dx_I, then df ^ x^a dx_J, and with check set
           pushed = (degree, primitive row) of their contraction.
-    With check set it also verifies on every basis form that contracting
-    twice gives zero.
 
     It also carries the echelons of _chi_at from one level to the next
     (level and window are those of the last level run): s[j] of the
     relations S_j, k[j] of S_(j-1) stacked on phi_j(U_j), and b[j] of B_j.
     """
 
-    def __init__(self, comps, f, top, max_level, check):
+    def __init__(self, comps, f, max_level, check):
         n = len(comps)
-        self.n, self.top, self.check = n, top, check
+        self.n, self.top, self.check = n, n - 1, check
         self.forms = [list(itertools.combinations(range(n), j))
-                      for j in range(top + 1)]
+                      for j in range(n)]
         contractions = [[]] + [[_contraction_terms(comps, I)
                                 for I in self.forms[j]]
-                               for j in range(1, top + 1)]
-        relations = [[] for _ in range(top + 1)]
-        if f is not None:
-            grad = _gradient(f, n)
-            for j in range(top + 1):
-                relations[j] = [{(I, e): c for e, c in f.items()}
-                                for I in self.forms[j]]
-                if j:
-                    relations[j] += [_wedge_df_terms(grad, J)
-                                     for J in self.forms[j - 1]]
+                               for j in range(1, n)]
+        grad = _gradient(f, n)
+        relations = [[{(I, e): c for e, c in f.items()} for I in forms]
+                     for forms in self.forms]
+        for j in range(1, n):
+            relations[j] += [_wedge_df_terms(grad, J)
+                             for J in self.forms[j - 1]]
         dv = max([_terms_degree(t) for ts in contractions for t in ts] + [0])
         df = max([_terms_degree(t) for ts in relations for t in ts] + [0])
-        self.base = max_level + df + 2 * dv + 1
+        self.base = max_level + df + dv + 1
         self.span = self.base ** (n + 1)
         self.width = comb(n, n // 2)
         self.slots = [{K: s for s, K in enumerate(forms)}
@@ -302,13 +304,13 @@ class _Complex:
             self.relations.append([
                 (deg, row, self._primitive_image(self.contract(j, row))
                  if check and j else None) for deg, row in templates])
-        self.phi = [{} for _ in range(top + 1)]
-        self.rel = [{} for _ in range(top + 1)]
+        self.phi = [{} for _ in range(n)]
+        self.rel = [{} for _ in range(n)]
         self.built = 0
         self.level = self.window = 0
-        self.s = [{} for _ in range(top + 1)]
-        self.k = [{} for _ in range(top + 1)]
-        self.b = [{} for _ in range(top)] + [self.s[top]]
+        self.s = [{} for _ in range(n)]
+        self.k = [{} for _ in range(n)]
+        self.b = [{} for _ in range(n - 1)] + [self.s[-1]]
 
     def shift(self, e):
         return _code(e, self.base) - sum(e) * self.width * self.span
@@ -342,11 +344,6 @@ class _Complex:
                 for j in range(1, self.top + 1):
                     for s, (deg, image) in enumerate(self.images[j]):
                         row = {k + m: c for k, c in image.items()}
-                        if (self.check and j >= 2
-                                and self.contract(j - 1, row)):
-                            raise RouteConflict(
-                                "contracting %r twice is not zero"
-                                % ((self.forms[j][s], e),))
                         self.phi[j][s * span + m] = (d + max(deg, 0), row)
                 code = _code(e, self.base)
                 for j in range(self.top + 1):
@@ -421,11 +418,10 @@ def _chi_at(cx, N, window):
     level N are no longer rows of level N + 2, and the echelons must be
     rebuilt at each level.
 
-    Three self-checks guard the count, and a failure raises RouteConflict
-    (so they hold under python -O too): here, the differential keeps the
-    window below the truncation boundary and, when cx.check is set,
-    contraction maps the relation span into itself at this level; cx.grow
-    checks that contracting twice gives zero.
+    Two self-checks guard the count, and a failure raises RouteConflict
+    (so they hold under python -O too): the differential keeps the window
+    below the truncation boundary and, when cx.check is set, contraction
+    maps the relation span into itself at this level.
     """
     cx.grow(N)
     base, top, low, first = cx.base, cx.top, cx.level, not cx.level
@@ -476,19 +472,29 @@ def _chi_at(cx, N, window):
 
 
 def contraction_complex_euler(v, germ, N=None):
-    """Euler characteristic of the contraction complex of v, by truncation.
+    """Euler characteristic of the contraction complex of v, by truncation,
+    as (value, stabilized).  N must be an int >= 1; with N omitted, the
+    level doubles until stabilized, up to _MAX_TRUNC, and
+    TruncationNotStabilized is raised past it.
 
-    germ may be a polynomial f (complex of differential forms on the
-    hypersurface f == 0, length one less than the ambient dimension) or an
-    iterable of variable indices D (complex of forms with logarithmic poles
-    on the union of coordinate hyperplanes x_i == 0, i in D; the modified
-    contraction coefficients v_i / x_i must divide exactly).
+    germ may be a polynomial f: the complex of forms on the hypersurface
+    f == 0, of length n - 1.  Stabilized means the value recurs at N + 2,
+    and N must exceed the degree buffer.
 
-    Returns (value, stabilized), where stabilized means the value recurs at
-    truncation N + 2.  With N omitted, the level is raised automatically
-    until stable, and TruncationNotStabilized is raised past _MAX_TRUNC.
+    Or germ may be variable indices D, for the complex of forms with
+    logarithmic poles on the hyperplanes x_i == 0, i in D.  Omega^1(log D)
+    is free on dx_i / x_i (i in D) and dx_j (j not in D), which contraction
+    sends to the divided components c_i = v_i / x_i (exact, or
+    NotLogarithmic) and c_j = v_j: the complex is the Koszul complex of c.
+    If O / (c) has finite length, c is a system of parameters of the
+    Cohen-Macaulay local ring O, so a regular sequence, the complex is
+    exact but at degree 0, and chi = dim O / (c) (Serre).  That colength is
+    truncated_quotient_dim(c, N): stabilized means it recurs at N + 1,
+    which by Nakayama makes it local.
     """
     n = v.nvars
+    if N is not None:
+        _check_level(N)
     if isinstance(germ, Poly):
         f = germ
         if f.nvars != n:
@@ -498,9 +504,19 @@ def contraction_complex_euler(v, germ, N=None):
         if _divide(v.apply(f), f) is None:
             raise NotInvariant(
                 "vector field is not tangent to the hypersurface")
-        cs = list(v.components)
-        top = n - 1
-        degs = [f.degree()] + [c.degree() for c in cs]
+        buffer = 1 + max(1, f.degree(), *(c.degree() for c in v.components))
+        if N is not None and N <= buffer:
+            raise TruncationNotStabilized(
+                "truncation level %d too small for the input degrees; it "
+                "must exceed %d" % (N, buffer))
+        level = max(8 if n <= 2 else 5, buffer + 2)
+        max_level = N + 2 if N is not None else max(level, _MAX_TRUNC) + 2
+        cx = _Complex(_integer_terms(v.components), _integer_terms([f])[0],
+                      max_level, check=n <= 2)
+
+        def euler(level):
+            value = _chi_at(cx, level, level - buffer)
+            return value, value == _chi_at(cx, level + 2, level + 2 - buffer)
     else:
         try:
             divisor = set(germ)
@@ -521,34 +537,16 @@ def contraction_complex_euler(v, germ, N=None):
                 cs.append(h)
             else:
                 cs.append(v.components[i])
-        f = None
-        top = n
-        degs = [c.degree() for c in v.components]
-    buffer = 1 + max([d for d in degs if d >= 0] + [1])
+        level = 1
+
+        def euler(level):
+            return truncated_quotient_dim(cs, level)
 
     if N is not None:
-        if N <= buffer:
-            raise TruncationNotStabilized(
-                "truncation level %d too small for the input degrees; it "
-                "must exceed %d" % (N, buffer))
-        max_level = N + 2
-    else:
-        level = max(8 if n <= 2 else 5, buffer + 2)
-        max_level = max(level, _MAX_TRUNC) + 2
-    cx = _Complex(_integer_terms(cs),
-                  None if f is None else _integer_terms([f])[0],
-                  top, max_level, check=n <= 2)
-
-    def chi(level):
-        return _chi_at(cx, level, level - buffer)
-
-    if N is not None:
-        value = chi(N)
-        return value, value == chi(N + 2)
-
+        return euler(N)
     while level <= _MAX_TRUNC:
-        value = chi(level)
-        if value == chi(level + 2):
+        value, stabilized = euler(level)
+        if stabilized:
             return value, True
         level *= 2
     raise TruncationNotStabilized(
