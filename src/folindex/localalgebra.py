@@ -26,7 +26,10 @@ integer row R_k and an integer scale sigma_k such that
 
 A normal form keeps U * P == sum_k C_k * B_k + H with integer U, C_k and H
 and U(0) != 0: a step multiplies by the two leading coefficients divided
-by their gcd, and the common content is divided out as it goes.  Every
+by their gcd, and the common content is divided out as it goes.  U and the
+C_k carry their scale as one running number, U(0), so a step rescales one
+number and not every cofactor, and the content test reads a running gcd
+of U and the C_k, kept in one gcd per step (see _reduce).  Every
 integer state is a nonzero multiple of the rational state the same steps
 would reach with monic elements, so the pair order, the reducer chosen by
 ecart, the stacking, the corner cuts and the steps spent are those of the
@@ -321,17 +324,75 @@ def _reduce(h, basis, order, budget, below):
     coefficient and subtracts the leading coefficient of H times the
     reducer, both divided by their gcd; then the common content of H, U and
     the C[k] is divided out.
+
+    U and the C[k] are held scaled.  The running scale is U(0): a step
+    multiplies it by its factor a and a content division divides it, and
+    no step writes U(0) otherwise (the leading monomial of h falls at every
+    step, so a step against a stacked intermediate has a nonzero shift).
+    Each term of U and C is held as a pair (c, s), for the scale s at which
+    it was last written, and its value is the integer c * scale / s.  So a
+    step multiplies one number instead of every coefficient of U and C,
+    and U and C are built only when h is stacked, after a fold and at
+    return.  A value is read as c times scale / s in lowest terms, one gcd
+    per scale s and not one long division per term, and a build before
+    return writes the values back at the current scale, so that a later
+    read meets few distinct scales.  The gcd of the values of U and C is a
+    running number too: a step multiplies it by a, a content division
+    divides it, and a step against B_k takes its gcd with the one term it
+    writes, at x^eh / x^e_k for the leading monomial x^eh of h.  That term
+    is new: every term x^f of C[k] has x^f * x^e_k above x^eh in the
+    order, by induction over the steps, since the order is multiplicative
+    and a stacked intermediate's leading monomial lies below those of the
+    steps before it.  A fold adds to terms already written, so after one
+    the gcd is recomputed from the values.
+    The same induction gives x^u * x^e0 >= x^eh for every term x^u of U
+    and the leading monomial x^e0 of the input.  So no step of either order
+    writes a term of U or C of degree above that of x^eh, which the cut of
+    h keeps below ``below``, and U and C need no cut of their own.
     """
     zero = (0,) * order.nvars
-    one = {zero: 1}
     key = order.key
-    U = one
+    scale = 1
+    U = {zero: (1, scale)}
     C = {}
+    # the gcd of the values of U and C
+    content_uc = 1
+    # scale / s in lowest terms for each s read since the scale last changed
+    ratios = {}
+
+    def value(c, s):
+        r = ratios.get(s)
+        if r is None:
+            g = gcd(scale, s)
+            r = ratios[s] = (scale // g, s // g)
+        return c * r[0] // r[1]
+
+    def values(P):
+        return {e: c if s == scale else value(c, s) for e, (c, s) in P.items()}
+
+    def built():
+        # the values (U, C), also written back as pairs at the current scale
+        out = [values(P) for P in (U, *C.values())]
+        for P, vals in zip((U, *C.values()), out):
+            P.update((e, (v, scale)) for e, v in vals.items())
+        return out[0], dict(zip(C, out[1:]))
+
+    def fold(P, c, e, Q):
+        # P += c * x^e * Q at the current scale
+        for f, d in Q.items():
+            f = tuple(map(add, e, f))
+            old = P.get(f)
+            v = c * d if old is None else value(*old) + c * d
+            if v:
+                P[f] = (v, scale)
+            else:
+                del P[f]
+
     # Mora: reducers grow with stacked intermediates.  A reducer is
     # (leading exponent, leading coefficient, ecart, polynomial, payload):
     # the payload is the basis index k, or for a stacked intermediate the
-    # representation (U, C) it had when stacked, so reductions against it
-    # fold into (U, C) exactly.
+    # values (U, C) it had when stacked, so reductions against it fold into
+    # (U, C) exactly.
     reducers = [(e, B[e], _degree(B) - sum(e), B, k)
                 for k, (B, e) in enumerate(basis)]
     while h:
@@ -348,32 +409,35 @@ def _reduce(h, basis, order, budget, below):
         # an ecart is never negative, so h is stacked only against a
         # reducer of positive ecart, never under the global order
         if ec and ec > (ech := _degree(h) - sum(eh)):
-            reducers.append((eh, ch, ech, h, (U, dict(C))))
+            reducers.append((eh, ch, ech, h, built()))
         d = gcd(ch, cg)
         a, b = cg // d, ch // d
         shift = tuple(map(sub, eh, eg))
         h = _addmul(_scale(h, a), -b, shift, g, below)
         if a != 1:
-            U = _scale(U, a)
-            C = {k: _scale(q, a) for k, q in C.items()}
+            scale *= a
+            content_uc *= a
+            ratios.clear()
         if type(payload) is int:
-            C[payload] = _addmul(dict(C.get(payload, {})), b, shift, one,
-                                 below)
+            C.setdefault(payload, {})[shift] = (b, scale)
+            content_uc = gcd(content_uc, b)
         else:
             U0, C0 = payload
-            U = _addmul(dict(U), -b, shift, U0, below)
+            fold(U, -b, shift, U0)
             for k, q in C0.items():
-                C[k] = _addmul(dict(C.get(k, {})), -b, shift, q, below)
+                fold(C.setdefault(k, {}), -b, shift, q)
+            U1, C1 = built()
+            content_uc = gcd(*U1.values(),
+                             *(c for q in C1.values() for c in q.values()))
         content = gcd(*h.values())
         if content != 1:
-            content = gcd(content, *U.values(),
-                          *(c for q in C.values() for c in q.values()))
+            content = gcd(content, content_uc)
             if content != 1:
-                h, U = ({e: c // content for e, c in P.items()}
-                        for P in (h, U))
-                C = {k: {e: c // content for e, c in q.items()}
-                     for k, q in C.items()}
-    return h, U, C
+                h = {e: c // content for e, c in h.items()}
+                scale //= content
+                content_uc //= content
+                ratios.clear()
+    return h, values(U), {k: values(q) for k, q in C.items()}
 
 
 @dataclass(frozen=True)

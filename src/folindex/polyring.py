@@ -8,13 +8,14 @@ A product of two polynomials puts each factor over the least common
 denominator of its coefficients, multiplies and adds the integer numerators
 term by term, and builds one Fraction per term of the result (numerator
 over the product of the two denominators), so no term pair pays for a
-Fraction gcd.
+Fraction gcd.  A translation p(x + q) is an integer Taylor shift in the
+same way: one Fraction per term of the result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from operator import add
 
 from .errors import InvalidInput
@@ -522,9 +523,43 @@ def _check_point(q, n):
 
 
 def translate_to_origin(p, q):
-    """p(x + q): the germ of p at the point q, presented at the origin."""
+    """p(x + q): the germ of p at the point q, presented at the origin.
+
+    An integer Taylor shift (von zur Gathen-Gerhard 1997): with p == P / d
+    and q == a / b over common denominators, x_i + q_i == (b x_i + a_i) / b,
+    so for the top degree D of p
+
+        p(x + q) == sum_e P_e b^(D - |e|) prod_i (b x_i + a_i)^(e_i) / (d b^D)
+
+    and each factor expands by the binomial theorem.  The sum runs over
+    integers, and each term of the result is one Fraction."""
     _check_point(q, p.nvars)
-    return p.subst([x + c for x, c in zip(Poly.variables(p.nvars), q)])
+    if not (p.terms and any(q)):
+        return p
+    d, P = _over_common_denominator(p.terms)
+    b = lcm(*(c.denominator for c in q))
+    a = [c.numerator * (b // c.denominator) for c in q]
+    top = p.degree()
+    bpow = [1]
+    for _ in range(top):
+        bpow.append(bpow[-1] * b)
+    # rows[i, k]: the pairs (j, C(k, j) a_i^(k - j) b^j) of (b x_i + a_i)^k
+    rows = {}
+    acc = {}
+    for e, c in P:
+        parts = [((), c * bpow[top - sum(e)])]
+        for i, k in enumerate(e):
+            row = rows.get((i, k))
+            if row is None:
+                row = rows[i, k] = [(j, comb(k, j) * a[i] ** (k - j) * bpow[j])
+                                    for j in range(k + 1)
+                                    if a[i] or j == k]
+            parts = [(f + (j,), u * r) for f, u in parts for j, r in row]
+        for f, u in parts:
+            acc[f] = acc.get(f, 0) + u
+    den = d * bpow[top]
+    return Poly._raw(p.nvars, {f: Fraction(u, den)
+                               for f, u in acc.items() if u})
 
 
 def translate_field(v, q):

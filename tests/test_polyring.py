@@ -419,3 +419,29 @@ def test_product_matches_the_schoolbook_fraction_product(pq):
         assert prod.terms == _schoolbook_product(p, q)
         assert all(type(c) is Fraction and c for c in prod.terms.values())
         assert all(len(e) == p.nvars for e in prod.terms)
+
+
+def _translation_cases(n):
+    point = st.lists(st.fractions(min_value=-5, max_value=5,
+                                  max_denominator=7), min_size=n, max_size=n)
+    return st.tuples(_wide_polys(n), point)
+
+
+@seed(20261020)
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(_translation_cases))
+@example((Poly.zero(2), [Fraction(1, 2), Fraction(-2, 3)]))
+@example((Fraction(1, 3) * _x ** 3 - _y, [0, 0]))
+@example((_x ** 2 * _y - Fraction(3, 5) * _y ** 3 + 7,
+          [Fraction(1, 2), Fraction(-3, 4)]))
+@example((Poly.var(3, 1) ** 3 - Fraction(2, 9) * Poly.var(3, 0),
+          [Fraction(-1, 3), 0, Fraction(5, 2)]))
+def test_translation_is_the_shifted_substitution(case):
+    # the binomial kernel against the one substitution kernel, and back
+    # through -q at the same rational point
+    p, q = case
+    moved = translate_to_origin(p, q)
+    assert moved == p.subst([v + c for v, c in
+                             zip(Poly.variables(p.nvars), q)])
+    assert all(type(c) is Fraction and c for c in moved.terms.values())
+    assert translate_to_origin(moved, [-c for c in q]) == p
