@@ -34,7 +34,7 @@ integer state is a nonzero multiple of the rational state the same steps
 would reach with monic elements, so the pair order, the reducer chosen by
 ecart, the stacking, the corner cuts and the steps spent are those of the
 rational algorithm.  The StandardBasis keeps this integer form: each B_k
-with its leading exponent, its row R_k and scale sigma_k, and the split
+with its leading key, its row R_k and scale sigma_k, and the split
 (G_j, w_j) of each generator.  normal_form, membership_with_cofactors and
 monomial_power_bound reduce against the B_k, and a membership witness takes
 its rows and scales from the basis.  Fractions are built on first read
@@ -43,13 +43,57 @@ R_kj / (w_j * sigma_k * lc(B_k)), and the results a caller is returned,
 where a unit u == U / U(0) has u(0) == 1.  quotient_dim reads the
 staircase and builds no Fraction.
 
-The pair loop computes each element's leading exponent once, when the
-element enters the basis, and each normal form computes a reducer's leading
-exponent, coefficient and ecart once, when the reducer enters its list.  A
+The pair loop computes each element's leading key once, when the element
+enters the basis, and each normal form computes a reducer's leading key,
+coefficient and ecart once, when the reducer enters its list.  A
 pair is skipped without reduction by the Gebauer-Moller chain criterion in
 both orders (some other leading monomial divides the pair's lcm and both of
 its pairs with the two are done), and by the product criterion (coprime
 leading monomials) in the global order only, where it holds.
+
+Packed monomials.  Every integer polynomial here (B_k, rows, the G_j, h,
+U and the C_k) is a dict keyed by one int per monomial, in the manner of
+Bachmann-Schoenemann (ISSAC 1998) and Monagan-Pearce (CASC 2007).  On n
+variables, with s == -1 in the local order and s == 1 in degrevlex, the
+key of x^e is
+
+    K(e) == s * |e| * 2^(32n) - sum_i e_i * 2^(32i),
+
+for the total degree |e|: each exponent has a 32-bit field, and the
+degree sits above them all.  While every total degree is below
+DEGREE_CAP == 2^31, so is every exponent, and then:
+
+- order: integer order on K is the monomial order (the degree field
+  decides first, and then the smaller exponent of the last variable
+  wins), so a leading monomial is max(h) and a pair's heap key is an int;
+- products: K is additive, K(e + f) == K(e) + K(f), and the shift of a
+  step is the difference of two keys;
+- degree: divmod(-K, 2^(32n)) == (-s * |e|, P) for the plain packed
+  exponents P == sum_i e_i * 2^(32i);
+- divisibility: with G the word of the top bits of the fields, x^e
+  divides x^f exactly when ((P_f | G) - P_e) & G == G, since then no
+  field borrows from the next and each top bit stays set exactly when
+  f_i >= e_i;
+- cut: in the local order |e| < T exactly when K(e) > -T * 2^(32n) (in
+  degrevlex, when K(e) <= (T - 1) * 2^(32n)).
+
+Exponents are packed once, when a Poly enters (_integral), and unpacked
+when one leaves (_rational), and for pair lcms and the staircase: the
+public face is tuples (MonomialOrder.leading, StandardBasis.leading_exps,
+staircase, elements and expansions).
+
+Overflow.  No monomial of total degree DEGREE_CAP or more is ever formed;
+ResourceCap is raised first.  Every packed polynomial is an input, a
+product of a polynomial by a monomial, or a sum of products of two, and
+each is checked before it is made: an input by its degree (_integral);
+the S-polynomial of a pair when the pair is formed, since x^(lcm - e_k)
+* B_k has top degree |lcm| + ecart(B_k) and a cut only lowers ecarts; a
+reduction step by |eh| + ecart of its reducer, the top degree of x^(eh -
+eg) * g (_reduce), whose U and C stay below |eh|; a new row, and its
+products with the G_j in the final check, from reaches[k], a bound per
+element on the degree of rows[k][j] * G_j, and the tops of U and C;
+and a membership witness from the same bounds.  So every total degree
+formed is below DEGREE_CAP, and every rule above holds.
 
 Highest corner.  In the local order a basis may be computed modulo a power
 of the maximal ideal m, once a power of m is known to lie in the ideal (the
@@ -98,9 +142,9 @@ import contextvars
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, lcm
-from operator import add, le, sub
+from operator import le, mul
 
 from .errors import (
     InvalidInput,
@@ -187,26 +231,46 @@ def _budget():
     return StepBudget(DEFAULT_MAX_STEPS) if budget is None else budget
 
 
-class _Keys(dict):
-    """Sort keys by exponent, each computed on its first lookup."""
+# The width of one exponent field of a packed key, and the bound every total
+# degree stays below, so that each field keeps its top bit clear (module
+# docstring).
+_BITS = 32
+_FIELD = (1 << _BITS) - 1
+DEGREE_CAP = 1 << (_BITS - 1)
 
-    __slots__ = ("sign",)
 
-    def __missing__(self, exp):
-        key = self[exp] = ((self.sign * sum(exp),)
-                           + tuple(-e for e in reversed(exp)))
-        return key
+def _capped(degree):
+    """Raise ResourceCap when a monomial of this total degree could be
+    formed: packed keys hold total degrees below DEGREE_CAP only."""
+    if degree >= DEGREE_CAP:
+        raise ResourceCap("a monomial of total degree %d would be formed; "
+                          "total degrees are held below 2^%d"
+                          % (degree, _BITS - 1))
+
+
+@lru_cache(maxsize=64)
+def _packing(sign, nvars):
+    """(shift, mask, guard, fields, weights) of the packed keys of an order
+    of this sign on nvars variables (module docstring): the guard word has
+    the top bit of every field, fields holds the bit offset of each field,
+    and K(e) == sum(map(mul, e, weights))."""
+    shift = _BITS * nvars
+    mask = (1 << shift) - 1
+    fields = tuple(range(0, shift, _BITS))
+    weights = tuple([(sign << shift) - (1 << f) for f in fields])
+    return shift, mask, mask // _FIELD << (_BITS - 1), fields, weights
 
 
 class MonomialOrder:
     """A monomial order on a fixed number of variables; in the reverse lex
     tie-break earlier variables are larger.
 
-    key(exp) is the sort key of an exponent: the maximum over a
-    polynomial's terms is its leading monomial.  Each order computes the key
-    of an exponent once."""
+    key(exp) is the packed key of an exponent (module docstring): integer
+    order on keys is the monomial order, so the maximum over a polynomial's
+    terms is its leading monomial."""
 
-    __slots__ = ("kind", "nvars", "key")
+    __slots__ = ("kind", "nvars", "sign", "shift", "mask", "guard",
+                 "weights", "fields")
 
     def __init__(self, kind, nvars):
         if kind not in (LOCAL, GLOBAL):
@@ -215,9 +279,9 @@ class MonomialOrder:
             raise InvalidInput("an order needs at least one variable")
         self.kind = kind
         self.nvars = nvars
-        keys = _Keys()
-        keys.sign = -1 if kind == LOCAL else 1
-        self.key = keys.__getitem__
+        self.sign = -1 if kind == LOCAL else 1
+        (self.shift, self.mask, self.guard, self.fields,
+         self.weights) = _packing(self.sign, nvars)
 
     @classmethod
     def local(cls, nvars):
@@ -229,6 +293,40 @@ class MonomialOrder:
 
     def is_local(self):
         return self.kind == LOCAL
+
+    def key(self, exp):
+        """The packed key of an exponent tuple."""
+        return sum(map(mul, exp, self.weights))
+
+    def exponent(self, key):
+        """The exponent tuple of a packed key: the fields of the plain packed
+        exponents, the low bits of -key."""
+        return tuple([-key >> f & _FIELD for f in self.fields])
+
+    def degree(self, key):
+        """The total degree of a packed key."""
+        return -self.sign * (-key >> self.shift)
+
+    def top(self, P):
+        """The top total degree of a packed polynomial; 0 for zero.  It is
+        that of the least key in the local order and of the largest in
+        degrevlex."""
+        if not P:
+            return 0
+        if self.sign < 0:
+            return -min(P) >> self.shift
+        return -(-max(P) >> self.shift)
+
+    def cut(self, below):
+        """The cut to total degree below ``below`` >= 1, or None for
+        ``below`` None: one int, negative in the local order, where the
+        keys of degree below ``below`` are the ones above it, and positive
+        in degrevlex, where they are the ones below it."""
+        if below is None:
+            return None
+        if self.sign < 0:
+            return -below << self.shift
+        return ((below - 1) << self.shift) + 1
 
     def leading(self, p):
         """(exponent, coefficient) of the leading term.  p must be nonzero."""
@@ -248,36 +346,40 @@ class MonomialOrder:
         return "MonomialOrder(%r, %d)" % (self.kind, self.nvars)
 
 
-def _divides(e1, e2):
-    return all(map(le, e1, e2))
-
-
-def _integral(p):
+def _integral(p, order):
     """(P, num, den) with p == num / den * P: P is the primitive integer
-    polynomial of p as a dict {exponent: int}, and num and den are positive;
-    ({}, 1, 1) for p == 0."""
+    polynomial of p as a packed dict {key: int}, and num and den are
+    positive; ({}, 1, 1) for p == 0.  Raises ResourceCap when p has total
+    degree DEGREE_CAP or more."""
+    w = order.weights
     cs = p.terms.values()
     den = lcm(*(c.denominator for c in cs))
     num = gcd(*(c.numerator for c in cs)) or 1
-    return ({e: c.numerator // num * (den // c.denominator)
-             for e, c in p.terms.items()}, num, den)
+    P = {sum(map(mul, e, w)): c.numerator // num * (den // c.denominator)
+         for e, c in p.terms.items()}
+    # The top degree read from the keys reaches DEGREE_CAP when that of p
+    # does, even if an exponent overflows its field: locally -K(e) >= |e| *
+    # 2^(32n), and in degrevlex K(e) >= |e| * (2^(32n) - 2^(32n - 32)), as
+    # each e_i * 2^(32i) <= e_i * 2^(32n - 32).
+    _capped(order.top(P))
+    return P, num, den
 
 
-def _rational(P, num, den, n):
-    """The Poly num / den * P of the integer polynomial P."""
-    return Poly(n, {e: Fraction(c * num, den) for e, c in P.items()})
+def _rational(P, num, den, order):
+    """The Poly num / den * P of the packed integer polynomial P, whose
+    exponents are unpacked clean, so that Poly need not check them."""
+    exponent = order.exponent
+    return Poly._raw(order.nvars, {exponent(K): Fraction(c * num, den)
+                                   for K, c in P.items()})
 
 
-def _below(P, below):
-    """The terms of P of total degree less than ``below`` (all of them when
-    ``below`` is None)."""
-    if below is None:
+def _below(P, cut):
+    """The terms of P the cut keeps (all of them when ``cut`` is None)."""
+    if cut is None:
         return P
-    return {e: c for e, c in P.items() if sum(e) < below}
-
-
-def _degree(P):
-    return max(map(sum, P))
+    if cut < 0:
+        return {f: c for f, c in P.items() if f > cut}
+    return {f: c for f, c in P.items() if f < cut}
 
 
 def _scale(P, a):
@@ -285,15 +387,19 @@ def _scale(P, a):
     return dict(P) if a == 1 else {e: a * c for e, c in P.items()}
 
 
-def _addmul(out, c, e, P, below):
-    """out += c * x^e * P in place, without the terms of total degree
-    ``below`` or more; returns out."""
+def _addmul(out, c, e, P, cut):
+    """out += c * x^e * P in place for the packed key e, keeping only the
+    terms the cut keeps; returns out."""
     items = P.items()
-    if below is not None:
-        room = below - sum(e)
-        items = [(f, d) for f, d in items if sum(f) < room]
+    if cut is not None:
+        # x^e * x^f is kept when f lies on the kept side of cut - e
+        room = cut - e
+        if cut < 0:
+            items = [(f, d) for f, d in items if f > room]
+        else:
+            items = [(f, d) for f, d in items if f < room]
     for f, d in items:
-        g = tuple(map(add, e, f))
+        g = e + f
         s = out.get(g, 0) + c * d
         if s:
             out[g] = s
@@ -302,17 +408,18 @@ def _addmul(out, c, e, P, below):
     return out
 
 
-def _mul(out, c, P, Q, below):
-    """out += c * P * Q in place, without the terms of total degree
-    ``below`` or more; returns out."""
+def _mul(out, c, P, Q, cut):
+    """out += c * P * Q in place, keeping only the terms the cut keeps;
+    returns out."""
     for e, d in P.items():
-        _addmul(out, c * d, e, Q, below)
+        _addmul(out, c * d, e, Q, cut)
     return out
 
 
 def _reduce(h, basis, order, budget, below):
-    """Weak normal form of the integer polynomial h against basis, a list of
-    integer polynomials B_k with their leading exponents (B_k, e_k).
+    """Weak normal form of the packed integer polynomial h against basis, a
+    list of packed integer polynomials B_k with their leading keys (B_k,
+    e_k).
 
     Returns (H, U, C) with the identity
         U * h == sum_k C[k] * B_k + H
@@ -349,11 +456,16 @@ def _reduce(h, basis, order, budget, below):
     and the leading monomial x^e0 of the input.  So no step of either order
     writes a term of U or C of degree above that of x^eh, which the cut of
     h keeps below ``below``, and U and C need no cut of their own.
+
+    A step against a reducer g writes x^eh / x^eg * g, of top degree
+    |eh| + ecart(g); it raises ResourceCap first when that reaches
+    DEGREE_CAP.  With an ecart of 0 it is |eh|, the degree of a term of h.
     """
-    zero = (0,) * order.nvars
-    key = order.key
+    shift, mask, guard = order.shift, order.mask, order.guard
+    cut = order.cut(below)
     scale = 1
-    U = {zero: (1, scale)}
+    # the zero exponent has the key 0
+    U = {0: (1, scale)}
     C = {}
     # the gcd of the values of U and C
     content_uc = 1
@@ -380,7 +492,7 @@ def _reduce(h, basis, order, budget, below):
     def fold(P, c, e, Q):
         # P += c * x^e * Q at the current scale
         for f, d in Q.items():
-            f = tuple(map(add, e, f))
+            f += e
             old = P.get(f)
             v = c * d if old is None else value(*old) + c * d
             if v:
@@ -389,43 +501,58 @@ def _reduce(h, basis, order, budget, below):
                 del P[f]
 
     # Mora: reducers grow with stacked intermediates.  A reducer is
-    # (leading exponent, leading coefficient, ecart, polynomial, payload):
-    # the payload is the basis index k, or for a stacked intermediate the
-    # values (U, C) it had when stacked, so reductions against it fold into
-    # (U, C) exactly.
-    reducers = [(e, B[e], _degree(B) - sum(e), B, k)
-                for k, (B, e) in enumerate(basis)]
+    # (leading key, its plain packed exponents, leading coefficient, ecart,
+    # polynomial, payload): the payload is the basis index k, or for a
+    # stacked intermediate the values (U, C) it had when stacked, so
+    # reductions against it fold into (U, C) exactly.  In degrevlex every
+    # ecart is 0, as a leading monomial has top degree; in the local order
+    # -K >> shift is the degree of the key K, and the least key has the top
+    # degree.
+    if order.sign < 0:
+        reducers = [(e, -e & mask, B[e], (-min(B) >> shift) - (-e >> shift),
+                     B, k) for k, (B, e) in enumerate(basis)]
+    else:
+        reducers = [(e, -e & mask, B[e], 0, B, k)
+                    for k, (B, e) in enumerate(basis)]
     while h:
         budget.spend()
-        eh = max(h, key=key)
+        eh = max(h)
         ch = h[eh]
+        # x^eg divides x^eh when no field of eh - eg borrows
+        plain = -eh & mask
+        room = plain | guard
         best = None
         for red in reducers:
-            if (best is None or red[2] < best[2]) and _divides(red[0], eh):
+            if ((best is None or red[3] < best[3])
+                    and (room - red[1]) & guard == guard):
                 best = red
         if best is None:
             break
-        eg, cg, ec, g, payload = best
-        # an ecart is never negative, so h is stacked only against a
-        # reducer of positive ecart, never under the global order
-        if ec and ec > (ech := _degree(h) - sum(eh)):
-            reducers.append((eh, ch, ech, h, built()))
+        eg, _, cg, ec, g, payload = best
+        # an ecart is never negative, and positive only in the local order;
+        # h is stacked only against a reducer of positive ecart, never under
+        # the global order
+        if ec:
+            dh = -eh >> shift
+            _capped(dh + ec)
+            if ec > (ech := (-min(h) >> shift) - dh):
+                reducers.append((eh, plain, ch, ech, h, built()))
         d = gcd(ch, cg)
         a, b = cg // d, ch // d
-        shift = tuple(map(sub, eh, eg))
-        h = _addmul(_scale(h, a), -b, shift, g, below)
+        step = eh - eg
+        h = _addmul(_scale(h, a), -b, step, g, cut)
         if a != 1:
             scale *= a
             content_uc *= a
             ratios.clear()
         if type(payload) is int:
-            C.setdefault(payload, {})[shift] = (b, scale)
+            C.setdefault(payload, {})[step] = (b, scale)
             content_uc = gcd(content_uc, b)
         else:
             U0, C0 = payload
-            fold(U, -b, shift, U0)
+            fold(U, -b, step, U0)
             for k, q in C0.items():
-                fold(C.setdefault(k, {}), -b, shift, q)
+                fold(C.setdefault(k, {}), -b, step, q)
             U1, C1 = built()
             content_uc = gcd(*U1.values(),
                              *(c for q in C1.values() for c in q.values()))
@@ -444,20 +571,23 @@ def _reduce(h, basis, order, budget, below):
 class StandardBasis:
     """A standard (local) or Groebner (global) basis with expansions.
 
-    The basis is held in integers (module docstring): basis[k] is (B_k, e_k)
-    for an integer polynomial B_k with leading exponent e_k, and
+    The basis is held in packed integers (module docstring): basis[k] is
+    (B_k, e_k) for a packed integer polynomial B_k with leading key e_k, and
         scales[k] * B_k == sum_j rows[k][j] * G_j
-    for the splits[j] == (G_j, num_j, den_j) with gens[j] == num_j / den_j *
-    G_j and G_j primitive.  The identity holds as a polynomial identity when
-    modulo is None, and modulo m^modulo otherwise; then m^modulo lies in the
-    ideal and no element or row has a term of degree modulo or more, except
-    an element whose leading monomial has that degree, which is that
-    monomial.  leading_exps[k] is e_k.  staircase holds the standard
-    monomials of the leading exponents, by degree and then as tuples, or
-    None when there are infinitely many.
+    for the packed rows and the splits[j] == (G_j, num_j, den_j) with
+    gens[j] == num_j / den_j * G_j and G_j primitive and packed.  The
+    identity holds as a polynomial identity when modulo is None, and modulo
+    m^modulo otherwise; then m^modulo lies in the ideal and no element or
+    row has a term of degree modulo or more, except an element whose
+    leading monomial has that degree, which is that monomial.  reaches[k]
+    bounds the total degree of every product rows[k][j] * G_j.
 
-    elements and expansions are the Fraction form, computed on first read:
-    elements[k] is B_k made monic with respect to the order, and
+    The other fields are tuples of exponents: leading_exps[k] is the
+    exponent of e_k, and staircase holds the standard monomials of the
+    leading exponents, by degree and then as tuples, or None when there are
+    infinitely many.  elements and expansions are the Fraction form, Polys
+    computed on first read: elements[k] is B_k made monic with respect to
+    the order, and
         elements[k] == sum_j expansions[k][j] * gens[j]
     with the same modulo.
     """
@@ -468,20 +598,19 @@ class StandardBasis:
     rows: tuple = field(hash=False)
     scales: tuple
     splits: tuple = field(hash=False)
+    reaches: tuple = field(hash=False)
     leading_exps: tuple
     staircase: tuple | None
     modulo: int | None = None
 
     @cached_property
     def elements(self):
-        n = self.order.nvars
-        return tuple(_rational(B, 1, B[e], n) for B, e in self.basis)
+        return tuple(_rational(B, 1, B[e], self.order) for B, e in self.basis)
 
     @cached_property
     def expansions(self):
-        n = self.order.nvars
         return tuple(
-            tuple(_rational(R, den, num * sigma * B[e], n)
+            tuple(_rational(R, den, num * sigma * B[e], self.order)
                   for R, (_, num, den) in zip(row, self.splits))
             for (B, e), row, sigma in zip(self.basis, self.rows, self.scales))
 
@@ -492,16 +621,16 @@ def at_corner(c):
     return c
 
 
-def _clip(B, e, row, sigma, below):
-    """Element B with leading exponent e, its row and its scale sigma modulo
-    m^below.  An element whose leading monomial lies in m^below becomes that
-    monomial, which is in the ideal and keeps the leading exponent; its old
-    leading coefficient moves into the scale, so that the expansions read
-    from the row stay those of the monic element."""
-    row = [_below(R, below) for R in row]
-    if sum(e) >= below:
+def _clip(B, e, row, sigma, cut):
+    """Element B with leading key e, its row and its scale sigma under the
+    cut of the local order.  An element whose leading monomial the cut
+    drops becomes that monomial, which is in the ideal and keeps the leading
+    exponent; its old leading coefficient moves into the scale, so that the
+    expansions read from the row stay those of the monic element."""
+    row = [_below(R, cut) for R in row]
+    if not _below({e: 1}, cut):
         return {e: 1}, row, sigma * B[e]
-    return _below(B, below), row, sigma
+    return _below(B, cut), row, sigma
 
 
 def standard_basis(gens, order, modulo=None):
@@ -513,6 +642,10 @@ def standard_basis(gens, order, modulo=None):
     computation drops every term of degree T or more (see the module
     docstring), lowering T as the staircase shrinks; the basis records the
     final T.  A global order never truncates.
+
+    Raises ResourceCap before it would form a monomial of total degree
+    DEGREE_CAP or more: when a pair is formed whose S-polynomial could
+    reach it, and before a row or a reduction step that could.
     """
     gens = tuple(gens)
     if not gens:
@@ -522,79 +655,97 @@ def standard_basis(gens, order, modulo=None):
         raise InvalidInput("generators and order live in different rings")
     budget = _budget()
     local = order.is_local()
-    ints = [_integral(g) for g in gens]
+    key, top, degree = order.key, order.top, order.degree
+    shift, mask, guard = order.shift, order.mask, order.guard
+    ints = [_integral(g, order) for g in gens]
     m = len(gens)
 
     # basis[k] == (B_k, e_k) and scales[k] * B_k == sum_j rows[k][j] * G_j
     # for the primitive generators G_j (module docstring)
     basis = []
     lead_exps = []
+    # the plain packed exponents of e_k, for the divisibility test
+    plains = []
+    # ecarts[k] bounds the ecart of B_k, and reaches[k] the degree of every
+    # product rows[k][j] * G_j; a cut only lowers them
+    ecarts = []
+    reaches = []
     rows = []
     scales = []
     sugars = []
     pending = set()
     queue = []
-    below = None
+    below = cut = None
     # the staircase of the leading exponents: in a truncating local basis
     # enumerated once, when pure powers of all variables first bound it,
     # and then shrunk as each new leading exponent arrives; in any other
     # basis enumerated once, at the end
     std = None
 
-    def add_element(B, e, row, sigma, sugar):
+    def add_element(B, e, row, sigma, sugar, reach):
         t = len(basis)
-        if below is not None:
-            B, row, sigma = _clip(B, e, row, sigma, below)
+        if cut is not None:
+            B, row, sigma = _clip(B, e, row, sigma, cut)
+        exp = order.exponent(e)
+        # as in _reduce: 0 in degrevlex, read from the least key when local
+        ecart = (-min(B) >> shift) - (-e >> shift) if local else 0
         basis.append((B, e))
-        lead_exps.append(e)
+        lead_exps.append(exp)
+        plains.append(-e & mask)
+        ecarts.append(ecart)
+        reaches.append(reach)
         rows.append(row)
         scales.append(sigma)
         sugars.append(sugar)
         for s in range(t):
             es = lead_exps[s]
-            lcm_e = tuple(map(max, es, e))
+            lcm_e = tuple(map(max, es, exp))
+            d = sum(lcm_e)
+            # x^(lcm - e_k) * B_k has top degree d + ecart(B_k)
+            _capped(d + max(ecarts[s], ecart))
             if local:
-                head = sum(lcm_e)
+                head = d
             else:
-                head = max(sugars[s] + sum(lcm_e) - sum(es),
-                           sugar + sum(lcm_e) - sum(e))
+                head = max(sugars[s] + d - sum(es), sugar + d - sum(exp))
             pending.add((s, t))
-            heapq.heappush(queue, (head, order.key(lcm_e), s, t))
+            heapq.heappush(queue, (head, key(lcm_e), s, t))
         if local and modulo is not None:
-            lower_corner(e)
+            lower_corner(exp)
 
     def lower_corner(e):
         # the staircase of the leading monomials sets c; once it is finite,
         # cut every element and row at the new, lower T
-        nonlocal below, std
+        nonlocal below, cut, std
         if std is None:
             std = _staircase(lead_exps, n)
             if std is None:
                 return
         else:
-            kept = tuple(s for s in std if not _divides(e, s))
+            kept = tuple(s for s in std if not all(map(le, e, s)))
             if len(kept) == len(std):
                 return
             std = kept
         t = max(1, modulo(1 + (sum(std[-1]) if std else -1)))
         if below is not None and t >= below:
             return
-        below = t
+        below, cut = t, order.cut(t)
         for k, (B, ek) in enumerate(basis):
-            B, rows[k], scales[k] = _clip(B, ek, rows[k], scales[k], t)
+            B, rows[k], scales[k] = _clip(B, ek, rows[k], scales[k], cut)
             basis[k] = (B, ek)
 
     for j, (G, _, _) in enumerate(ints):
         if G:
             row = [{}] * m
-            row[j] = {(0,) * n: 1}
-            add_element(G, max(G, key=order.key), row, 1, _degree(G))
+            row[j] = {0: 1}
+            d = top(G)
+            add_element(G, max(G), row, 1, d, d)
 
-    def chain_skips(i, j, lcm_e):
+    def chain_skips(i, j, lcm_k):
         # Gebauer-Moller: S(i, j) is a combination of S(i, k) and S(j, k)
         # below lcm, and both of those are already done.
-        for k, ek in enumerate(lead_exps):
-            if (k != i and k != j and _divides(ek, lcm_e)
+        room = -lcm_k & mask | guard
+        for k, p in enumerate(plains):
+            if (k != i and k != j and (room - p) & guard == guard
                     and (min(i, k), max(i, k)) not in pending
                     and (min(j, k), max(j, k)) not in pending):
                 return True
@@ -608,52 +759,56 @@ def standard_basis(gens, order, modulo=None):
             budget.spend(len(queue))
             break
         budget.spend()
-        head, _, i, j = heapq.heappop(queue)
+        head, lcm_k, i, j = heapq.heappop(queue)
         pending.discard((i, j))
-        ei, ej = lead_exps[i], lead_exps[j]
-        if not local and all(a == 0 or b == 0 for a, b in zip(ei, ej)):
+        if not local and all(a == 0 or b == 0
+                              for a, b in zip(lead_exps[i], lead_exps[j])):
             # product criterion: disjoint supports reduce to zero (global only)
             continue
-        lcm_e = tuple(map(max, ei, ej))
-        if chain_skips(i, j, lcm_e):
+        if chain_skips(i, j, lcm_k):
             continue
-        si = tuple(map(sub, lcm_e, ei))
-        sj = tuple(map(sub, lcm_e, ej))
-        Bi, Bj = basis[i][0], basis[j][0]
+        (Bi, ei), (Bj, ej) = basis[i], basis[j]
+        si, sj = lcm_k - ei, lcm_k - ej
         d = gcd(Bi[ei], Bj[ej])
         a, b = Bj[ej] // d, Bi[ei] // d
-        spoly = _addmul(_addmul({}, a, si, Bi, below), -b, sj, Bj, below)
+        spoly = _addmul(_addmul({}, a, si, Bi, cut), -b, sj, Bj, cut)
         if not spoly:
             continue
         H, U, C = _reduce(spoly, basis, order, budget, below)
         if not H:
             continue
+        # every product the new row and its check below form, with the
+        # generators too, has at most this degree
+        u_top = top(U)
+        reach = max(u_top + degree(si) + reaches[i],
+                    u_top + degree(sj) + reaches[j],
+                    *(top(Ct) + reaches[t] for t, Ct in C.items()))
+        _capped(reach)
         # M * H == row . G: the S-polynomial's row times U, less the rows
         # of the elements C reduced by, over a common scale M
         M = lcm(scales[i], scales[j], *(scales[t] for t in C))
         fi, fj = a * (M // scales[i]), b * (M // scales[j])
         row = []
         for col, (Ri, Rj) in enumerate(zip(rows[i], rows[j])):
-            pair = _addmul(_addmul({}, fi, si, Ri, below), -fj, sj, Rj, below)
-            out = _mul({}, 1, U, pair, below)
+            pair = _addmul(_addmul({}, fi, si, Ri, cut), -fj, sj, Rj, cut)
+            out = _mul({}, 1, U, pair, cut)
             for t, Ct in C.items():
-                _mul(out, -(M // scales[t]), Ct, rows[t][col], below)
+                _mul(out, -(M // scales[t]), Ct, rows[t][col], cut)
             row.append(out)
         content = gcd(*H.values())
         sigma = M * content
         common = gcd(sigma, *(c for R in row for c in R.values()))
         # head is the pair's sugar in the global order; the local order
         # never reads sugars
-        add_element({e: c // content for e, c in H.items()},
-                    max(H, key=order.key),
+        add_element({e: c // content for e, c in H.items()}, max(H),
                     [{e: c // common for e, c in R.items()} for R in row],
-                    sigma // common, head)
+                    sigma // common, head, reach)
 
     for (B, _), row, sigma in zip(basis, rows, scales):
         acc = {}
         for R, (G, _, _) in zip(row, ints):
-            _mul(acc, 1, R, G, below)
-        if acc != _below(_scale(B, sigma), below):
+            _mul(acc, 1, R, G, cut)
+        if acc != _below(_scale(B, sigma), cut):
             raise RouteConflict("expansion bookkeeping broke")
 
     return StandardBasis(
@@ -663,6 +818,7 @@ def standard_basis(gens, order, modulo=None):
         rows=tuple(map(tuple, rows)),
         scales=tuple(scales),
         splits=tuple(ints),
+        reaches=tuple(reaches),
         leading_exps=tuple(lead_exps),
         staircase=_staircase(lead_exps, n) if std is None else std,
         modulo=below,
@@ -678,12 +834,16 @@ def _check_ring(p, sb):
 def normal_form(p, sb):
     """Weak normal form of p against the standard basis sb (remainder
     only): when sb works modulo m^T the remainder has no term of degree T or
-    more.  It is zero exactly when p lies in the ideal."""
+    more.  It is zero exactly when p lies in the ideal, and so at once when
+    the staircase is empty: then the ideal is the whole ring."""
     _check_ring(p, sb)
-    P, a, b = _integral(p)
-    H, U, _ = _reduce(_below(P, sb.modulo), sb.basis, sb.order, _budget(),
-                      sb.modulo)
-    return _rational(H, a, b * U[(0,) * p.nvars], p.nvars)
+    order = sb.order
+    if sb.staircase == ():
+        return Poly.zero(order.nvars)
+    P, a, b = _integral(p, order)
+    H, U, _ = _reduce(_below(P, order.cut(sb.modulo)), sb.basis, order,
+                      _budget(), sb.modulo)
+    return _rational(H, a, b * U[0], order)
 
 
 @dataclass(frozen=True)
@@ -702,34 +862,45 @@ def membership_with_cofactors(p, sb):
     Raises NotMember when p is not in the ideal.  The identity
     unit * p == sum cofactors[j] * gens[j] is checked before returning:
     exactly when sb.modulo is None, else modulo m^T for T == sb.modulo, and
-    then no cofactor and no unit term has degree T or more.
+    then no cofactor and no unit term has degree T or more.  When the
+    staircase is empty, the basis has an element B_0 with leading exponent
+    0, a unit of the local ring (a constant in degrevlex), and the witness
+    is B_0 * p == p * B_0 without a reduction.  Raises ResourceCap before
+    a product could reach total degree DEGREE_CAP.
     """
     _check_ring(p, sb)
-    below = sb.modulo
-    n = p.nvars
-    P, pa, pb = _integral(p)
-    P = _below(P, below)
-    H, U, C = _reduce(P, sb.basis, sb.order, _budget(), below)
-    u0 = U[(0,) * n]
+    order = sb.order
+    top = order.top
+    cut = order.cut(sb.modulo)
+    P, pa, pb = _integral(p, order)
+    P = _below(P, cut)
+    if sb.staircase == ():
+        k0 = next(k for k, (_, e) in enumerate(sb.basis) if e == 0)
+        H, U, C = {}, sb.basis[k0][0], {k0: P}
+    else:
+        H, U, C = _reduce(P, sb.basis, order, _budget(), sb.modulo)
+    u0 = U[0]
     if H:
         raise NotMember("polynomial is not in the ideal (normal form %s)"
-                        % _rational(H, pa, pb * u0, n).format())
+                        % _rational(H, pa, pb * u0, order).format())
+    _capped(max([top(U) + top(P),
+                 *(top(Ck) + sb.reaches[k] for k, Ck in C.items())]))
     # U * P == sum_k C_k * B_k and scales[k] * B_k == sum_j rows[k][j] * G_j,
     # so M * U * P == sum_j Q_j * G_j over a common multiple M of the scales
     M = lcm(*(sb.scales[k] for k in C))
     Q = [{} for _ in sb.splits]
     for k, Ck in C.items():
         for Qj, Rkj in zip(Q, sb.rows[k]):
-            _mul(Qj, M // sb.scales[k], Ck, Rkj, below)
+            _mul(Qj, M // sb.scales[k], Ck, Rkj, cut)
     acc = {}
     for Qj, (G, _, _) in zip(Q, sb.splits):
-        _mul(acc, 1, Qj, G, below)
-    if acc != _mul({}, M, U, P, below):
+        _mul(acc, 1, Qj, G, cut)
+    if acc != _mul({}, M, U, P, cut):
         raise RouteConflict("cofactor identity broke")
     return Cofactors(
-        cofactors=tuple(_rational(Qj, pa * b, pb * M * u0 * a, n)
+        cofactors=tuple(_rational(Qj, pa * b, pb * M * u0 * a, order)
                         for Qj, (_, a, b) in zip(Q, sb.splits)),
-        unit=_rational(U, 1, u0, n))
+        unit=_rational(U, 1, u0, order))
 
 
 def _staircase(exps, n):
@@ -797,11 +968,13 @@ def monomial_power_bound(sb):
     if d == 0:
         return 1
     budget = _budget()
-    below = sb.modulo
+    order = sb.order
+    cut = order.cut(sb.modulo)
     for bound in range(1, d + 1):
-        if all(not _reduce(_below({tuple(bound * (i == k) for k in range(n)):
-                                   1}, below),
-                           sb.basis, sb.order, budget, below)[0]
+        if all(not _reduce(_below({order.key(tuple(bound * (i == k)
+                                                   for k in range(n))): 1},
+                                  cut),
+                           sb.basis, order, budget, sb.modulo)[0]
                for i in range(n)):
             return bound
     raise RouteConflict("power bound exceeded the quotient dimension")
@@ -820,13 +993,12 @@ def exact_divide(p, f):
     if n != f.nvars:
         raise InvalidInput("dividend and divisor live in different rings")
     order = MonomialOrder.degrevlex(n)
-    P, pa, pb = _integral(p)
-    F, fa, fb = _integral(f)
-    H, U, C = _reduce(P, [(F, max(F, key=order.key))], order, _budget(),
-                      None)
+    P, pa, pb = _integral(p, order)
+    F, fa, fb = _integral(f, order)
+    H, U, C = _reduce(P, [(F, max(F))], order, _budget(), None)
     if H:
         return None
-    return _rational(C.get(0, {}), pa * fb, pb * fa * U[(0,) * n], n)
+    return _rational(C.get(0, {}), pa * fb, pb * fa * U[0], order)
 
 
 def order_along_curve(g, curve_polys):

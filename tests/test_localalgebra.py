@@ -1,17 +1,19 @@
 """Standard bases, normal forms with unit tracking, and quotient dimensions."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
 from functools import partial
 from math import gcd
-from operator import sub
+from operator import add, le, sub
+from time import perf_counter
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from folindex import localalgebra
+from folindex import localalgebra, milnor_number
 from folindex.errors import (
     InvalidInput,
     NotMember,
@@ -20,15 +22,12 @@ from folindex.errors import (
     RouteConflict,
 )
 from folindex.localalgebra import (
+    DEGREE_CAP,
     GLOBAL,
     INFINITE,
     LOCAL,
     MonomialOrder,
     StepBudget,
-    _addmul,
-    _degree,
-    _divides,
-    _scale,
     at_corner,
     exact_divide,
     membership_with_cofactors,
@@ -60,6 +59,133 @@ def test_order_keys():
 def test_order_permutation():
     with pytest.raises(InvalidInput):
         MonomialOrder("weighted", 2)
+
+
+def _exponents(n):
+    # small entries make ties and divisibility common; large ones reach the
+    # top of the fields, with every total degree below 2^31
+    entry = st.one_of(st.integers(0, 4), st.integers(0, DEGREE_CAP // 4 - 1))
+    return st.tuples(*[entry] * n)
+
+
+def _encodings():
+    def case(n):
+        return st.tuples(st.just(n), st.lists(_exponents(n), min_size=2,
+                                              max_size=6))
+    return st.integers(1, 4).flatmap(case)
+
+
+@seed(20261023)
+@settings(max_examples=300, deadline=None)
+@given(_encodings(), st.sampled_from((LOCAL, GLOBAL)),
+       st.integers(1, DEGREE_CAP))
+def test_packed_keys_encode_the_order_degree_divisibility_and_cut(case,
+                                                                  kind,
+                                                                  below):
+    n, exps = case
+    order = MonomialOrder(kind, n)
+    keys = [order.key(e) for e in exps]
+    assert [order.exponent(K) for K in keys] == exps
+    # integer order on keys is the old tuple key's order
+    assert (sorted(exps, key=order.key)
+            == sorted(exps, key=_tuple_key(order)))
+    assert localalgebra._rational(dict.fromkeys(keys, 1), 1, 1, order) \
+        == Poly(n, dict.fromkeys(exps, 1))
+    cut = order.cut(below)
+    for e, K in zip(exps, keys):
+        assert order.degree(K) == sum(e)
+        assert order.top({K: 1}) == sum(e)
+        assert bool(localalgebra._below({K: 1}, cut)) == (sum(e) < below)
+    for (e, Ke), (f, Kf) in itertools.product(zip(exps, keys), repeat=2):
+        if sum(e) + sum(f) < DEGREE_CAP:
+            g = tuple(map(add, e, f))
+            assert order.key(g) == Ke + Kf
+            # the guard test on a product, which x^e divides
+            assert _guard_divides(order, Ke, Ke + Kf)
+        assert _guard_divides(order, Ke, Kf) == all(map(le, e, f))
+
+
+def _guard_divides(order, Ke, Kf):
+    guard = order.guard
+    return ((-Kf & order.mask | guard) - (-Ke & order.mask)) & guard == guard
+
+
+def test_a_monomial_of_degree_two_to_the_31_raises_resource_cap():
+    x, y = Poly.variables(2)
+    # the staircase of (x^(2^31 - 1), y) would list 2^31 - 1 monomials;
+    # the pair of the two partials has an lcm of degree 2^31 and raises
+    # as it is formed
+    start = perf_counter()
+    with pytest.raises(ResourceCap):
+        milnor_number(x ** (2 ** 31) + y ** 2)
+    assert perf_counter() - start < 1
+    with step_budget(10) as budget:
+        with pytest.raises(ResourceCap):
+            standard_basis((x ** (2 ** 30) * y - 1, x * y ** (2 ** 30) - 1),
+                           MonomialOrder.degrevlex(2))
+    assert budget.remaining == 10
+    # an input of degree 2^31, and a reduction step whose reducer reaches
+    # it: x * y / x * (x + y^(2^31 - 1)) has degree 2^31
+    line = standard_basis((x,), local2())
+    with pytest.raises(ResourceCap):
+        normal_form(x ** (2 ** 31), line)
+    with pytest.raises(ResourceCap):
+        membership_with_cofactors(y ** (2 ** 31) * x, line)
+    tall = standard_basis((x + y ** (2 ** 31 - 1),), local2())
+    with pytest.raises(ResourceCap):
+        normal_form(x * y, tall)
+    assert normal_form(y, tall) == y
+    # the unit -1 has the row (1, -x^(2^30)), so the witness of x^(2^30)
+    # would multiply x^(2^30) * x^(2^30) * y
+    unit = standard_basis((x ** (2 ** 30) * y - 1, y),
+                          MonomialOrder.degrevlex(2))
+    assert unit.staircase == ()
+    with pytest.raises(ResourceCap):
+        membership_with_cofactors(x ** (2 ** 30), unit)
+    assert membership_with_cofactors(x ** 5, unit).unit == 1
+
+
+def _unit_ideal():
+    x, y = Poly.variables(2)
+    u = -3 + 3 * x ** 3 + 3 * x * y - 2 * x ** 3 * y ** 3
+    h = (-2 * x ** 4 * y ** 2 - 3 * x * y - 3 * x ** 2 * y ** 2 - 2 * y ** 4
+         + 2 * x * y ** 2)
+    return u, h
+
+
+def test_unit_ideal_reduces_without_a_swell():
+    # Mora against the unit u alone stacks h and swells: about 1 s to
+    # ResourceCap at 250 steps.  The staircase is empty, so normal_form is
+    # 0 at once, and the witness is B_0 * h == h * B_0 for the element B_0
+    # of leading exponent 0; both run under the default budget and take
+    # well under a second together.
+    u, h = _unit_ideal()
+    for order in (local2(), MonomialOrder.degrevlex(2)):
+        gens = (u,) if order.is_local() else (Poly.const(2, -3),)
+        sb = standard_basis(gens, order)
+        assert sb.staircase == ()
+        start = perf_counter()
+        assert normal_form(h, sb).is_zero()
+        wit = membership_with_cofactors(h, sb)
+        assert perf_counter() - start < 1
+        assert wit.unit.constant_term() == 1
+        assert wit.cofactors[0] * gens[0] == wit.unit * h
+    # modulo m^T the witness is cut there too
+    sb = _corner((u, h))
+    assert sb.staircase == () and sb.modulo == 1
+    wit = membership_with_cofactors(h + 1, sb)
+    assert wit.unit == 1
+    assert [q.degree() for q in wit.cofactors] == [0, -1]
+
+
+def test_unit_ideal_witness_keeps_the_cofactor_identity_check():
+    u, h = _unit_ideal()
+    sb = standard_basis((u,), local2())
+    broken = dataclasses.replace(
+        sb, rows=tuple(tuple(localalgebra._scale(R, 2) for R in row)
+                       for row in sb.rows))
+    with pytest.raises(RouteConflict, match="cofactor identity"):
+        membership_with_cofactors(h, broken)
 
 
 def test_mora_unit_tracking():
@@ -315,16 +441,57 @@ def test_broken_cofactors_raise_route_conflict(monkeypatch):
         membership_with_cofactors(x ** 3, sb)
 
 
+# The reference works on exponent tuples, with its own copies of the tuple
+# helpers the kernel had before it packed each monomial into one integer.
+
+def _tuple_key(order):
+    sign = -1 if order.is_local() else 1
+    return lambda e: (sign * sum(e),) + tuple(-a for a in reversed(e))
+
+
+def _tuple_below(P, below):
+    if below is None:
+        return P
+    return {e: c for e, c in P.items() if sum(e) < below}
+
+
+def _tuple_degree(P):
+    return max(map(sum, P))
+
+
+def _tuple_divides(e1, e2):
+    return all(map(le, e1, e2))
+
+
+def _tuple_scale(P, a):
+    return dict(P) if a == 1 else {e: a * c for e, c in P.items()}
+
+
+def _tuple_addmul(out, c, e, P, below):
+    items = P.items()
+    if below is not None:
+        room = below - sum(e)
+        items = [(f, d) for f, d in items if sum(f) < room]
+    for f, d in items:
+        g = tuple(map(add, e, f))
+        s = out.get(g, 0) + c * d
+        if s:
+            out[g] = s
+        else:
+            del out[g]
+    return out
+
+
 def _reference_reduce(h, basis, order, budget, below, events=None):
     # The reduction loop that rescales U and every C[k] at each step and
     # takes the content over all of them, kept as the reference for
     # localalgebra._reduce; events, when given, collects "stack" and "fold".
     zero = (0,) * order.nvars
     one = {zero: 1}
-    key = order.key
+    key = _tuple_key(order)
     U = one
     C = {}
-    reducers = [(e, B[e], _degree(B) - sum(e), B, k)
+    reducers = [(e, B[e], _tuple_degree(B) - sum(e), B, k)
                 for k, (B, e) in enumerate(basis)]
     while h:
         budget.spend()
@@ -332,32 +499,33 @@ def _reference_reduce(h, basis, order, budget, below, events=None):
         ch = h[eh]
         best = None
         for red in reducers:
-            if (best is None or red[2] < best[2]) and _divides(red[0], eh):
+            if ((best is None or red[2] < best[2])
+                    and _tuple_divides(red[0], eh)):
                 best = red
         if best is None:
             break
         eg, cg, ec, g, payload = best
-        if ec and ec > (ech := _degree(h) - sum(eh)):
+        if ec and ec > (ech := _tuple_degree(h) - sum(eh)):
             reducers.append((eh, ch, ech, h, (U, dict(C))))
             if events is not None:
                 events.append("stack")
         d = gcd(ch, cg)
         a, b = cg // d, ch // d
         shift = tuple(map(sub, eh, eg))
-        h = _addmul(_scale(h, a), -b, shift, g, below)
+        h = _tuple_addmul(_tuple_scale(h, a), -b, shift, g, below)
         if a != 1:
-            U = _scale(U, a)
-            C = {k: _scale(q, a) for k, q in C.items()}
+            U = _tuple_scale(U, a)
+            C = {k: _tuple_scale(q, a) for k, q in C.items()}
         if type(payload) is int:
-            C[payload] = _addmul(dict(C.get(payload, {})), b, shift, one,
-                                 below)
+            C[payload] = _tuple_addmul(dict(C.get(payload, {})), b, shift,
+                                       one, below)
         else:
             if events is not None:
                 events.append("fold")
             U0, C0 = payload
-            U = _addmul(dict(U), -b, shift, U0, below)
+            U = _tuple_addmul(dict(U), -b, shift, U0, below)
             for k, q in C0.items():
-                C[k] = _addmul(dict(C.get(k, {})), -b, shift, q, below)
+                C[k] = _tuple_addmul(dict(C.get(k, {})), -b, shift, q, below)
         content = gcd(*h.values())
         if content != 1:
             content = gcd(content, *U.values(),
@@ -370,16 +538,31 @@ def _reference_reduce(h, basis, order, budget, below, events=None):
     return h, U, C
 
 
+def _packed_reduce(h, basis, order, budget, below):
+    # localalgebra._reduce on the packed forms of tuple-keyed inputs, with
+    # its result unpacked
+    def pack(P):
+        return {order.key(e): c for e, c in P.items()}
+
+    def unpack(P):
+        return {order.exponent(K): c for K, c in P.items()}
+
+    H, U, C = localalgebra._reduce(
+        pack(h), [(pack(B), order.key(e)) for B, e in basis], order, budget,
+        below)
+    return unpack(H), unpack(U), {k: unpack(q) for k, q in C.items()}
+
+
 def _both_reductions(h, gens, kind, below, events=None):
     """(result, steps left) of the reference and of _reduce on h against
     gens, both cut at below; a result is (H, U, C) or ResourceCap."""
     order = MonomialOrder(kind, len(next(iter(h))))
-    cut = [localalgebra._below(g, below) for g in gens]
-    basis = [(B, max(B, key=order.key)) for B in cut if B]
-    h = localalgebra._below(h, below)
+    cut = [_tuple_below(g, below) for g in gens]
+    basis = [(B, max(B, key=_tuple_key(order))) for B in cut if B]
+    h = _tuple_below(h, below)
     out = []
     for reduce in (partial(_reference_reduce, events=events),
-                   localalgebra._reduce):
+                   _packed_reduce):
         budget = StepBudget(60)
         try:
             got = reduce(dict(h), basis, order, budget, below)
@@ -552,6 +735,9 @@ def test_corner_truncates_the_local_basis_only():
     wit = membership_with_cofactors(x * y, sb)
     assert all(q.degree() < 4 for q in wit.cofactors)
     assert wit.unit.constant_term() == 1
+    # a member of m^4 is 0 modulo m^4: no step and no cofactor
+    wit = membership_with_cofactors(x ** 4 + x ** 5 * y, sb)
+    assert wit.unit == 1 and all(q.is_zero() for q in wit.cofactors)
     # a global order never truncates: the corner policy gives the exact basis
     glob = _corner(gens, MonomialOrder.degrevlex(2))
     assert glob.modulo is None
@@ -827,3 +1013,41 @@ def test_fractions_are_built_only_where_they_are_read(monkeypatch):
             rest = b - sum((c * g for c, g in zip(row, gens)), Poly.zero(2))
             assert all(sb.modulo is not None and sum(e) >= sb.modulo
                        for e in rest.terms)
+
+
+@seed(20261024)
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_zero_dim_ideals(), _ideals()),
+       st.sampled_from(("local-corner", "local-exact", "global")))
+def test_the_degree_cap_raises_before_a_product_reaches_it(gens, kind):
+    # Record the top degree of every product _addmul writes for a basis and
+    # a witness; with DEGREE_CAP lowered to it, the same computation must
+    # raise ResourceCap for the degree before it writes such a product.
+    n = gens[0].nvars
+    gens = [g for g in gens if not g.is_zero()] or [Poly.var(n, 0)]
+    order, modulo = _order_and_policy(kind, n)
+    real = localalgebra._addmul
+    formed = [0]
+
+    def recording(out, c, e, P, cut):
+        real(out, c, e, P, cut)
+        formed[0] = max(formed[0], order.top(out))
+        return out
+
+    def run():
+        with step_budget(300):
+            sb = standard_basis(gens, order, modulo)
+            membership_with_cofactors(gens[0] * gens[-1], sb)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(localalgebra, "_addmul", recording)
+        try:
+            run()
+        except ResourceCap:
+            return
+    if formed[0] == 0:
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(localalgebra, "DEGREE_CAP", formed[0])
+        with pytest.raises(ResourceCap, match="total degree"):
+            run()
