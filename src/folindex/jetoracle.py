@@ -164,8 +164,7 @@ def integer_rank(rows, pivots=None):
 def truncated_quotient_dim(gens, N):
     """dim C[x] / (I + m^N) for the ideal I of the generators, by the rank
     of their monomial multiples x^a g with |a| < N - ord(g), each clipped
-    at degree N: every other multiple lies in m^N.  The multiples are the
-    integer terms of g shifted by x^a, built once for both levels.
+    at degree N: every other multiple lies in m^N.
 
     Returns (value, stabilized) where stabilized means the same count
     recurs at N + 1.  A stabilized value is the local dimension of I at
@@ -173,6 +172,12 @@ def truncated_quotient_dim(gens, N):
     m^N lies in I + m * m^N, and by Nakayama m^N lies in I in the local
     ring, where the quotient by I is then the quotient by I + m^N.
     N must be an integer of at least 1.
+
+    One elimination gives both levels.  A column x^e is keyed |e| base^(n+1)
+    + _code(e), so the columns of degree below N are a prefix, and the
+    multiples of level N are those of level N + 1 cut down to it (a
+    multiple of order N is zero there).  By integer_rank's prefix rule
+    their rank is the number of pivots of degree below N.
     """
     _check_level(N)
     gens = tuple(gens)
@@ -183,24 +188,21 @@ def truncated_quotient_dim(gens, N):
         raise InvalidInput("polynomial rings differ")
     terms = [g for g in _integer_terms(gens) if g]
     base = N + 2 + max((sum(e) for g in terms for e in g), default=0)
-    multiples = []
-    for t, g in enumerate(terms):
+    step = base ** (n + 1)
+    cut = (N + 1) * step
+    rows = []
+    for g in terms:
         low = min(map(sum, g))
-        codes = [(_code(e, base), c) for e, c in g.items()]
+        codes = [(_code(e, base) + sum(e) * step, c) for e, c in g.items()]
         for d in range(N + 1 - low):
             for a in _monomials(n, d):
-                m = _code(a, base)
-                row = {k + m: c for k, c in codes}
-                multiples.append(((t, m), d + low, row))
-    multiples.sort(key=lambda multiple: multiple[0])
-
-    def value(level):
-        rows = [_primitive({k: c for k, c in row.items() if k % base < level})
-                for _, low, row in multiples if low < level]
-        return _count_below(n, level) - integer_rank(rows)
-
-    v = value(N)
-    return v, v == value(N + 1)
+                m = _code(a, base) + d * step
+                rows.append(_primitive({k + m: c for k, c in codes
+                                        if k + m < cut}))
+    pivots = {}
+    rank = integer_rank(rows, pivots)
+    value = _count_below(n, N) - sum(1 for k in pivots if k < N * step)
+    return value, value == _count_below(n, N + 1) - rank
 
 
 # ---------------------------------------------------------------------------
@@ -253,27 +255,19 @@ class _Complex:
     its size and width = C(n, n // 2) exceeds every slot.  So columns of
     higher degree come first, key % base is the degree, and adding shift(a)
     = _code(a) - width |a| base^(n+1) to a key multiplies its monomial by
-    x^a.  The key does not depend on the truncation level, so the rows of
-    one level are the rows of degree below it.  base exceeds every degree a
-    row or a contracted relation row reaches below max_level.
+    x^a.  base exceeds every degree a row or a contracted relation row
+    reaches below max_level.
 
-    grow(L) adds the rows of every basis form x^e dx_I and every relation
-    source x^a with |e|, |a| < L, each the shift of a primitive row computed
-    once for e or a = 0, and stored with its degree:
-      phi[j][key of x^e dx_I] = (degree, primitive row of i_v(x^e dx_I)),
-          the degree is max(|e|, degree of the image);
-      rel[j][template * base^(n+1) + _code(a)] = (degree, row, pushed),
-          the rows f x^a dx_I, then df ^ x^a dx_J, and with check set
-          pushed = (degree, primitive row) of their contraction.
-
-    It also carries the echelons of _chi_at from one level to the next
-    (level and window are those of the last level run): s[j] of the
-    relations S_j, k[j] of S_(j-1) stacked on phi_j(U_j), and b[j] of B_j.
+    The templates are built once, each a primitive row with its degree:
+    images[j], the image i_v(dx_I) of each basis form of degree j, and
+    relations[j], the rows f dx_I, then df ^ dx_J, each with the image of
+    its contraction when check is set.  rows(N, window) shifts them into
+    the rows of one truncation level.
     """
 
     def __init__(self, comps, f, max_level, check):
         n = len(comps)
-        self.n, self.top, self.check = n, n - 1, check
+        self.n, self.top = n, n - 1
         self.forms = [list(itertools.combinations(range(n), j))
                       for j in range(n)]
         contractions = [[]] + [[_contraction_terms(comps, I)
@@ -304,13 +298,6 @@ class _Complex:
             self.relations.append([
                 (deg, row, self._primitive_image(self.contract(j, row))
                  if check and j else None) for deg, row in templates])
-        self.phi = [{} for _ in range(n)]
-        self.rel = [{} for _ in range(n)]
-        self.built = 0
-        self.level = self.window = 0
-        self.s = [{} for _ in range(n)]
-        self.k = [{} for _ in range(n)]
-        self.b = [{} for _ in range(n - 1)] + [self.s[-1]]
 
     def shift(self, e):
         return _code(e, self.base) - sum(e) * self.width * self.span
@@ -336,35 +323,49 @@ class _Complex:
                     del out[t]
         return out
 
-    def grow(self, level):
+    def rows(self, N, window):
+        """The rows truncation level N reads, by degree j of the forms:
+
+          phi[j], j >= 1: (key of x^e dx_I, degree, row of i_v(x^e dx_I))
+              for every basis form whose row has degree below N or whose
+              |e| is below window; the degree is max(|e|, degree of the
+              image), and window <= N;
+          rel[j]: (row, pushed) for every relation f x^a dx_I and
+              df ^ x^a dx_J of degree below N, where pushed is the row of
+              its contraction when check is set and that has degree below
+              N, else None.
+        """
         span = self.span
-        for d in range(self.built, level):
-            for e in _monomials(self.n, d):
-                m = self.shift(e)
-                for j in range(1, self.top + 1):
-                    for s, (deg, image) in enumerate(self.images[j]):
-                        row = {k + m: c for k, c in image.items()}
-                        self.phi[j][s * span + m] = (d + max(deg, 0), row)
-                code = _code(e, self.base)
-                for j in range(self.top + 1):
-                    for t, (deg, template, pushed) in enumerate(
-                            self.relations[j]):
-                        row = {k + m: c for k, c in template.items()}
-                        if pushed is not None:
-                            pdeg, image = pushed
-                            pushed = (pdeg + d if image else -1,
-                                      {k + m: c for k, c in image.items()})
-                        self.rel[j][t * span + code] = (d + deg, row, pushed)
-        self.built = max(self.built, level)
+        shifts = [[self.shift(e) for e in _monomials(self.n, d)]
+                  for d in range(N)]
+        phi = [[] for _ in range(self.n)]
+        for j in range(1, self.top + 1):
+            for s, (deg, image) in enumerate(self.images[j]):
+                deg = max(deg, 0)
+                for d in range(max(N - deg, window)):
+                    for m in shifts[d]:
+                        phi[j].append((s * span + m, d + deg,
+                                       {k + m: c for k, c in image.items()}))
+        rel = [[] for _ in range(self.n)]
+        for j, templates in enumerate(self.relations):
+            for deg, template, pushed in templates:
+                for d in range(N - deg):
+                    for m in shifts[d]:
+                        image = None
+                        if pushed and pushed[0] + d < N:
+                            image = {k + m: c for k, c in pushed[1].items()}
+                        rel[j].append(({k + m: c
+                                        for k, c in template.items()}, image))
+        return phi, rel
 
 
 def _chi_at(cx, N, window):
     """Euler characteristic of the contraction complex truncated at N.
 
     Every dimension below is an exact integer rank, found by sparse
-    fraction-free elimination (integer_rank) on the integer rows of cx.
-    Their columns are keyed independently of N, so one level only selects
-    the rows of degree below N; the levels of one call share cx.
+    fraction-free elimination (integer_rank) on the rows cx.rows(N,
+    window).  The levels of one call share the templates of cx, and each
+    builds and eliminates its own rows.
 
     Two precautions make the count honest.
 
@@ -404,71 +405,42 @@ def _chi_at(cx, N, window):
     and dim(B_j n U_j) is the number of its pivots in U.  One elimination
     of the B_j rows gives both ranks.
 
-    At the first level each row is eliminated once: S_(j-1) first, then
-    the stacked rows extend a copy of its echelon, and B_(j-1), which holds
-    every stacked row (a window row has degree below N), extends a copy of
-    that.  The three echelons are then carried to the next level on cx:
-    rows are kept whole and their keys do not depend on N, so the rows of
-    level N (degree below N, or basis degree below the window) are a subset
-    of the rows of every higher level, whose window is larger too, and a
-    higher level eliminates only the rows that enter at it, into each
-    echelon that holds them.  Levels of one call must therefore never
-    decrease.  The carry rests on whole rows:
-    once rows are clipped modulo m^N to make the oracle local, the rows of
-    level N are no longer rows of level N + 2, and the echelons must be
-    rebuilt at each level.
+    So each row of the level is eliminated once, into one echelon per
+    degree: S_(j-1) first; its rank is read, the stacked rows phi_j(U_j)
+    extend it to an echelon of the stacked rows, whose rank is read; and
+    the other phi_j rows of degree below N extend that to an echelon of
+    B_(j-1), which holds every stacked row (a window row has degree below
+    N).  S_top is B_top.  Nothing is carried from one level to the next.
 
     Two self-checks guard the count, and a failure raises RouteConflict
     (so they hold under python -O too): the differential keeps the window
-    below the truncation boundary and, when cx.check is set, contraction
-    maps the relation span into itself at this level.
+    below the truncation boundary and, when cx was built with check set,
+    contraction maps the relation span into itself at this level.
     """
-    cx.grow(N)
-    base, top, low, first = cx.base, cx.top, cx.level, not cx.level
-    new_s = [[row for _, (deg, row, _) in sorted(cx.rel[j].items())
-              if low <= deg < N] for j in range(top + 1)]
-    for j in range(top + 1):
-        integer_rank(new_s[j], cx.s[j])
+    phi, rel = cx.rows(N, window)
+    base, top = cx.base, cx.top
+    echelons = [{} for _ in rel]
+    for rows, echelon in zip(rel, echelons):
+        integer_rank([row for row, _ in rows], echelon)
 
-    if cx.check:
-        for j in range(1, top + 1):
-            pushed = [p for deg, _, (pdeg, p) in cx.rel[j].values()
-                      if p and low <= max(deg, pdeg) < N]
-            rank = len(cx.s[j - 1])
-            if integer_rank(pushed, cx.s[j - 1]) != rank:
-                raise RouteConflict(
-                    "contraction leaves the relation span at degree %d" % j)
-
+    h = [len(forms) * _count_below(cx.n, window) for forms in cx.forms]
     for j in range(1, top + 1):
-        phi = sorted(cx.phi[j].items())
-        entering = [(deg, row) for k, (deg, row) in phi
-                    if cx.window <= k % base < window]
-        if any(deg >= N for deg, _ in entering):
+        echelon = echelons[j - 1]
+        rank = len(echelon)
+        # a complex built without check pushes no row
+        if integer_rank([p for _, p in rel[j] if p], echelon) != rank:
+            raise RouteConflict(
+                "contraction leaves the relation span at degree %d" % j)
+        stacked = [(deg, row) for k, deg, row in phi[j] if k % base < window]
+        if any(deg >= N for deg, _ in stacked):
             raise RouteConflict(
                 "window element pushed past the truncation boundary")
-        entering = [row for _, row in entering]
-        if first:
-            cx.k[j] = dict(cx.s[j - 1])
-            integer_rank(entering, cx.k[j])
-            cx.b[j - 1] = dict(cx.k[j])
-            integer_rank([row for k, (deg, row) in phi
-                          if deg < N and k % base >= window], cx.b[j - 1])
-        else:
-            integer_rank(new_s[j - 1] + entering, cx.k[j])
-            integer_rank(new_s[j - 1] + [row for _, (deg, row) in phi
-                                         if low <= deg < N], cx.b[j - 1])
-    cx.level, cx.window = N, window
-
-    in_window = _count_below(cx.n, window)
-    chi = 0
-    for j in range(top + 1):
-        dim_ku = len(cx.forms[j]) * in_window
-        if j:
-            dim_ku -= len(cx.k[j]) - len(cx.s[j - 1])
-        dim_bu = sum(1 for k in cx.b[j] if k % base < window)
-        h = dim_ku - dim_bu
-        chi += h if j % 2 == 0 else -h
-    return chi
+        h[j] -= integer_rank([row for _, row in stacked], echelon) - rank
+        integer_rank([row for k, _, row in phi[j] if k % base >= window],
+                     echelon)
+        h[j - 1] -= sum(1 for k in echelon if k % base < window)
+    h[top] -= sum(1 for k in echelons[top] if k % base < window)
+    return sum(-x if j % 2 else x for j, x in enumerate(h))
 
 
 def contraction_complex_euler(v, germ, N=None):

@@ -676,6 +676,9 @@ def standard_basis(gens, order, modulo=None):
     pending = set()
     queue = []
     below = cut = None
+    # set once an element with leading exponent 0 enters: any set holding
+    # it is a standard basis, as its leading monomial divides every other
+    unit = False
     # the staircase of the leading exponents: in a truncating local basis
     # enumerated once, when pure powers of all variables first bound it,
     # and then shrunk as each new leading exponent arrives; in any other
@@ -683,7 +686,9 @@ def standard_basis(gens, order, modulo=None):
     std = None
 
     def add_element(B, e, row, sigma, sugar, reach):
+        nonlocal unit
         t = len(basis)
+        unit = unit or e == 0
         if cut is not None:
             B, row, sigma = _clip(B, e, row, sigma, cut)
         exp = order.exponent(e)
@@ -752,10 +757,11 @@ def standard_basis(gens, order, modulo=None):
         return False
 
     while queue:
-        if below is not None and queue[0][0] >= below:
-            # the heads left are lcm degrees of at least T: every S-polynomial
-            # left vanishes modulo m^T.  Each pair still costs its step, as a
-            # pair skipped by a criterion does.
+        if unit or below is not None and queue[0][0] >= below:
+            # every pair left is done: a unit leads, or the heads left are
+            # lcm degrees of at least T and their S-polynomials vanish
+            # modulo m^T.  Each pair still costs its step, as a pair skipped
+            # by a criterion does.
             budget.spend(len(queue))
             break
         budget.spend()

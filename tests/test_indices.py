@@ -5,12 +5,13 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from folindex import indices, localalgebra, residues
 from folindex.errors import (
     DegenerateDecomposition,
+    FolindexError,
     DegenerateMinors,
     InvalidInput,
     NotInvariant,
@@ -612,3 +613,46 @@ def test_var_index_keeps_its_error_classes():
     with pytest.raises(InvalidInput):
         var_index(VectorField((X, Y, Z)), X * Y - Z ** 2,
                   BranchParam.from_polys((t, t, t), 20))
+
+
+def _outcome(call, *args):
+    """The value of an index, or the class of the error it raises."""
+    try:
+        return call(*args).value
+    except FolindexError as exc:
+        return type(exc)
+
+
+def _unit_anchor(name):
+    """A plane curve, a field tangent to it and a branch of the curve."""
+    x, y = xy()
+    t = Poly.var(1, 0)
+    return {"e6": (y ** 3 - x ** 4, (3 * x, 4 * y), (t ** 3, t ** 4)),
+            "cusp": (y ** 2 - x ** 3, (2 * x, 3 * y), (t ** 2, t ** 3)),
+            "node": (x * y, (x, -y), (t, Poly.zero(1)))}[name]
+
+
+_units = st.tuples(st.sampled_from((-3, -2, -1, 1, 2, 3)),
+                   st.lists(st.integers(-3, 3), min_size=5, max_size=5))
+
+
+@seed(11)
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(("e6", "cusp", "node")), _units)
+def test_indices_ignore_unit_factors(anchor, unit):
+    # a unit u(0) != 0 changes no local index: u v has the index of v, and
+    # u f the Tjurina number of f, value or error class alike
+    x, y = xy()
+    f, comps, polys = _unit_anchor(anchor)
+    c, (a, b, p, q, r) = unit
+    u = c + a * x + b * y + p * x ** 2 + q * x * y + r * y ** 2
+    v = VectorField(comps)
+    uv = VectorField(tuple(u * comp for comp in comps))
+    branch = branch_poly(*polys)
+    for call, args, scaled in [
+            (ph_index, (v,), (uv,)),
+            (homological_index, (v, f), (uv, f)),
+            (gsv_curve, (v, f), (uv, f)),
+            (cs_index, (v, f, branch), (uv, f, branch)),
+            (tjurina_number, (f,), (u * f,))]:
+        assert _outcome(call, *scaled) == _outcome(call, *args), call

@@ -178,6 +178,21 @@ def test_unit_ideal_reduces_without_a_swell():
     assert [q.degree() for q in wit.cofactors] == [0, -1]
 
 
+@pytest.mark.parametrize("swap", [False, True], ids=["u-first", "u-last"])
+def test_exact_basis_stops_once_a_unit_leads(swap):
+    # the pairs of (u, h) swelled past 60 s under a 400-step budget; once
+    # u, whose leading exponent is 0, is in the basis, every set holding it
+    # is standard, and the one pending pair costs its step
+    u, h = _unit_ideal()
+    start = perf_counter()
+    with step_budget(400) as budget:
+        sb = standard_basis((h, u) if swap else (u, h), local2())
+    assert perf_counter() - start < 1
+    assert budget.remaining == 399
+    assert sb.staircase == ()
+    assert normal_form(h * h + 1, sb).is_zero()
+
+
 def test_unit_ideal_witness_keeps_the_cofactor_identity_check():
     u, h = _unit_ideal()
     sb = standard_basis((u,), local2())
