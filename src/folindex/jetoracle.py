@@ -128,8 +128,8 @@ def integer_rank(rows, pivots=None):
     pivots, if given, is the echelon {lowest column: row} of rows
     eliminated before; it is extended in place, and the count returned is
     the rank of those rows and these together.  A pivot row is never changed
-    once stored, so dict(pivots) is a valid start for a second echelon that
-    extends the first and leaves it as it was.
+    once stored, so a caller may read an echelon, extend it in place and
+    read it again.
 
     The echelon also gives the rank of the rows cut down to any prefix P of
     the columns (every column below some c): it is the number of pivots in

@@ -34,7 +34,7 @@ integer state is a nonzero multiple of the rational state the same steps
 would reach with monic elements, so the pair order, the reducer chosen by
 ecart, the stacking, the corner cuts and the steps spent are those of the
 rational algorithm.  The StandardBasis keeps this integer form: each B_k
-with its leading key, its row R_k and scale sigma_k, and the split
+in its leading record, its row R_k and scale sigma_k, and the split
 (G_j, w_j) of each generator.  normal_form, membership_with_cofactors and
 monomial_power_bound reduce against the B_k, and a membership witness takes
 its rows and scales from the basis.  Fractions are built on first read
@@ -43,9 +43,11 @@ R_kj / (w_j * sigma_k * lc(B_k)), and the results a caller is returned,
 where a unit u == U / U(0) has u(0) == 1.  quotient_dim reads the
 staircase and builds no Fraction.
 
-The pair loop computes each element's leading key once, when the element
-enters the basis, and each normal form computes a reducer's leading key,
-coefficient and ecart once, when the reducer enters its list.  A
+Each basis element is held once, as its leading record (_lead): its
+leading key, plain packed exponents, leading coefficient, ecart, the
+polynomial and its index, built when it enters the basis and rebuilt only
+when a corner cut clips it.  The pair loop and every normal form read the
+records, and a normal form stacks each intermediate as a record too.  A
 pair is skipped without reduction by the Gebauer-Moller chain criterion in
 both orders (some other leading monomial divides the pair's lcm and both of
 its pairs with the two are done), and by the product criterion (coprime
@@ -74,13 +76,13 @@ DEGREE_CAP == 2^31, so is every exponent, and then:
   divides x^f exactly when ((P_f | G) - P_e) & G == G, since then no
   field borrows from the next and each top bit stays set exactly when
   f_i >= e_i;
-- cut: in the local order |e| < T exactly when K(e) > -T * 2^(32n) (in
-  degrevlex, when K(e) <= (T - 1) * 2^(32n)).
+- cut: in the local order |e| < T exactly when K(e) > -T * 2^(32n).  A
+  degrevlex basis is never cut.
 
 Exponents are packed once, when a Poly enters (_integral), and unpacked
 when one leaves (_rational), and for pair lcms and the staircase: the
-public face is tuples (MonomialOrder.leading, StandardBasis.leading_exps,
-staircase, elements and expansions).
+public face is tuples (StandardBasis.leading_exps, staircase, elements and
+expansions).
 
 Overflow.  No monomial of total degree DEGREE_CAP or more is ever formed;
 ResourceCap is raised first.  Every packed polynomial is an input, a
@@ -132,7 +134,8 @@ out; nothing here terminates silently with a wrong answer.  Inside a
 ``with step_budget(limit):`` block, every standard basis, normal form and
 membership test spends from the block's one budget, so the limit caps the
 whole block.  Outside any block each of those calls gets its own budget of
-DEFAULT_MAX_STEPS.
+DEFAULT_MAX_STEPS.  A staircase spends no step, but lists no more monomials
+than its basis had steps left when it started.
 """
 
 from __future__ import annotations
@@ -275,8 +278,9 @@ class MonomialOrder:
     def __init__(self, kind, nvars):
         if kind not in (LOCAL, GLOBAL):
             raise InvalidInput("unknown order kind %r" % (kind,))
-        if nvars < 1:
-            raise InvalidInput("an order needs at least one variable")
+        if type(nvars) is not int or nvars < 1:
+            raise InvalidInput("an order needs an int number of variables "
+                               ">= 1, got %r" % (nvars,))
         self.kind = kind
         self.nvars = nvars
         self.sign = -1 if kind == LOCAL else 1
@@ -318,22 +322,13 @@ class MonomialOrder:
         return -(-max(P) >> self.shift)
 
     def cut(self, below):
-        """The cut to total degree below ``below`` >= 1, or None for
-        ``below`` None: one int, negative in the local order, where the
-        keys of degree below ``below`` are the ones above it, and positive
-        in degrevlex, where they are the ones below it."""
-        if below is None:
+        """The cut to total degree below ``below`` >= 1 in the local order:
+        one negative int, and the keys of degree below ``below`` are the ones
+        above it.  None for ``below`` None and in degrevlex, which never
+        truncates."""
+        if below is None or self.sign > 0:
             return None
-        if self.sign < 0:
-            return -below << self.shift
-        return ((below - 1) << self.shift) + 1
-
-    def leading(self, p):
-        """(exponent, coefficient) of the leading term.  p must be nonzero."""
-        if not p.terms:
-            raise InvalidInput("zero polynomial has no leading term")
-        e = max(p.terms, key=self.key)
-        return e, p.terms[e]
+        return -below << self.shift
 
     def __eq__(self, other):
         return (isinstance(other, MonomialOrder)
@@ -377,9 +372,7 @@ def _below(P, cut):
     """The terms of P the cut keeps (all of them when ``cut`` is None)."""
     if cut is None:
         return P
-    if cut < 0:
-        return {f: c for f, c in P.items() if f > cut}
-    return {f: c for f, c in P.items() if f < cut}
+    return {f: c for f, c in P.items() if f > cut}
 
 
 def _scale(P, a):
@@ -392,12 +385,9 @@ def _addmul(out, c, e, P, cut):
     terms the cut keeps; returns out."""
     items = P.items()
     if cut is not None:
-        # x^e * x^f is kept when f lies on the kept side of cut - e
+        # x^e * x^f is kept when f lies above cut - e
         room = cut - e
-        if cut < 0:
-            items = [(f, d) for f, d in items if f > room]
-        else:
-            items = [(f, d) for f, d in items if f < room]
+        items = [(f, d) for f, d in items if f > room]
     for f, d in items:
         g = e + f
         s = out.get(g, 0) + c * d
@@ -416,21 +406,30 @@ def _mul(out, c, P, Q, cut):
     return out
 
 
+def _lead(B, k, order):
+    """The leading record of the nonzero packed integer polynomial B held as
+    basis element k: (leading key e, plain packed exponents of e, leading
+    coefficient, ecart, B, k).  The ecart is the top degree of B less that
+    of e: 0 in degrevlex, where a leading monomial has top degree."""
+    e = max(B)
+    return e, -e & order.mask, B[e], order.top(B) - order.degree(e), B, k
+
+
 def _reduce(h, basis, order, budget, below):
     """Weak normal form of the packed integer polynomial h against basis, a
-    list of packed integer polynomials B_k with their leading keys (B_k,
-    e_k).
+    sequence of the leading records (_lead) of packed integer polynomials
+    B_k, record k holding B_k.
 
     Returns (H, U, C) with the identity
         U * h == sum_k C[k] * B_k + H
     over the integers, where U(0) != 0 (U is a constant under a global
     order) and no leading monomial of the basis divides the leading
-    monomial of H.  The identity is exact, or with ``below`` holds modulo
-    m^below: h, H, U and the C[k] then have no term of degree ``below`` or
-    more.  A step multiplies H, U and the C[k] by the reducer's leading
-    coefficient and subtracts the leading coefficient of H times the
-    reducer, both divided by their gcd; then the common content of H, U and
-    the C[k] is divided out.
+    monomial of H.  The identity is exact, or with ``below`` (local order
+    only) holds modulo m^below: h, H, U and the C[k] then have no term of
+    degree ``below`` or more.  A step multiplies H, U and the C[k] by the
+    reducer's leading coefficient and subtracts the leading coefficient of
+    H times the reducer, both divided by their gcd; then the common content
+    of H, U and the C[k] is divided out.
 
     U and the C[k] are held scaled.  The running scale is U(0): a step
     multiplies it by its factor a and a content division divides it, and
@@ -455,7 +454,8 @@ def _reduce(h, basis, order, budget, below):
     The same induction gives x^u * x^e0 >= x^eh for every term x^u of U
     and the leading monomial x^e0 of the input.  So no step of either order
     writes a term of U or C of degree above that of x^eh, which the cut of
-    h keeps below ``below``, and U and C need no cut of their own.
+    h keeps below ``below``, and U and C need no cut of their own.  In
+    degrevlex no step writes a term above the top degree |eh| of h either.
 
     A step against a reducer g writes x^eh / x^eg * g, of top degree
     |eh| + ecart(g); it raises ResourceCap first when that reaches
@@ -500,20 +500,12 @@ def _reduce(h, basis, order, budget, below):
             else:
                 del P[f]
 
-    # Mora: reducers grow with stacked intermediates.  A reducer is
-    # (leading key, its plain packed exponents, leading coefficient, ecart,
-    # polynomial, payload): the payload is the basis index k, or for a
-    # stacked intermediate the values (U, C) it had when stacked, so
-    # reductions against it fold into (U, C) exactly.  In degrevlex every
-    # ecart is 0, as a leading monomial has top degree; in the local order
-    # -K >> shift is the degree of the key K, and the least key has the top
-    # degree.
-    if order.sign < 0:
-        reducers = [(e, -e & mask, B[e], (-min(B) >> shift) - (-e >> shift),
-                     B, k) for k, (B, e) in enumerate(basis)]
-    else:
-        reducers = [(e, -e & mask, B[e], 0, B, k)
-                    for k, (B, e) in enumerate(basis)]
+    # Mora: the reducers are the basis records, never rebuilt, and the
+    # stacked intermediates, each a record whose last entry holds the values
+    # (U, C) it had when stacked instead of an index, so reductions against
+    # it fold into (U, C) exactly.  In the local order -K >> shift is the
+    # degree of the key K, and the least key has the top degree.
+    reducers = list(basis)
     while h:
         budget.spend()
         eh = max(h)
@@ -572,7 +564,8 @@ class StandardBasis:
     """A standard (local) or Groebner (global) basis with expansions.
 
     The basis is held in packed integers (module docstring): basis[k] is
-    (B_k, e_k) for a packed integer polynomial B_k with leading key e_k, and
+    the leading record (_lead) of a packed integer polynomial B_k,
+    (e_k, plain packed exponents of e_k, lc(B_k), ecart, B_k, k), and
         scales[k] * B_k == sum_j rows[k][j] * G_j
     for the packed rows and the splits[j] == (G_j, num_j, den_j) with
     gens[j] == num_j / den_j * G_j and G_j primitive and packed.  The
@@ -605,14 +598,14 @@ class StandardBasis:
 
     @cached_property
     def elements(self):
-        return tuple(_rational(B, 1, B[e], self.order) for B, e in self.basis)
+        return tuple(_rational(r[4], 1, r[2], self.order) for r in self.basis)
 
     @cached_property
     def expansions(self):
         return tuple(
-            tuple(_rational(R, den, num * sigma * B[e], self.order)
+            tuple(_rational(R, den, num * sigma * r[2], self.order)
                   for R, (_, num, den) in zip(row, self.splits))
-            for (B, e), row, sigma in zip(self.basis, self.rows, self.scales))
+            for r, row, sigma in zip(self.basis, self.rows, self.scales))
 
 
 def at_corner(c):
@@ -628,7 +621,7 @@ def _clip(B, e, row, sigma, cut):
     exponent; its old leading coefficient moves into the scale, so that the
     expansions read from the row stay those of the monic element."""
     row = [_below(R, cut) for R in row]
-    if not _below({e: 1}, cut):
+    if e <= cut:
         return {e: 1}, row, sigma * B[e]
     return _below(B, cut), row, sigma
 
@@ -654,21 +647,21 @@ def standard_basis(gens, order, modulo=None):
     if any(g.nvars != n for g in gens):
         raise InvalidInput("generators and order live in different rings")
     budget = _budget()
+    # the most monomials the staircase may list: the steps left at the start
+    listable = budget.remaining
     local = order.is_local()
     key, top, degree = order.key, order.top, order.degree
-    shift, mask, guard = order.shift, order.mask, order.guard
+    mask, guard = order.mask, order.guard
     ints = [_integral(g, order) for g in gens]
     m = len(gens)
 
-    # basis[k] == (B_k, e_k) and scales[k] * B_k == sum_j rows[k][j] * G_j
-    # for the primitive generators G_j (module docstring)
+    # basis[k] is the leading record of B_k (_lead), and scales[k] * B_k ==
+    # sum_j rows[k][j] * G_j for the primitive generators G_j (module
+    # docstring)
     basis = []
     lead_exps = []
-    # the plain packed exponents of e_k, for the divisibility test
-    plains = []
-    # ecarts[k] bounds the ecart of B_k, and reaches[k] the degree of every
-    # product rows[k][j] * G_j; a cut only lowers them
-    ecarts = []
+    # reaches[k] bounds the degree of every product rows[k][j] * G_j; a cut
+    # only lowers it
     reaches = []
     rows = []
     scales = []
@@ -685,19 +678,17 @@ def standard_basis(gens, order, modulo=None):
     # basis enumerated once, at the end
     std = None
 
-    def add_element(B, e, row, sigma, sugar, reach):
+    def add_element(B, row, sigma, sugar, reach):
         nonlocal unit
         t = len(basis)
+        e = max(B)
         unit = unit or e == 0
         if cut is not None:
             B, row, sigma = _clip(B, e, row, sigma, cut)
+        basis.append(_lead(B, t, order))
+        ecart = basis[t][3]
         exp = order.exponent(e)
-        # as in _reduce: 0 in degrevlex, read from the least key when local
-        ecart = (-min(B) >> shift) - (-e >> shift) if local else 0
-        basis.append((B, e))
         lead_exps.append(exp)
-        plains.append(-e & mask)
-        ecarts.append(ecart)
         reaches.append(reach)
         rows.append(row)
         scales.append(sigma)
@@ -706,8 +697,9 @@ def standard_basis(gens, order, modulo=None):
             es = lead_exps[s]
             lcm_e = tuple(map(max, es, exp))
             d = sum(lcm_e)
-            # x^(lcm - e_k) * B_k has top degree d + ecart(B_k)
-            _capped(d + max(ecarts[s], ecart))
+            # x^(lcm - e_k) * B_k has top degree d + ecart(B_k), and a
+            # later cut only lowers the ecart
+            _capped(d + max(basis[s][3], ecart))
             if local:
                 head = d
             else:
@@ -722,7 +714,7 @@ def standard_basis(gens, order, modulo=None):
         # cut every element and row at the new, lower T
         nonlocal below, cut, std
         if std is None:
-            std = _staircase(lead_exps, n)
+            std = _staircase(lead_exps, n, listable)
             if std is None:
                 return
         else:
@@ -734,22 +726,22 @@ def standard_basis(gens, order, modulo=None):
         if below is not None and t >= below:
             return
         below, cut = t, order.cut(t)
-        for k, (B, ek) in enumerate(basis):
+        for k, (ek, _, _, _, B, _) in enumerate(basis):
             B, rows[k], scales[k] = _clip(B, ek, rows[k], scales[k], cut)
-            basis[k] = (B, ek)
+            basis[k] = _lead(B, k, order)
 
     for j, (G, _, _) in enumerate(ints):
         if G:
             row = [{}] * m
             row[j] = {0: 1}
             d = top(G)
-            add_element(G, max(G), row, 1, d, d)
+            add_element(G, row, 1, d, d)
 
     def chain_skips(i, j, lcm_k):
         # Gebauer-Moller: S(i, j) is a combination of S(i, k) and S(j, k)
         # below lcm, and both of those are already done.
         room = -lcm_k & mask | guard
-        for k, p in enumerate(plains):
+        for _, p, _, _, _, k in basis:
             if (k != i and k != j and (room - p) & guard == guard
                     and (min(i, k), max(i, k)) not in pending
                     and (min(j, k), max(j, k)) not in pending):
@@ -773,10 +765,11 @@ def standard_basis(gens, order, modulo=None):
             continue
         if chain_skips(i, j, lcm_k):
             continue
-        (Bi, ei), (Bj, ej) = basis[i], basis[j]
+        ei, _, ci, _, Bi, _ = basis[i]
+        ej, _, cj, _, Bj, _ = basis[j]
         si, sj = lcm_k - ei, lcm_k - ej
-        d = gcd(Bi[ei], Bj[ej])
-        a, b = Bj[ej] // d, Bi[ei] // d
+        d = gcd(ci, cj)
+        a, b = cj // d, ci // d
         spoly = _addmul(_addmul({}, a, si, Bi, cut), -b, sj, Bj, cut)
         if not spoly:
             continue
@@ -806,15 +799,15 @@ def standard_basis(gens, order, modulo=None):
         common = gcd(sigma, *(c for R in row for c in R.values()))
         # head is the pair's sugar in the global order; the local order
         # never reads sugars
-        add_element({e: c // content for e, c in H.items()}, max(H),
+        add_element({e: c // content for e, c in H.items()},
                     [{e: c // common for e, c in R.items()} for R in row],
                     sigma // common, head, reach)
 
-    for (B, _), row, sigma in zip(basis, rows, scales):
+    for rec, row, sigma in zip(basis, rows, scales):
         acc = {}
         for R, (G, _, _) in zip(row, ints):
             _mul(acc, 1, R, G, cut)
-        if acc != _below(_scale(B, sigma), cut):
+        if acc != _below(_scale(rec[4], sigma), cut):
             raise RouteConflict("expansion bookkeeping broke")
 
     return StandardBasis(
@@ -826,15 +819,28 @@ def standard_basis(gens, order, modulo=None):
         splits=tuple(ints),
         reaches=tuple(reaches),
         leading_exps=tuple(lead_exps),
-        staircase=_staircase(lead_exps, n) if std is None else std,
+        staircase=_staircase(lead_exps, n, listable) if std is None else std,
         modulo=below,
     )
 
 
-def _check_ring(p, sb):
-    if p.nvars != sb.order.nvars:
+def _reduced(p, sb):
+    """(P, a, b, H, U, C) for p against the standard basis sb: p == a / b *
+    P with P primitive, packed and cut at the m^T of sb, and the weak normal
+    form U * P == sum_k C[k] * B_k + H of _reduce.  When the staircase is
+    empty the ideal is the whole ring, and the form is B * P == P * B with
+    H == 0 and no step, for the element B of sb with leading exponent 0, a
+    unit of the local ring (a constant in degrevlex)."""
+    order = sb.order
+    if p.nvars != order.nvars:
         raise InvalidInput("polynomial and standard basis live in different "
                            "rings")
+    P, a, b = _integral(p, order)
+    P = _below(P, order.cut(sb.modulo))
+    if sb.staircase == ():
+        unit = next(r for r in sb.basis if r[0] == 0)
+        return P, a, b, {}, unit[4], {unit[5]: P}
+    return (P, a, b, *_reduce(P, sb.basis, order, _budget(), sb.modulo))
 
 
 def normal_form(p, sb):
@@ -842,14 +848,8 @@ def normal_form(p, sb):
     only): when sb works modulo m^T the remainder has no term of degree T or
     more.  It is zero exactly when p lies in the ideal, and so at once when
     the staircase is empty: then the ideal is the whole ring."""
-    _check_ring(p, sb)
-    order = sb.order
-    if sb.staircase == ():
-        return Poly.zero(order.nvars)
-    P, a, b = _integral(p, order)
-    H, U, _ = _reduce(_below(P, order.cut(sb.modulo)), sb.basis, order,
-                      _budget(), sb.modulo)
-    return _rational(H, a, b * U[0], order)
+    _, a, b, H, U, _ = _reduced(p, sb)
+    return _rational(H, a, b * U[0], sb.order)
 
 
 @dataclass(frozen=True)
@@ -868,23 +868,14 @@ def membership_with_cofactors(p, sb):
     Raises NotMember when p is not in the ideal.  The identity
     unit * p == sum cofactors[j] * gens[j] is checked before returning:
     exactly when sb.modulo is None, else modulo m^T for T == sb.modulo, and
-    then no cofactor and no unit term has degree T or more.  When the
-    staircase is empty, the basis has an element B_0 with leading exponent
-    0, a unit of the local ring (a constant in degrevlex), and the witness
-    is B_0 * p == p * B_0 without a reduction.  Raises ResourceCap before
+    then no cofactor and no unit term has degree T or more; against the
+    unit ideal, without a reduction (_reduced).  Raises ResourceCap before
     a product could reach total degree DEGREE_CAP.
     """
-    _check_ring(p, sb)
+    P, pa, pb, H, U, C = _reduced(p, sb)
     order = sb.order
     top = order.top
     cut = order.cut(sb.modulo)
-    P, pa, pb = _integral(p, order)
-    P = _below(P, cut)
-    if sb.staircase == ():
-        k0 = next(k for k, (_, e) in enumerate(sb.basis) if e == 0)
-        H, U, C = {}, sb.basis[k0][0], {k0: P}
-    else:
-        H, U, C = _reduce(P, sb.basis, order, _budget(), sb.modulo)
     u0 = U[0]
     if H:
         raise NotMember("polynomial is not in the ideal (normal form %s)"
@@ -909,10 +900,12 @@ def membership_with_cofactors(p, sb):
         unit=_rational(U, 1, u0, order))
 
 
-def _staircase(exps, n):
+def _staircase(exps, n, limit):
     """The standard monomials of the monomial ideal generated by exps,
     sorted by degree and then as tuples, or None when there are infinitely
-    many (some variable has no pure power among exps)."""
+    many (some variable has no pure power among exps).  Raises ResourceCap
+    once it has listed more than limit of them, the steps a budget has
+    left, and spends none of them."""
     if (0,) * n in exps:
         return ()
     if not all(any(e[i] and sum(e) == e[i] for e in exps) for i in range(n)):
@@ -933,6 +926,11 @@ def _staircase(exps, n):
                 return
             if i == n - 1:
                 out.append(prefix + (a,))
+                if len(out) > limit:
+                    raise ResourceCap("the staircase has more standard "
+                                      "monomials than the %d steps left; "
+                                      "raise the step limit to continue"
+                                      % limit)
             else:
                 walk(prefix + (a,), live, i + 1)
             a += 1
@@ -1001,7 +999,7 @@ def exact_divide(p, f):
     order = MonomialOrder.degrevlex(n)
     P, pa, pb = _integral(p, order)
     F, fa, fb = _integral(f, order)
-    H, U, C = _reduce(P, [(F, max(F))], order, _budget(), None)
+    H, U, C = _reduce(P, [_lead(F, 0, order)], order, _budget(), None)
     if H:
         return None
     return _rational(C.get(0, {}), pa * fb, pb * fa * U[0], order)

@@ -76,7 +76,8 @@ class Poly:
         clean = {}
         if terms:
             for exp, c in terms.items():
-                if len(exp) != nvars or min(exp, default=0) < 0:
+                if len(exp) != nvars or not all(type(a) is int and a >= 0
+                                                for a in exp):
                     raise InvalidInput("exponent %r is not a monomial in %d "
                                        "variables" % (exp, nvars))
                 c = _rat(c)
@@ -692,18 +693,14 @@ def jacobian(v):
 # homogeneous-coordinate plumbing
 
 
-def homogenize(p, degree, at=0):
-    """Insert a homogenizing variable at position ``at`` so every term of the
-    result has total degree ``degree``."""
-    if degree < p.degree():
+def homogenize(p, degree):
+    """Insert a homogenizing variable first, so that every term of the
+    result has total degree ``degree``, an int."""
+    if type(degree) is not int or degree < p.degree():
         raise InvalidInput("cannot homogenize degree %d to degree %r"
                            % (p.degree(), degree))
-    terms = {}
-    for e, c in p.terms.items():
-        filler = degree - sum(e)
-        exp = e[:at] + (filler,) + e[at:]
-        terms[exp] = c
-    return Poly(p.nvars + 1, terms)
+    return Poly(p.nvars + 1, {(degree - sum(e),) + e: c
+                              for e, c in p.terms.items()})
 
 
 def set_coordinate_one(p, at):

@@ -166,10 +166,10 @@ class ProjectiveFoliation:
             quotients.append(q)
         radial_top = quotients is not None and all(
             q == quotients[0] for q in quotients)
-        comps = [homogenize(c, delta, 0) for c in v.components]
+        comps = [homogenize(c, delta) for c in v.components]
         if not radial_top:
             return cls(VectorField([Poly.zero(n + 1)] + comps))
-        q = homogenize(quotients[0], delta - 1, 0)
+        q = homogenize(quotients[0], delta - 1)
         x0 = Poly.var(n + 1, 0)
         return cls(VectorField([-q] + [
             exact_divide(t - Poly.var(n + 1, i + 1) * q, x0)
@@ -202,7 +202,7 @@ def curve_to_homogeneous(f):
     m = f.degree()
     if m < 1:
         raise InvalidInput("a constant does not define a curve")
-    return homogenize(f, m, 0), m
+    return homogenize(f, m), m
 
 
 def affine_singular_audit(v):

@@ -656,3 +656,33 @@ def test_indices_ignore_unit_factors(anchor, unit):
             (cs_index, (v, f, branch), (uv, f, branch)),
             (tjurina_number, (f,), (u * f,))]:
         assert _outcome(call, *scaled) == _outcome(call, *args), call
+
+
+_rational_entries = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@seed(26)
+@settings(max_examples=50, deadline=None)
+@given(st.tuples(*[_rational_entries] * 4).filter(
+    lambda m: m[0] * m[3] != m[1] * m[2]))
+def test_indices_are_invariant_under_rational_coordinate_changes(matrix):
+    # Under the linear change phi(x, y) == (a x + b y, c x + d y), the cusp
+    # y^2 - x^3 becomes f o phi, the field (2x, 3y) becomes Dphi^-1 (v o phi)
+    # and the branch (t^2, t^3) becomes phi^-1 o (t^2, t^3); mu, PH, GSV,
+    # CS and the c_1^2 residue stay 2, 1, -1, 6 and 25/6.
+    a, b, c, d = matrix
+    det = a * d - b * c
+    x, y = xy()
+    t = Poly.var(1, 0)
+    phi = (a * x + b * y, c * x + d * y)
+    inv = ((d / det, -b / det), (-c / det, a / det))
+    f = (y ** 2 - x ** 3).subst(phi)
+    w = ((2 * x).subst(phi), (3 * y).subst(phi))
+    v = VectorField(tuple(r[0] * w[0] + r[1] * w[1] for r in inv))
+    branch = branch_poly(*(r[0] * t ** 2 + r[1] * t ** 3 for r in inv))
+    assert milnor_number(f).value == 2
+    assert ph_index(v).value == 1
+    assert gsv_curve(v, f).value == -1
+    assert cs_index(v, f, branch).value == 6
+    c1_squared = residues.PhiSpec(2, [(1, (2, 0))])
+    assert residues.baum_bott_residue(v, c1_squared).value == Fraction(25, 6)

@@ -22,6 +22,7 @@ from folindex.errors import (
     RouteConflict,
 )
 from folindex.localalgebra import (
+    DEFAULT_MAX_STEPS,
     DEGREE_CAP,
     GLOBAL,
     INFINITE,
@@ -45,15 +46,20 @@ def local2():
     return MonomialOrder.local(2)
 
 
+def _leading_exp(order, p):
+    # the largest key of the terms is the leading monomial
+    return order.exponent(max(map(order.key, p.terms)))
+
+
 def test_order_keys():
     x, y = Poly.variables(2)
     dp = MonomialOrder.degrevlex(2)
-    assert dp.leading(x + y)[0] == (1, 0)
-    assert dp.leading(x ** 2 + x * y ** 2)[0] == (1, 2)
+    assert _leading_exp(dp, x + y) == (1, 0)
+    assert _leading_exp(dp, x ** 2 + x * y ** 2) == (1, 2)
     ds = local2()
-    assert ds.leading(1 + x + y)[0] == (0, 0)
-    assert ds.leading(x + y)[0] == (1, 0)
-    assert ds.leading(x ** 3 + y ** 2)[0] == (0, 2)
+    assert _leading_exp(ds, 1 + x + y) == (0, 0)
+    assert _leading_exp(ds, x + y) == (1, 0)
+    assert _leading_exp(ds, x ** 3 + y ** 2) == (0, 2)
 
 
 def test_order_permutation():
@@ -92,10 +98,13 @@ def test_packed_keys_encode_the_order_degree_divisibility_and_cut(case,
     assert localalgebra._rational(dict.fromkeys(keys, 1), 1, 1, order) \
         == Poly(n, dict.fromkeys(exps, 1))
     cut = order.cut(below)
+    # degrevlex never truncates
+    assert (cut is None) == (kind == GLOBAL)
     for e, K in zip(exps, keys):
         assert order.degree(K) == sum(e)
         assert order.top({K: 1}) == sum(e)
-        assert bool(localalgebra._below({K: 1}, cut)) == (sum(e) < below)
+        if cut is not None:
+            assert bool(localalgebra._below({K: 1}, cut)) == (sum(e) < below)
     for (e, Ke), (f, Kf) in itertools.product(zip(exps, keys), repeat=2):
         if sum(e) + sum(f) < DEGREE_CAP:
             g = tuple(map(add, e, f))
@@ -385,8 +394,9 @@ def test_bad_inputs_raise_invalid_input():
     for limit in (0, -5, None):
         with pytest.raises(InvalidInput), step_budget(limit):
             pass
-    with pytest.raises(InvalidInput):
-        MonomialOrder.local(0)
+    for nvars in (0, 2.0, True, None):
+        with pytest.raises(InvalidInput):
+            MonomialOrder.local(nvars)
     with pytest.raises(InvalidInput):
         standard_basis((), local2())
     with pytest.raises(InvalidInput):
@@ -395,8 +405,6 @@ def test_bad_inputs_raise_invalid_input():
         standard_basis((x,), MonomialOrder.local(3))
     with pytest.raises(InvalidInput):
         quotient_dim((x,), MonomialOrder.local(3))
-    with pytest.raises(InvalidInput):
-        local2().leading(Poly.zero(2))
     global_line = standard_basis((x, y), MonomialOrder.degrevlex(2))
     with pytest.raises(InvalidInput):
         monomial_power_bound(global_line)
@@ -563,8 +571,8 @@ def _packed_reduce(h, basis, order, budget, below):
         return {order.exponent(K): c for K, c in P.items()}
 
     H, U, C = localalgebra._reduce(
-        pack(h), [(pack(B), order.key(e)) for B, e in basis], order, budget,
-        below)
+        pack(h), [localalgebra._lead(pack(B), k, order)
+                  for k, (B, _) in enumerate(basis)], order, budget, below)
     return unpack(H), unpack(U), {k: unpack(q) for k, q in C.items()}
 
 
@@ -811,7 +819,8 @@ def test_stored_staircase_is_the_staircase_of_the_leading_exponents(gens,
     except ResourceCap:
         return
     want = _box_staircase(sb.leading_exps, n)
-    assert sb.staircase == localalgebra._staircase(sb.leading_exps, n)
+    assert sb.staircase == localalgebra._staircase(sb.leading_exps, n,
+                                                   DEFAULT_MAX_STEPS)
     assert sb.staircase == want
 
 
@@ -821,8 +830,8 @@ def _counted_staircase(monkeypatch):
     sizes = []
     real = localalgebra._staircase
 
-    def counted(exps, n):
-        std = real(exps, n)
+    def counted(exps, n, limit):
+        std = real(exps, n, limit)
         if std is not None:
             sizes.append(len(std))
         return std
@@ -869,6 +878,48 @@ def test_quotient_dim_and_power_bound_read_the_stored_staircase(monkeypatch):
     # quotient_dim builds its own corner basis and enumerates it once
     assert quotient_dim(gens, local2()) == 5
     assert len(sizes) == 2
+
+
+def test_the_staircase_lists_no_more_monomials_than_the_steps_left():
+    # x^(10^6) + y^2 has 999,999 standard monomials, seconds of listing:
+    # the staircase raises once it has listed more monomials than the
+    # budget has steps, and spends none
+    x, y = Poly.variables(2)
+    start = perf_counter()
+    with step_budget(100) as budget:
+        with pytest.raises(ResourceCap, match="staircase"):
+            milnor_number(x ** (10 ** 6) + y ** 2)
+    assert perf_counter() - start < 1
+    assert budget.remaining == 100
+    exps = ((3, 0), (0, 1))
+    assert localalgebra._staircase(exps, 2, 3) == ((0, 0), (1, 0), (2, 0))
+    with pytest.raises(ResourceCap):
+        localalgebra._staircase(exps, 2, 2)
+    # a staircase as long as the steps left is listed, a longer one is not
+    with step_budget(999):
+        assert milnor_number(x ** 1000 + y ** 2).value == 999
+    with step_budget(1000), pytest.raises(ResourceCap, match="staircase"):
+        milnor_number(x ** 1002 + y ** 2)
+
+
+@seed(20261025)
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_zero_dim_ideals(), _ideals()),
+       st.sampled_from(("local-corner", "local-exact", "global")))
+def test_every_record_is_the_leading_record_of_its_element(gens, kind):
+    # each basis element is held once, as its leading record; a corner cut
+    # rebuilds the records it clips, so none is stale
+    n = gens[0].nvars
+    gens = [g for g in gens if not g.is_zero()] or [Poly.var(n, 0)]
+    order, modulo = _order_and_policy(kind, n)
+    try:
+        with step_budget(300):
+            sb = standard_basis(gens, order, modulo)
+    except ResourceCap:
+        return
+    for k, rec in enumerate(sb.basis):
+        assert rec == localalgebra._lead(rec[4], k, order)
+        assert order.exponent(rec[0]) == sb.leading_exps[k]
 
 
 _scales = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6).filter(bool),

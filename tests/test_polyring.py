@@ -278,7 +278,7 @@ def test_cartan_identity_on_functions():
 def test_homogenize_and_dehomogenize():
     x, y = Poly.variables(2)
     p = x ** 3 - y ** 2
-    h = homogenize(p, 3, at=0)
+    h = homogenize(p, 3)
     assert h.is_homogeneous() and h.degree() == 3
     assert set_coordinate_one(h, 0) == p
     rng = random.Random(37)
@@ -287,8 +287,7 @@ def test_homogenize_and_dehomogenize():
         if p.is_zero():
             continue
         d = p.degree() + rng.randrange(3)
-        at = rng.randrange(3)
-        assert set_coordinate_one(homogenize(p, d, at), at) == p
+        assert set_coordinate_one(homogenize(p, d), 0) == p
 
 
 def test_bad_inputs_are_rejected():
@@ -306,6 +305,15 @@ def test_bad_inputs_are_rejected():
     for k in (-1, Fraction(1, 2), 1.0):
         with pytest.raises(InvalidInput):
             x ** k
+    # an exponent is an int >= 0: 2.5 printed as x^2, and milnor_number of
+    # it ended in AttributeError
+    for e in ((2.5, 0), (1.0, 0), (True, 0), (Fraction(2), 0), (-1, 0)):
+        with pytest.raises(InvalidInput):
+            Poly(2, {e: 1})
+    # the degree is an int: 1.5 gave z + y
+    for d in (1.5, 2.0, True, None):
+        with pytest.raises(InvalidInput):
+            homogenize(x + y, d)
 
 
 @pytest.mark.parametrize("call", [
