@@ -188,6 +188,23 @@ TABLE = [
       "l1 := y + 1 - (x - 1)^2; l2 := z - (x - 1)^3;",
       "gsv v along (l1, l2) at (1, -1, 0);"],
      ["--format", "json"], 0, [1], None),
+    # a plane curve given alone or as a one-curve list, with a field or
+    # its dual form: the list route reads the 1x1 minors f_x, then f_y
+    ("gsv-plane-shapes",
+     ["ring x,y; f := y^2 - x^3; v := vf(2*x, 3*y); "
+      "w := form(-3*y dx, 2*x dy);",
+      "gsv v along f at (0,0); gsv v along (f) at (0,0); "
+      "gsv w along (f) at (0,0);"],
+     ["--format", "json"], 0, [-1, -1, -1],
+     [[["variant-fx", True], ["homological", True]],
+      [["minors-(1,)", True]], [["minors-(1,)", True]]]),
+    ("gsv-space-form",
+     ["ring x,y,z; v := vf(x, 2*y, 3*z); "
+      "w := form(3*z dx^dy, -2*y dx^dz, x dy^dz); "
+      "l1 := y - x^2; l2 := z - x^3;",
+      "gsv v along (l1, l2) at (0,0,0); gsv w along (l1, l2) at (0,0,0);"],
+     ["--format", "json"], 0, [1, 1],
+     [[["minors-(0, 2)", True], ["minors-(1, 2)", True]]] * 2),
     # points are checked where they are written, at parse time
     ("point-arity-at",
      ["ring x,y; f := y^2 - x^3; milnor f at (0,0,0);"],

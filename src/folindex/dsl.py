@@ -255,10 +255,10 @@ _BRANCH = _Clause("branch", _name("branch"), "branch")
 def _gsv(data, curve):
     """GSV index of a field, or of its dual form, along a plane curve or
     along the n-1 curves that cut out a space curve."""
-    if isinstance(curve, tuple):
-        return gsv_pfaff_curve(data, curve)
     if isinstance(data, DiffForm):
         data = field_from_dual(data)
+    if isinstance(curve, tuple):
+        return gsv_pfaff_curve(data, curve)
     return gsv_curve(data, curve)
 
 

@@ -8,6 +8,11 @@ the report attached.
 Every function reads the germ of its data at the origin, and a branch
 passes through the origin at t == 0.  Data given at another point is moved
 there first, with series.moved or the translation helpers of polyring.
+
+The GSV index along a curve is a difference of vanishing orders along it:
+one loop reads them for the plane Saito variants and for the space
+Jacobian minors alike, and one finisher reports the first route's value
+with every other route checked against it.
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ from .polyring import (
     PolyMatrix,
     VectorField,
     dual_form,
-    field_from_dual,
 )
 from .residues import grothendieck_residue
 from .series import (
@@ -84,6 +88,30 @@ def _finish(value, method, crosschecks=()):
         raise RouteConflict(
             "independent routes disagree (%s)" % ", ".join(bad), report=report)
     return report
+
+
+def _agreed(method, routes):
+    """Report the first route's value, with every other route checked
+    against it; a route is (label, value, detail format)."""
+    value = routes[0][1]
+    return _finish(value, method, [(label, val == value, detail % val)
+                                   for label, val, detail in routes[1:]])
+
+
+def _vanishing_orders(pairs, curve, error):
+    """(key, ord(a) - ord(g), ord(a)) for each pair (key, g, a), in order,
+    whose g and then a have finite order along the curve; error if none."""
+    out = []
+    for key, g, a in pairs:
+        ord_g = order_along_curve(g, curve)
+        if ord_g is INFINITE:
+            continue
+        ord_a = order_along_curve(a, curve)
+        if ord_a is not INFINITE:
+            out.append((key, ord_a - ord_g, ord_a))
+    if not out:
+        raise error
+    return out
 
 
 def _plane(v, f, what):
@@ -208,59 +236,32 @@ def _saito_variants(v, f, h):
     return out
 
 
-def _saito_valid_variants(v, f, h):
-    """(triple, order difference, ord(xi)) for the variants whose g and xi
-    have finite order along the curve, in the order fy, fx; the difference
-    is ord(xi) - ord(g).  DegenerateDecomposition when there is none."""
-    out = []
-    for triple in _saito_variants(v, f, h):
-        ord_g = order_along_curve(triple.g, (f,))
-        if ord_g is INFINITE:
-            continue
-        ord_xi = order_along_curve(triple.xi, (f,))
-        if ord_xi is not INFINITE:
-            out.append((triple, ord_xi - ord_g, ord_xi))
-    if not out:
-        raise DegenerateDecomposition(
-            "both decomposition variants vanish along the curve")
-    return out
-
-
-def saito_decomposition(v, f, variant="auto"):
+def saito_decomposition(v, f):
     """Decompose the dual form of v along the invariant curve f == 0:
-    g * omega_v == xi * df + f * eta.
-
-    variant "fy" or "fx" forces which partial plays g; "auto" returns the
-    first variant whose g and xi have finite vanishing order along the curve
-    and raises DegenerateDecomposition when neither does.
-    """
+    g * omega_v == xi * df + f * eta, for the first variant, fy then fx,
+    whose g and xi have finite vanishing order along the curve;
+    DegenerateDecomposition when neither has."""
     _plane(v, f, "saito_decomposition")
-    if variant not in ("fy", "fx", "auto"):
-        raise InvalidInput("variant must be 'fy', 'fx' or 'auto', got %r"
-                           % (variant,))
-    h = tangency_cofactor(v, f)
-    if variant != "auto":
-        return {t.variant: t for t in _saito_variants(v, f, h)}[variant]
-    return _saito_valid_variants(v, f, h)[0][0]
+    return _plane_germ(v, f)[1][0][0]
 
 
 def _plane_germ(v, f):
-    """What gsv_curve, cs_index and var_index share: the tangency cofactor,
-    and the valid decomposition variants with their order differences and
-    orders of xi.  The cofactor's exact division is the germ's only one:
-    both variants are built from it."""
+    """The tangency cofactor and the valid variants as (triple, order
+    difference, ord(xi)), for gsv_curve, cs_index and var_index.  Both
+    variants are built from the cofactor, the germ's one exact division."""
     h = tangency_cofactor(v, f)
-    return h, _saito_valid_variants(v, f, h)
+    return h, _vanishing_orders(
+        ((t, t.g, t.xi) for t in _saito_variants(v, f, h)), (f,),
+        DegenerateDecomposition(
+            "both decomposition variants vanish along the curve"))
 
 
 def _gsv(v, f, h, valid):
     """gsv_curve on a germ of _plane_germ."""
-    value = valid[0][1]
-    checks = [("variant-" + triple.variant, val == value,
-               "order difference %s" % val) for triple, val, _ in valid[1:]]
     hom = _homological(v, f, h)
-    checks.append(("homological", hom == value, "homological index %s" % hom))
-    return _finish(value, "vanishing-orders", checks)
+    return _agreed("vanishing-orders", [
+        ("variant-" + t.variant, d, "order difference %s")
+        for t, d, _ in valid] + [("homological", hom, "homological index %s")])
 
 
 def _cs(f, valid, branch):
@@ -315,7 +316,8 @@ def _cs(f, valid, branch):
             for triple, _, _ in valid:
                 num = pullback_one_form(triple.eta, comps)
                 den = poly_on_branch(triple.xi, comps).truncate(num.order)
-                values.append((triple.variant, -laurent_residue(num, den)))
+                values.append(("variant-" + triple.variant,
+                               -laurent_residue(num, den), "residue %s"))
             break
         except InsufficientOrder:
             if order < ceiling:
@@ -324,10 +326,7 @@ def _cs(f, valid, branch):
             raise TruncationNotStabilized(
                 "branch order %d cannot resolve the residue" % order)
 
-    value = values[0][1]
-    checks = [("variant-" + variant, val == value, "residue %s" % val)
-              for variant, val in values[1:]]
-    return _finish(value, "branch-residue", checks)
+    return _agreed("branch-residue", values)
 
 
 def gsv_curve(v, f):
@@ -378,16 +377,15 @@ def radial_index(v, f):
 # complete intersection curves in higher dimension
 
 
-def gsv_pfaff_curve(data, curve_polys):
-    """Index along a complete-intersection curve in n-space cut out by n - 1
-    polynomials, from the coefficient form and the Jacobian minors.
-
-    data may be a vector field or its dual (n-1)-form.  Every minor index set
-    with finite orders is evaluated; all of them must give the same value."""
-    v = field_from_dual(data) if isinstance(data, DiffForm) else data
+def gsv_pfaff_curve(v, curve_polys):
+    """Index of the vector field v along a complete-intersection curve in
+    n-space cut out by n - 1 polynomials: the order along the curve of the
+    coefficient of omega_v on dx_I minus that of the Jacobian minor on the
+    columns I.  Every index set I with finite orders is evaluated; all of
+    them must give the same value."""
     if not isinstance(v, VectorField):
-        raise InvalidInput("gsv_pfaff_curve needs a vector field or its dual "
-                           "form, got %r" % (data,))
+        raise InvalidInput("gsv_pfaff_curve needs a vector field, got %r"
+                           % (v,))
     n = v.nvars
     curve_polys = tuple(curve_polys)
     if len(curve_polys) != n - 1 or not all(
@@ -402,27 +400,15 @@ def gsv_pfaff_curve(data, curve_polys):
             raise NotInvariant(
                 "vector field is not tangent to the curve")
 
-    candidates = []
-    for idx_set in itertools.combinations(range(n), n - 1):
-        rows = [[curve_polys[i].diff(j) for j in idx_set]
-                for i in range(n - 1)]
-        minor = PolyMatrix(rows).det()
-        ord_minor = order_along_curve(minor, curve_polys)
-        if ord_minor is INFINITE:
-            continue
-        # coefficient of omega on dx_I
-        a = omega.coefficient(idx_set)
-        ord_a = order_along_curve(a, curve_polys)
-        if ord_a is INFINITE:
-            continue
-        candidates.append((idx_set, ord_a - ord_minor))
-    if not candidates:
-        raise DegenerateMinors(
-            "no minor of the curve Jacobian has finite order along the curve")
-    value = candidates[0][1]
-    checks = [("minors-%s" % (idx_set,), val == value, "order difference %s" % val)
-              for idx_set, val in candidates[1:]]
-    return _finish(value, "minor-orders", checks)
+    minors = ((idx, PolyMatrix([[g.diff(j) for j in idx]
+                                for g in curve_polys]).det(),
+               omega.coefficient(idx))
+              for idx in itertools.combinations(range(n), n - 1))
+    valid = _vanishing_orders(minors, curve_polys, DegenerateMinors(
+        "no minor of the curve Jacobian has finite order along the curve"))
+    return _agreed("minor-orders", [
+        ("minors-%s" % (idx,), val, "order difference %s")
+        for idx, val, _ in valid])
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +426,7 @@ def log_index(v, divisor, oracle=False):
     except TypeError:
         raise InvalidInput("divisor %r is not a set of variable indices"
                            % (divisor,)) from None
-    bad = [i for i in divisor if not (isinstance(i, int) and 0 <= i < n)]
+    bad = [i for i in divisor if not (type(i) is int and 0 <= i < n)]
     if bad:
         raise InvalidInput("divisor entries %r are not variable indices "
                            "below %d" % (bad, n))

@@ -495,7 +495,7 @@ def contraction_complex_euler(v, germ, N=None):
         except TypeError:
             raise InvalidInput("germ %r is neither a polynomial nor a set of "
                                "variable indices" % (germ,)) from None
-        bad = [i for i in divisor if not (isinstance(i, int) and 0 <= i < n)]
+        bad = [i for i in divisor if not (type(i) is int and 0 <= i < n)]
         if bad:
             raise InvalidInput("divisor entries %r are not variable indices "
                                "below %d" % (bad, n))

@@ -200,7 +200,7 @@ class StepBudget:
     __slots__ = ("remaining",)
 
     def __init__(self, limit):
-        if not (isinstance(limit, int) and limit > 0):
+        if not (type(limit) is int and limit > 0):
             raise InvalidInput("step budget must be a positive integer, got %r"
                                % (limit,))
         self.remaining = limit

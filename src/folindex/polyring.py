@@ -55,7 +55,7 @@ def _over_common_denominator(terms):
 
 
 def _check_index(i, nvars):
-    if not (isinstance(i, int) and 0 <= i < nvars):
+    if not (type(i) is int and 0 <= i < nvars):
         raise InvalidInput("%r is not a variable index below %d" % (i, nvars))
 
 
@@ -70,7 +70,7 @@ class Poly:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars, terms=None):
-        if not (isinstance(nvars, int) and nvars >= 0):
+        if not (type(nvars) is int and nvars >= 0):
             raise InvalidInput("a ring has a nonnegative number of variables, "
                                "got %r" % (nvars,))
         clean = {}
@@ -422,20 +422,24 @@ class DiffForm:
     __slots__ = ("nvars", "degree", "coeffs")
 
     def __init__(self, nvars, degree, coeffs=None):
-        if not (isinstance(degree, int) and 0 <= degree <= nvars):
+        if not (type(nvars) is int and type(degree) is int
+                and 0 <= degree <= nvars):
             raise InvalidInput("no %r-forms in %r variables"
                                % (degree, nvars))
         clean = {}
         if coeffs:
             for idx, p in coeffs.items():
                 idx = tuple(idx)
-                if (len(idx) != degree or not all(0 <= i < nvars for i in idx)
+                if (len(idx) != degree
+                        or not all(type(i) is int and 0 <= i < nvars
+                                   for i in idx)
                         or any(a >= b for a, b in zip(idx, idx[1:]))):
                     raise InvalidInput(
                         "%r is not a strictly increasing tuple of %d "
                         "variable indices" % (idx, degree))
-                if p.nvars != nvars:
-                    raise InvalidInput("polynomial rings differ")
+                if not (isinstance(p, Poly) and p.nvars == nvars):
+                    raise InvalidInput("a form's coefficients are "
+                                       "polynomials in its ring")
                 if not p.is_zero():
                     clean[idx] = p
         self.nvars = nvars

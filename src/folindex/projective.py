@@ -359,7 +359,7 @@ def _shaped(kind, shape, n, curve, divisor):
             raise InvalidInput("%s needs n-1 affine curve equations" % kind)
         return list(curve), ()
     if shape == "divisor":
-        if not divisor or not all(isinstance(i, int) and 0 <= i <= n
+        if not divisor or not all(type(i) is int and 0 <= i <= n
                                   for i in divisor):
             raise InvalidInput("divisor: indices of homogeneous coordinate "
                                "hyperplanes")

@@ -100,7 +100,7 @@ def grothendieck_residue(h, v, bound=None):
     if not (isinstance(h, Poly) and h.nvars == n):
         raise InvalidInput("the numerator must be a polynomial in the %d "
                            "variables of the field" % n)
-    if bound is not None and not (isinstance(bound, int) and bound >= 1):
+    if bound is not None and not (type(bound) is int and bound >= 1):
         raise InvalidInput("the power bound must be a positive integer, "
                            "got %r" % (bound,))
     least = 1 if bound is None else bound
@@ -138,7 +138,7 @@ class PhiSpec:
     __slots__ = ("n", "terms")
 
     def __init__(self, n, terms):
-        if not (isinstance(n, int) and n >= 1):
+        if not (type(n) is int and n >= 1):
             raise InvalidInput("phi needs a dimension n >= 1, got %r" % (n,))
         clean = []
         for coeff, exps in terms:
@@ -146,6 +146,9 @@ class PhiSpec:
                 raise InvalidInput("phi coefficient %r is not rational"
                                    % (coeff,))
             exps = tuple(exps)
+            if not all(type(e) is int for e in exps):
+                raise InvalidInput("phi exponents %r are not integers"
+                                   % (exps,))
             if len(exps) != n or any(e < 0 for e in exps):
                 raise DegreeMismatch(
                     "term needs %d nonnegative exponents, got %r" % (n, exps))

@@ -30,7 +30,7 @@ class InsufficientOrder(Exception):
 
 
 def _check_order(order):
-    if not (isinstance(order, int) and order >= 1):
+    if not (type(order) is int and order >= 1):
         raise InvalidInput("a series order is a positive integer, got %r"
                            % (order,))
 

@@ -110,8 +110,9 @@ def test_run_global_check_rejects_data_its_kind_cannot_read():
     with pytest.raises(InvalidInput, match="does not define a curve"):
         run_global_check(space, "pfaff_degree", curve=(Y, Poly.const(3, 1)),
                          points=points3)
-    with pytest.raises(InvalidInput, match="divisor"):
-        run_global_check(plane, "log_bb", points=points)
+    for divisor in ((), (True,), (1.0,)):
+        with pytest.raises(InvalidInput, match="divisor"):
+            run_global_check(plane, "log_bb", divisor=divisor, points=points)
 
 
 def test_run_global_check_needs_a_projective_space_of_dimension_two():

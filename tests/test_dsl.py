@@ -427,7 +427,7 @@ def test_local_commands_at_a_point_read_the_data_moved_by_hand(at, pq):
     C = tuple(translate_to_origin(g, at) for g in curve)
     W = DiffForm(3, 2, {idx: translate_to_origin(g, at)
                         for idx, g in form.coeffs.items()})
-    want = [gsv_pfaff_curve(V, C), gsv_pfaff_curve(W, C)]
+    want = [gsv_pfaff_curve(V, C), gsv_pfaff_curve(field_from_dual(W), C)]
     got = [r["value"] for r in run_session(parse_session(text))]
     assert got == [r.value for r in want]
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from folindex import indices, localalgebra, residues
@@ -36,7 +36,13 @@ from folindex.indices import (
     var_index,
 )
 from folindex.localalgebra import step_budget
-from folindex.polyring import DiffForm, Poly, VectorField, dual_form
+from folindex.polyring import (
+    DiffForm,
+    Poly,
+    VectorField,
+    dual_form,
+    field_from_dual,
+)
 from folindex.series import BranchParam, TruncSeries, moved, newton_lift
 
 
@@ -120,7 +126,8 @@ def test_homological_index_space():
 def test_saito_decomposition():
     x, y = xy()
     cusp = y ** 2 - x ** 3
-    triple = saito_decomposition(VectorField((2 * x, 3 * y)), cusp)
+    v = VectorField((2 * x, 3 * y))
+    triple = saito_decomposition(v, cusp)
     assert triple.variant == "fy"
     assert triple.g == 2 * y
     assert triple.xi == 2 * x
@@ -134,8 +141,10 @@ def test_saito_decomposition():
     assert ham.g == ham.xi == 2 * y
     assert ham.eta.is_zero()
 
-    forced = saito_decomposition(VectorField((2 * x, 3 * y)), cusp, variant="fx")
-    assert forced.g == -3 * x ** 2
+    # the fx variant, which the index routes check against the first
+    fy, fx = indices._saito_variants(v, cusp, tangency_cofactor(v, cusp))
+    assert fy == saito_decomposition(v, cusp) and fx.variant == "fx"
+    assert fx.g == -3 * x ** 2
 
     with pytest.raises(DegenerateDecomposition):
         saito_decomposition(VectorField((x, -y)), x * y)
@@ -356,7 +365,7 @@ def test_gsv_pfaff_curve():
     assert rep.value == 1
     assert rep.crosschecks and all(ok for _, ok, _ in rep.crosschecks)
 
-    rep_form = gsv_pfaff_curve(dual_form(v2), (Y - X ** 2, Z))
+    rep_form = gsv_pfaff_curve(field_from_dual(dual_form(v2)), (Y - X ** 2, Z))
     assert rep_form.value == 1
 
     with pytest.raises(DegenerateMinors):
@@ -388,8 +397,6 @@ def test_point_of_the_wrong_length_raises_invalid_input(call):
 
 
 @pytest.mark.parametrize("call", [
-    lambda x, y: saito_decomposition(VectorField((2 * x, 3 * y)),
-                                     y ** 2 - x ** 3, variant="zz"),
     lambda x, y: saito_decomposition(VectorField(Poly.variables(3)),
                                      y ** 2 - x ** 3),
     lambda x, y: gsv_curve(VectorField(Poly.variables(3)), y ** 2 - x ** 3),
@@ -401,11 +408,11 @@ def test_point_of_the_wrong_length_raises_invalid_input(call):
                                  (Poly.var(3, 1), y)),
     lambda x, y: gsv_pfaff_curve(VectorField(Poly.variables(3)),
                                  (Poly.var(3, 1), "z")),
-], ids=["saito-variant", "saito-space", "gsv-space", "cs-space",
+], ids=["saito-space", "gsv-space", "cs-space",
         "pfaff-short", "pfaff-plane-poly", "pfaff-no-poly"])
 def test_malformed_arguments_raise_invalid_input(call):
-    # these were asserts: under python -O the wrong variant returned the
-    # auto variant and a short curve list raised IndexError
+    # these were asserts: under python -O a short curve list raised
+    # IndexError
     with pytest.raises(InvalidInput):
         call(*xy())
 
@@ -433,7 +440,10 @@ def test_gsv_pfaff_curve_builds_one_curve_basis(monkeypatch):
 
 def test_gsv_pfaff_curve_rejects_data_that_is_no_field():
     X, Y, Z = Poly.variables(3)
-    for data in (X, (X, 2 * Y, 3 * Z), DiffForm(3, 1, {(0,): X})):
+    # a form, even the dual form of a field, is turned into its field by
+    # the caller
+    for data in (X, (X, 2 * Y, 3 * Z), DiffForm(3, 1, {(0,): X}),
+                 dual_form(VectorField((X, 2 * Y, 3 * Z)))):
         with pytest.raises(InvalidInput):
             gsv_pfaff_curve(data, (Y - X ** 2, Z))
 
@@ -448,7 +458,7 @@ def test_log_index():
     with pytest.raises(NotLogarithmic):
         log_index(VectorField((Poly.const(2, 1), y)), (0,))
     # a divisor index outside the ring is bad input, also under python -O
-    for divisor in ((5,), (-1,), (0, "x"), (0.5,), 5, ([0],)):
+    for divisor in ((5,), (-1,), (0, "x"), (0.5,), 5, ([0],), (True,)):
         with pytest.raises(InvalidInput):
             log_index(VectorField((2 * x, 3 * y)), divisor, oracle=True)
 
@@ -686,3 +696,45 @@ def test_indices_are_invariant_under_rational_coordinate_changes(matrix):
     assert cs_index(v, f, branch).value == 6
     c1_squared = residues.PhiSpec(2, [(1, (2, 0))])
     assert residues.baum_bott_residue(v, c1_squared).value == Fraction(25, 6)
+
+
+@seed(27)
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([(p, q) for p in (2, 3, 4) for q in (2, 3, 4, 5)]
+                       + ["hamiltonian", "node"]),
+       st.one_of(st.just((1, 0, 0, 1)), st.tuples(
+           *[_rational_entries] * 4).filter(
+               lambda m: m[0] * m[3] != m[1] * m[2])),
+       _units)
+@example("node", (1, 0, 0, 1), (1, [0, 0, 0, 0, 0]))
+@example("node", (1, 0, 0, 1), (-2, [1, 3, -1, 0, 2]))
+@example("node", (1, 1, 0, 2), (3, [0, -2, 0, 1, 0]))
+def test_plane_gsv_is_the_one_equation_minor_route(germ, matrix, unit):
+    # In the plane the Saito pairs (f_y, v_1) and (f_x, -v_2) are the 1x1
+    # minors and dual-form coefficients that gsv_pfaff_curve reads: along
+    # (f,) and along (u f,) for a unit u it gives the value of gsv_curve,
+    # and DegenerateMinors where gsv_curve has no valid variant (the node
+    # unmoved: a generic move gives each branch a partial that is not a
+    # multiple of it).
+    x, y = xy()
+    if germ == "hamiltonian":
+        f, comps = y ** 2 - x ** 3, (2 * y, 3 * x ** 2)
+    elif germ == "node":
+        f, comps = x * y, (x, -y)
+    else:
+        p, q = germ
+        f, comps = y ** p - x ** q, (p * x, q * y)
+    a, b, c, d = matrix
+    det = Fraction(a * d - b * c)
+    phi = (a * x + b * y, c * x + d * y)
+    inv = ((d / det, -b / det), (-c / det, a / det))
+    w = tuple(comp.subst(phi) for comp in comps)
+    v = VectorField(tuple(r[0] * w[0] + r[1] * w[1] for r in inv))
+    f = f.subst(phi)
+    k, (e, g, h, i, j) = unit
+    u = k + e * x + g * y + h * x ** 2 + i * x * y + j * y ** 2
+    want = _outcome(gsv_curve, v, f)
+    if want is DegenerateDecomposition:
+        want = DegenerateMinors
+    assert _outcome(gsv_pfaff_curve, v, (f,)) == want
+    assert _outcome(gsv_pfaff_curve, v, (u * f,)) == want

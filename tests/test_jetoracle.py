@@ -266,7 +266,7 @@ def test_bad_oracle_input_raises_invalid_input():
         truncated_quotient_dim((), 4)
     with pytest.raises(InvalidInput):
         truncated_quotient_dim((x, Poly.var(3, 1)), 4)
-    for divisor in ((5,), (-1,), (0, "x"), (0.5,), 5, ([0],)):
+    for divisor in ((5,), (-1,), (0, "x"), (0.5,), 5, ([0],), (True,)):
         with pytest.raises(InvalidInput):
             contraction_complex_euler(v, divisor)
     # below level 1 every quotient reads 0, which would pass as stabilized

@@ -389,9 +389,10 @@ def test_step_budget_spans_the_block():
 
 def test_bad_inputs_raise_invalid_input():
     x, y = Poly.variables(2)
-    with pytest.raises(InvalidInput):
-        StepBudget(0)
-    for limit in (0, -5, None):
+    for limit in (0, True):
+        with pytest.raises(InvalidInput):
+            StepBudget(limit)
+    for limit in (0, -5, None, True, 2.0):
         with pytest.raises(InvalidInput), step_budget(limit):
             pass
     for nvars in (0, 2.0, True, None):

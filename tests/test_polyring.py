@@ -314,6 +314,21 @@ def test_bad_inputs_are_rejected():
     for d in (1.5, 2.0, True, None):
         with pytest.raises(InvalidInput):
             homogenize(x + y, d)
+    # an index and a ring size are ints: DiffForm(2, 1, {(0.5,): x}) was
+    # built, its dual field dropped the coefficient and its repr raised
+    # TypeError, and True passed as 1
+    for call in (lambda: DiffForm(2, 1, {(0.5,): x}),
+                 lambda: DiffForm(2, 1, {(True,): x}),
+                 lambda: DiffForm.dx(2, 1.0),
+                 lambda: DiffForm(2, True),
+                 lambda: DiffForm(2.0, 1),
+                 lambda: DiffForm(2, 1, {(0,): 1}),
+                 lambda: Poly.var(2, True),
+                 lambda: x.diff(True),
+                 lambda: Poly(True, {}),
+                 lambda: Poly(2.0)):
+        with pytest.raises(InvalidInput):
+            call()
 
 
 @pytest.mark.parametrize("call", [

@@ -184,7 +184,7 @@ def test_truncated_witnesses_give_the_exact_value(h, v):
 def test_bad_residue_input_raises_invalid_input():
     x, y = xy()
     v = VectorField((x ** 2, y ** 2))
-    for bound in (0, -1, Fraction(3, 2), 2.0, "2"):
+    for bound in (0, -1, Fraction(3, 2), 2.0, "2", True):
         with pytest.raises(InvalidInput):
             grothendieck_residue(x * y, v, bound=bound)
     with pytest.raises(InvalidInput):
@@ -206,8 +206,11 @@ def test_residue_at_a_point_of_another_space_raises_invalid_input():
     (Fraction(2), [(1, (2, 0))]),
     (2, [(0.5, (2, 0))]),
     (2, [("1", (2, 0))]),
+    (True, [(1, (1,))]),
+    (2, [(1, (2.0, 0))]),
+    (2, [(1, (0, True))]),
 ], ids=["n-zero", "n-negative", "n-not-int", "float-coefficient",
-        "str-coefficient"])
+        "str-coefficient", "n-bool", "float-exponent", "bool-exponent"])
 def test_bad_phi_raises_invalid_input(n, terms):
     with pytest.raises(InvalidInput):
         PhiSpec(n, terms)

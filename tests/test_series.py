@@ -196,9 +196,12 @@ def test_branch_inputs_are_checked():
     lambda: BranchParam((1, 2)),
     lambda: BranchParam.from_polys((1, 2), 5),
     lambda: BranchParam.from_polys((Poly.var(1, 0),), 0),
+    lambda: TruncSeries(True, (1,)),
+    lambda: BranchParam.from_polys((Poly.var(1, 0),), True),
 ], ids=["too-many-coeffs", "order-0", "order-fraction", "truncate-up",
         "derivative-order-1", "inverse-no-constant", "branch-empty",
-        "branch-no-series", "branch-no-polys", "branch-order-0"])
+        "branch-no-series", "branch-no-polys", "branch-order-0",
+        "order-bool", "branch-order-bool"])
 def test_malformed_series_raise_invalid_input(call):
     # these were asserts: under python -O TruncSeries(2, (1, 2, 3)) built an
     # order-2 series of three coefficients and an empty branch raised
