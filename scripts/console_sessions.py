@@ -81,6 +81,12 @@ TABLE = [
      ["ring x,y,z; v := vf(x, y, z); f := x*y + y*z + z*x;",
       "homological v along f at (0,0,0);"],
      ["--oracle", "on", "--format", "json"], 0, [2], [[oracle]]),
+    # a weighted Euler field on a Brieskorn surface: rows of mixed degree,
+    # and 1 + mu = 1 + 1*2*3
+    ("oracle-space-weighted",
+     ["ring x,y,z; f := x^2 + y^3 + z^4; v := vf(6*x, 4*y, 3*z);",
+      "homological v along f at (0,0,0);"],
+     ["--oracle", "on", "--format", "json"], 0, [7], [[oracle]]),
     # the oracle runs levels 8, 10, 16 and 18: it rebuilds its
     # rows across a doubling of the level
     ("oracle-doubling",

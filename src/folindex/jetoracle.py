@@ -116,20 +116,36 @@ def integer_rank(rows, pivots=None):
     """Rank of a list of integer rows, by sparse fraction-free elimination.
 
     A row is a sparse {column: int} dict with no zero entry.  Each row is
-    reduced on its lowest column against the pivot row owning that column,
-    by an integer combination that cancels the column exactly, and divided
-    by its content after every step to hold coefficient growth down.  A row
-    that does not reduce to zero becomes the pivot of its lowest column.
-    The pivots have distinct lowest columns, so their count is the rank.
-    A row is never changed: a reduction builds a new dict, and a given row
-    that no pivot reduces is stored as a pivot as it is, not copied, so the
-    caller must not change it afterwards either.
+    reduced on its lowest column against the pivot row owning that column:
+    with a and p the two entries divided by their gcd, signs flipped so that
+    p > 0, the row becomes p row - a pivot, which cancels the column
+    exactly.  A row that does not reduce to zero becomes the pivot of its
+    lowest column.  The pivots have distinct lowest columns, so their count
+    is the rank.  Four rules keep the work down:
+
+    - when p is 1 the row needs no scaled copy, only the subtraction;
+    - a row is updated in place only once this call has built it (by a
+      scaled or a plain copy); a caller's row and a stored pivot are never
+      changed, so a given primitive row that no pivot reduces is stored as
+      it is, and the caller must not change it afterwards either;
+    - the content is divided out only after a step that scaled the row
+      (p > 1), and when a row is stored, so every pivot is primitive;
+    - a row that meets a longer pivot at its lowest column takes that
+      column's place, primitive, and the longer pivot is reduced on in its
+      stead, from the next column on; its own dict is never changed.
 
     pivots, if given, is the echelon {lowest column: row} of rows
     eliminated before; it is extended in place, and the count returned is
     the rank of those rows and these together.  A pivot row is never changed
-    once stored, so a caller may read an echelon, extend it in place and
-    read it again.
+    once stored, though the fourth rule may replace it in the echelon, so a
+    caller may copy an echelon, extend the copy and read the original again.
+
+    Which row becomes a pivot depends on the order of the rows and on the
+    fourth rule, but the set of pivot columns does not: it is the set of
+    lowest columns of the nonzero vectors of the row space.  Each pivot row
+    lies in the span, and a nonzero combination of rows with distinct
+    lowest columns has as lowest column the least of those it uses.  So the
+    rank, and every prefix count below, depend on the row space alone.
 
     The echelon also gives the rank of the rows cut down to any prefix P of
     the columns (every column below some c): it is the number of pivots in
@@ -141,23 +157,34 @@ def integer_rank(rows, pivots=None):
     if pivots is None:
         pivots = {}
     for row in rows:
+        own = False
         while row:
             col = min(row)
             pivot = pivots.get(col)
             if pivot is None:
-                pivots[col] = row
+                pivots[col] = _primitive(row)
                 break
+            if len(row) < len(pivot):
+                pivots[col] = _primitive(row)
+                row, pivot, own = pivot, pivots[col], False
             a, p = row[col], pivot[col]
             g = gcd(a, p)
             a, p = a // g, p // g
-            out = {k: p * c for k, c in row.items()}
+            if p < 0:
+                a, p = -a, -p
+            if p != 1:
+                row = {k: p * c for k, c in row.items()}
+            elif not own:
+                row = dict(row)
+            own = True
             for k, c in pivot.items():
-                s = out.get(k, 0) - a * c
+                s = row.get(k, 0) - a * c
                 if s:
-                    out[k] = s
+                    row[k] = s
                 else:
-                    del out[k]
-            row = _primitive(out)
+                    del row[k]
+            if p != 1:
+                row = _primitive(row)
     return len(pivots)
 
 
@@ -262,12 +289,16 @@ class _Complex:
     images[j], the image i_v(dx_I) of each basis form of degree j, and
     relations[j], the rows f dx_I, then df ^ dx_J, each with the image of
     its contraction when check is set.  rows(N, window) shifts them into
-    the rows of one truncation level.
+    the rows of one truncation level.  The shifts it reads, shifts[d] for
+    every monomial of degree d in _monomials order, are built once per
+    complex: a level extends the table by the degrees it adds, and the
+    levels of one call share it.
     """
 
     def __init__(self, comps, f, max_level, check):
         n = len(comps)
         self.n, self.top = n, n - 1
+        self.shifts = []
         self.forms = [list(itertools.combinations(range(n), j))
                       for j in range(n)]
         contractions = [[]] + [[_contraction_terms(comps, I)
@@ -335,9 +366,10 @@ class _Complex:
               its contraction when check is set and that has degree below
               N, else None.
         """
-        span = self.span
-        shifts = [[self.shift(e) for e in _monomials(self.n, d)]
-                  for d in range(N)]
+        span, shifts = self.span, self.shifts
+        while len(shifts) < N:
+            shifts.append([self.shift(e)
+                           for e in _monomials(self.n, len(shifts))])
         phi = [[] for _ in range(self.n)]
         for j in range(1, self.top + 1):
             for s, (deg, image) in enumerate(self.images[j]):

@@ -41,7 +41,8 @@ __all__ = [
 def _rat(c):
     if isinstance(c, Fraction):
         return c
-    if isinstance(c, int):
+    # a bool is an int to Python, but no coefficient
+    if type(c) is int:
         return Fraction(c)
     raise TypeError("rational coefficient expected, got %r" % (c,))
 
@@ -196,7 +197,7 @@ class Poly:
         return NotImplemented
 
     def __pow__(self, k):
-        if not (isinstance(k, int) and k >= 0):
+        if not (type(k) is int and k >= 0):
             raise InvalidInput("exponent must be a nonnegative integer, got %r"
                                % (k,))
         result = Poly.const(self.nvars, 1)

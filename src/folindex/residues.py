@@ -142,7 +142,7 @@ class PhiSpec:
             raise InvalidInput("phi needs a dimension n >= 1, got %r" % (n,))
         clean = []
         for coeff, exps in terms:
-            if not isinstance(coeff, (int, Fraction)):
+            if not (type(coeff) is int or isinstance(coeff, Fraction)):
                 raise InvalidInput("phi coefficient %r is not rational"
                                    % (coeff,))
             exps = tuple(exps)

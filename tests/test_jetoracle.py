@@ -75,10 +75,13 @@ def test_integer_rank():
         assert integer_rank(_sparse(base)) == rank
 
 
-def _fraction_rank(rows, ncols):
+def _fraction_pivots(rows, ncols):
+    """Pivot columns of a Fraction echelon of dense rows, eliminated from
+    the lowest column up: the lowest columns of the row space."""
     m = [[Fraction(a) for a in r] for r in rows]
-    rank = 0
+    pivots = []
     for col in range(ncols):
+        rank = len(pivots)
         piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
         if piv is None:
             continue
@@ -86,8 +89,12 @@ def _fraction_rank(rows, ncols):
         for i in range(rank + 1, len(m)):
             t = m[i][col] / m[rank][col]
             m[i] = [a - t * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return rank
+        pivots.append(col)
+    return pivots
+
+
+def _fraction_rank(rows, ncols):
+    return len(_fraction_pivots(rows, ncols))
 
 
 @st.composite
@@ -231,6 +238,32 @@ def test_euler_surfaces_in_space():
     radial = VectorField((x, y, z))
     assert contraction_complex_euler(radial, x ** 2 + y ** 2 + z ** 2, N=5)[0] == 2
     assert contraction_complex_euler(radial, x * y - z ** 2, N=5)[0] == 2
+
+
+@pytest.mark.parametrize("a, b, c", [(2, 2, 3), (2, 3, 3), (2, 3, 4)])
+def test_oracle_on_brieskorn_surfaces(a, b, c):
+    # the weighted Euler field on x^a + y^b + z^c has homological index
+    # 1 + mu with mu = (a-1)(b-1)(c-1); its rows are not homogeneous
+    x, y, z = Poly.variables(3)
+    w = lcm(a, b, c)
+    v = VectorField((w // a * x, w // b * y, w // c * z))
+    report = homological_index(v, x ** a + y ** b + z ** c, oracle=True)
+    assert report.value == 1 + (a - 1) * (b - 1) * (c - 1)
+    assert [check[:2] for check in report.crosschecks] == [
+        ("truncation-oracle", True)]
+
+
+def test_non_isolated_zeros_on_a_surface_never_stabilize():
+    # v vanishes on the plane x == 0, a component of f == 0, so with N
+    # omitted the level doubles past its limit
+    x, y, z = Poly.variables(3)
+    q = Fraction(4, 3)
+    f = x - q * x * y + q * x ** 2
+    v = VectorField((Poly.zero(3), x * y - q * x * y ** 2 + q * x ** 2 * y,
+                     -q * x + Fraction(7, 9) * x * y + q * x * y ** 2
+                     - Fraction(28, 9) * x ** 2 - q * x ** 2 * y))
+    with pytest.raises(TruncationNotStabilized):
+        contraction_complex_euler(v, f)
 
 
 def test_euler_log_divisor():
@@ -466,6 +499,38 @@ def test_extending_a_copied_echelon(a, b):
     before = {k: dict(row) for k, row in pivots.items()}
     assert integer_rank(b, dict(pivots)) == integer_rank(a + b)
     assert pivots == before
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_rows, _sparse_rows)
+def test_echelon_contract(given_rows, rows):
+    # fresh and extending the echelon of given_rows: the rank, the pivot
+    # columns, which are the lowest columns of the row space whichever rows
+    # become pivots, and inputs that stay as they were
+    for start in ([], given_rows):
+        inputs = [(row, dict(row)) for row in start + rows]
+        pivots = {}
+        integer_rank(start, pivots)
+        stored = [(row, dict(row)) for row in pivots.values()]
+        rank = integer_rank(rows, pivots)
+        dense = [[row.get(k, 0) for k in range(10)] for row in start + rows]
+        assert rank == _fraction_rank(dense, 10)
+        assert sorted(pivots) == _fraction_pivots(dense, 10)
+        assert all(min(row) == k and gcd(*row.values()) == 1
+                   for k, row in pivots.items())
+        assert all(row == before for row, before in inputs + stored)
+
+
+def test_a_shorter_row_displaces_a_longer_pivot():
+    # the shorter row takes column 0, primitive; the old pivot, reduced
+    # against it, moves to column 1 and its own dict is left alone
+    longer, shorter = {0: 1, 1: 1, 2: 1}, {0: 2, 1: 4}
+    pivots = {}
+    assert integer_rank([longer], pivots) == 1
+    assert pivots[0] is longer
+    assert integer_rank([shorter], pivots) == 2
+    assert pivots == {0: {0: 1, 1: 2}, 1: {1: -1, 2: 1}}
+    assert longer == {0: 1, 1: 1, 2: 1} and shorter == {0: 2, 1: 4}
 
 
 @st.composite

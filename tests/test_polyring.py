@@ -331,6 +331,19 @@ def test_bad_inputs_are_rejected():
             call()
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda x, a: x ** a, InvalidInput),
+    (lambda x, a: Poly.const(2, a), TypeError),
+    (lambda x, a: Poly.monomial((1, 0), a), TypeError),
+], ids=["pow", "const", "monomial"])
+def test_bool_is_refused_like_a_non_number(call, error):
+    # a bool is an int to Python: x ** True was x, and True a coefficient 1
+    x = Poly.var(2, 0)
+    for a in ("2", True):
+        with pytest.raises(error):
+            call(x, a)
+
+
 @pytest.mark.parametrize("call", [
     lambda x, y: Poly(-1),
     lambda x, y: Poly.var(2, 5),

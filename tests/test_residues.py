@@ -209,8 +209,10 @@ def test_residue_at_a_point_of_another_space_raises_invalid_input():
     (True, [(1, (1,))]),
     (2, [(1, (2.0, 0))]),
     (2, [(1, (0, True))]),
+    (2, [(True, (2, 0))]),
 ], ids=["n-zero", "n-negative", "n-not-int", "float-coefficient",
-        "str-coefficient", "n-bool", "float-exponent", "bool-exponent"])
+        "str-coefficient", "n-bool", "float-exponent", "bool-exponent",
+        "bool-coefficient"])
 def test_bad_phi_raises_invalid_input(n, terms):
     with pytest.raises(InvalidInput):
         PhiSpec(n, terms)
