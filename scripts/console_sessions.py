@@ -106,6 +106,13 @@ TABLE = [
       "M := point (1,-1,0); A := point (0,1,0); B := point (0,0,1);",
       "check log_bb of v divisor (x) points (O, M, A, B);"],
      ["--oracle", "on", "--format", "json"], 0, [4], None),
+    # a repeated divisor entry names one hyperplane
+    ("log-divisor-repeated",
+     ["ring x,y; v := vf(x^2, y);",
+      "logindex v divisor (x, x) at (0,0); "
+      "logindex v divisor (x) at (0,0);"],
+     ["--oracle", "on", "--format", "json"], 0, [1, 1],
+     [[oracle], [oracle]]),
     ("germs",
      ["ring x,y; f := y^9 + 3*x*y^9 + x^2*y^7 + x^6 + x^6*y^4;",
       "milnor f at (0,0); tjurina f at (0,0);"],

@@ -46,6 +46,8 @@ from .polyring import (
     Poly,
     PolyMatrix,
     VectorField,
+    _as_tuple,
+    _check_divisor,
     dual_form,
 )
 from .residues import grothendieck_residue
@@ -182,7 +184,7 @@ def homological_index(v, f, oracle=False):
     value = _homological(v, f, tangency_cofactor(v, f))
     checks = []
     if oracle:
-        chi, _ = contraction_complex_euler(v, f)
+        chi = contraction_complex_euler(v, f)
         checks.append(("truncation-oracle", chi == value,
                        "oracle characteristic %s" % chi))
     return _finish(value, "module-dimension-formula", checks)
@@ -387,7 +389,7 @@ def gsv_pfaff_curve(v, curve_polys):
         raise InvalidInput("gsv_pfaff_curve needs a vector field, got %r"
                            % (v,))
     n = v.nvars
-    curve_polys = tuple(curve_polys)
+    curve_polys = _as_tuple(curve_polys, "a tuple of curve polynomials")
     if len(curve_polys) != n - 1 or not all(
             isinstance(g, Poly) and g.nvars == n for g in curve_polys):
         raise InvalidInput("a curve in %d-space needs %d polynomials in %d "
@@ -421,16 +423,7 @@ def log_index(v, divisor, oracle=False):
     coordinate (NotLogarithmic otherwise); the value is the dimension of the
     local ring modulo the divided components and the untouched ones."""
     n = v.nvars
-    try:
-        divisor = set(divisor)
-    except TypeError:
-        raise InvalidInput("divisor %r is not a set of variable indices"
-                           % (divisor,)) from None
-    bad = [i for i in divisor if not (type(i) is int and 0 <= i < n)]
-    if bad:
-        raise InvalidInput("divisor entries %r are not variable indices "
-                           "below %d" % (bad, n))
-    divisor = tuple(sorted(divisor))
+    divisor = _check_divisor(divisor, n)
     gens = []
     for i in range(n):
         if i in divisor:
@@ -444,7 +437,7 @@ def log_index(v, divisor, oracle=False):
     value = _local_dim(gens, n, "zero of the field relative to the divisor")
     checks = []
     if oracle:
-        chi, _ = contraction_complex_euler(v, divisor)
+        chi = contraction_complex_euler(v, divisor)
         checks.append(("truncation-oracle", chi == value,
                        "oracle characteristic %s" % chi))
     return _finish(value, "local-algebra", checks)

@@ -21,7 +21,7 @@ from .errors import (
     RouteConflict,
     TruncationNotStabilized,
 )
-from .polyring import Poly
+from .polyring import Poly, _check_divisor
 
 __all__ = [
     "integer_rank",
@@ -104,12 +104,6 @@ def _divide(p, f):
             else:
                 del rest[t]
     return Poly(p.nvars, quotient)
-
-
-def _check_level(N):
-    # below level 1 every quotient is zero and would read as stabilized
-    if isinstance(N, bool) or not isinstance(N, int) or N < 1:
-        raise InvalidInput("truncation level %r is not an int >= 1" % (N,))
 
 
 def integer_rank(rows, pivots=None):
@@ -206,7 +200,9 @@ def truncated_quotient_dim(gens, N):
     multiple of order N is zero there).  By integer_rank's prefix rule
     their rank is the number of pivots of degree below N.
     """
-    _check_level(N)
+    # below level 1 every quotient is zero and would read as stabilized
+    if isinstance(N, bool) or not isinstance(N, int) or N < 1:
+        raise InvalidInput("truncation level %r is not an int >= 1" % (N,))
     gens = tuple(gens)
     if not gens:
         raise InvalidInput("truncated_quotient_dim needs a generator")
@@ -283,7 +279,8 @@ class _Complex:
     higher degree come first, key % base is the degree, and adding shift(a)
     = _code(a) - width |a| base^(n+1) to a key multiplies its monomial by
     x^a.  base exceeds every degree a row or a contracted relation row
-    reaches below max_level.
+    reaches at the levels contraction_complex_euler reads, which stop at
+    _MAX_TRUNC + 2.
 
     The templates are built once, each a primitive row with its degree:
     images[j], the image i_v(dx_I) of each basis form of degree j, and
@@ -295,7 +292,7 @@ class _Complex:
     levels of one call share it.
     """
 
-    def __init__(self, comps, f, max_level, check):
+    def __init__(self, comps, f, check):
         n = len(comps)
         self.n, self.top = n, n - 1
         self.shifts = []
@@ -312,7 +309,7 @@ class _Complex:
                              for J in self.forms[j - 1]]
         dv = max([_terms_degree(t) for ts in contractions for t in ts] + [0])
         df = max([_terms_degree(t) for ts in relations for t in ts] + [0])
-        self.base = max_level + df + dv + 1
+        self.base = _MAX_TRUNC + 2 + df + dv + 1
         self.span = self.base ** (n + 1)
         self.width = comb(n, n // 2)
         self.slots = [{K: s for s, K in enumerate(forms)}
@@ -475,15 +472,14 @@ def _chi_at(cx, N, window):
     return sum(-x if j % 2 else x for j, x in enumerate(h))
 
 
-def contraction_complex_euler(v, germ, N=None):
-    """Euler characteristic of the contraction complex of v, by truncation,
-    as (value, stabilized).  N must be an int >= 1; with N omitted, the
-    level doubles until stabilized, up to _MAX_TRUNC, and
+def contraction_complex_euler(v, germ):
+    """Euler characteristic of the contraction complex of v, by truncation.
+    The level doubles until the value is stabilized, up to _MAX_TRUNC, and
     TruncationNotStabilized is raised past it.
 
     germ may be a polynomial f: the complex of forms on the hypersurface
-    f == 0, of length n - 1.  Stabilized means the value recurs at N + 2,
-    and N must exceed the degree buffer.
+    f == 0, of length n - 1.  A level must exceed the degree buffer, and
+    its value is stabilized when it recurs two levels up.
 
     Or germ may be variable indices D, for the complex of forms with
     logarithmic poles on the hyperplanes x_i == 0, i in D.  Omega^1(log D)
@@ -493,12 +489,9 @@ def contraction_complex_euler(v, germ, N=None):
     If O / (c) has finite length, c is a system of parameters of the
     Cohen-Macaulay local ring O, so a regular sequence, the complex is
     exact but at degree 0, and chi = dim O / (c) (Serre).  That colength is
-    truncated_quotient_dim(c, N): stabilized means it recurs at N + 1,
-    which by Nakayama makes it local.
+    the stabilized truncated_quotient_dim(c, N), which by Nakayama is local.
     """
     n = v.nvars
-    if N is not None:
-        _check_level(N)
     if isinstance(germ, Poly):
         f = germ
         if f.nvars != n:
@@ -509,28 +502,19 @@ def contraction_complex_euler(v, germ, N=None):
             raise NotInvariant(
                 "vector field is not tangent to the hypersurface")
         buffer = 1 + max(1, f.degree(), *(c.degree() for c in v.components))
-        if N is not None and N <= buffer:
-            raise TruncationNotStabilized(
-                "truncation level %d too small for the input degrees; it "
-                "must exceed %d" % (N, buffer))
         level = max(8 if n <= 2 else 5, buffer + 2)
-        max_level = N + 2 if N is not None else max(level, _MAX_TRUNC) + 2
+        if level > _MAX_TRUNC:
+            raise TruncationNotStabilized(
+                "the input degrees need truncation level %d, past the "
+                "oracle's limit %d" % (level, _MAX_TRUNC))
         cx = _Complex(_integer_terms(v.components), _integer_terms([f])[0],
-                      max_level, check=n <= 2)
+                      check=n <= 2)
 
         def euler(level):
             value = _chi_at(cx, level, level - buffer)
             return value, value == _chi_at(cx, level + 2, level + 2 - buffer)
     else:
-        try:
-            divisor = set(germ)
-        except TypeError:
-            raise InvalidInput("germ %r is neither a polynomial nor a set of "
-                               "variable indices" % (germ,)) from None
-        bad = [i for i in divisor if not (type(i) is int and 0 <= i < n)]
-        if bad:
-            raise InvalidInput("divisor entries %r are not variable indices "
-                               "below %d" % (bad, n))
+        divisor = _check_divisor(germ, n)
         cs = []
         for i in range(n):
             if i in divisor:
@@ -546,12 +530,10 @@ def contraction_complex_euler(v, germ, N=None):
         def euler(level):
             return truncated_quotient_dim(cs, level)
 
-    if N is not None:
-        return euler(N)
     while level <= _MAX_TRUNC:
         value, stabilized = euler(level)
         if stabilized:
-            return value, True
+            return value
         level *= 2
     raise TruncationNotStabilized(
         "no stable Euler characteristic up to truncation %d" % _MAX_TRUNC)

@@ -528,6 +528,26 @@ def _check_point(q, n):
         raise InvalidInput("the point %r is not %d rationals" % (q, n))
 
 
+def _as_tuple(items, what):
+    """items as a tuple; InvalidInput naming what they should be when they
+    are not a collection."""
+    try:
+        return tuple(items)
+    except TypeError:
+        raise InvalidInput("%r is not %s" % (items, what)) from None
+
+
+def _check_divisor(divisor, n):
+    """The sorted distinct entries of a coordinate divisor; InvalidInput
+    unless it is a collection of int indices of the n coordinates."""
+    entries = _as_tuple(divisor, "a divisor: a set of variable indices")
+    bad = [i for i in entries if type(i) is not int or not 0 <= i < n]
+    if bad:
+        raise InvalidInput("divisor entries %r are not variable indices "
+                           "below %d" % (bad, n))
+    return tuple(sorted(set(entries)))
+
+
 def translate_to_origin(p, q):
     """p(x + q): the germ of p at the point q, presented at the origin.
 

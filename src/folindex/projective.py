@@ -50,6 +50,8 @@ from .polyring import (
     DiffForm,
     Poly,
     VectorField,
+    _as_tuple,
+    _check_divisor,
     _check_point,
     field_from_dual,
     homogenize,
@@ -66,7 +68,7 @@ class ProjPoint:
     __slots__ = ("coords",)
 
     def __init__(self, coords):
-        coords = tuple(coords)
+        coords = _as_tuple(coords, "a tuple of rationals")
         _check_point(coords, len(coords))
         coords = tuple(map(Fraction, coords))
         if len(coords) < 2:
@@ -359,11 +361,11 @@ def _shaped(kind, shape, n, curve, divisor):
             raise InvalidInput("%s needs n-1 affine curve equations" % kind)
         return list(curve), ()
     if shape == "divisor":
-        if not divisor or not all(type(i) is int and 0 <= i <= n
-                                  for i in divisor):
+        divisor = _check_divisor(divisor, n + 1)
+        if not divisor:
             raise InvalidInput("divisor: indices of homogeneous coordinate "
                                "hyperplanes")
-        return [], tuple(sorted(set(divisor)))
+        return [], divisor
     return [], ()
 
 
@@ -382,13 +384,18 @@ def run_global_check(fol, kind, curve=None, points=(), branches=(),
     n = fol.n
     if n < 2:
         raise UnsupportedIdentity("%s: global identities need P^n with "
-                                  "n >= 2" % kind)
-    points = tuple(points)
+                                  "n >= 2" % (kind,))
+    points = _as_tuple(points, "a collection of ProjPoints")
     for i, p in enumerate(points):
         if not isinstance(p, ProjPoint) or p.n != n:
             raise InvalidInput("%r is not a point of P^%d" % (p, n))
         if p in points[:i]:
             raise InvalidInput("point %r is declared twice" % (p,))
+    try:
+        branches = [(p, br) for p, br in branches]
+    except (TypeError, ValueError):
+        raise InvalidInput("branches %r are not (ProjPoint, BranchParam) "
+                           "pairs" % (branches,)) from None
     grouped = {}
     for p, br in branches:
         if p not in points:
@@ -398,7 +405,7 @@ def run_global_check(fol, kind, curve=None, points=(), branches=(),
             raise InvalidInput("branch at %r is %r, not a BranchParam"
                                % (p, br))
         grouped.setdefault(p, []).append(br)
-    if kind not in CHECKS:
+    if not isinstance(kind, str) or kind not in CHECKS:
         raise UnsupportedIdentity(kind)
     check = CHECKS[kind]
     curves, divisor = _shaped(kind, check.shape, n, curve, divisor)

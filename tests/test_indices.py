@@ -408,8 +408,11 @@ def test_point_of_the_wrong_length_raises_invalid_input(call):
                                  (Poly.var(3, 1), y)),
     lambda x, y: gsv_pfaff_curve(VectorField(Poly.variables(3)),
                                  (Poly.var(3, 1), "z")),
+    lambda x, y: gsv_pfaff_curve(VectorField((2 * x, 3 * y)),
+                                 y ** 2 - x ** 3),
 ], ids=["saito-space", "gsv-space", "cs-space",
-        "pfaff-short", "pfaff-plane-poly", "pfaff-no-poly"])
+        "pfaff-short", "pfaff-plane-poly", "pfaff-no-poly",
+        "pfaff-bare-poly"])
 def test_malformed_arguments_raise_invalid_input(call):
     # these were asserts: under python -O a short curve list raised
     # IndexError

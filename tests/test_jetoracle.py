@@ -40,6 +40,7 @@ from folindex.polyring import (
     exterior_derivative,
     wedge,
 )
+from folindex.projective import ProjPoint, ProjectiveFoliation, run_global_check
 
 
 def _sparse(rows):
@@ -221,23 +222,23 @@ def test_stabilized_means_the_next_level_agrees(gens, N):
 def test_euler_smooth_line():
     # the window matters here: a raw count stalls at 0 for every truncation
     x, y = Poly.variables(2)
-    assert contraction_complex_euler(VectorField((x, y)), y) == (1, True)
-    assert contraction_complex_euler(VectorField((x, 2 * y)), y) == (1, True)
+    assert contraction_complex_euler(VectorField((x, y)), y) == 1
+    assert contraction_complex_euler(VectorField((x, 2 * y)), y) == 1
 
 
 def test_euler_plane_curves():
     x, y = Poly.variables(2)
     cusp = y ** 2 - x ** 3
-    assert contraction_complex_euler(VectorField((2 * x, 3 * y)), cusp) == (-1, True)
-    assert contraction_complex_euler(VectorField((2 * y, 3 * x ** 2)), cusp) == (0, True)
-    assert contraction_complex_euler(VectorField((-y, x)), x ** 2 + y ** 2) == (0, True)
+    assert contraction_complex_euler(VectorField((2 * x, 3 * y)), cusp) == -1
+    assert contraction_complex_euler(VectorField((2 * y, 3 * x ** 2)), cusp) == 0
+    assert contraction_complex_euler(VectorField((-y, x)), x ** 2 + y ** 2) == 0
 
 
 def test_euler_surfaces_in_space():
     x, y, z = Poly.variables(3)
     radial = VectorField((x, y, z))
-    assert contraction_complex_euler(radial, x ** 2 + y ** 2 + z ** 2, N=5)[0] == 2
-    assert contraction_complex_euler(radial, x * y - z ** 2, N=5)[0] == 2
+    assert contraction_complex_euler(radial, x ** 2 + y ** 2 + z ** 2) == 2
+    assert contraction_complex_euler(radial, x * y - z ** 2) == 2
 
 
 @pytest.mark.parametrize("a, b, c", [(2, 2, 3), (2, 3, 3), (2, 3, 4)])
@@ -266,21 +267,33 @@ def test_non_isolated_zeros_on_a_surface_never_stabilize():
         contraction_complex_euler(v, f)
 
 
+@pytest.mark.parametrize("d, level", [(30, 33), (31, 34)])
+def test_degrees_past_the_limit_build_no_level(monkeypatch, d, level):
+    # the first level must exceed the degree buffer 1 + d by 2, which is
+    # past _MAX_TRUNC here: the error names it before any complex is built
+    x, y = Poly.variables(2)
+    monkeypatch.setattr(jetoracle, "_Complex", None)
+    with pytest.raises(TruncationNotStabilized, match="level %d," % level):
+        homological_index(VectorField((2 * x, d * y)), x ** d + y ** 2,
+                          oracle=True)
+
+
 def test_euler_log_divisor():
     x, y = Poly.variables(2)
-    assert contraction_complex_euler(VectorField((2 * x, 3 * y)), (0,)) == (0, True)
-    assert contraction_complex_euler(VectorField((2 * x, 3 * y)), (0, 1)) == (0, True)
-    assert contraction_complex_euler(VectorField((x ** 2, y)), (0,)) == (1, True)
-    # an explicit level is stabilized when the colength recurs one level up
-    v = VectorField((x ** 3, y))
-    assert contraction_complex_euler(v, (0,), N=1) == (1, False)
-    assert contraction_complex_euler(v, (0,), N=2) == (2, True)
+    assert contraction_complex_euler(VectorField((2 * x, 3 * y)), (0,)) == 0
+    assert contraction_complex_euler(VectorField((2 * x, 3 * y)), (0, 1)) == 0
+    assert contraction_complex_euler(VectorField((x ** 2, y)), (0,)) == 1
+    # (x^3, y) along x == 0 divides to (x^2, y); a level is stabilized when
+    # the colength recurs one level up
+    assert contraction_complex_euler(VectorField((x ** 3, y)), (0,)) == 2
+    assert truncated_quotient_dim((x ** 2, y), 1) == (1, False)
+    assert truncated_quotient_dim((x ** 2, y), 2) == (2, True)
 
 
 def test_euler_empty_divisor_is_poincare_hopf():
     x, y = Poly.variables(2)
-    assert contraction_complex_euler(VectorField((y ** 2, -x ** 2)), ()) == (4, True)
-    assert contraction_complex_euler(VectorField((x, y)), ()) == (1, True)
+    assert contraction_complex_euler(VectorField((y ** 2, -x ** 2)), ()) == 4
+    assert contraction_complex_euler(VectorField((x, y)), ()) == 1
 
 
 def test_tangency_and_divisor_guards():
@@ -306,14 +319,61 @@ def test_bad_oracle_input_raises_invalid_input():
     for level in (-1, 0, 2.5, "3", True, None):
         with pytest.raises(InvalidInput):
             truncated_quotient_dim((x, y), level)
-    for level in (-1, 0, 2.5, "3", True):
-        for germ in ((0,), y ** 2 - x ** 3):
-            with pytest.raises(InvalidInput):
-                contraction_complex_euler(v, germ, N=level)
     with pytest.raises(InvalidInput):
         contraction_complex_euler(v, Poly.zero(2))
     with pytest.raises(InvalidInput):
         contraction_complex_euler(v, Poly.var(3, 0))
+
+
+def divisors(n):
+    """Coordinate divisors of n variables, valid or not: collections of ints
+    in [-1, n], bools, floats, strings and lists, or a non-iterable."""
+    entry = st.one_of(st.integers(-1, n), st.booleans(),
+                      st.floats(allow_nan=False), st.text(max_size=2),
+                      st.lists(st.integers(0, n), max_size=2))
+    return st.one_of(st.lists(st.integers(0, n - 1), max_size=4),
+                     st.lists(st.integers(-1, n), max_size=4).map(tuple),
+                     st.lists(entry, max_size=4),
+                     st.one_of(st.integers(), st.floats(allow_nan=False),
+                               st.none()))
+
+
+def is_divisor(divisor, n):
+    return (isinstance(divisor, (list, tuple))
+            and all(type(i) is int and 0 <= i < n for i in divisor))
+
+
+@seed(29)
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((2, 3)).flatmap(
+    lambda n: st.tuples(st.just(n), divisors(n))))
+def test_one_rule_checks_every_coordinate_divisor(case):
+    # a field logarithmic along every coordinate hyperplane, so only the
+    # divisor itself can be refused
+    n, divisor = case
+    xs = Poly.variables(n)
+    v = VectorField(tuple(x * (k + 2 + xs[(k + 1) % n])
+                          for k, x in enumerate(xs)))
+    try:
+        want = log_index(v, divisor).value
+    except InvalidInput:
+        assert not is_divisor(divisor, n)
+        with pytest.raises(InvalidInput):
+            contraction_complex_euler(v, divisor)
+    else:
+        assert is_divisor(divisor, n)
+        assert contraction_complex_euler(v, divisor) == want
+    # the same indices as homogeneous coordinates of P^n: a diagonal field
+    # leaves all n + 1 coordinate hyperplanes invariant
+    fol = ProjectiveFoliation.from_affine_field(
+        VectorField(tuple((k + 1) * x for k, x in enumerate(xs))))
+    points = [ProjPoint(tuple(int(i == k) for i in range(n + 1)))
+              for k in range(n + 1)]
+    if divisor and is_divisor(divisor, n + 1):
+        run_global_check(fol, "log_bb", points=points, divisor=divisor)
+    else:
+        with pytest.raises(InvalidInput):
+            run_global_check(fol, "log_bb", points=points, divisor=divisor)
 
 
 def _form_row(cx, form):
@@ -357,7 +417,7 @@ def test_rows_match_the_exterior_algebra(n, level):
         f = _random_poly(rng, n, 1, 3, 4)
         cx = jetoracle._Complex(
             jetoracle._integer_terms(w.components),
-            jetoracle._integer_terms([f])[0], level, check=True)
+            jetoracle._integer_terms([f])[0], check=True)
         phi, rel = cx.rows(level, window)
         # the complex on a hypersurface has forms of degree below n
         assert phi[0] == []
@@ -403,9 +463,8 @@ _nonzero_rationals = st.fractions(min_value=-6, max_value=6,
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 4), _nonzero_rationals, _nonzero_rationals,
-       st.sampled_from((None, 7)))
-def test_euler_ignores_constant_factors(case, a, b, N):
+@given(st.integers(0, 4), _nonzero_rationals, _nonzero_rationals)
+def test_euler_ignores_constant_factors(case, a, b):
     # the oracle scales v and f to integer terms, which needs exactly this
     x, y = Poly.variables(2)
     field, germ = [((2 * x, 3 * y), y ** 2 - x ** 3),
@@ -415,17 +474,8 @@ def test_euler_ignores_constant_factors(case, a, b, N):
                    ((y ** 2, -x ** 2), ())][case]
     scaled_germ = b * germ if isinstance(germ, Poly) else germ
     assert (contraction_complex_euler(VectorField(tuple(a * c for c in field)),
-                                      scaled_germ, N=N)
-            == contraction_complex_euler(VectorField(field), germ, N=N))
-
-
-def test_level_at_or_below_the_degree_buffer_raises():
-    # at N = 2 the window is empty and the value would read 0, not -1
-    x, y = Poly.variables(2)
-    v = VectorField((2 * x, 3 * y))
-    with pytest.raises(TruncationNotStabilized, match="too small"):
-        contraction_complex_euler(v, y ** 2 - x ** 3, N=2)
-    assert contraction_complex_euler(v, y ** 2 - x ** 3)[0] == -1
+                                      scaled_germ)
+            == contraction_complex_euler(VectorField(field), germ))
 
 
 def test_self_checks_raise_route_conflict(monkeypatch):
@@ -444,7 +494,7 @@ def test_self_checks_raise_route_conflict(monkeypatch):
     # a term far above the level pushes the window past the boundary
     patch_contraction((40, 0))
     with pytest.raises(RouteConflict, match="window"):
-        contraction_complex_euler(VectorField((2 * x, 3 * y)), y ** 2 - x ** 3, N=10)
+        contraction_complex_euler(VectorField((2 * x, 3 * y)), y ** 2 - x ** 3)
     monkeypatch.setattr(jetoracle, "_contraction_terms", real_contraction)
 
     # relations built from the wrong differential, d(f + x), are not closed
@@ -458,7 +508,7 @@ def test_self_checks_raise_route_conflict(monkeypatch):
 
     monkeypatch.setattr(jetoracle, "_wedge_df_terms", wedge_df)
     with pytest.raises(RouteConflict, match="relation span"):
-        contraction_complex_euler(VectorField((2 * x, 3 * y)), y ** 2 - x ** 3, N=10)
+        contraction_complex_euler(VectorField((2 * x, 3 * y)), y ** 2 - x ** 3)
 
 
 @settings(max_examples=100, deadline=None)
@@ -478,11 +528,8 @@ def test_exact_division(p_terms, f_terms):
 def test_non_reduced_curve_never_stabilizes():
     # on the double line the top homology keeps growing with the window
     x, y = Poly.variables(2)
-    v = VectorField((x, y))
-    _, stabilized = contraction_complex_euler(v, y ** 2, N=8)
-    assert not stabilized
     with pytest.raises(TruncationNotStabilized):
-        contraction_complex_euler(v, y ** 2)
+        contraction_complex_euler(VectorField((x, y)), y ** 2)
 
 
 _sparse_rows = st.lists(st.dictionaries(st.integers(0, 9),
@@ -552,7 +599,7 @@ def test_pivot_count_at_high_degree_is_the_rank_there(case):
     # columns of higher degree come first in the key order, so the rows cut
     # down to the columns of degree >= w have as rank the pivots there
     n, forms = case
-    cx = jetoracle._Complex([{}] * n, {}, 12, check=False)
+    cx = jetoracle._Complex([{}] * n, {}, check=False)
     rows = [{cx.key(K, e): c for (K, e), c in row.items()} for row in forms]
     pivots = {}
     integer_rank(rows, pivots)

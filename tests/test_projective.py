@@ -380,10 +380,19 @@ def test_bad_check_input_raises_folindex_error():
     with pytest.raises(InvalidInput):
         run_global_check(fol3, "pfaff_degree", curve=(y, Poly.const(3, 1)),
                          points=points3)
-    for divisor in ((3,), ("x",), (0.5,)):
+    for divisor in ((3,), ("x",), (0.5,), 5, ([0],), (True,)):
         with pytest.raises(InvalidInput):
             run_global_check(fol, "log_bb", points=diag_points(),
                              divisor=divisor)
+    # a container that is not one fails like a bad item in it
+    for bad in ({"points": 5}, {"points": points, "branches": 5},
+                {"points": points, "branches": [5]},
+                {"points": points, "branches": [(points[0],)]}):
+        with pytest.raises(InvalidInput):
+            run_global_check(fol, "cs_total", curve=curve, **bad)
+    for kind in (["x"], None, "x"):
+        with pytest.raises(UnsupportedIdentity):
+            run_global_check(fol, kind, points=points)
     with pytest.raises(InvalidInput):
         run_global_check(fol, "milnor_total", points=points3)
     with pytest.raises(InvalidInput):
@@ -502,6 +511,9 @@ def test_malformed_projective_input_raises_invalid_input():
     for field in ((x, y), VectorField((Poly.var(1, 0),))):
         with pytest.raises(InvalidInput):
             ProjectiveFoliation(field)
+    for coords in (5, None):
+        with pytest.raises(InvalidInput):
+            ProjPoint(coords)
     for chart in (5, -1, 1.0):
         with pytest.raises(InvalidInput):
             fol.chart_restrict(chart)
