@@ -337,12 +337,6 @@ class _Parser:
             self.fail("expected %r, found %r" % (want, tok.text or "<eof>"))
         return self.next()
 
-    def expect_word(self, word):
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text != word:
-            self.fail("expected %r, found %r" % (word, tok.text or "<eof>"))
-        return self.next()
-
     def at_word(self, word):
         tok = self.peek()
         return tok.kind == "ident" and tok.text == word
@@ -360,7 +354,7 @@ class _Parser:
     # session
 
     def parse(self):
-        self.expect_word("ring")
+        self.expect("ident", "ring")
         names = [self.expect("ident").text]
         while self.peek().text == ",":
             self.next()
@@ -451,7 +445,7 @@ class _Parser:
 
     def branch_ctor(self):
         comps = self.paren_list(lambda: self.expr(("t",)))
-        self.expect_word("order")
+        self.expect("ident", "order")
         order_tok = self.expect("number")
         order = int(order_tok.text)
         if order < 2:
@@ -609,15 +603,15 @@ class _Parser:
         if op == "check":
             tok = self.identity_kind()
             kind = tok.text
-            self.expect_word("of")
+            self.expect("ident", "of")
         fields = {"subject": self.name_of_kind(spec.subject,
                                                "of" if kind else op)}
         for clause in spec.clauses:
             if kind is None or self.at_word(clause.word):
-                self.expect_word(clause.word)
+                self.expect("ident", clause.word)
                 fields[clause.word] = clause.syntax.read(self, clause.word)
         if kind is None:
-            self.expect_word("at")
+            self.expect("ident", "at")
             at_tok = self.peek()
             fields["at"] = (self.paren_list(self.rational)
                             if at_tok.text == "("

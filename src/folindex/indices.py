@@ -52,6 +52,7 @@ from .polyring import (
 )
 from .residues import grothendieck_residue
 from .series import (
+    BranchParam,
     InsufficientOrder,
     laurent_residue,
     poly_on_branch,
@@ -258,6 +259,14 @@ def _plane_germ(v, f):
             "both decomposition variants vanish along the curve"))
 
 
+def _branch_germ(v, f, branch, what):
+    """_plane_germ of plane data v, f along a BranchParam branch."""
+    _plane(v, f, what)
+    if not isinstance(branch, BranchParam):
+        raise InvalidInput("%s needs a BranchParam, got %r" % (what, branch))
+    return _plane_germ(v, f)
+
+
 def _gsv(v, f, h, valid):
     """gsv_curve on a germ of _plane_germ."""
     hom = _homological(v, f, h)
@@ -269,50 +278,44 @@ def _gsv(v, f, h, valid):
 def _cs(f, valid, branch):
     """cs_index on a germ of _plane_germ, along a branch through the origin.
 
-    The working order starts at 20 and doubles up to a ceiling K that the
-    germ proves sufficient.  Let omega = dim O/(f, xi) be the order of a
-    variant's xi along the curve.  gamma = beta(t^e) for a primitive
-    parametrization beta of a branch phi of f, so ord_t(xi o gamma) =
-    e I(xi, phi) <= e omega, since the intersection number of xi with f
-    sums those with its branches; and e <= ord_t(gamma).  laurent_residue
-    resolves once the working order exceeds 2 ord_t(xi o gamma), so
-    K = 2 ord_t(gamma) omega + 1, the largest over the variants, suffices
-    for an extendable branch.
+    ord_t(gamma) is read once, from the branch at order max(20, its
+    order): an extendable series branch is lifted to 20 first, a capped one
+    is read at its own order, and an exact one's polynomials as they are.
+    The refusals of a constant branch and of one that misses the point come
+    from that reading.
 
-    A branch given by polynomials is checked once and exactly, with the
-    exact ord_t(gamma).  A series branch is checked at each working order,
-    lifted past an order it vanishes to while below its ceiling, and read
-    for ord_t(gamma) at the first order it does not vanish to.  A
-    hand-entered branch is known only to its own order, which is its
-    ceiling.  TruncationNotStabilized is raised at the ceiling."""
-    omega = max(w for _, _, w in valid)
-    ceiling = None if branch.extendable else branch.order
-    order = 20 if ceiling is None else min(20, ceiling)
-    if branch.polys is not None:
-        polys = branch.polys
-        if any(p.constant_term() for p in polys):
-            raise NotInvariant("branch does not pass through the point")
-        if all(p.is_zero() for p in polys):
-            raise NotInvariant("branch is constant at the point")
-        if not f.subst(polys).is_zero():
-            raise NotInvariant("branch does not lie on the curve")
-        ceiling = 2 * min(k for p in polys for (k,) in p.terms) * omega + 1
+    The working order starts at 20, or at the order of a capped branch
+    below 20, passes ord_t(gamma), and doubles up to a ceiling K computed
+    before the loop.  Let omega = dim O/(f, xi) be the order of a variant's
+    xi along the curve, taken at least 1.  gamma = beta(t^e) for a
+    primitive parametrization beta of a branch phi of f, so
+    ord_t(xi o gamma) = e I(xi, phi) <= e omega, since the intersection
+    number of xi with f sums those with its branches; and e <= ord_t(gamma).
+    laurent_residue resolves once the working order exceeds
+    2 ord_t(xi o gamma), so K = 2 ord_t(gamma) omega + 1, the largest over
+    the variants, suffices for an extendable branch and passes ord_t(gamma).
+    A capped branch is known only to its own order, its ceiling.  An exact
+    branch is checked on the curve once and exactly, a series branch at
+    each working order.  TruncationNotStabilized is raised at the ceiling."""
+    omega = max(1, max(w for _, _, w in valid))
+    read = (branch.at_order(max(20, branch.order)) if branch.extendable
+            else branch)
+    if any(p.constant_term() for p in read.polys):
+        raise NotInvariant("branch does not pass through the point")
+    if all(p.is_zero() for p in read.polys):
+        raise NotInvariant("branch is constant at the point")
+    if branch.exact and not f.subst(read.polys).is_zero():
+        raise NotInvariant("branch does not lie on the curve")
+    ord_t = min(k for p in read.polys for (k,) in p.terms)
+    ceiling = 2 * ord_t * omega + 1 if branch.extendable else branch.order
+    order = 20 if branch.extendable else min(20, branch.order)
+    while order <= ord_t:
+        order = min(2 * order, ceiling)
 
     while True:
         comps = branch.at_order(order).comps
-        if branch.polys is None:
-            vals = [s.valuation() for s in comps if not s.is_zero()]
-            if not vals and ceiling is not None and order < ceiling:
-                order = min(2 * order, ceiling)
-                continue
-            if not vals:
-                raise NotInvariant("branch is constant at the point")
-            if min(vals) == 0:
-                raise NotInvariant("branch does not pass through the point")
-            if not poly_on_branch(f, comps).is_zero():
-                raise NotInvariant("branch does not lie on the curve")
-            if ceiling is None:
-                ceiling = 2 * min(vals) * omega + 1
+        if not branch.exact and not poly_on_branch(f, comps).is_zero():
+            raise NotInvariant("branch does not lie on the curve")
         try:
             values = []
             for triple, _, _ in valid:
@@ -343,23 +346,22 @@ def cs_index(v, f, branch):
     """Residue-type index of v along one parametrized branch of the invariant
     curve f == 0: minus the t-residue of the pulled-back eta over xi.
 
-    The branch must lie on the curve and pass through the origin.  A branch
-    given by polynomials is checked exactly, a series branch to the working
-    order.  The series order is worked out from the germ: an extendable
-    branch is re-lifted up to an order proven to resolve the residue, a
-    hand-entered one is used up to the order it was given, and
-    TruncationNotStabilized is raised when that does not suffice."""
-    _plane(v, f, "cs_index")
-    _, valid = _plane_germ(v, f)
-    return _cs(f, valid, branch)
+    The branch is a BranchParam that must lie on the curve and pass through
+    the origin.  Its ord_t is read once, at order max(20, its order); an
+    exact branch, given by polynomials, is checked exactly, a series branch
+    to each working order.  The working orders are worked out from the
+    germ: from 20, an extendable branch is re-lifted up to an order proven
+    to resolve the residue, a capped one is used up to the order it was
+    given, and TruncationNotStabilized is raised when that does not
+    suffice."""
+    return _cs(f, _branch_germ(v, f, branch, "cs_index")[1], branch)
 
 
 def var_index(v, f, branch):
     """Variation-type index along one branch: the curve index plus the
     branch residue index, whose series order is worked out as in cs_index.
     Both parts read one cofactor and one decomposition."""
-    _plane(v, f, "var_index")
-    h, valid = _plane_germ(v, f)
+    h, valid = _branch_germ(v, f, branch, "var_index")
     gsv = _gsv(v, f, h, valid)
     cs = _cs(f, valid, branch)
     return _finish(gsv.value + cs.value, "sum-of-parts")

@@ -523,9 +523,12 @@ class DiffForm:
 
 
 def _check_point(q, n):
-    """InvalidInput unless q is a point of n rational coordinates."""
-    if len(q) != n or not all(isinstance(c, (int, Fraction)) for c in q):
+    """q as a tuple; InvalidInput unless it is n ints or Fractions."""
+    q = _as_tuple(q, "a point of %d rationals" % n)
+    if len(q) != n or not all(type(c) is int or isinstance(c, Fraction)
+                              for c in q):
         raise InvalidInput("the point %r is not %d rationals" % (q, n))
+    return q
 
 
 def _as_tuple(items, what):
@@ -559,7 +562,7 @@ def translate_to_origin(p, q):
 
     and each factor expands by the binomial theorem.  The sum runs over
     integers, and each term of the result is one Fraction."""
-    _check_point(q, p.nvars)
+    q = _check_point(q, p.nvars)
     if not (p.terms and any(q)):
         return p
     d, P = _over_common_denominator(p.terms)

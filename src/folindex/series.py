@@ -210,15 +210,13 @@ def laurent_residue(num, den):
 class BranchParam:
     """A parametrized curve branch t -> (x_1(t), ..., x_n(t)).
 
-    A branch with a lift callback, as every branch built from exact
-    polynomial components has, can be re-expanded to any order; hand-entered
-    series branches are capped at the order they were given.  A branch built
-    from polynomials keeps them as polys, so it is known exactly, and
-    expands them into series only when comps is read, at the branch's order;
-    polys is None for a series branch.
-    """
+    Every branch holds its components as polynomials in t, polys, and its
+    order.  An exact branch, from from_polys, holds the components and is
+    read at any order; a series branch holds them below its order, and
+    re-lifts past it through its lift callback or is capped there.  comps
+    expands polys into series at the branch's order."""
 
-    __slots__ = ("order", "polys", "_comps", "_lift")
+    __slots__ = ("order", "polys", "exact", "_lift")
 
     def __init__(self, comps, lift=None):
         comps = tuple(comps)
@@ -226,10 +224,17 @@ class BranchParam:
             raise InvalidInput("a branch needs at least one series component, "
                                "got %r" % (comps,))
         order = min(s.order for s in comps)
-        self.order = order
-        self._comps = tuple(s.truncate(order) for s in comps)
-        self.polys = None
-        self._lift = lift
+        self.order, self.exact, self._lift = order, False, lift
+        self.polys = tuple(Poly(1, {(k,): c for k, c in
+                                    enumerate(s.coeffs[:order])})
+                           for s in comps)
+
+    @classmethod
+    def _make(cls, polys, order, exact, lift=None):
+        branch = object.__new__(cls)
+        branch.order, branch.polys, branch.exact, branch._lift = (
+            order, polys, exact, lift)
+        return branch
 
     @classmethod
     def from_polys(cls, polys, order):
@@ -239,44 +244,37 @@ class BranchParam:
             raise InvalidInput("a branch needs at least one polynomial in t "
                                "alone, got %r" % (polys,))
         _check_order(order)
-        branch = object.__new__(cls)
-        branch.order, branch.polys, branch._comps = order, polys, None
-        branch._lift = lambda n: cls.from_polys(polys, n)
-        return branch
+        return cls._make(polys, order, True)
 
     @property
     def comps(self):
         """The components as series to the branch's order."""
-        if self._comps is None:
-            self._comps = tuple(TruncSeries.from_poly(p, self.order)
-                                for p in self.polys)
-        return self._comps
+        return tuple(TruncSeries.from_poly(p, self.order) for p in self.polys)
 
     def moved(self, at):
         """The branch minus the point at, so that it passes through the
         origin when it passed through at; an extendable series branch
         re-lifts and then subtracts the point again."""
-        if self.polys is not None:
-            _check_point(at, len(self.polys))
-            return BranchParam.from_polys(
-                (p - q for p, q in zip(self.polys, at)), self.order)
-        _check_point(at, len(self.comps))
-        lift = None
-        if self.extendable:
-            def lift(order):
-                return self.at_order(order).moved(at)
-        return BranchParam((s - q for s, q in zip(self.comps, at)), lift=lift)
+        at = _check_point(at, len(self.polys))
+        lift = None if self._lift is None else (
+            lambda order: self.at_order(order).moved(at))
+        return BranchParam._make(tuple(p - q for p, q in zip(self.polys, at)),
+                                 self.order, self.exact, lift)
 
     @property
     def extendable(self):
-        return self._lift is not None
+        return self.exact or self._lift is not None
 
     def at_order(self, order):
-        if self.polys is not None:
-            return BranchParam.from_polys(self.polys, order)
+        """The branch at order: an exact one as it is, a series one cut below
+        order or re-lifted past its own; TruncationNotStabilized past the
+        order of a capped one."""
+        _check_order(order)
+        if self.exact:
+            return BranchParam._make(self.polys, order, True)
         if order <= self.order:
             return BranchParam((s.truncate(order) for s in self.comps),
-                               lift=self._lift)
+                               self._lift)
         if self._lift is None:
             raise TruncationNotStabilized(
                 "branch is only known to order %d" % self.order)
@@ -284,7 +282,7 @@ class BranchParam:
 
     def __repr__(self):
         return "BranchParam(order=%d, nvars=%d)" % (
-            self.order, len(self.polys or self.comps))
+            self.order, len(self.polys))
 
 
 def moved(data, at):
@@ -302,7 +300,7 @@ def moved(data, at):
     if isinstance(data, VectorField):
         return translate_field(data, at)
     if isinstance(data, DiffForm):
-        _check_point(at, data.nvars)
+        at = _check_point(at, data.nvars)
         return DiffForm(data.nvars, data.degree, {
             idx: translate_to_origin(p, at) for idx, p in data.coeffs.items()})
     if isinstance(data, BranchParam):

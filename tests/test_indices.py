@@ -59,6 +59,13 @@ def branch_by_hand(*polys, order):
     return BranchParam(TruncSeries.from_poly(p, order) for p in polys)
 
 
+def branch_lifted(*polys, order):
+    """An extendable series branch: known to order, and re-lifted through
+    its callback past it."""
+    return BranchParam((TruncSeries.from_poly(p, order) for p in polys),
+                       lift=lambda n: branch_lifted(*polys, order=n))
+
+
 def test_milnor():
     x, y = xy()
     assert milnor_number(x ** 3 - y ** 2).value == 2
@@ -312,10 +319,12 @@ def test_bad_polynomial_branch_is_not_invariant(comps, message):
     ((Poly.var(1, 0), Poly.var(1, 0)), "does not lie on the curve"),
 ], ids=["misses-the-point", "constant", "leaves-the-curve"])
 def test_bad_series_branch_is_not_invariant(comps, message):
+    # capped and extendable alike
     x, y = xy()
-    with pytest.raises(NotInvariant, match=message):
-        cs_index(VectorField((x, 2 * y)), y - x ** 2,
-                 branch_by_hand(*comps, order=12))
+    for make in (branch_by_hand, branch_lifted):
+        with pytest.raises(NotInvariant, match=message):
+            cs_index(VectorField((x, 2 * y)), y - x ** 2,
+                     make(*comps, order=12))
 
 
 def test_polynomial_branch_is_checked_exactly():
@@ -341,6 +350,40 @@ def test_branch_vanishing_past_order_20_is_lifted():
     assert cs_index(v, f, branch_poly(t ** 21, t ** 30)).value == 210
     by_hand = branch_by_hand(t ** 21, t ** 30, order=2 * 21 * 10 + 1)
     assert cs_index(v, f, by_hand).value == 210
+    # an extendable series branch is read for ord_t at its own order, 421,
+    # and not cut to 20 first, where it is zero
+    assert cs_index(v, f, branch_lifted(t ** 21, t ** 30, order=421)
+                    ).value == 210
+    # a twofold cover given at order 12, where it is zero, is lifted to 20
+    assert cs_index(v, f, branch_lifted(t ** 14, t ** 20, order=12)
+                    ).value == 140
+
+
+def test_series_branch_is_checked_past_the_orders_it_vanishes_to():
+    # along the regular field d/dx every xi is a unit and the residue is 0
+    # at any order; the first working order is past ord_t(gamma) == 25, so
+    # the check on the curve sees the t^30 that order 20 would not, for a
+    # capped and an extendable branch alike
+    x, y = xy()
+    t = Poly.var(1, 0)
+    v = VectorField((Poly.const(2, 1), Poly.zero(2)))
+    for make in (branch_by_hand, branch_lifted):
+        with pytest.raises(NotInvariant, match="does not lie on the curve"):
+            cs_index(v, y, make(t ** 25, t ** 30, order=40))
+        assert cs_index(v, y, make(t ** 25, 0 * t, order=40)).value == 0
+
+
+def test_extendable_branch_is_checked_from_order_20():
+    # an extendable branch given at order 12 is lifted to 20 before it is
+    # checked, so the t^15 that leaves the parabola shows; a capped one is
+    # read to its own order 12, below it
+    x, y = xy()
+    t = Poly.var(1, 0)
+    v, f = VectorField((x, 2 * y)), y - x ** 2
+    comps = (t, t ** 2 + t ** 15)
+    with pytest.raises(NotInvariant, match="does not lie on the curve"):
+        cs_index(v, f, branch_lifted(*comps, order=12))
+    assert cs_index(v, f, branch_by_hand(*comps, order=12)).value == 2
 
 
 def test_radial_index():
@@ -387,11 +430,24 @@ def test_gsv_pfaff_curve():
     lambda x, y: moved(branch_by_hand(Poly.var(1, 0) ** 2,
                                       Poly.var(1, 0) ** 3, order=8),
                        (0, 0, 0)),
+    lambda x, y: moved(x, (True, 0)),
+    lambda x, y: moved(x, 5),
+    lambda x, y: moved(branch_poly(Poly.var(1, 0) ** 2, Poly.var(1, 0) ** 3),
+                       (0, True)),
+    lambda x, y: moved(branch_poly(Poly.var(1, 0) ** 2, Poly.var(1, 0) ** 3),
+                       5),
+    lambda x, y: branch_by_hand(Poly.var(1, 0) ** 2, Poly.var(1, 0) ** 3,
+                                order=8).moved((False, 0)),
+    lambda x, y: branch_by_hand(Poly.var(1, 0) ** 2, Poly.var(1, 0) ** 3,
+                                order=8).moved(5),
 ], ids=["milnor-short", "tjurina-long", "ph-short", "gsv-long", "form-long",
-        "zero-form-short", "branch-short", "series-branch-long"])
+        "zero-form-short", "branch-short", "series-branch-long", "poly-bool",
+        "poly-not-a-point", "branch-bool", "branch-not-a-point",
+        "series-branch-bool", "series-branch-not-a-point"])
 def test_point_of_the_wrong_length_raises_invalid_input(call):
     # moved rejects a point that is not one of the data's space, for every
-    # kind of data that has coordinates
+    # kind of data that has coordinates: a bool is no coordinate, and a
+    # number is no point
     with pytest.raises(InvalidInput):
         call(*xy())
 
@@ -410,9 +466,21 @@ def test_point_of_the_wrong_length_raises_invalid_input(call):
                                  (Poly.var(3, 1), "z")),
     lambda x, y: gsv_pfaff_curve(VectorField((2 * x, 3 * y)),
                                  y ** 2 - x ** 3),
+    lambda x, y: cs_index(VectorField((2 * x, 3 * y)), y ** 2 - x ** 3, 5),
+    lambda x, y: cs_index(VectorField((2 * x, 3 * y)), y ** 2 - x ** 3,
+                          None),
+    lambda x, y: cs_index(VectorField((2 * x, 3 * y)), y ** 2 - x ** 3,
+                          (Poly.var(1, 0) ** 2, Poly.var(1, 0) ** 3)),
+    lambda x, y: var_index(VectorField((2 * x, 3 * y)), y ** 2 - x ** 3, 5),
+    lambda x, y: var_index(VectorField((2 * x, 3 * y)), y ** 2 - x ** 3,
+                           None),
+    lambda x, y: var_index(VectorField((2 * x, 3 * y)), y ** 2 - x ** 3,
+                           (Poly.var(1, 0) ** 2, Poly.var(1, 0) ** 3)),
 ], ids=["saito-space", "gsv-space", "cs-space",
         "pfaff-short", "pfaff-plane-poly", "pfaff-no-poly",
-        "pfaff-bare-poly"])
+        "pfaff-bare-poly", "cs-branch-int", "cs-branch-none",
+        "cs-branch-bare-polys", "var-branch-int", "var-branch-none",
+        "var-branch-bare-polys"])
 def test_malformed_arguments_raise_invalid_input(call):
     # these were asserts: under python -O a short curve list raised
     # IndexError
@@ -699,6 +767,40 @@ def test_indices_are_invariant_under_rational_coordinate_changes(matrix):
     assert cs_index(v, f, branch).value == 6
     c1_squared = residues.PhiSpec(2, [(1, (2, 0))])
     assert residues.baum_bott_residue(v, c1_squared).value == Fraction(25, 6)
+
+
+@seed(30)
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda p: st.tuples(
+    st.just(p), st.integers(p + 1, 6), st.integers(1, 4)))
+    .filter(lambda c: gcd(c[0], c[1]) == 1),
+       st.tuples(*[_rational_entries] * 4).filter(
+           lambda m: m[0] * m[3] != m[1] * m[2]),
+       st.integers(1, 60))
+@example((5, 6, 4), (1, 0, 0, 1), 40)
+def test_moved_covers_give_one_value_along_every_branch_kind(case, matrix,
+                                                             given):
+    # (t^kp, t^kq) is a k-fold cover of the branch of y^p - x^q; moved by a
+    # rational linear change with (p x, q y), it gives CS kpq and Var
+    # p + q - pq + kpq alike as an exact branch, as a series branch capped
+    # at the germ's ceiling 2 kp q + 1, and as an extendable series branch
+    # given at any order
+    p, q, k = case
+    a, b, c, d = matrix
+    det = Fraction(a * d - b * c)
+    x, y = xy()
+    t = Poly.var(1, 0)
+    phi = (a * x + b * y, c * x + d * y)
+    inv = ((d / det, -b / det), (-c / det, a / det))
+    f = (y ** p - x ** q).subst(phi)
+    w = ((p * x).subst(phi), (q * y).subst(phi))
+    v = VectorField(tuple(r[0] * w[0] + r[1] * w[1] for r in inv))
+    comps = tuple(r[0] * t ** (k * p) + r[1] * t ** (k * q) for r in inv)
+    for br in (branch_poly(*comps),
+               branch_by_hand(*comps, order=2 * k * p * q + 1),
+               branch_lifted(*comps, order=given)):
+        assert cs_index(v, f, br).value == k * p * q
+        assert var_index(v, f, br).value == p + q - p * q + k * p * q
 
 
 @seed(27)

@@ -367,13 +367,18 @@ def test_bool_is_refused_like_a_non_number(call, error):
     lambda x, y: field_from_dual(x),
     lambda x, y: homogenize(x ** 2, 1),
     lambda x, y: set_coordinate_one(x, 2),
+    lambda x, y: translate_to_origin(x, (True, 0)),
+    lambda x, y: translate_to_origin(x, 5),
+    lambda x, y: translate_field(VectorField((x, y)), (0, False)),
+    lambda x, y: translate_field(VectorField((x, y)), None),
 ], ids=["ring-negative", "var-high", "var-negative", "diff-high",
         "divide-by-zero", "apply-ring", "matrix-ragged",
         "matrix-empty", "matrix-rings", "det-nonsquare", "charpoly-nonsquare",
         "form-degree-high", "form-add-degree",
         "form-scale-string", "contract-zero-form", "contract-ring",
         "wedge-degree-high", "wedge-poly", "d-top-form", "dual-of-poly",
-        "homogenize-low", "dehomogenize-high"])
+        "homogenize-low", "dehomogenize-high", "translate-bool",
+        "translate-int", "translate-field-bool", "translate-field-none"])
 def test_malformed_input_raises_invalid_input(call):
     # these were asserts: under python -O Poly.var(2, 5) returned 1,
     # DiffForm(2, 3) built a 3-form in the plane, and x.diff(3), a ragged

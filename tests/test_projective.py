@@ -511,7 +511,7 @@ def test_malformed_projective_input_raises_invalid_input():
     for field in ((x, y), VectorField((Poly.var(1, 0),))):
         with pytest.raises(InvalidInput):
             ProjectiveFoliation(field)
-    for coords in (5, None):
+    for coords in (5, None, (True, 0, 0), (0, False, 1)):
         with pytest.raises(InvalidInput):
             ProjPoint(coords)
     for chart in (5, -1, 1.0):
