@@ -6,9 +6,10 @@ must report.  Run it from a checkout:
 
     python scripts/console_sessions.py [DIR]
 
-The sessions are written to DIR (a temporary directory when omitted).  The
-``folindex`` on PATH runs them when there is one; otherwise the package under
-``src`` next to this script does.  Exits 1 and lists the failures when any
+The sessions are written to DIR, made with its parents when it does not
+exist (a temporary directory when DIR is omitted).  The ``folindex`` on PATH
+runs them when there is one; otherwise the package under ``src`` next to
+this script does.  Exits 1 and lists the failures when any
 session differs from its row.
 """
 
@@ -256,6 +257,7 @@ def _command():
 
 def run(directory):
     command, env = _command()
+    Path(directory).mkdir(parents=True, exist_ok=True)
     failed = []
     for name, lines, flags, code, values, checks in TABLE:
         session = Path(directory) / (name + ".fol")

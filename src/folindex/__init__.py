@@ -34,7 +34,6 @@ from .polyring import (
     char_poly_coeffs,
     contract,
     dual_form,
-    exterior_derivative,
     field_from_dual,
     homogenize,
     jacobian,
@@ -120,9 +119,9 @@ __all__ = [
     "InsufficientOrder", "InvalidInput",
     # polynomials, fields, forms
     "Poly", "VectorField", "DiffForm", "PolyMatrix", "contract", "wedge",
-    "exterior_derivative", "dual_form", "field_from_dual",
-    "char_poly_coeffs", "jacobian", "homogenize", "set_coordinate_one",
-    "translate_to_origin", "translate_field",
+    "dual_form", "field_from_dual", "char_poly_coeffs", "jacobian",
+    "homogenize", "set_coordinate_one", "translate_to_origin",
+    "translate_field",
     # local algebra
     "MonomialOrder", "INFINITE", "DEFAULT_MAX_STEPS", "standard_basis",
     "at_corner", "normal_form", "quotient_dim", "monomial_power_bound",

@@ -120,13 +120,14 @@ def integer_rank(rows, pivots=None):
     - when p is 1 the row needs no scaled copy, only the subtraction;
     - a row is updated in place only once this call has built it (by a
       scaled or a plain copy); a caller's row and a stored pivot are never
-      changed, so a given primitive row that no pivot reduces is stored as
-      it is, and the caller must not change it afterwards either;
+      changed, so a given row that no pivot reduces is stored as it is,
+      and the caller must not change it afterwards either;
     - the content is divided out only after a step that scaled the row
-      (p > 1), and when a row is stored, so every pivot is primitive;
+      (p > 1), and when a row this call built is stored, so every pivot is
+      primitive when the caller's rows are;
     - a row that meets a longer pivot at its lowest column takes that
-      column's place, primitive, and the longer pivot is reduced on in its
-      stead, from the next column on; its own dict is never changed.
+      column's place, and the longer pivot is reduced on in its stead, from
+      the next column on; its own dict is never changed.
 
     pivots, if given, is the echelon {lowest column: row} of rows
     eliminated before; it is extended in place, and the count returned is
@@ -155,12 +156,13 @@ def integer_rank(rows, pivots=None):
         while row:
             col = min(row)
             pivot = pivots.get(col)
-            if pivot is None:
-                pivots[col] = _primitive(row)
-                break
-            if len(row) < len(pivot):
-                pivots[col] = _primitive(row)
-                row, pivot, own = pivot, pivots[col], False
+            if pivot is None or len(row) < len(pivot):
+                if own:
+                    row = _primitive(row)
+                pivots[col] = row
+                if pivot is None:
+                    break
+                row, pivot, own = pivot, row, False
             a, p = row[col], pivot[col]
             g = gcd(a, p)
             a, p = a // g, p // g

@@ -19,29 +19,30 @@ monomial has top degree there, so every ecart is 0 and nothing is stacked.
 Fraction-free arithmetic.  Every reduction runs over the integers
 (Bareiss 1968 does the same for Gaussian elimination).  Each generator g_j
 is w_j * G_j for a primitive integer polynomial G_j and a rational weight
-w_j, and each basis element is held as an integer polynomial B_k with an
-integer row R_k and an integer scale sigma_k such that
+w_j, and each basis element is held as an integer polynomial B_k with a
+positive leading coefficient (an element is negated with its row as it
+enters), an integer row R_k and a positive integer scale sigma_k such that
 
     sigma_k * B_k  ==  sum_j R_kj * G_j          (modulo m^T when cut).
 
-A normal form keeps U * P == sum_k C_k * B_k + H with integer U, C_k and H
-and U(0) != 0: a step multiplies by the two leading coefficients divided
-by their gcd, and the common content is divided out as it goes.  U and the
-C_k carry their scale as one running number, U(0), so a step rescales one
-number and not every cofactor, and the content test reads a running gcd
-of U and the C_k, kept in one gcd per step (see _reduce).  Every
-integer state is a nonzero multiple of the rational state the same steps
-would reach with monic elements, so the pair order, the reducer chosen by
-ecart, the stacking, the corner cuts and the steps spent are those of the
-rational algorithm.  The StandardBasis keeps this integer form: each B_k
-in its leading record, its row R_k and scale sigma_k, and the split
-(G_j, w_j) of each generator.  normal_form, membership_with_cofactors and
-monomial_power_bound reduce against the B_k, and a membership witness takes
-its rows and scales from the basis.  Fractions are built on first read
-only: the monic elements b_k == B_k / lc(B_k), the expansions
-R_kj / (w_j * sigma_k * lc(B_k)), and the results a caller is returned,
-where a unit u == U / U(0) has u(0) == 1.  quotient_dim reads the
-staircase and builds no Fraction.
+A normal form keeps U * P == sum_k C_k * B_k + H with plain integer
+polynomials U, C_k and H and U(0) != 0: a step multiplies them by the
+reducer's leading coefficient over the gcd of the two leading
+coefficients, so a step against B_k rescales U and the C_k only when
+lc(B_k) does not divide the coefficient it cancels, and the common
+content, read against a running gcd of U and the C_k, is divided out as
+it goes (see _reduce).  Every integer state is a nonzero multiple of the
+rational state the same steps would reach with monic elements, so the
+pair order, the reducer chosen by ecart, the stacking, the corner cuts and
+the steps spent are those of the rational algorithm.  The StandardBasis
+keeps this integer form: each B_k in its leading record, its row R_k and
+scale sigma_k, and the split (G_j, w_j) of each generator.  normal_form,
+membership_with_cofactors and monomial_power_bound reduce against the
+B_k, and a membership witness takes its rows and scales from the basis.
+Fractions are built on first read only: the monic elements b_k == B_k /
+lc(B_k), the expansions R_kj / (w_j * sigma_k * lc(B_k)), and the results
+a caller is returned, where a unit u == U / U(0) has u(0) == 1.
+quotient_dim reads the staircase and builds no Fraction.
 
 Each basis element is held once, as its leading record (_lead): its
 leading key, plain packed exponents, leading coefficient, ecart, the
@@ -420,7 +421,8 @@ def _reduce(h, basis, order, budget, below):
     sequence of the leading records (_lead) of packed integer polynomials
     B_k, record k holding B_k.
 
-    Returns (H, U, C) with the identity
+    Returns (H, U, C), plain packed integer polynomials and a dict of them,
+    with the identity
         U * h == sum_k C[k] * B_k + H
     over the integers, where U(0) != 0 (U is a constant under a global
     order) and no leading monomial of the basis divides the leading
@@ -429,33 +431,24 @@ def _reduce(h, basis, order, budget, below):
     degree ``below`` or more.  A step multiplies H, U and the C[k] by the
     reducer's leading coefficient and subtracts the leading coefficient of
     H times the reducer, both divided by their gcd; then the common content
-    of H, U and the C[k] is divided out.
+    of H, U and the C[k] is divided out.  Every element of a standard basis
+    has a positive leading coefficient, so a step rescales U and the C[k]
+    only when that coefficient does not divide the one of h.
 
-    U and the C[k] are held scaled.  The running scale is U(0): a step
-    multiplies it by its factor a and a content division divides it, and
-    no step writes U(0) otherwise (the leading monomial of h falls at every
-    step, so a step against a stacked intermediate has a nonzero shift).
-    Each term of U and C is held as a pair (c, s), for the scale s at which
-    it was last written, and its value is the integer c * scale / s.  So a
-    step multiplies one number instead of every coefficient of U and C,
-    and U and C are built only when h is stacked, after a fold and at
-    return.  A value is read as c times scale / s in lowest terms, one gcd
-    per scale s and not one long division per term, and a build before
-    return writes the values back at the current scale, so that a later
-    read meets few distinct scales.  The gcd of the values of U and C is a
-    running number too: a step multiplies it by a, a content division
-    divides it, and a step against B_k takes its gcd with the one term it
-    writes, at x^eh / x^e_k for the leading monomial x^eh of h.  That term
-    is new: every term x^f of C[k] has x^f * x^e_k above x^eh in the
-    order, by induction over the steps, since the order is multiplicative
-    and a stacked intermediate's leading monomial lies below those of the
-    steps before it.  A fold adds to terms already written, so after one
-    the gcd is recomputed from the values.
-    The same induction gives x^u * x^e0 >= x^eh for every term x^u of U
-    and the leading monomial x^e0 of the input.  So no step of either order
-    writes a term of U or C of degree above that of x^eh, which the cut of
-    h keeps below ``below``, and U and C need no cut of their own.  In
-    degrevlex no step writes a term above the top degree |eh| of h either.
+    The gcd of U and the C[k] is a running number: a step multiplies it by
+    its factor, a content division divides it, and a step against B_k takes
+    its gcd with the one term it writes, at x^eh / x^e_k for the leading
+    monomial x^eh of h.  That term is new: every term x^f of C[k] has x^f *
+    x^e_k above x^eh in the order, by induction over the steps, since the
+    order is multiplicative and a stacked intermediate's leading monomial
+    lies below those of the steps before it.  A fold against a stacked
+    intermediate adds to terms already written, so after one the gcd is
+    recomputed.  The same induction gives x^u * x^e0 >= x^eh for every term
+    x^u of U and the leading monomial x^e0 of the input.  So no step of
+    either order writes a term of U or C of degree above that of x^eh,
+    which the cut of h keeps below ``below``, and U and C need no cut of
+    their own.  In degrevlex no step writes a term above the top degree
+    |eh| of h either.
 
     A step against a reducer g writes x^eh / x^eg * g, of top degree
     |eh| + ecart(g); it raises ResourceCap first when that reaches
@@ -463,48 +456,16 @@ def _reduce(h, basis, order, budget, below):
     """
     shift, mask, guard = order.shift, order.mask, order.guard
     cut = order.cut(below)
-    scale = 1
     # the zero exponent has the key 0
-    U = {0: (1, scale)}
+    U = {0: 1}
     C = {}
-    # the gcd of the values of U and C
+    # the gcd of U and the C[k]
     content_uc = 1
-    # scale / s in lowest terms for each s read since the scale last changed
-    ratios = {}
-
-    def value(c, s):
-        r = ratios.get(s)
-        if r is None:
-            g = gcd(scale, s)
-            r = ratios[s] = (scale // g, s // g)
-        return c * r[0] // r[1]
-
-    def values(P):
-        return {e: c if s == scale else value(c, s) for e, (c, s) in P.items()}
-
-    def built():
-        # the values (U, C), also written back as pairs at the current scale
-        out = [values(P) for P in (U, *C.values())]
-        for P, vals in zip((U, *C.values()), out):
-            P.update((e, (v, scale)) for e, v in vals.items())
-        return out[0], dict(zip(C, out[1:]))
-
-    def fold(P, c, e, Q):
-        # P += c * x^e * Q at the current scale
-        for f, d in Q.items():
-            f += e
-            old = P.get(f)
-            v = c * d if old is None else value(*old) + c * d
-            if v:
-                P[f] = (v, scale)
-            else:
-                del P[f]
-
     # Mora: the reducers are the basis records, never rebuilt, and the
-    # stacked intermediates, each a record whose last entry holds the values
-    # (U, C) it had when stacked instead of an index, so reductions against
-    # it fold into (U, C) exactly.  In the local order -K >> shift is the
-    # degree of the key K, and the least key has the top degree.
+    # stacked intermediates, each a record whose last entry holds copies of
+    # the (U, C) it had when stacked instead of an index, so reductions
+    # against it fold into (U, C) exactly.  In the local order -K >> shift
+    # is the degree of the key K, and the least key has the top degree.
     reducers = list(basis)
     while h:
         budget.spend()
@@ -528,35 +489,36 @@ def _reduce(h, basis, order, budget, below):
             dh = -eh >> shift
             _capped(dh + ec)
             if ec > (ech := (-min(h) >> shift) - dh):
-                reducers.append((eh, plain, ch, ech, h, built()))
+                stacked = dict(U), {k: dict(q) for k, q in C.items()}
+                reducers.append((eh, plain, ch, ech, h, stacked))
         d = gcd(ch, cg)
         a, b = cg // d, ch // d
         step = eh - eg
         h = _addmul(_scale(h, a), -b, step, g, cut)
         if a != 1:
-            scale *= a
+            U = _scale(U, a)
+            C = {k: _scale(q, a) for k, q in C.items()}
             content_uc *= a
-            ratios.clear()
         if type(payload) is int:
-            C.setdefault(payload, {})[step] = (b, scale)
+            C.setdefault(payload, {})[step] = b
             content_uc = gcd(content_uc, b)
         else:
             U0, C0 = payload
-            fold(U, -b, step, U0)
+            _addmul(U, -b, step, U0, None)
             for k, q in C0.items():
-                fold(C.setdefault(k, {}), -b, step, q)
-            U1, C1 = built()
-            content_uc = gcd(*U1.values(),
-                             *(c for q in C1.values() for c in q.values()))
+                _addmul(C.setdefault(k, {}), -b, step, q, None)
+            content_uc = gcd(*U.values(),
+                             *(c for q in C.values() for c in q.values()))
         content = gcd(*h.values())
         if content != 1:
             content = gcd(content, content_uc)
             if content != 1:
                 h = {e: c // content for e, c in h.items()}
-                scale //= content
+                U = {e: c // content for e, c in U.items()}
+                C = {k: {e: c // content for e, c in q.items()}
+                     for k, q in C.items()}
                 content_uc //= content
-                ratios.clear()
-    return h, values(U), {k: values(q) for k, q in C.items()}
+    return h, U, C
 
 
 @dataclass(frozen=True)
@@ -683,6 +645,11 @@ def standard_basis(gens, order, modulo=None):
         t = len(basis)
         e = max(B)
         unit = unit or e == 0
+        if B[e] < 0:
+            # a positive leading coefficient, so that a reduction against
+            # B rescales nothing when lc(B) divides the coefficient it meets
+            B = _scale(B, -1)
+            row = [_scale(R, -1) for R in row]
         if cut is not None:
             B, row, sigma = _clip(B, e, row, sigma, cut)
         basis.append(_lead(B, t, order))

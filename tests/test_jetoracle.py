@@ -37,10 +37,11 @@ from folindex.polyring import (
     Poly,
     VectorField,
     contract,
-    exterior_derivative,
     wedge,
 )
 from folindex.projective import ProjPoint, ProjectiveFoliation, run_global_check
+
+from exterior import exterior_derivative
 
 
 def _sparse(rows):
@@ -403,8 +404,9 @@ def _row_id(row):
 
 @pytest.mark.parametrize("n, level", [(2, 5), (3, 3)])
 def test_rows_match_the_exterior_algebra(n, level):
-    # the oracle builds its rows from integer terms; polyring's contract,
-    # wedge and exterior_derivative fix the signs they must agree with.
+    # the oracle builds its rows from integer terms; polyring's contract
+    # and wedge and the reference exterior_derivative fix the signs they
+    # must agree with.
     # Level N reads the basis forms whose row has degree below N or whose
     # |e| is below the window, and the relations of degree below N.
     rng = random.Random(7 + n)
@@ -563,21 +565,41 @@ def test_echelon_contract(given_rows, rows):
         dense = [[row.get(k, 0) for k in range(10)] for row in start + rows]
         assert rank == _fraction_rank(dense, 10)
         assert sorted(pivots) == _fraction_pivots(dense, 10)
-        assert all(min(row) == k and gcd(*row.values()) == 1
-                   for k, row in pivots.items())
+        # a pivot is a given row, stored as it is, or one the call built,
+        # primitive
+        for k, row in pivots.items():
+            assert min(row) == k
+            assert (gcd(*row.values()) == 1
+                    or any(row is given for given in start + rows))
         assert all(row == before for row, before in inputs + stored)
 
 
 def test_a_shorter_row_displaces_a_longer_pivot():
-    # the shorter row takes column 0, primitive; the old pivot, reduced
-    # against it, moves to column 1 and its own dict is left alone
+    # the shorter row takes column 0 as it is; the old pivot, reduced
+    # against it, moves to column 1, primitive, and its own dict is left
+    # alone
     longer, shorter = {0: 1, 1: 1, 2: 1}, {0: 2, 1: 4}
     pivots = {}
     assert integer_rank([longer], pivots) == 1
     assert pivots[0] is longer
     assert integer_rank([shorter], pivots) == 2
-    assert pivots == {0: {0: 1, 1: 2}, 1: {1: -1, 2: 1}}
+    assert pivots[0] is shorter
+    assert pivots == {0: {0: 2, 1: 4}, 1: {1: -1, 2: 1}}
     assert longer == {0: 1, 1: 1, 2: 1} and shorter == {0: 2, 1: 4}
+
+
+def test_given_rows_are_stored_without_a_gcd(monkeypatch):
+    # most rows of an oracle complex are given primitive and reach an empty
+    # column untouched; storing one takes no gcd
+    calls = []
+    primitive = jetoracle._primitive
+    monkeypatch.setattr(jetoracle, "_primitive",
+                        lambda row: calls.append(row) or primitive(row))
+    rows = [{0: 2, 3: 4}, {1: 1, 2: -1}, {2: 6}, {4: -3, 5: 1}]
+    pivots = {}
+    assert integer_rank(rows, pivots) == 4
+    assert calls == []
+    assert all(pivots[min(row)] is row for row in rows)
 
 
 @st.composite

@@ -654,14 +654,19 @@ def _ideals():
 
 @seed(20261018)
 @settings(max_examples=100, deadline=None)
-@given(_ideals(), st.sampled_from((LOCAL, GLOBAL)))
-def test_every_s_polynomial_reduces_to_zero(gens, kind):
+@given(_ideals(), st.sampled_from((LOCAL, GLOBAL)),
+       st.sampled_from((None, at_corner)))
+def test_every_s_polynomial_reduces_to_zero(gens, kind, modulo):
     # Buchberger's (Mora's) criterion checked by brute force, independent of
-    # the product and chain criteria the engine uses to skip pairs.
+    # the product and chain criteria the engine uses to skip pairs; at the
+    # corner it holds modulo the basis's m^T.  Every element enters with a
+    # positive leading coefficient, so no reduction step against it rescales
+    # the cofactors by -1.
     order = MonomialOrder(kind, gens[0].nvars)
     try:
         with step_budget(300):
-            sb = standard_basis(gens, order)
+            sb = standard_basis(gens, order, modulo)
+        assert all(record[2] > 0 for record in sb.basis)
         for i, j in itertools.combinations(range(len(sb.elements)), 2):
             ei, ej = sb.leading_exps[i], sb.leading_exps[j]
             lcm = tuple(map(max, ei, ej))
