@@ -180,6 +180,14 @@ TABLE = [
       "b := branch(t^21, t^30) order 20;",
       "cs v along f branch b at (0,0);"],
      ["--format", "json"], 0, [210], None),
+    # (t^2, t^3 + t^30) agrees with the cusp to order 20, the one working
+    # order, and leaves it at t^30: an exact branch is checked on the
+    # curve past every order, so NotInvariant
+    ("cs-leaves-past-order-20",
+     ["ring x,y; f := y^2 - x^3; v := vf(2*x, 3*y); "
+      "b := branch(t^2, t^3 + t^30) order 20;",
+      "cs v along f branch b at (0,0);"],
+     [], 2, None, None),
     # every local command at a point off the origin: the runner
     # moves each kind of data there before the engine reads it
     ("plane-at-a-point",

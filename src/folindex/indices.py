@@ -54,9 +54,8 @@ from .residues import grothendieck_residue
 from .series import (
     BranchParam,
     InsufficientOrder,
+    _IntegerBranch,
     laurent_residue,
-    poly_on_branch,
-    pullback_one_form,
 )
 
 __all__ = [
@@ -295,8 +294,9 @@ def _cs(f, valid, branch):
     2 ord_t(xi o gamma), so K = 2 ord_t(gamma) omega + 1, the largest over
     the variants, suffices for an extendable branch and passes ord_t(gamma).
     A capped branch is known only to its own order, its ceiling.  An exact
-    branch is checked on the curve once and exactly, a series branch at
-    each working order.  TruncationNotStabilized is raised at the ceiling."""
+    branch is checked on the curve once and exactly, by the branch kernel
+    without a cut, a series branch at each working order.
+    TruncationNotStabilized is raised at the ceiling."""
     omega = max(1, max(w for _, _, w in valid))
     read = (branch.at_order(max(20, branch.order)) if branch.extendable
             else branch)
@@ -304,7 +304,7 @@ def _cs(f, valid, branch):
         raise NotInvariant("branch does not pass through the point")
     if all(p.is_zero() for p in read.polys):
         raise NotInvariant("branch is constant at the point")
-    if branch.exact and not f.subst(read.polys).is_zero():
+    if branch.exact and not _IntegerBranch.of_polys(read.polys).vanishes(f):
         raise NotInvariant("branch does not lie on the curve")
     ord_t = min(k for p in read.polys for (k,) in p.terms)
     ceiling = 2 * ord_t * omega + 1 if branch.extendable else branch.order
@@ -313,14 +313,14 @@ def _cs(f, valid, branch):
         order = min(2 * order, ceiling)
 
     while True:
-        comps = branch.at_order(order).comps
-        if not branch.exact and not poly_on_branch(f, comps).is_zero():
+        at = _IntegerBranch.of_polys(branch.at_order(order).polys, order)
+        if not branch.exact and not at.vanishes(f):
             raise NotInvariant("branch does not lie on the curve")
         try:
             values = []
             for triple, _, _ in valid:
-                num = pullback_one_form(triple.eta, comps)
-                den = poly_on_branch(triple.xi, comps).truncate(num.order)
+                num = at.pullback(triple.eta)
+                den = at.series(triple.xi).truncate(num.order)
                 values.append(("variant-" + triple.variant,
                                -laurent_residue(num, den), "residue %s"))
             break

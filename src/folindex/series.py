@@ -7,18 +7,29 @@ class of a series mod t^N.  Everything is exact rational arithmetic; when an
 operation needs more coefficients than are available it raises the internal
 InsufficientOrder signal, which callers turn into a retry at a higher order
 or into TruncationNotStabilized at their cap.
+
+Plane data is put on a branch by one sparse integer kernel,
+_IntegerBranch, which poly_on_branch, pullback_one_form and the branch
+residues of indices share, cut below the working order or, for the exact
+check that a branch lies on a curve, uncut; tests check it against
+Poly.subst and series arithmetic.  Bad input raises InvalidInput, and the
+arithmetic operators return NotImplemented for an operand that is neither
+a series nor a rational.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import InvalidInput, RouteConflict, TruncationNotStabilized
 from .polyring import (
     DiffForm,
     Poly,
     VectorField,
+    _as_tuple,
     _check_point,
+    _over_common_denominator,
     _rat,
     translate_field,
     translate_to_origin,
@@ -33,6 +44,11 @@ def _check_order(order):
     if not (type(order) is int and order >= 1):
         raise InvalidInput("a series order is a positive integer, got %r"
                            % (order,))
+
+
+def _rational(c):
+    # a bool is an int to Python, but no coefficient
+    return type(c) is int or isinstance(c, Fraction)
 
 
 class TruncSeries:
@@ -73,6 +89,7 @@ class TruncSeries:
         return cls(order, (p.terms.get((k,), 0) for k in range(order)))
 
     def truncate(self, order):
+        _check_order(order)
         if order > self.order:
             raise InvalidInput("a series of order %d cannot be truncated to "
                                "order %d" % (self.order, order))
@@ -90,6 +107,8 @@ class TruncSeries:
 
     def __add__(self, other):
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         return TruncSeries._make(tuple(
             a + b if b else a for a, b in zip(self.coeffs, other.coeffs)))
 
@@ -99,13 +118,21 @@ class TruncSeries:
         return TruncSeries._make(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, TruncSeries):
+            if not _rational(other):
+                return NotImplemented
             return TruncSeries._make(tuple(a * other if a else a
                                            for a in self.coeffs))
         n = min(self.order, other.order)
@@ -121,8 +148,12 @@ class TruncSeries:
     __rmul__ = __mul__
 
     def _coerce(self, other):
+        """other as a series of this order, or NotImplemented when it is
+        neither a series nor a rational."""
         if isinstance(other, TruncSeries):
             return other
+        if not _rational(other):
+            return NotImplemented
         return TruncSeries._make(
             (_rat(other),) + (Fraction(0),) * (self.order - 1))
 
@@ -145,7 +176,10 @@ class TruncSeries:
 
     def shift_down(self, k):
         """Divide by t^k; the first k coefficients must vanish."""
-        if not 0 <= k < self.order or any(self.coeffs[:k]):
+        if not (type(k) is int and 0 <= k < self.order):
+            raise InvalidInput("a shift is an integer from 0 below the "
+                               "order %d, got %r" % (self.order, k))
+        if any(self.coeffs[:k]):
             raise InvalidInput("t^%d does not divide the series" % k)
         return TruncSeries._make(self.coeffs[k:])
 
@@ -165,46 +199,182 @@ class TruncSeries:
         return "TruncSeries(%s + O(t^%d))" % (body, self.order)
 
 
+def _times(a, b, cut):
+    """The product of two sparse {k: int} polynomials in t, cut below
+    t^cut."""
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            k = i + j
+            if k < cut:
+                out[k] = out.get(k, 0) + x * y
+    return out
+
+
+def _series(acc, d, order):
+    """The series of order whose coefficient of t^k is acc[k] / d."""
+    zero = Fraction(0)
+    return TruncSeries._make(tuple(Fraction(acc[k], d) if acc.get(k) else zero
+                                   for k in range(order)))
+
+
+class _IntegerBranch:
+    """A branch as the integer kernel reads it: component i is
+    nums[i] / den, one common denominator den and nums[i] a sparse
+    {k: int} of the component's terms below t^cut, or of all of them when
+    cut is None.  A polynomial p on the branch is then
+
+        sum_e c_e N^e / D^|e|  ==  sum_e C_e N^e D^(deg p - |e|) / (d D^deg p)
+
+    for p's coefficients c_e == C_e / d over their own common denominator,
+    so the kernel adds integer products of sparse powers of the N_i, cut
+    below t^cut (or uncut, and so exact), and builds one Fraction per
+    coefficient of the result."""
+
+    __slots__ = ("den", "nums", "cut")
+
+    def __init__(self, parts, cut=None):
+        """parts: one {k: Fraction} per component."""
+        if cut is not None:
+            parts = [{k: c for k, c in part.items() if k < cut}
+                     for part in parts]
+        parts = tuple(parts)
+        den = lcm(*(c.denominator for part in parts for c in part.values()))
+        self.den, self.cut = den, cut
+        self.nums = tuple({k: c.numerator * (den // c.denominator)
+                           for k, c in part.items()} for part in parts)
+
+    @classmethod
+    def of_polys(cls, polys, cut=None):
+        """The branch of polynomials in t, cut below t^cut or whole."""
+        return cls(({k: c for (k,), c in p.terms.items()} for p in polys),
+                   cut)
+
+    @classmethod
+    def of_series(cls, comps):
+        """The branch of a tuple of series, cut at their least order."""
+        comps = _as_tuple(comps, "a tuple of series")
+        if not comps or not all(isinstance(s, TruncSeries) for s in comps):
+            raise InvalidInput("a branch is a nonempty tuple of series, got "
+                               "%r" % (comps,))
+        order = min(s.order for s in comps)
+        return cls(({k: c for k, c in enumerate(s.coeffs[:order]) if c}
+                    for s in comps), order)
+
+    def _check(self, nvars):
+        if nvars != len(self.nums):
+            raise InvalidInput("%d values for %d variables"
+                               % (len(self.nums), nvars))
+
+    def _compose(self, terms, top, cut):
+        """sum C_e N^e D^(top - |e|) over the integer terms (e, C_e) of a
+        polynomial of degree at most top, cut below t^cut."""
+        scale = [1]
+        for _ in range(top):
+            scale.append(scale[-1] * self.den)
+        powers = [[{0: 1}] for _ in self.nums]   # powers[i][k] == N_i^k
+        acc = {}
+        for e, c in terms:
+            piece = None
+            for i, k in enumerate(e):
+                if k:
+                    row = powers[i]
+                    while len(row) <= k:
+                        row.append(_times(row[-1], self.nums[i], cut))
+                    piece = row[k] if piece is None else _times(
+                        piece, row[k], cut)
+            c *= scale[top - sum(e)]
+            for k, a in ({0: 1} if piece is None else piece).items():
+                acc[k] = acc.get(k, 0) + c * a
+        return acc
+
+    def value(self, p):
+        """(acc, d) with p on the branch equal to acc[k] / d at t^k, below
+        t^cut or, for a branch without a cut, exactly."""
+        if not isinstance(p, Poly):
+            raise InvalidInput("a branch carries polynomials, got %r" % (p,))
+        self._check(p.nvars)
+        d, terms = _over_common_denominator(p.terms)
+        top = max(p.degree(), 0)
+        cut = self.cut
+        if cut is None:
+            cut = top * max((k for num in self.nums for k in num),
+                            default=0) + 1
+        return self._compose(terms, top, cut), d * self.den ** top
+
+    def vanishes(self, p):
+        """Whether p is zero on the branch, below t^cut or exactly."""
+        return not any(self.value(p)[0].values())
+
+    def series(self, p):
+        """p on a cut branch, as a series of order cut."""
+        return _series(*self.value(p), self.cut)
+
+    def pullback(self, form):
+        """sum a_i(gamma) gamma_i' for a 1-form sum a_i dx_i on a cut
+        branch, as a series of order cut - 1: the a_i share one common
+        denominator d and one degree bound top, so every product is over
+        d D^(top + 1)."""
+        if not isinstance(form, DiffForm):
+            raise InvalidInput("a branch pulls back 1-forms, got %r"
+                               % (form,))
+        if form.degree != 1:
+            raise InvalidInput("a branch pulls back 1-forms, not %d-forms"
+                               % form.degree)
+        self._check(form.nvars)
+        cut = self.cut - 1
+        if cut < 1:
+            raise InvalidInput("an order-1 series has no known derivative")
+        coeffs = form.coeffs.items()
+        d = lcm(*(c.denominator for _, a in coeffs for c in a.terms.values()))
+        top = max((a.degree() for _, a in coeffs), default=0)
+        acc = {}
+        for (i,), a in coeffs:
+            terms = [(e, c.numerator * (d // c.denominator))
+                     for e, c in a.terms.items()]
+            slope = {k - 1: k * c for k, c in self.nums[i].items() if k}
+            for k, x in _times(self._compose(terms, top, cut), slope,
+                               cut).items():
+                acc[k] = acc.get(k, 0) + x
+        return _series(acc, d * self.den ** (top + 1), cut)
+
+
 def poly_on_branch(p, comps):
     """Evaluate the polynomial p at a tuple of series, one per variable; the
     result has the least order of the series."""
-    return p.subst(comps)
+    return _IntegerBranch.of_series(comps).series(p)
 
 
 def pullback_one_form(form, comps):
     """Pull a polynomial 1-form back along t -> (comps); returns a series of
     order one less than the branch (differentiation loses a coefficient)."""
-    if form.degree != 1:
-        raise InvalidInput("a branch pulls back 1-forms, not %d-forms"
-                           % form.degree)
-    comps = tuple(comps)
-    # the zero of the branch: checks the count and has the least order
-    total = poly_on_branch(Poly.zero(form.nvars), comps)
-    total = total.truncate(total.order - 1)
-    for (i,), a in form.coeffs.items():
-        total = total + poly_on_branch(a, comps) * comps[i].derivative()
-    return total
+    return _IntegerBranch.of_series(comps).pullback(form)
 
 
 def laurent_residue(num, den):
     """Residue at t = 0 of (num / den) dt for truncated series num, den.
 
-    Raises InsufficientOrder when the truncation cannot decide: the
-    denominator is zero to working order, or the needed coefficient lies
-    beyond it.
+    With v the valuation of den, the residue is coefficient v - 1 of
+    num / (den / t^v), so it reads the first v coefficients of num and of
+    the unit den / t^v, and forms no other coefficient of the product or
+    the inverse.  Raises InsufficientOrder when the truncation cannot
+    decide: the denominator is zero to working order, or the needed
+    coefficient lies beyond it.
     """
+    if not (isinstance(num, TruncSeries) and isinstance(den, TruncSeries)):
+        raise InvalidInput("a residue needs two series, got %r and %r"
+                           % (num, den))
     v = den.valuation()
     if v is None:
         raise InsufficientOrder("denominator vanishes to working order")
     if v == 0:
         # regular at t = 0 if only the residue is wanted
         return Fraction(0)
-    unit = den.shift_down(v)
-    n = min(num.order, unit.order)
-    if v - 1 >= n:
+    if v > min(num.order, den.order - v):
         raise InsufficientOrder("residue coefficient beyond working order")
-    prod = num.truncate(n) * unit.truncate(n).inverse()
-    return prod.coeffs[v - 1]
+    inv = TruncSeries._make(den.coeffs[v:2 * v]).inverse().coeffs
+    return sum((a * inv[v - 1 - j] for j, a in enumerate(num.coeffs[:v])
+                if a), Fraction(0))
 
 
 class BranchParam:
@@ -315,7 +485,8 @@ def newton_lift(f, order):
     Solves the implicit equation by Newton iteration in the series ring; the
     returned branch re-lifts itself on demand at higher orders.
     """
-    if f.nvars != 2 or f.constant_term() != 0:
+    if not (isinstance(f, Poly) and f.nvars == 2
+            and f.constant_term() == 0):
         raise InvalidInput("newton_lift needs a plane curve through the origin")
     fx0 = f.diff(0)(0, 0)
     fy0 = f.diff(1)(0, 0)

@@ -769,6 +769,36 @@ def test_indices_are_invariant_under_rational_coordinate_changes(matrix):
     assert residues.baum_bott_residue(v, c1_squared).value == Fraction(25, 6)
 
 
+@seed(32)
+@settings(max_examples=30, deadline=None)
+@given(st.tuples(*[_rational_entries] * 4).filter(
+    lambda m: m[0] * m[3] != m[1] * m[2]),
+       st.integers(0, 1), _rational_entries.filter(bool),
+       st.integers(21, 60))
+def test_exact_branch_leaving_the_curve_past_every_working_order(
+        matrix, i, c, k):
+    # the cusp y^2 - x^3 with (2x, 3y) under a rational linear change and
+    # its branch phi^-1 o (t^2, t^3), one component moved by c t^k: the
+    # residue reads order 20 alone, where the moved branch still agrees
+    # with the curve, so a copy capped at 20 gives the cusp's 6; the exact
+    # branch is checked on the curve past every order and is refused
+    a, b, cc, d = matrix
+    det = a * d - b * cc
+    x, y = xy()
+    t = Poly.var(1, 0)
+    phi = (a * x + b * y, cc * x + d * y)
+    inv = ((d / det, -b / det), (-cc / det, a / det))
+    f = (y ** 2 - x ** 3).subst(phi)
+    w = ((2 * x).subst(phi), (3 * y).subst(phi))
+    v = VectorField(tuple(r[0] * w[0] + r[1] * w[1] for r in inv))
+    comps = [r[0] * t ** 2 + r[1] * t ** 3 for r in inv]
+    assert cs_index(v, f, branch_poly(*comps)).value == 6
+    comps[i] = comps[i] + c * t ** k
+    assert cs_index(v, f, branch_by_hand(*comps, order=20)).value == 6
+    with pytest.raises(NotInvariant, match="does not lie on the curve"):
+        cs_index(v, f, branch_poly(*comps))
+
+
 @seed(30)
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 5).flatmap(lambda p: st.tuples(

@@ -199,16 +199,59 @@ def test_branch_inputs_are_checked():
     lambda: BranchParam.from_polys((Poly.var(1, 0),), 0),
     lambda: TruncSeries(True, (1,)),
     lambda: BranchParam.from_polys((Poly.var(1, 0),), True),
+    lambda: laurent_residue(1, TruncSeries.param(4)),
+    lambda: laurent_residue(TruncSeries.param(4), 1),
+    lambda: poly_on_branch(5, (TruncSeries.param(4),) * 2),
+    lambda: poly_on_branch(Poly.variables(2)[0] + Poly.variables(2)[1],
+                           (1, 2)),
+    lambda: poly_on_branch(Poly.var(1, 0), ()),
+    lambda: poly_on_branch(Poly.var(1, 0), 5),
+    lambda: pullback_one_form(DiffForm(2, 1, {(0,): Poly.var(2, 0)}),
+                              (1, 2)),
+    lambda: pullback_one_form(Poly.var(2, 0), (TruncSeries.param(4),) * 2),
+    lambda: pullback_one_form(DiffForm(2, 1), (TruncSeries(1),) * 2),
+    lambda: newton_lift(5, 3),
+    lambda: TruncSeries.param(4).truncate(0),
+    lambda: TruncSeries.param(4).truncate(1.5),
+    lambda: TruncSeries.param(4).shift_down(True),
+    lambda: TruncSeries.param(4).shift_down(-1),
 ], ids=["too-many-coeffs", "order-0", "order-fraction", "truncate-up",
         "derivative-order-1", "inverse-no-constant", "branch-empty",
         "branch-no-series", "branch-no-polys", "branch-order-0",
-        "order-bool", "branch-order-bool"])
+        "order-bool", "branch-order-bool", "residue-number-over-series",
+        "residue-series-over-number", "on-branch-number",
+        "on-branch-at-a-point", "on-branch-no-components",
+        "on-branch-not-a-tuple", "pullback-at-a-point",
+        "pullback-polynomial", "pullback-order-1", "newton-number",
+        "truncate-0", "truncate-fraction", "shift-bool", "shift-negative"])
 def test_malformed_series_raise_invalid_input(call):
     # these were asserts: under python -O TruncSeries(2, (1, 2, 3)) built an
     # order-2 series of three coefficients and an empty branch raised
-    # ValueError
+    # ValueError; a number where a series or a polynomial belongs ended in
+    # AttributeError, and poly_on_branch at a point of numbers returned a
+    # number
     with pytest.raises(InvalidInput):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda t, x: t * x,
+    lambda t, x: x * t,
+    lambda t, x: t * "a",
+    lambda t, x: t + x,
+    lambda t, x: t - "a",
+    lambda t, x: "a" - t,
+    lambda t, x: t * True,
+], ids=["series-times-poly", "poly-times-series", "series-times-str",
+        "series-plus-poly", "series-minus-str", "str-minus-series",
+        "series-times-bool"])
+def test_series_operators_decline_other_operands(call):
+    # like Poly's, the operators return NotImplemented for an operand that
+    # is neither a series nor a rational, so Python raises TypeError
+    with pytest.raises(TypeError):
+        call(TruncSeries.param(4), Poly.var(2, 0))
+    assert TruncSeries.param(4).__mul__(Poly.var(2, 0)) is NotImplemented
+    assert TruncSeries.param(4).__add__("a") is NotImplemented
 
 
 @pytest.mark.parametrize("form, comps", [
@@ -241,6 +284,31 @@ def test_branch_pullback_is_the_substituted_polynomial(case):
     on_branch = poly_on_branch(p, comps)
     assert on_branch.order == least
     assert on_branch == TruncSeries.from_poly(p.subst(cs), least)
+
+
+def _one_form(n):
+    return st.lists(_poly(n, 3), min_size=n, max_size=n).map(
+        lambda cs: DiffForm(n, 1, {(i,): c for i, c in enumerate(cs)}))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    _one_form(n), st.lists(_poly(1, 4), min_size=n, max_size=n),
+    st.lists(st.integers(2, 12), min_size=n, max_size=n))))
+def test_branch_pullback_of_a_form_is_the_substituted_sum(case):
+    # the integer kernel against sum (a_i o gamma) gamma_i', built with
+    # Poly.subst and series arithmetic, on components of equal or of
+    # different orders: the least order wins, less one
+    form, cs, orders = case
+    comps = [TruncSeries.from_poly(c, k) for c, k in zip(cs, orders)]
+    least = min(orders)
+    want = TruncSeries(least - 1)
+    for (i,), a in form.coeffs.items():
+        want = want + (TruncSeries.from_poly(a.subst(cs), least - 1)
+                       * comps[i].truncate(least).derivative())
+    got = pullback_one_form(form, comps)
+    assert got == want
+    assert _well_formed(got)
 
 
 def _series(max_order=8):
@@ -294,6 +362,30 @@ def test_arithmetic_equals_the_public_constructor(a, b, c, k, m):
     for got, want in cases:
         assert got == want
         assert _well_formed(got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_series(), _series(), st.integers(0, 6))
+def test_laurent_residue_is_the_full_order_coefficient(num, den, zeros):
+    # the residue reads v coefficients of num and of the unit; the
+    # reference forms the whole product of the two at the least order, and
+    # raises InsufficientOrder where the residue does
+    den = TruncSeries(den.order + zeros, (0,) * zeros + den.coeffs)
+    v = den.valuation()
+    want = InsufficientOrder
+    if v == 0:
+        want = Fraction(0)
+    elif v is not None:
+        unit = den.shift_down(v)
+        n = min(num.order, unit.order)
+        if v - 1 < n:
+            want = (num.truncate(n) * unit.truncate(n).inverse()).coeffs[v - 1]
+    if want is InsufficientOrder:
+        with pytest.raises(InsufficientOrder):
+            laurent_residue(num, den)
+    else:
+        got = laurent_residue(num, den)
+        assert got == want and type(got) is Fraction
 
 
 def test_stalled_newton_iteration_raises_route_conflict(monkeypatch):
